@@ -9,10 +9,9 @@ loop a power-integrity engineer runs before committing a floorplan.
 For each candidate PDN configuration it:
 
 1. builds the design (grid + package + loads),
-2. runs a static IR analysis and a dynamic power-virus simulation,
+2. runs a static IR analysis and a dynamic power-virus simulation, and
 3. reports mean/max droop, the die-package resonance frequency, and the
-   hotspot count, and finally
-4. prints the classical-solver cross-check (direct LU vs multigrid).
+   hotspot count.
 
 Run with:  python examples/pdn_exploration.py
 """
@@ -22,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.pdn import DesignSpec, LayerSpec, PackageModel, make_design
-from repro.sim import DynamicNoiseAnalysis, MultigridSolver, run_static_analysis
+from repro.sim import DynamicNoiseAnalysis, run_static_analysis
 from repro.workloads import build_scenario
 
 
@@ -72,18 +71,6 @@ def main() -> None:
             f"{spec.name:<28} {static.worst_case * 1e3:9.1f}mV {dynamic.worst_noise * 1e3:10.1f}mV "
             f"{dynamic.mean_tile_noise * 1e3:7.1f}mV {hotspots:8d} {resonance / 1e9:8.2f}GHz"
         )
-
-    # Cross-check the simulation substrate: the multigrid solver reproduces
-    # the direct static solution on the last candidate.
-    design = make_design(candidates[-1], seed=0)
-    matrix = design.mna.static_conductance()
-    rhs = design.mna.load_vector(design.loads.nominal_currents)
-    from repro.sim import DirectSolver
-
-    direct = DirectSolver(matrix).solve(rhs)
-    multigrid = MultigridSolver(matrix, tolerance=1e-10).solve(rhs)
-    print(f"\nsolver cross-check: max |direct - multigrid| = "
-          f"{np.max(np.abs(direct - multigrid)):.3e} V")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ SECTIONS = [
     ("fig4_noise_maps", "Figure 4 (measured) — map agreement, D1-D3"),
     ("fig5_d4_detail", "Figure 5 (measured) — D4 relative-error detail"),
     ("fig6_compression", "Figure 6 (measured) — temporal compression sweep"),
-    ("solvers", "Solver baselines (measured)"),
     ("ablation_features", "Feature / model ablation (measured)"),
     ("serving", "Serving throughput (measured) — batched service vs per-vector loop"),
 ]

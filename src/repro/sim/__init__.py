@@ -1,11 +1,10 @@
 """PDN simulation engine.
 
 This subpackage is the reproduction's substitute for the commercial PDN
-sign-off tool: sparse linear solvers, static IR analysis, a transient engine
-with companion models for decap and package inductance, the worst-case
-dynamic noise analysis that produces the ground-truth tile maps, and the
-classical multigrid / random-walk solvers the paper cites as conventional
-alternatives.
+sign-off tool: sparse linear solvers (sparse LU, symmetric-mode SuperLU and
+conjugate gradients), static IR analysis, a transient engine with companion
+models for decap and package inductance, and the worst-case dynamic noise
+analysis that produces the ground-truth tile maps.
 
 Transient integration sits behind a solver-strategy seam: the full-order
 companion path (:class:`FullOrderStrategy`) and the gated Krylov
@@ -21,8 +20,6 @@ from repro.sim.linear import (
     make_solver,
     solver_names,
 )
-from repro.sim.multigrid import MultigridSolver
-from repro.sim.random_walk import RandomWalkEstimate, RandomWalkSolver
 from repro.sim.static_ir import StaticIRAnalysis, StaticIRResult, run_static_analysis
 from repro.sim.transient import (
     INTEGRATION_METHODS,
@@ -46,9 +43,6 @@ __all__ = [
     "DirectSolver",
     "CholeskySolver",
     "ConjugateGradientSolver",
-    "MultigridSolver",
-    "RandomWalkSolver",
-    "RandomWalkEstimate",
     "make_solver",
     "solver_names",
     "StaticIRAnalysis",

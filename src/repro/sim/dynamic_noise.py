@@ -125,25 +125,11 @@ class DynamicNoiseAnalysis:
 
         Returns
         -------
-        The :class:`DynamicNoiseResult` for this vector, with
-        ``runtime_seconds`` measuring the transient integration plus the
-        per-tile reduction.
+        The :class:`DynamicNoiseResult` for this vector — :meth:`run_many` on
+        a batch of one, so ``runtime_seconds`` measures this vector's whole
+        transient integration plus the per-tile reduction.
         """
-        faults.active().before_solve(self._design.name, 1)
-        timer = Timer()
-        with timer.measure():
-            transient: TransientResult = self._engine.run(trace)
-            result = self._reduce(transient, 0.0)
-        result.runtime_seconds = timer.last
-        obs.metrics().histogram("sim.analysis_seconds").observe(timer.last)
-        _LOG.debug(
-            "dynamic noise on %s: worst=%.1f mV, hotspot ratio=%.1f%%, %.2f s",
-            self._design.name,
-            1e3 * result.worst_noise,
-            100.0 * result.hotspot_ratio,
-            result.runtime_seconds,
-        )
-        return result
+        return self.run_many([trace])[0]
 
     def run_many(
         self,

@@ -9,11 +9,12 @@ provides the solver back-ends used by the static and transient engines:
   factorise once, solve many times; the default for sign-off accuracy.
 * :class:`CholeskySolver` — LL^T factorisation through a shifted LDL^T; kept
   as an alternative direct method that exploits symmetry.
-* :class:`ConjugateGradientSolver` — Jacobi- or multigrid-preconditioned CG,
-  the classic iterative choice for very large grids.
+* :class:`ConjugateGradientSolver` — Jacobi-preconditioned CG (or any
+  caller-supplied preconditioner), the classic iterative choice for very
+  large grids.
 
 All solvers share the :class:`LinearSolver` interface so the simulation
-engines and the solver benchmarks can switch between them freely.
+engines can switch between them freely.
 """
 
 from __future__ import annotations
@@ -250,23 +251,16 @@ _SOLVER_REGISTRY: dict[str, type[LinearSolver]] = {
 
 
 def make_solver(matrix: sp.spmatrix, method: str = "direct", **kwargs) -> LinearSolver:
-    """Create a solver by name (``"direct"``, ``"cholesky"``, ``"cg"``).
-
-    The multigrid and random-walk solvers live in their own modules and are
-    registered lazily to avoid import cycles.
-    """
-    if method == "multigrid":
-        from repro.sim.multigrid import MultigridSolver
-
-        return MultigridSolver(matrix, **kwargs)
+    """Create a solver by name (``"direct"``, ``"cholesky"``, ``"cg"``)."""
     try:
         solver_class = _SOLVER_REGISTRY[method]
     except KeyError as error:
-        known = sorted(_SOLVER_REGISTRY) + ["multigrid"]
-        raise ValueError(f"unknown solver method {method!r}; expected one of {known}") from error
+        raise ValueError(
+            f"unknown solver method {method!r}; expected one of {solver_names()}"
+        ) from error
     return solver_class(matrix, **kwargs)
 
 
 def solver_names() -> tuple[str, ...]:
     """Names accepted by :func:`make_solver`."""
-    return tuple(sorted(_SOLVER_REGISTRY)) + ("multigrid",)
+    return tuple(sorted(_SOLVER_REGISTRY))

@@ -360,10 +360,6 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         """The orthonormal projection basis ``V``, shape ``(N, r)``."""
         return self._basis
 
-    def run(self, trace: CurrentTrace) -> TransientResult:
-        """Integrate one trace in reduced coordinates (a block of one)."""
-        return self.run_block([trace])[0]
-
     def run_block(self, traces: list[CurrentTrace]) -> list[TransientResult]:
         """Lockstep reduced-order integration of equal-length traces.
 
@@ -389,7 +385,7 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         currents = np.stack([trace.currents for trace in traces])  # (V, T, L)
 
         if options.initial_state == "dc":
-            droop, inductor_current = full._dc_state_block(currents[:, 0, :])
+            droop, inductor_current = full._dc_state(currents[:, 0, :])
         else:
             droop = np.zeros((num_nodes, num_traces))
             inductor_current = np.zeros((mna.num_inductors, num_traces))

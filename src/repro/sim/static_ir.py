@@ -4,8 +4,7 @@ Static analysis "employs DC excitation and hence ignores the impact of
 capacitance or inductance" (Sec. 2): inductors are shorts, capacitors are
 open, and the droop is the solution of ``G x = I`` with the average load
 currents on the right-hand side.  The static map is used as a sanity baseline
-(it underestimates dynamic noise because it misses the die-package resonance)
-and as the target of the classical-solver benchmarks.
+(it underestimates dynamic noise because it misses the die-package resonance).
 """
 
 from __future__ import annotations

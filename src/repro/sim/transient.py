@@ -145,17 +145,14 @@ class TransientSolverStrategy(abc.ABC):
     """Interface between :class:`TransientEngine` and a concrete integrator.
 
     A strategy owns whatever factorisations or projection bases it needs and
-    turns current traces into :class:`TransientResult` objects.  The engine
-    handles trace validation, batching/grouping and (in ROM mode) the error
-    gate; strategies only integrate.
+    turns blocks of current traces into :class:`TransientResult` objects —
+    one integrator loop per strategy.  The engine handles trace validation,
+    batching/grouping and (in ROM mode) the error gate; strategies only
+    integrate.
     """
 
     #: Short strategy name stamped into :attr:`TransientResult.solver`.
     name: str = "abstract"
-
-    @abc.abstractmethod
-    def run(self, trace: CurrentTrace) -> TransientResult:
-        """Integrate one (already validated) current trace."""
 
     @abc.abstractmethod
     def run_block(self, traces: list[CurrentTrace]) -> list[TransientResult]:
@@ -166,8 +163,8 @@ class FullOrderStrategy(TransientSolverStrategy):
     """The full-order companion-model integrator (the classic path).
 
     Building the strategy assembles and factorises the companion system
-    ``S = G + G_L(dt) + cap_factor * C / dt`` once; every run afterwards is
-    back-substitution against that factorisation.  This is the reference
+    ``S = G + G_L(dt) + cap_factor * C / dt`` once; every block afterwards
+    is back-substitution against that factorisation.  This is the reference
     every other strategy is validated against: its results define the
     ground-truth labels of the corpus format.
     """
@@ -198,7 +195,7 @@ class FullOrderStrategy(TransientSolverStrategy):
         factor_started = time.perf_counter()
         self._solver: LinearSolver = make_solver(self._system, options.solver_method)
         # The factor/solve split: building the strategy pays the (single)
-        # sparse factorisation; every run() afterwards is back-substitution.
+        # sparse factorisation; every block afterwards is back-substitution.
         obs.metrics().histogram("sim.factor_seconds").observe(
             time.perf_counter() - factor_started
         )
@@ -245,20 +242,7 @@ class FullOrderStrategy(TransientSolverStrategy):
         return self._static_solver
 
     def _dc_state(self, load_currents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """DC droop and inductor branch currents for given load currents."""
-        droop = self._static().solve(self._mna.load_vector(load_currents))
-        if self._mna.num_inductors:
-            v_a = droop[self._mna.ind_a]
-            v_b = np.where(
-                self._mna.ind_b == REFERENCE_NODE, 0.0, droop[np.maximum(self._mna.ind_b, 0)]
-            )
-            branch_current = (v_a - v_b) / INDUCTOR_SHORT_RESISTANCE
-        else:
-            branch_current = np.empty(0)
-        return droop, branch_current
-
-    def _dc_state_block(self, load_currents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Block form of :meth:`_dc_state`.
+        """DC droop and inductor branch currents of a block of traces.
 
         Parameters
         ----------
@@ -281,89 +265,11 @@ class FullOrderStrategy(TransientSolverStrategy):
             branch_current = np.empty((0, num_traces))
         return droop, branch_current
 
-    def run(self, trace: CurrentTrace) -> TransientResult:
-        """Integrate the system over one current trace."""
-        solve_started = time.perf_counter()
-
-        mna = self._mna
-        options = self._options
-        num_nodes = mna.num_nodes
-        trapezoidal = options.method == "trapezoidal"
-
-        if options.initial_state == "dc":
-            droop, inductor_current = self._dc_state(trace.currents[0])
-        else:
-            droop = np.zeros(num_nodes)
-            inductor_current = np.zeros(mna.num_inductors)
-        cap_current = np.zeros(num_nodes)  # only used by the trapezoidal rule
-
-        max_droop = droop.copy()
-        worst_droop = float(np.max(droop)) if num_nodes else 0.0
-        worst_time_index = 0
-        stored: Optional[np.ndarray] = None
-        if options.store_waveform:
-            stored = np.empty((trace.num_steps, num_nodes))
-            stored[0] = droop
-
-        ind_a = mna.ind_a
-        ind_b = mna.ind_b
-        ind_to_ref = ind_b == REFERENCE_NODE
-        ind_b_safe = np.where(ind_to_ref, 0, ind_b)
-
-        for step in range(1, trace.num_steps):
-            rhs = mna.load_vector(trace.currents[step])
-            rhs += self._cap_companion * droop
-            if trapezoidal:
-                rhs += cap_current
-            if mna.num_inductors:
-                if trapezoidal:
-                    v_ab = droop[ind_a] - np.where(ind_to_ref, 0.0, droop[ind_b_safe])
-                    history = inductor_current + self._ind_companion * v_ab
-                else:
-                    history = inductor_current
-                np.subtract.at(rhs, ind_a, history)
-                if np.any(~ind_to_ref):
-                    np.add.at(rhs, ind_b_safe[~ind_to_ref], history[~ind_to_ref])
-
-            new_droop = self._solver.solve(rhs)
-
-            if mna.num_inductors:
-                v_ab_new = new_droop[ind_a] - np.where(ind_to_ref, 0.0, new_droop[ind_b_safe])
-                if trapezoidal:
-                    inductor_current = history + self._ind_companion * v_ab_new
-                else:
-                    inductor_current = inductor_current + self._ind_companion * v_ab_new
-            if trapezoidal:
-                cap_current = self._cap_companion * (new_droop - droop) - cap_current
-
-            droop = new_droop
-            np.maximum(max_droop, droop, out=max_droop)
-            step_worst = float(np.max(droop))
-            if step_worst > worst_droop:
-                worst_droop = step_worst
-                worst_time_index = step
-            if stored is not None:
-                stored[step] = droop
-
-        waveform = None
-        if stored is not None:
-            waveform = VoltageWaveform(stored, self._dt)
-        obs.metrics().histogram("sim.solve_seconds").observe(
-            time.perf_counter() - solve_started
-        )
-        return TransientResult(
-            max_droop_per_node=max_droop,
-            final_droop=droop,
-            worst_droop=worst_droop,
-            worst_time_index=worst_time_index,
-            num_steps=trace.num_steps,
-            dt=self._dt,
-            waveform=waveform,
-            solver=self.name,
-        )
-
     def run_block(self, traces: list[CurrentTrace]) -> list[TransientResult]:
-        """Lockstep integration of equal-length traces (one column each)."""
+        """Lockstep integration of equal-length traces (one column each).
+
+        The only full-order integrator: a single trace is a block of one.
+        """
         solve_started = time.perf_counter()
         mna = self._mna
         options = self._options
@@ -374,7 +280,7 @@ class FullOrderStrategy(TransientSolverStrategy):
         currents = np.stack([trace.currents for trace in traces])  # (V, T, L)
 
         if options.initial_state == "dc":
-            droop, inductor_current = self._dc_state_block(currents[:, 0, :])
+            droop, inductor_current = self._dc_state(currents[:, 0, :])
         else:
             droop = np.zeros((num_nodes, num_traces))
             inductor_current = np.zeros((mna.num_inductors, num_traces))
@@ -555,15 +461,16 @@ class TransientEngine:
             )
 
     def run(self, trace: CurrentTrace) -> TransientResult:
-        """Integrate the system over a current trace.
+        """Integrate the system over one current trace: a block of one.
 
-        The trace's ``dt`` must match the engine's ``dt`` (the factorisation
-        depends on it).  In ROM mode the single-trace path is *ungated* —
-        the error gate needs a batch to sample from; use :meth:`run_many`
-        for validated reduced-order labels.
+        Exactly :meth:`run_many` on ``[trace]`` — the trace's ``dt`` must
+        match the engine's ``dt`` (the factorisation depends on it), and in
+        ROM mode the call is gated like any other: with
+        ``validate_vectors >= 1`` the lone trace is the validation sample, so
+        its label is the full-order result whether the gate passes or falls
+        back.
         """
-        self._check_trace(trace)
-        return self.strategy.run(trace)
+        return self.run_many([trace])[0]
 
     # ------------------------------------------------------------------ #
     # lockstep block integration
