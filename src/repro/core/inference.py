@@ -71,7 +71,7 @@ class NoisePredictor:
         Serving precision (a :mod:`repro.nn.kernels` dtype).  ``"float64"``
         (default) is the bit-exact reference; ``"float32"`` casts the model
         in place and runs the forward pass end to end in single precision
-        (~2x throughput).  Predicted noise maps are always returned as
+        (half the memory traffic).  Predicted noise maps are always returned as
         float64 volts.
     """
 

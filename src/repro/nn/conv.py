@@ -3,10 +3,26 @@
 The paper's three subnets are built from strided convolutions (downsampling),
 strided transposed convolutions (upsampling), and stride-1 convolutions with
 *replication* padding for conv layers and *zero* padding for deconv layers
-(Sec. 3.4.1).  These primitives are implemented with the standard
-im2col/col2im formulation so that the heavy lifting is a single matrix
-product per layer, and both directions (forward and gradient) share the same
-two routines.
+(Sec. 3.4.1).  Every layer is one batched GEMM plus one of the two data
+movement kernels, ``im2col`` (unfold) or ``col2im`` (fold), and a stride-1
+layer k×k-expands only the *narrower* of its two channel sides:
+
+* a strided convolution, or one with at least as many output as input
+  channels, unfolds the input and multiplies (the textbook im2col form);
+* a stride-1 convolution with fewer output than input channels multiplies
+  first, against flipped-tap weights, and folds the narrow result with a
+  stride-1 ``col2im``;
+* a transposed convolution is the sub-pixel (stride-phase) form: one
+  ``im2col`` of small windows over the zero-padded input, one GEMM against
+  per-phase weights, one interleaving write of the ``stride**2`` output
+  phases — no scatter-add and no zero-filled target.
+
+Backward follows the same rule.  A stride-1 convolution with ``C_out <=
+C_in`` unfolds its output gradient once, with the flipped kernel, and gets
+both its weight and input gradients from that one buffer; other
+convolutions fold the input gradient with ``col2im``, and a transposed
+convolution unfolds its output gradient.  ``docs/kernels.md`` ("Which side
+a convolution unfolds") has the tap tables and the measured effect.
 
 Array layout is NCHW throughout.
 """
@@ -113,8 +129,88 @@ def col2im(
     return kernels.col2im(columns, padded_shape, kernel, stride)
 
 
+def _unfold(x_padded: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """:func:`im2col` into a pooled workspace (release it when done)."""
+    batch, channels, height, width = x_padded.shape
+    out_h = (height - kernel) // stride + 1
+    out_w = (width - kernel) // stride + 1
+    workspace = take_workspace(
+        (batch, channels * kernel * kernel, out_h * out_w), dtype=x_padded.dtype
+    )
+    return im2col(x_padded, kernel, stride, out=workspace)
+
+
+def _flipped_taps(weight: np.ndarray) -> np.ndarray:
+    """``(O, C, k, k)`` conv weights with both kernel axes reversed, as ``(O*k*k, C)``.
+
+    Row ``(o, a, b)`` holds tap ``(k-1-a, k-1-b)``, the layout a stride-1
+    :func:`col2im` scatters from — and, transposed, the layout that turns a
+    stride-1 :func:`im2col` of the output gradient into the input gradient.
+    """
+    out_channels, in_channels, kernel, _ = weight.shape
+    return (
+        weight[:, :, ::-1, ::-1]
+        .transpose(0, 2, 3, 1)
+        .reshape(out_channels * kernel * kernel, in_channels)
+    )
+
+
+def _conv_fold_first(x_padded: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Stride-1 convolution that expands its (narrow) output side.
+
+    GEMM the padded input against :func:`_flipped_taps` to get every output
+    channel's ``k*k`` tap responses at every padded position, then fold them
+    with a stride-1 :func:`col2im`.  The fold's image is ``k - 1`` larger
+    than the input on each side; its centre is the valid convolution.
+    """
+    out_channels, in_channels, kernel, _ = weight.shape
+    batch, _, height, width = x_padded.shape
+    responses = kernels.matmul(
+        _flipped_taps(weight), x_padded.reshape(batch, in_channels, height * width)
+    )
+    image = col2im(
+        responses, (batch, out_channels, height + kernel - 1, width + kernel - 1), kernel, 1
+    )
+    return np.ascontiguousarray(image[:, :, kernel - 1 : height, kernel - 1 : width])
+
+
+def _mirrored_gradients(
+    grad: np.ndarray, x_padded: np.ndarray, weight: np.ndarray, needs_input: bool
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Weight and padded-input gradients of a stride-1 convolution.
+
+    The adjoint of a stride-1 convolution is the full convolution of the
+    output gradient with the flipped kernel.  One unfold of the gradient,
+    zero-padded by ``k - 1``, has a column per padded-input position; those
+    columns meet the transposed :func:`_flipped_taps` for the input gradient
+    and the padded input itself for the (flipped) weight gradient — so the
+    narrow output side is the only one ever expanded.
+    """
+    out_channels, in_channels, kernel, _ = weight.shape
+    batch = grad.shape[0]
+    columns = _unfold(pad_input(grad, kernel - 1, "zeros"), kernel, 1)  # (N, O*k*k, Hp*Wp)
+    # (N, O*k*k, P) x (N, P, C) batched GEMM summed over the batch, then the
+    # taps flipped back into the (O, C, k, k) layout.
+    flipped = kernels.matmul(
+        columns, x_padded.reshape(batch, in_channels, -1).swapaxes(1, 2)
+    ).sum(axis=0)
+    grad_weight = np.ascontiguousarray(
+        flipped.reshape(out_channels, kernel, kernel, in_channels)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+    )
+    grad_padded = None
+    if needs_input:
+        grad_padded = kernels.matmul(_flipped_taps(weight).T, columns).reshape(x_padded.shape)
+    release_workspace(columns)
+    return grad_weight, grad_padded
+
+
 class Conv2dFunction(Function):
-    """2-D convolution (NCHW) with stride, padding and padding-mode support."""
+    """2-D convolution (NCHW) with stride, padding and padding-mode support.
+
+    Stride-1 layers with ``C_out <= C_in`` keep the padded input for backward
+    and differentiate through :func:`_mirrored_gradients`; every other layer
+    keeps its unfolded columns and folds the input gradient with ``col2im``.
+    """
 
     @staticmethod
     def forward(
@@ -132,28 +228,28 @@ class Conv2dFunction(Function):
                 f"input shape {x.shape} incompatible with weight shape {weight.shape}"
             )
         x_padded = pad_input(x, padding, padding_mode)
-        out_h = conv_output_size(x.shape[2], kernel, stride, padding)
-        out_w = conv_output_size(x.shape[3], kernel, stride, padding)
-        workspace = take_workspace(
-            (x.shape[0], in_channels * kernel * kernel, out_h * out_w),
-            dtype=x_padded.dtype,
-        )
-        columns = im2col(x_padded, kernel, stride, out=workspace)
-        weight_matrix = weight.reshape(out_channels, -1)
-        # matmul broadcasts (O, F) @ (N, F, P) -> (N, O, P) straight into
-        # batched GEMM; unlike einsum there is no per-call path search, which
-        # matters when serving many small maps.
-        output = kernels.matmul(weight_matrix, columns)
-        output = output.reshape(x.shape[0], out_channels, out_h, out_w)
-        if bias is not None:
-            output = output + bias.reshape(1, -1, 1, 1)
-        if grad_enabled():
-            # The unfolded columns are by far the largest forward buffer;
-            # the backward pass recycles them into the workspace pool, so
-            # inference (no_grad) batches must not keep them alive either.
-            ctx.save(columns, weight, x_padded.shape)
+        mirrored = stride == 1 and out_channels <= in_channels
+        columns = None
+        if stride == 1 and out_channels < in_channels:
+            output = _conv_fold_first(x_padded, weight)
         else:
-            release_workspace(columns)
+            out_h = conv_output_size(x.shape[2], kernel, stride, padding)
+            out_w = conv_output_size(x.shape[3], kernel, stride, padding)
+            columns = _unfold(x_padded, kernel, stride)
+            # matmul broadcasts (O, F) @ (N, F, P) -> (N, O, P) straight into
+            # batched GEMM; unlike einsum there is no per-call path search,
+            # which matters when serving many small maps.
+            output = kernels.matmul(weight.reshape(out_channels, -1), columns)
+            output = output.reshape(x.shape[0], out_channels, out_h, out_w)
+            if mirrored or not grad_enabled():
+                # The unfolded columns are by far the largest forward buffer
+                # and only the col2im backward needs them, so inference
+                # (no_grad) and mirrored layers hand them straight back.
+                release_workspace(columns)
+        if bias is not None:
+            output += bias.reshape(1, -1, 1, 1)
+        if grad_enabled():
+            ctx.save(x_padded if mirrored else columns, weight, x_padded.shape)
         ctx.attrs.update(
             stride=stride,
             padding=padding,
@@ -170,7 +266,9 @@ class Conv2dFunction(Function):
                 "cannot backpropagate through the same convolution twice: "
                 "its im2col workspace was recycled by the first backward pass"
             )
-        columns, weight, padded_shape = ctx.saved
+        saved, weight, padded_shape = ctx.saved
+        ctx.saved = ()
+        ctx.attrs["workspace_recycled"] = True
         stride = ctx.attrs["stride"]
         padding = ctx.attrs["padding"]
         padding_mode = ctx.attrs["padding_mode"]
@@ -178,36 +276,79 @@ class Conv2dFunction(Function):
 
         batch = grad.shape[0]
         grad_flat = grad.reshape(batch, out_channels, -1)  # (N, O, OH*OW)
-
-        weight_matrix = weight.reshape(out_channels, -1)
-        # (N, O, P) x (N, P, F) batched GEMM summed over the batch — same
-        # contraction as einsum("nop,nfp->of") without the per-call path
-        # search overhead.
-        grad_weight = (
-            kernels.matmul(grad_flat, columns.swapaxes(1, 2)).sum(axis=0).reshape(weight.shape)
-        )
         grad_bias = grad_flat.sum(axis=(0, 2)) if ctx.attrs["has_bias"] else None
-
-        # The saved columns are no longer needed past the weight gradient;
-        # hand the buffer back to the pool for the next step's forward pass.
-        ctx.saved = ()
-        ctx.attrs["workspace_recycled"] = True
-        release_workspace(columns)
-        del columns
-
+        # Nobody consumes the input gradient of first-layer convolutions on
+        # the minibatch itself — skip it entirely.
         needs = ctx.needs_input_grad
-        if needs and not needs[0]:
-            # Nobody consumes the input gradient (first-layer convolutions on
-            # the minibatch itself) — skip the fold entirely.
-            return None, grad_weight, grad_bias
+        needs_input = not (needs and not needs[0])
 
-        # Plain matmul (no out=) — numpy's out= variant takes a slower
-        # buffered path; the transient result is parked in the pool instead.
-        grad_columns = kernels.matmul(weight_matrix.T, grad_flat)
-        grad_padded = col2im(grad_columns, padded_shape, kernel, stride)
-        release_workspace(grad_columns)
-        grad_input = unpad_gradient(grad_padded, padding, padding_mode)
-        return grad_input, grad_weight, grad_bias
+        if stride == 1 and out_channels <= in_channels:
+            grad_weight, grad_padded = _mirrored_gradients(grad, saved, weight, needs_input)
+        else:
+            columns = saved
+            # (N, O, P) x (N, P, F) batched GEMM summed over the batch — same
+            # contraction as einsum("nop,nfp->of") without the per-call path
+            # search overhead.
+            grad_weight = (
+                kernels.matmul(grad_flat, columns.swapaxes(1, 2)).sum(axis=0).reshape(weight.shape)
+            )
+            # The columns are no longer needed past the weight gradient; hand
+            # the buffer back to the pool for the next step's forward pass.
+            release_workspace(columns)
+            del columns, saved
+            grad_padded = None
+            if needs_input:
+                # Plain matmul (no out=) — numpy's out= variant takes a
+                # slower buffered path; the transient result is parked in the
+                # pool instead.
+                grad_columns = kernels.matmul(weight.reshape(out_channels, -1).T, grad_flat)
+                grad_padded = col2im(grad_columns, padded_shape, kernel, stride)
+                release_workspace(grad_columns)
+        if grad_padded is None:
+            return None, grad_weight, grad_bias
+        return unpad_gradient(grad_padded, padding, padding_mode), grad_weight, grad_bias
+
+
+def _subpixel_taps(kernel: int, stride: int, padding: int) -> tuple[list[int], np.ndarray]:
+    """Per-axis plan of the sub-pixel transposed convolution.
+
+    Output index ``y = q * stride + phase`` sums ``x[q + offset - t] *
+    w[residue + t * stride]`` over ``t``, where ``offset, residue =
+    divmod(phase + padding, stride)``.  With the input zero-padded by
+    ``window - 1`` in front (``window = ceil(kernel / stride)``), that sum is
+    one ``window``-wide stride-1 window starting at ``q + offset``, whose
+    tap ``u`` meets kernel tap ``residue + (window - 1 - u) * stride``.
+
+    Returns the per-phase window offsets and the ``(stride, window)`` kernel
+    tap table; taps ``>= kernel`` fall outside the kernel and weigh zero.
+    """
+    window = -(-kernel // stride)
+    offsets = []
+    taps = np.empty((stride, window), dtype=np.intp)
+    for phase in range(stride):
+        offset, residue = divmod(phase + padding, stride)
+        offsets.append(offset)
+        taps[phase] = residue + (window - 1 - np.arange(window)) * stride
+    return offsets, taps
+
+
+def _subpixel_weights(weight: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """``(C_in, C_out, k, k)`` weights as the ``(s*s*C_out, C_in*T*T)`` phase matrix.
+
+    Row ``(phase_row, phase_col, o)``, column ``(c, u, v)`` holds
+    ``weight[c, o, taps[phase_row, u], taps[phase_col, v]]`` (zero past the
+    kernel edge).
+    """
+    in_channels, out_channels, kernel, _ = weight.shape
+    stride, window = taps.shape
+    extent = stride * window
+    if extent > kernel:
+        weight = np.pad(weight, ((0, 0), (0, 0), (0, extent - kernel), (0, extent - kernel)))
+    # (C_in, C_out, s, T, s, T) -> (s, s, C_out, C_in, T, T)
+    phased = weight[:, :, taps[:, :, None, None], taps[None, None, :, :]]
+    return phased.transpose(2, 4, 1, 0, 3, 5).reshape(
+        stride * stride * out_channels, in_channels * window * window
+    )
 
 
 class ConvTranspose2dFunction(Function):
@@ -215,6 +356,7 @@ class ConvTranspose2dFunction(Function):
 
     Weight layout follows the PyTorch convention ``(C_in, C_out, k, k)``.
     Only zero padding is supported, matching the paper's deconvolution layers.
+    The forward pass is the sub-pixel decomposition of :func:`_subpixel_taps`.
     """
 
     @staticmethod
@@ -234,47 +376,42 @@ class ConvTranspose2dFunction(Function):
         batch, _, in_h, in_w = x.shape
         out_h = conv_transpose_output_size(in_h, kernel, stride, padding)
         out_w = conv_transpose_output_size(in_w, kernel, stride, padding)
-        padded_shape = (batch, out_channels, out_h + 2 * padding, out_w + 2 * padding)
 
-        x_flat = x.reshape(batch, in_channels, in_h * in_w)
-        weight_matrix = weight.reshape(in_channels, out_channels * kernel * kernel)
-        # Plain matmul (no out=) — numpy's out= variant takes a slower
-        # buffered path; the transient result is parked in the pool instead.
-        columns = kernels.matmul(weight_matrix.T, x_flat)
-        output_padded = col2im(columns, padded_shape, kernel, stride)
+        offsets, taps = _subpixel_taps(kernel, stride, padding)
+        window = taps.shape[1]
+        # Pad behind far enough that every phase's last window exists.
+        pad_h = max(0, max(offsets) + -(-out_h // stride) - in_h)
+        pad_w = max(0, max(offsets) + -(-out_w // stride) - in_w)
+        x_padded = np.pad(x, ((0, 0), (0, 0), (window - 1, pad_h), (window - 1, pad_w)))
+        columns = _unfold(x_padded, window, 1)
+        phases = kernels.matmul(_subpixel_weights(weight, taps), columns)
         release_workspace(columns)
-        if padding > 0:
-            output = output_padded[:, :, padding:-padding, padding:-padding]
-        else:
-            output = output_padded
+        phase_maps = phases.reshape(batch, stride, stride, out_channels, in_h + pad_h, in_w + pad_w)
+
+        # Every output pixel belongs to exactly one phase, so the target
+        # needs no zero fill.
+        output = np.empty((batch, out_channels, out_h, out_w), dtype=phases.dtype)
+        for row in range(stride):
+            rows = slice(offsets[row], offsets[row] + len(range(row, out_h, stride)))
+            for col in range(stride):
+                cols = slice(offsets[col], offsets[col] + len(range(col, out_w, stride)))
+                output[:, :, row::stride, col::stride] = phase_maps[:, row, col, :, rows, cols]
         if bias is not None:
-            output = output + bias.reshape(1, -1, 1, 1)
+            output += bias.reshape(1, -1, 1, 1)
         if grad_enabled():
-            ctx.save(x_flat, weight, padded_shape)
+            ctx.save(x.reshape(batch, in_channels, in_h * in_w), weight)
         ctx.attrs.update(
             stride=stride, padding=padding, has_bias=bias is not None, input_shape=x.shape
         )
-        return np.ascontiguousarray(output)
+        return output
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        x_flat, weight, padded_shape = ctx.saved
+        x_flat, weight = ctx.saved
         stride = ctx.attrs["stride"]
         padding = ctx.attrs["padding"]
         in_channels, out_channels, kernel, _ = weight.shape
-        batch = grad.shape[0]
-
-        if padding > 0:
-            grad_padded = np.zeros(padded_shape, dtype=grad.dtype)
-            grad_padded[:, :, padding:-padding, padding:-padding] = grad
-        else:
-            grad_padded = grad
-        in_h, in_w = ctx.attrs["input_shape"][2:]
-        workspace = take_workspace(
-            (batch, out_channels * kernel * kernel, in_h * in_w),
-            dtype=grad_padded.dtype,
-        )
-        grad_columns = im2col(grad_padded, kernel, stride, out=workspace)  # (N, O*k*k, H*W)
+        grad_columns = _unfold(pad_input(grad, padding, "zeros"), kernel, stride)  # (N, O*k*k, H*W)
 
         weight_matrix = weight.reshape(in_channels, out_channels * kernel * kernel)
         needs = ctx.needs_input_grad

@@ -97,6 +97,20 @@ class TestConv2dGradients:
         layer = Conv2d(2, 3, kernel_size=3, stride=2, padding=1, padding_mode="replicate", seed=1)
         check_parameter_gradient(layer, lambda: layer(x))
 
+    @pytest.mark.parametrize("mode", ["zeros", "replicate"])
+    def test_input_gradient_narrow_output(self, mode, rng):
+        # C_out < C_in at stride 1: the forward folds its output side and the
+        # input gradient unfolds the output gradient.
+        x = rng.standard_normal((2, 4, 5, 6))
+        layer = Conv2d(4, 2, kernel_size=3, stride=1, padding=1, padding_mode=mode, seed=0)
+        check_input_gradient(lambda t: layer(t), x)
+
+    @pytest.mark.parametrize("mode", ["zeros", "replicate"])
+    def test_parameter_gradients_narrow_output(self, mode, rng):
+        x = Tensor(rng.standard_normal((2, 3, 5, 5)))
+        layer = Conv2d(3, 1, kernel_size=3, stride=1, padding=1, padding_mode=mode, seed=1)
+        check_parameter_gradient(layer, lambda: layer(x))
+
     def test_matches_direct_convolution(self, rng):
         # Compare against a brute-force convolution for a tiny case.
         x = rng.standard_normal((1, 1, 4, 4))

@@ -2,10 +2,11 @@
 
 Covers the three things the module owns — dtype policy, thread sharding,
 backend registry — plus the workspace pool's (shape, dtype) keying and
-recency-ordered eviction, and the two end-to-end guarantees the refactor
-makes: the default float64 path is bit-identical to the pre-refactor
-implementation (golden arrays captured before the dispatch layer existed),
-and float32 inference matches float64 to single-precision rounding.
+recency-ordered eviction, and two end-to-end guarantees: the default
+float64 path matches the pre-refactor implementation to rtol/atol 1e-12
+(golden arrays captured before the dispatch layer existed; the convolution
+kernels have since changed summation order), and float32 inference matches
+float64 to single-precision rounding.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def test_pool_oversized_buffer_bypasses_pool(fresh_pool, monkeypatch):
 
 
 # ---------------------------------------------------------------------- #
-# golden float64 bit-identity (pre-refactor reference outputs)
+# golden float64 parity (pre-refactor reference outputs)
 # ---------------------------------------------------------------------- #
 
 
@@ -281,32 +282,37 @@ def golden():
     return np.load(GOLDEN_PATH)
 
 
+def assert_matches_golden(actual, expected):
+    """The pinned float64 tolerance: summation order may change, values may not."""
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize(
     "tag, stride, padding, mode",
     [("s1_replicate", 1, 1, "replicate"), ("s2_zeros", 2, 1, "zeros")],
 )
-def test_conv2d_bit_identical_to_pre_refactor(golden, tag, stride, padding, mode):
+def test_conv2d_matches_pre_refactor(golden, tag, stride, padding, mode):
     x = Tensor(golden[f"conv_{tag}_x"], requires_grad=True)
     w = Tensor(golden[f"conv_{tag}_w"], requires_grad=True)
     b = Tensor(golden[f"conv_{tag}_b"], requires_grad=True)
     y = conv2d(x, w, b, stride=stride, padding=padding, padding_mode=mode)
     y.backward(golden[f"conv_{tag}_seed"])
-    assert np.array_equal(y.data, golden[f"conv_{tag}_y"])
-    assert np.array_equal(x.grad, golden[f"conv_{tag}_gx"])
-    assert np.array_equal(w.grad, golden[f"conv_{tag}_gw"])
-    assert np.array_equal(b.grad, golden[f"conv_{tag}_gb"])
+    assert_matches_golden(y.data, golden[f"conv_{tag}_y"])
+    assert_matches_golden(x.grad, golden[f"conv_{tag}_gx"])
+    assert_matches_golden(w.grad, golden[f"conv_{tag}_gw"])
+    assert_matches_golden(b.grad, golden[f"conv_{tag}_gb"])
 
 
-def test_conv_transpose2d_bit_identical_to_pre_refactor(golden):
+def test_conv_transpose2d_matches_pre_refactor(golden):
     x = Tensor(golden["deconv_x"], requires_grad=True)
     w = Tensor(golden["deconv_w"], requires_grad=True)
     b = Tensor(golden["deconv_b"], requires_grad=True)
     y = conv_transpose2d(x, w, b, stride=2, padding=1)
     y.backward(golden["deconv_seed"])
-    assert np.array_equal(y.data, golden["deconv_y"])
-    assert np.array_equal(x.grad, golden["deconv_gx"])
-    assert np.array_equal(w.grad, golden["deconv_gw"])
-    assert np.array_equal(b.grad, golden["deconv_gb"])
+    assert_matches_golden(y.data, golden["deconv_y"])
+    assert_matches_golden(x.grad, golden["deconv_gx"])
+    assert_matches_golden(w.grad, golden["deconv_gw"])
+    assert_matches_golden(b.grad, golden["deconv_gb"])
 
 
 def _golden_model():
@@ -318,19 +324,19 @@ def _golden_model():
     )
 
 
-def test_model_forward_bit_identical_to_pre_refactor(golden):
+def test_model_forward_matches_pre_refactor(golden):
     model = _golden_model()
     with no_grad():
         pred = model.forward_batch(golden["model_currents"], golden["model_distance"])
-    assert np.array_equal(pred.data, golden["model_pred"])
+    assert_matches_golden(pred.data, golden["model_pred"])
 
 
-def test_model_ragged_forward_bit_identical_to_pre_refactor(golden):
+def test_model_ragged_forward_matches_pre_refactor(golden):
     model = _golden_model()
     ragged = [golden[f"model_ragged_{i}"] for i in range(4)]
     with no_grad():
         pred = model.forward_batch(ragged, golden["model_distance"])
-    assert np.array_equal(pred.data, golden["model_ragged_pred"])
+    assert_matches_golden(pred.data, golden["model_ragged_pred"])
 
 
 # ---------------------------------------------------------------------- #
