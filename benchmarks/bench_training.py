@@ -1,31 +1,14 @@
-"""Training-engine throughput: batched minibatch autograd vs the per-sample loop.
+"""Training-engine wall clock: the batched minibatch-autograd trainer.
 
 Sec. 3.4.4 training is the stage the paper's Table 2 runtime comparison
-amortises over, and PR 3 made it end-to-end batched: partitions normalised
-once into stacked tensors, one autograd graph per minibatch (tape-recorded
-backward, pooled im2col workspaces), and a fused flat-buffer Adam step.
-This benchmark trains the same model on the same dataset two ways:
-
-* ``sequential`` — ``TrainingConfig(sequential=True)``: the seed trainer's
-  per-sample loop (one graph per sample, summed minibatch loss);
-* ``batched``    — the default engine.
-
-It asserts the three engine guarantees:
-
-1. **>= 3x wall-clock speedup** at the paper-style minibatch size
-   (``GATED_BATCH_SIZE``); the smaller quick-preset batch is reported too,
-   ungated (FLOP parity bounds it to ~2.5x — only the framework overhead
-   and the shared distance-subnet pass amortise with batch size);
-2. **matching loss curves** — train and validation curves agree with the
-   sequential engine within ``CURVE_RTOL`` (identical shuffle streams leave
-   only float re-association differences, measured around 1e-15);
-3. **bit-exact escape hatch** — ``sequential=True`` reproduces a
-   from-scratch replica of the seed trainer (per-parameter Adam, per-sample
-   forwards) float for float.
-
-Results land in ``benchmarks/results/training.{json,csv}`` and a trajectory
-entry is appended to the repo-root ``BENCH_training.json`` so future PRs can
-track the training-speed curve.
+amortises over.  The engine normalises partitions once into stacked tensors,
+builds one autograd graph per minibatch (tape-recorded backward, pooled
+im2col workspaces) and takes a fused flat-buffer Adam step.  This benchmark
+times a full training run at the quick-preset and paper-style minibatch sizes
+(best of ``ROUNDS``) and appends the absolute ``batched_s`` per batch size to
+the repo-root ``BENCH_training.json`` trajectory; records also land in
+``benchmarks/results/training.{json,csv}``.  The engine's loss curves are
+pinned by ``tests/core/data/golden_training.npz`` in the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -37,27 +20,18 @@ import numpy as np
 
 from common import append_trajectory, save_records
 from repro.core.config import ModelConfig, TrainingConfig
-from repro.core.model import WorstCaseNoiseNet
 from repro.core.training import NoiseModelTrainer
 from repro.datagen import git_revision
 from repro.io import ExperimentRecord
-from repro.nn import l1_loss, no_grad
 from repro.pdn import small_test_design
 from repro.utils import Timer
-from repro.utils.random import ensure_rng
 from repro.workloads import build_dataset, expansion_split, generate_test_vectors
 from repro.workloads.vectors import VectorConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Documented loss-curve agreement between the engines (see DESIGN.md).
-CURVE_RTOL = 1e-9
-
-#: Paper-style minibatch size carrying the speedup gate, plus the
-#: quick-preset default reported alongside it.
-GATED_BATCH_SIZE = 8
+#: The quick-preset default and a paper-style minibatch size.
 BATCH_SIZES = (4, 8)
-MIN_SPEEDUP = 3.0
 
 EPOCHS = 8
 ROUNDS = 3
@@ -69,10 +43,8 @@ _MODEL_CONFIG = ModelConfig(seed=0)
 def _workload():
     """The benchmark dataset: a scaled-down design, quick-preset style.
 
-    Absolute times are meaningless on shared hardware; the engine *ratio* at
-    paper-style minibatch sizes is what the benchmark reproduces, so the
-    workload is scaled until a full training run takes fractions of a second
-    (same philosophy as ``bench_datagen.py``'s ``scale=0.08`` corpus).
+    Scaled until a full training run takes fractions of a second (same
+    philosophy as ``bench_datagen.py``'s ``scale=0.08`` corpus).
     """
     design = small_test_design(tile_rows=8, tile_cols=8, num_loads=48, seed=0)
     traces = generate_test_vectors(
@@ -83,7 +55,7 @@ def _workload():
     return design, dataset, split
 
 
-def _train(design, dataset, split, sequential: bool, batch_size: int):
+def _train(design, dataset, split, batch_size: int):
     trainer = NoiseModelTrainer(
         dataset,
         design=design,
@@ -95,7 +67,6 @@ def _train(design, dataset, split, sequential: bool, batch_size: int):
             learning_rate=LEARNING_RATE,
             early_stopping_patience=None,
             seed=0,
-            sequential=sequential,
         ),
     )
     return trainer.train()
@@ -113,74 +84,31 @@ def _best_of(runs, body):
 
 
 #: Header seeding the repo-root ``BENCH_training.json`` trajectory file.
-_TRAJECTORY_HEADER = {
-    "metric": "batched training engine speedup vs per-sample loop",
-    "gated_batch_size": GATED_BATCH_SIZE,
-    "min_speedup": MIN_SPEEDUP,
-}
+_TRAJECTORY_HEADER = {"metric": "batched training engine wall clock per run"}
 
 
-def test_training_speedup_and_curve_equivalence(benchmark):
-    """Batched >= 3x the per-sample loop at the gated batch size, same curves."""
+def test_training_wall_clock(benchmark):
+    """Best-of-N wall time of a full batched training run per batch size."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     design, dataset, split = _workload()
 
     records = []
-    speedups = {}
+    results = {}
     for batch_size in BATCH_SIZES:
-        sequential_seconds, sequential = _best_of(
-            ROUNDS, lambda: _train(design, dataset, split, True, batch_size)
+        seconds, result = _best_of(
+            ROUNDS, lambda: _train(design, dataset, split, batch_size)
         )
-        batched_seconds, batched = _best_of(
-            ROUNDS, lambda: _train(design, dataset, split, False, batch_size)
-        )
-        speedup = sequential_seconds / batched_seconds
-        speedups[batch_size] = {
-            "batched_s": batched_seconds,
-            "sequential_s": sequential_seconds,
-            "speedup": speedup,
-        }
-
-        # Guarantee 2: the engines walk the same loss trajectory.
-        np.testing.assert_allclose(
-            batched.history.train_loss, sequential.history.train_loss, rtol=CURVE_RTOL
-        )
-        np.testing.assert_allclose(
-            batched.history.validation_loss,
-            sequential.history.validation_loss,
-            rtol=CURVE_RTOL,
-        )
-
-        curve_deviation = float(
-            np.max(
-                np.abs(
-                    np.asarray(batched.history.validation_loss)
-                    - np.asarray(sequential.history.validation_loss)
-                )
-                / np.asarray(sequential.history.validation_loss)
+        assert np.all(np.isfinite(result.history.train_loss))
+        results[str(batch_size)] = {"batched_s": seconds}
+        records.append(
+            ExperimentRecord(
+                "training",
+                f"batched_bs{batch_size}",
+                {"total_s": seconds, "epochs": EPOCHS},
             )
         )
-        records.extend(
-            [
-                ExperimentRecord(
-                    "training",
-                    f"sequential_bs{batch_size}",
-                    {"total_s": sequential_seconds, "epochs": EPOCHS},
-                ),
-                ExperimentRecord(
-                    "training",
-                    f"batched_bs{batch_size}",
-                    {
-                        "total_s": batched_seconds,
-                        "epochs": EPOCHS,
-                        "speedup_vs_sequential": speedup,
-                        "max_val_curve_rel_diff": curve_deviation,
-                    },
-                ),
-            ]
-        )
 
-    save_records(records, "training", "Batched training engine vs per-sample loop")
+    save_records(records, "training", "Batched training engine wall clock")
     append_trajectory(
         "training",
         {
@@ -191,97 +119,7 @@ def test_training_speedup_and_curve_equivalence(benchmark):
             # column exists so the trajectory stays comparable if that ever
             # changes.
             "dtype": "float64",
-            "results": {str(batch_size): speedups[batch_size] for batch_size in BATCH_SIZES},
+            "results": results,
         },
         header=_TRAJECTORY_HEADER,
     )
-
-    # Guarantee 1: the headline speedup at the paper-style batch size.
-    gated = speedups[GATED_BATCH_SIZE]["speedup"]
-    assert gated >= MIN_SPEEDUP, (
-        f"batched training is only {gated:.2f}x the per-sample "
-        f"loop at batch size {GATED_BATCH_SIZE} (needs >= {MIN_SPEEDUP}x)"
-    )
-
-
-def _seed_replica_losses(dataset, split, normalizer, batch_size: int, epochs: int):
-    """Replay the seed trainer against the same ops: per-sample forwards,
-    summed minibatch loss, per-parameter (unfused) Adam."""
-    model = WorstCaseNoiseNet(num_bumps=dataset.num_bumps, config=_MODEL_CONFIG)
-    parameters = model.parameters()
-    first = [np.zeros_like(p.data) for p in parameters]
-    second = [np.zeros_like(p.data) for p in parameters]
-    step_count = 0
-    beta1, beta2, epsilon = 0.9, 0.999, 1e-8
-    rng = ensure_rng(0)
-    normalized_distance = normalizer.normalize_distance(dataset.distance)
-
-    def sample_loss(index):
-        sample = dataset.samples[int(index)]
-        current = normalizer.normalize_currents(sample.features.current_maps)
-        target = normalizer.normalize_noise(sample.target)
-        return l1_loss(model(current, normalized_distance), target)
-
-    train_curve, validation_curve = [], []
-    for _ in range(epochs):
-        train_indices = np.array(split.train, dtype=int)
-        rng.shuffle(train_indices)
-        epoch_loss = 0.0
-        for start in range(0, len(train_indices), batch_size):
-            batch = train_indices[start:start + batch_size]
-            for parameter in parameters:
-                parameter.zero_grad()
-            batch_loss = None
-            for index in batch:
-                loss = sample_loss(index)
-                batch_loss = loss if batch_loss is None else batch_loss + loss
-            batch_loss = batch_loss * (1.0 / len(batch))
-            batch_loss.backward()
-            step_count += 1
-            bias_correction1 = 1.0 - beta1**step_count
-            bias_correction2 = 1.0 - beta2**step_count
-            for parameter, m, v in zip(parameters, first, second):
-                gradient = parameter.grad
-                m *= beta1
-                m += (1.0 - beta1) * gradient
-                v *= beta2
-                v += (1.0 - beta2) * gradient * gradient
-                corrected_first = m / bias_correction1
-                corrected_second = v / bias_correction2
-                parameter.data = parameter.data - LEARNING_RATE * corrected_first / (
-                    np.sqrt(corrected_second) + epsilon
-                )
-            epoch_loss += batch_loss.item() * len(batch)
-        train_curve.append(epoch_loss / len(train_indices))
-        total = 0.0
-        with no_grad():
-            for index in split.validation:
-                total += sample_loss(index).item()
-        validation_curve.append(total / len(split.validation))
-    return train_curve, validation_curve
-
-
-def test_sequential_path_bit_exact_with_seed_trainer(benchmark):
-    """``sequential=True`` reproduces the seed trainer float for float."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    design, dataset, split = _workload()
-    trainer = NoiseModelTrainer(
-        dataset,
-        design=design,
-        split=split,
-        model_config=_MODEL_CONFIG,
-        training_config=TrainingConfig(
-            epochs=3,
-            batch_size=4,
-            learning_rate=LEARNING_RATE,
-            early_stopping_patience=None,
-            seed=0,
-            sequential=True,
-        ),
-    )
-    result = trainer.train()
-    train_curve, validation_curve = _seed_replica_losses(
-        dataset, split, trainer.normalizer, batch_size=4, epochs=3
-    )
-    assert result.history.train_loss == train_curve
-    assert result.history.validation_loss == validation_curve

@@ -53,14 +53,6 @@ class TrainingConfig:
     scaled-down datasets used in this reproduction a slightly larger default
     learning rate converges in far fewer epochs while remaining faithful to
     the optimiser/loss choice.
-
-    ``sequential`` selects the training engine: the default (``False``) runs
-    the batched engine — each minibatch goes through one autograd graph with
-    partitions pre-normalised once — while ``True`` keeps the original
-    per-sample loop, bit-exact with the pre-batched trainer, as a regression
-    escape hatch.  Both engines draw identical shuffle streams from the same
-    seed, so their loss curves agree within float re-association tolerance
-    (see ``DESIGN.md``).
     """
 
     learning_rate: float = 1e-3
@@ -73,7 +65,6 @@ class TrainingConfig:
     early_stopping_patience: Optional[int] = 15
     early_stopping_min_delta: float = 1e-5
     log_every: int = 10
-    sequential: bool = False
 
     def __post_init__(self) -> None:
         check_positive(self.learning_rate, "learning_rate")

@@ -181,18 +181,8 @@ class NoisePredictor:
     # ------------------------------------------------------------------ #
 
     def predict_features(self, features: VectorFeatures) -> PredictionResult:
-        """Predict from pre-extracted features (tiled current maps)."""
-        timer = Timer()
-        with timer.measure():
-            normalized_currents = self._cast_input(
-                self.normalizer.normalize_currents(features.current_maps)
-            )
-            with no_grad():
-                prediction = self.model(normalized_currents, self._normalized_distance)
-            noise_map = self.normalizer.denormalize_noise(prediction.numpy())
-        return PredictionResult(
-            noise_map=noise_map, runtime_seconds=timer.last, name=features.name
-        )
+        """Predict from pre-extracted features (a :meth:`predict_batch` of one)."""
+        return self.predict_batch([features])[0]
 
     def predict_trace(self, trace: CurrentTrace, design: Design) -> PredictionResult:
         """Predict from a raw test vector (tiling + compression + CNN)."""
@@ -324,9 +314,8 @@ class NoisePredictor:
     ) -> "NoisePredictor":
         """Restore a predictor saved with :meth:`save`.
 
-        Current checkpoints are self-contained; the legacy layout that kept
-        the distance tensor in a ``<name>.distance.npz`` sidecar next to the
-        weights is still read transparently.  ``dtype`` overrides the serving
+        Checkpoints are self-contained: weights, metadata and the distance
+        tensor live in the one archive.  ``dtype`` overrides the serving
         precision; otherwise the checkpoint's recorded ``serving_dtype`` is
         used (float64 for checkpoints written before dtype was recorded).
         """
@@ -339,21 +328,12 @@ class NoisePredictor:
         model = WorstCaseNoiseNet(num_bumps=int(metadata["num_bumps"]), config=config)
         load_checkpoint(model, path)
         extras = load_extras(path)
-        if "distance" in extras:
-            distance = extras["distance"]
-        else:
-            sidecar = path.with_name(path.name + ".distance.npz")
-            if not sidecar.exists():
-                raise FileNotFoundError(
-                    f"checkpoint {path} stores no distance tensor and the legacy "
-                    f"sidecar {sidecar} does not exist"
-                )
-            with np.load(sidecar, allow_pickle=False) as data:
-                distance = data["distance"]
+        if "distance" not in extras:
+            raise ValueError(f"checkpoint {path} stores no distance tensor")
         return cls(
             model=model,
             normalizer=FeatureNormalizer.from_dict(metadata["normalizer"]),
-            distance=distance,
+            distance=extras["distance"],
             compression_rate=metadata["compression_rate"],
             rate_step=metadata["rate_step"],
             dtype=dtype if dtype is not None else metadata.get("serving_dtype", "float64"),

@@ -7,25 +7,19 @@ and optimises the model with Adam on the L1 loss of the normalised noise
 maps.  Early stopping tracks the validation loss and the best-epoch weights
 are restored at the end.
 
-Two engines share that contract:
-
-* **batched** (default) — the train and validation partitions are normalised
-  *once* into stacked ``(N, T, m, n)`` current tensors and ``(N, m, n)``
-  target stacks (per-sample arrays when stamp counts are ragged), and every
-  minibatch runs through :meth:`WorstCaseNoiseNet.forward_batch` as a single
-  autograd graph per step: one batched-GEMM convolution pass, one backward,
-  one fused optimiser step.  Graphs are built inside
-  :class:`~repro.nn.tensor.record_graph` so backpropagation replays the
-  creation-order tape instead of re-deriving the traversal order each step,
-  and validation runs through the same batched path under ``no_grad``.
-* **sequential** (``TrainingConfig.sequential=True``) — the original
-  per-sample loop, kept bit-exact with the pre-batched trainer as a
-  regression escape hatch.
-
-Both engines draw identical shuffle streams from the same seed, so their
-minibatch compositions match and the loss curves differ only by float
-re-association (see ``benchmarks/bench_training.py`` for the measured
-tolerance and speedup).
+The train and validation partitions are normalised *once* into stacked
+``(N, T, m, n)`` current tensors and ``(N, m, n)`` target stacks (per-sample
+arrays when stamp counts are ragged), and every minibatch runs through
+:meth:`WorstCaseNoiseNet.forward_batch` as a single autograd graph per step:
+one batched-GEMM convolution pass, one backward, one fused optimiser step.
+Graphs are built inside :class:`~repro.nn.tensor.record_graph` so
+backpropagation replays the creation-order tape instead of re-deriving the
+traversal order each step, and validation runs through the same batched path
+under ``no_grad``.  The pooled cross-design trainer of
+:mod:`repro.eval.training` reuses :func:`normalized_partition`,
+:func:`evaluate_partition` and :func:`note_epoch`, so there is one training
+engine in the repository.  ``tests/core/data/golden_training.npz`` pins its
+loss curves and final weights on the tiny test fixture.
 """
 
 from __future__ import annotations
@@ -90,6 +84,68 @@ def _observe_epoch(metrics, optimizer, num_examples: int, step_seconds: float) -
         metrics.gauge("training.grad_norm").set(_gradient_norm(optimizer.parameters))
 
 
+def normalized_partition(
+    dataset: NoiseDataset, normalizer: FeatureNormalizer, indices: np.ndarray
+) -> tuple[_PartitionInputs, np.ndarray]:
+    """Normalise one partition of ``dataset`` once, up front.
+
+    Returns the stacked normalised current maps (dense ``(N, T, m, n)`` when
+    stamp counts are uniform, else a per-sample list) and the ``(N, m, n)``
+    normalised target stack.  Training pays this cost once per run instead of
+    once per sample per epoch.
+    """
+    samples = [dataset.samples[int(index)] for index in indices]
+    if not samples:
+        empty = np.zeros((0,) + dataset.tile_shape)
+        return empty, empty
+    currents = [
+        normalizer.normalize_currents(sample.features.current_maps) for sample in samples
+    ]
+    targets = np.stack([normalizer.normalize_noise(sample.target) for sample in samples])
+    if len({maps.shape[0] for maps in currents}) == 1:
+        return np.stack(currents), targets
+    return currents, targets
+
+
+def partition_rows(inputs: _PartitionInputs, rows: np.ndarray) -> _PartitionInputs:
+    """Select minibatch rows from a dense or ragged partition."""
+    if isinstance(inputs, np.ndarray):
+        return inputs[rows]
+    return [inputs[int(row)] for row in rows]
+
+
+def evaluate_partition(
+    model: WorstCaseNoiseNet,
+    loss_function,
+    inputs: _PartitionInputs,
+    targets: np.ndarray,
+    normalized_distance: np.ndarray,
+    batch_size: int,
+) -> float:
+    """Summed per-sample loss over a pre-normalised partition, under ``no_grad``.
+
+    Callers divide by the sample count (the pooled trainer sums over designs
+    first).  Inference holds no autograd buffers, so evaluation runs
+    minibatches of at least 32 regardless of the training ``batch_size``.
+    """
+    count = len(targets)
+    batch_size = max(batch_size, 32)
+    total = 0.0
+    with no_grad():
+        # Weights are fixed during evaluation, so the distance subnet runs
+        # once for all minibatches.
+        reduced_distance = model.reduce_distance(normalized_distance)
+        for start in range(0, count, batch_size):
+            stop = min(start + batch_size, count)
+            prediction = model.forward_batch(
+                inputs[start:stop],
+                normalized_distance,
+                reduced_distance=reduced_distance,
+            )
+            total += loss_function(prediction, targets[start:stop]).item() * (stop - start)
+    return total
+
+
 @dataclass
 class TrainingHistory:
     """Per-epoch loss curves and the early-stopping bookmark."""
@@ -131,8 +187,7 @@ class NoiseModelTrainer:
         Train/validation/test indices; computed with the expansion strategy
         when omitted.
     model_config / training_config:
-        Hyper-parameters.  ``training_config.sequential`` selects the
-        engine (batched by default, see the module docstring).
+        Hyper-parameters.
     checkpointing:
         Optional :class:`~repro.resilience.checkpoint.CheckpointPolicy`
         enabling preemption-safe training: periodic atomic checkpoints
@@ -185,62 +240,9 @@ class NoiseModelTrainer:
             noise_scale=float(np.percentile(noise_stack, 99.0)) or 1.0,
         )
 
-    def _normalized_partition(
-        self, indices: np.ndarray
-    ) -> tuple[_PartitionInputs, np.ndarray]:
-        """Normalise one partition once, up front.
-
-        Returns the stacked normalised current maps (dense ``(N, T, m, n)``
-        when stamp counts are uniform, else a per-sample list) and the
-        ``(N, m, n)`` normalised target stack.  The batched engine pays this
-        cost once per training run instead of once per sample per epoch.
-        """
-        samples = [self.dataset.samples[int(index)] for index in indices]
-        if not samples:
-            empty = np.zeros((0,) + self.dataset.tile_shape)
-            return empty, empty
-        currents = [
-            self.normalizer.normalize_currents(sample.features.current_maps)
-            for sample in samples
-        ]
-        targets = np.stack(
-            [self.normalizer.normalize_noise(sample.target) for sample in samples]
-        )
-        if len({maps.shape[0] for maps in currents}) == 1:
-            return np.stack(currents), targets
-        return currents, targets
-
     # ------------------------------------------------------------------ #
     # loss evaluation
     # ------------------------------------------------------------------ #
-
-    def _loss_function(self):
-        """The configured loss callable (l1 / mse / huber)."""
-        return LOSS_FUNCTIONS[self.training_config.loss]
-
-    def _make_guard(self, optimizer, rng) -> Optional[TrainingGuard]:
-        """The run's :class:`TrainingGuard`, or ``None`` without checkpointing."""
-        if self.checkpointing is None:
-            return None
-        return TrainingGuard(self.checkpointing, self.model, optimizer, rng)
-
-    def _sample_loss(self, index: int, normalized_distance: np.ndarray):
-        """Forward pass plus loss for one sample (returns the loss tensor)."""
-        sample = self.dataset.samples[index]
-        current = self.normalizer.normalize_currents(sample.features.current_maps)
-        target = self.normalizer.normalize_noise(sample.target)
-        prediction = self.model(current, normalized_distance)
-        return self._loss_function()(prediction, target)
-
-    def _evaluate_loss(self, indices: np.ndarray, normalized_distance: np.ndarray) -> float:
-        """Mean loss over a partition without recording gradients (per sample)."""
-        if len(indices) == 0:
-            return float("nan")
-        total = 0.0
-        with no_grad():
-            for index in indices:
-                total += self._sample_loss(int(index), normalized_distance).item()
-        return total / len(indices)
 
     def _evaluate_batched(
         self,
@@ -249,26 +251,17 @@ class NoiseModelTrainer:
         normalized_distance: np.ndarray,
     ) -> float:
         """Mean loss over a pre-normalised partition via the batched path."""
-        count = len(targets)
-        if count == 0:
+        if len(targets) == 0:
             return float("nan")
-        loss_function = self._loss_function()
-        # Inference holds no autograd buffers, so evaluation can run much
-        # wider minibatches than training without a memory downside.
-        batch_size = max(self.training_config.batch_size, 32)
-        total = 0.0
-        with no_grad():
-            # Weights are fixed during evaluation, so the distance subnet
-            # runs once for all minibatches.
-            reduced_distance = self.model.reduce_distance(normalized_distance)
-            for start in range(0, count, batch_size):
-                stop = min(start + batch_size, count)
-                prediction = self.model.forward_batch(
-                    inputs[start:stop], normalized_distance,
-                    reduced_distance=reduced_distance,
-                )
-                total += loss_function(prediction, targets[start:stop]).item() * (stop - start)
-        return total / count
+        total = evaluate_partition(
+            self.model,
+            LOSS_FUNCTIONS[self.training_config.loss],
+            inputs,
+            targets,
+            normalized_distance,
+            self.training_config.batch_size,
+        )
+        return total / len(targets)
 
     # ------------------------------------------------------------------ #
     # training
@@ -276,9 +269,6 @@ class NoiseModelTrainer:
 
     def train(self) -> TrainingResult:
         """Run the full training loop and return the best model.
-
-        Dispatches to the batched engine, or to the bit-exact sequential
-        per-sample loop when ``training_config.sequential`` is set.
 
         Training runs in float64 only — gradcheck coverage, optimizer state
         and convergence baselines all assume full precision; float32 is an
@@ -293,12 +283,6 @@ class NoiseModelTrainer:
                     f"{parameter.data.dtype.name}; cast the model back with "
                     "model.astype('float64') — float32 is an inference-only dtype"
                 )
-        if self.training_config.sequential:
-            return self._train_sequential()
-        return self._train_batched()
-
-    def _train_batched(self) -> TrainingResult:
-        """Batched engine: one autograd graph (and one fused step) per minibatch."""
         config = self.training_config
         rng = ensure_rng(config.seed)
         optimizer = Adam(
@@ -306,19 +290,22 @@ class NoiseModelTrainer:
             learning_rate=config.learning_rate,
             weight_decay=config.weight_decay,
         )
-        loss_function = self._loss_function()
+        loss_function = LOSS_FUNCTIONS[config.loss]
         normalized_distance = self.normalizer.normalize_distance(self.dataset.distance)
-        train_inputs, train_targets = self._normalized_partition(self.split.train)
-        validation_inputs, validation_targets = self._normalized_partition(
-            self.split.validation
+        train_inputs, train_targets = normalized_partition(
+            self.dataset, self.normalizer, self.split.train
         )
-        dense = isinstance(train_inputs, np.ndarray)
+        validation_inputs, validation_targets = normalized_partition(
+            self.dataset, self.normalizer, self.split.validation
+        )
         num_train = len(train_targets)
 
         history = TrainingHistory()
         best_state = self.model.state_dict()
         epochs_without_improvement = 0
-        guard = self._make_guard(optimizer, rng)
+        guard = None
+        if self.checkpointing is not None:
+            guard = TrainingGuard(self.checkpointing, self.model, optimizer, rng)
         epoch = 0
         if guard is not None:
             epoch, best_state, epochs_without_improvement = guard.restore(
@@ -337,15 +324,10 @@ class NoiseModelTrainer:
                 epoch_started = time.perf_counter()
                 for step, start in enumerate(range(0, num_train, config.batch_size)):
                     rows = order[start:start + config.batch_size]
-                    batch_inputs = (
-                        train_inputs[rows]
-                        if dense
-                        else [train_inputs[int(row)] for row in rows]
-                    )
                     optimizer.zero_grad()
                     with record_graph():
                         prediction = self.model.forward_batch(
-                            batch_inputs, normalized_distance
+                            partition_rows(train_inputs, rows), normalized_distance
                         )
                         loss = loss_function(prediction, train_targets[rows])
                         loss.backward()
@@ -369,7 +351,9 @@ class NoiseModelTrainer:
                             guard.handle_divergence(epoch, detail, history)
                         )
                         continue
-                stop, best_state, epochs_without_improvement = self._note_epoch(
+                stop, best_state, epochs_without_improvement = note_epoch(
+                    self.model,
+                    config,
                     history,
                     epoch,
                     epoch_loss,
@@ -392,122 +376,6 @@ class NoiseModelTrainer:
             normalizer=self.normalizer,
             history=history,
             split=self.split,
-        )
-
-    def _train_sequential(self) -> TrainingResult:
-        """Sequential engine: the original per-sample loop (bit-exact escape hatch)."""
-        config = self.training_config
-        rng = ensure_rng(config.seed)
-        optimizer = Adam(
-            self.model.parameters(),
-            learning_rate=config.learning_rate,
-            weight_decay=config.weight_decay,
-        )
-        normalized_distance = self.normalizer.normalize_distance(self.dataset.distance)
-        history = TrainingHistory()
-        best_state = self.model.state_dict()
-        epochs_without_improvement = 0
-        guard = self._make_guard(optimizer, rng)
-        epoch = 0
-        if guard is not None:
-            epoch, best_state, epochs_without_improvement = guard.restore(
-                history, best_state, epochs_without_improvement
-            )
-        timer = Timer()
-
-        metrics = obs.metrics()
-        with timer.measure():
-            while epoch < config.epochs:
-                train_indices = np.array(self.split.train, dtype=int)
-                if config.shuffle:
-                    rng.shuffle(train_indices)
-
-                epoch_loss = 0.0
-                epoch_started = time.perf_counter()
-                for step, start in enumerate(
-                    range(0, len(train_indices), config.batch_size)
-                ):
-                    batch = train_indices[start:start + config.batch_size]
-                    optimizer.zero_grad()
-                    batch_loss = None
-                    for index in batch:
-                        loss = self._sample_loss(int(index), normalized_distance)
-                        batch_loss = loss if batch_loss is None else batch_loss + loss
-                    batch_loss = batch_loss * (1.0 / len(batch))
-                    batch_loss.backward()
-                    optimizer.step()
-                    faults.active().on_train_step(epoch, step, self.model)
-                    epoch_loss += batch_loss.item() * len(batch)
-                epoch_loss /= len(train_indices)
-                _observe_epoch(
-                    metrics,
-                    optimizer,
-                    len(train_indices),
-                    time.perf_counter() - epoch_started,
-                )
-
-                validation_loss = self._evaluate_loss(
-                    self.split.validation, normalized_distance
-                )
-                if guard is not None:
-                    detail = divergence_detail(
-                        epoch_loss, validation_loss, len(self.split.validation) > 0
-                    )
-                    if detail is not None:
-                        epoch, best_state, epochs_without_improvement = (
-                            guard.handle_divergence(epoch, detail, history)
-                        )
-                        continue
-                stop, best_state, epochs_without_improvement = self._note_epoch(
-                    history,
-                    epoch,
-                    epoch_loss,
-                    validation_loss,
-                    best_state,
-                    epochs_without_improvement,
-                )
-                if guard is not None:
-                    guard.after_epoch(
-                        epoch, history, best_state, epochs_without_improvement
-                    )
-                if stop:
-                    break
-                epoch += 1
-
-        self.model.load_state_dict(best_state)
-        history.wall_clock_seconds = timer.total
-        return TrainingResult(
-            model=self.model,
-            normalizer=self.normalizer,
-            history=history,
-            split=self.split,
-        )
-
-    def _note_epoch(
-        self,
-        history: TrainingHistory,
-        epoch: int,
-        epoch_loss: float,
-        validation_loss: float,
-        best_state: dict,
-        epochs_without_improvement: int,
-    ) -> tuple[bool, dict, int]:
-        """Record one epoch and apply early-stopping bookkeeping.
-
-        Shared verbatim by both engines (and, through :func:`note_epoch`, by
-        the pooled cross-design trainer) so every engine keeps the exact
-        pre-batched control flow.  Returns ``(stop, best_state,
-        epochs_without_improvement)``.
-        """
-        return note_epoch(
-            self.model,
-            self.training_config,
-            history,
-            epoch,
-            epoch_loss,
-            validation_loss,
-            best_state,
-            epochs_without_improvement,
         )
 
 
@@ -523,9 +391,8 @@ def note_epoch(
 ) -> tuple[bool, dict, int]:
     """One epoch of loss-curve recording and early-stopping bookkeeping.
 
-    The single implementation behind every training engine in the repository
-    (batched, sequential, and the pooled cross-design trainer of
-    :mod:`repro.eval.training`): appends the losses to ``history``, bookmarks
+    Shared by the single-design trainer and the pooled cross-design trainer
+    of :mod:`repro.eval.training`: appends the losses to ``history``, bookmarks
     the best validation epoch (snapshotting ``model.state_dict()``), and
     applies the patience rule.
 

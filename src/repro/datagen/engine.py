@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -42,7 +41,7 @@ from repro.datagen.spec import CorpusDesignSpec, CorpusSpec
 from repro.pdn.designs import Design, design_from_name
 from repro.resilience.errors import CorruptShardError, ShardFailedError
 from repro.resilience.quarantine import poisoned_sample_indices
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import RetryPolicy, retry_in_waves
 from repro.sim.dynamic_noise import DynamicNoiseAnalysis
 from repro.sim.rom import ROMOptions
 from repro.sim.transient import TransientOptions
@@ -548,51 +547,44 @@ def generate_corpus(
     metrics = obs.metrics()
     failures: list[dict] = []
     with obs.get_tracer().span("datagen.generate_corpus", root=str(root)) as run_span:
-        pending = tasks
-        attempts: dict[tuple[str, int], int] = {}
-        wave = 0
-        while pending:
-            task_by_key = {(task.label, task.index): task for task in pending}
-            retry_next: list[_ShardTask] = []
-            for outcome in _run_tasks(
+        def run_wave(pending):
+            # _run_tasks yields one outcome per task, in task order; it goes
+            # first in the zip so the generator runs to completion and shuts
+            # its pool down.
+            outcomes = _run_tasks(
                 pending, design_factory, num_workers, faults_factory,
                 policy.shard_timeout_s,
-            ):
-                if outcome.get("deferred"):
-                    report.shards_deferred += 1
-                    continue
-                if outcome.get("failed"):
-                    key = (outcome["label"], outcome["index"])
-                    attempts[key] = attempts.get(key, 0) + 1
-                    metrics.counter("faults.errors").inc()
-                    if attempts[key] >= policy.retry.max_attempts:
-                        metrics.counter("faults.exhausted").inc()
-                        report.shards_failed += 1
-                        failures.append(
-                            {
-                                "label": outcome["label"],
-                                "index": outcome["index"],
-                                "error": outcome["error"],
-                                "attempts": attempts[key],
-                            }
-                        )
-                    else:
-                        metrics.counter("faults.retries").inc()
-                        retry_next.append(task_by_key[key])
-                    continue
-                record = ShardRecord.from_dict(outcome["record"])
-                _record_completion(
-                    store, manifest, record, outcome.get("quarantined", ())
-                )
-                report.shards_generated += 1
-                report.samples_generated += record.num_samples
-                report.vectors_quarantined += len(outcome.get("quarantined", ()))
-            pending = retry_next
-            if pending:
-                wave += 1
-                delay = policy.retry.delay(wave)
-                if delay > 0:
-                    time.sleep(delay)
+            )
+            return ((task, outcome) for outcome, task in zip(outcomes, pending))
+
+        def on_success(task, outcome):
+            if outcome.get("deferred"):
+                report.shards_deferred += 1
+                return
+            record = ShardRecord.from_dict(outcome["record"])
+            _record_completion(store, manifest, record, outcome.get("quarantined", ()))
+            report.shards_generated += 1
+            report.samples_generated += record.num_samples
+            report.vectors_quarantined += len(outcome.get("quarantined", ()))
+
+        def on_exhausted(task, outcome, attempts):
+            report.shards_failed += 1
+            failures.append(
+                {
+                    "label": task.label,
+                    "index": task.index,
+                    "error": outcome["error"],
+                    "attempts": attempts,
+                }
+            )
+
+        retry_in_waves(
+            tasks,
+            run_wave,
+            policy.retry,
+            on_success=on_success,
+            on_exhausted=on_exhausted,
+        )
         run_span.set(
             generated=report.shards_generated,
             skipped=report.shards_skipped,

@@ -215,6 +215,9 @@ class EvalConfig:
             del payload["rom"]
         else:
             payload["rom"] = self.rom.to_dict()
+        # The retired per-sample training-engine flag stays in the payload so
+        # config hashes (and the baselines pinned against them) are unchanged.
+        payload["training"]["sequential"] = False
         return payload
 
     @classmethod
@@ -231,7 +234,9 @@ class EvalConfig:
         for key in ("heldout", "scenario_steps", "scenario_seeds"):
             payload[key] = tuple(payload[key])
         payload["model"] = ModelConfig(**payload["model"])
-        payload["training"] = TrainingConfig(**payload["training"])
+        training = dict(payload["training"])
+        training.pop("sequential", None)
+        payload["training"] = TrainingConfig(**training)
         if "rom" in payload and payload["rom"] is not None:
             payload["rom"] = ROMOptions.from_dict(payload["rom"])
         return cls(**payload)

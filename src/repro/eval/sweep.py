@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from repro.eval.config import EvalConfig
 from repro.io.atomic import atomic_write_text
 from repro.io.results import ExperimentRecord, format_table
 from repro.pdn.designs import Design, design_from_name
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import RetryPolicy, retry_in_waves
 from repro.serving.registry import PredictorRegistry
 from repro.sim.dynamic_noise import DynamicNoiseAnalysis
 from repro.sim.transient import TransientOptions
@@ -331,43 +330,32 @@ class ScenarioSweep:
                 heldout: self.config.design_reference(heldout)
                 for heldout in self.config.heldout
             }
-            attempts: dict[str, int] = {}
-            wave = 0
-            while pending:
-                retry_next: list[SweepJob] = []
-                for job, outcome in zip(
-                    pending,
-                    self._run_jobs(pending, references, num_workers, faults_factory),
-                ):
-                    if outcome.get("failed"):
-                        attempts[job.key] = attempts.get(job.key, 0) + 1
-                        metrics.counter("faults.errors").inc()
-                        if attempts[job.key] >= self.retry.max_attempts:
-                            metrics.counter("faults.exhausted").inc()
-                            metrics.counter("faults.quarantined_rows").inc()
-                            quarantined[job.key] = {
-                                "error": outcome["error"],
-                                "attempts": attempts[job.key],
-                            }
-                            _LOG.warning(
-                                "sweep row %s quarantined after %d attempts: %s",
-                                job.key,
-                                attempts[job.key],
-                                outcome["error"],
-                            )
-                            self._save_rows(rows, quarantined)
-                        else:
-                            metrics.counter("faults.retries").inc()
-                            retry_next.append(job)
-                        continue
-                    rows[job.key] = outcome
-                    self._save_rows(rows, quarantined)
-                pending = retry_next
-                if pending:
-                    wave += 1
-                    delay = self.retry.delay(wave)
-                    if delay > 0:
-                        time.sleep(delay)
+
+            def on_success(job, outcome):
+                rows[job.key] = outcome
+                self._save_rows(rows, quarantined)
+
+            def on_exhausted(job, outcome, attempts):
+                metrics.counter("faults.quarantined_rows").inc()
+                quarantined[job.key] = {"error": outcome["error"], "attempts": attempts}
+                _LOG.warning(
+                    "sweep row %s quarantined after %d attempts: %s",
+                    job.key,
+                    attempts,
+                    outcome["error"],
+                )
+                self._save_rows(rows, quarantined)
+
+            retry_in_waves(
+                pending,
+                lambda wave_jobs: zip(
+                    wave_jobs,
+                    self._run_jobs(wave_jobs, references, num_workers, faults_factory),
+                ),
+                self.retry,
+                on_success=on_success,
+                on_exhausted=on_exhausted,
+            )
         else:
             _LOG.info("sweep already complete (%d rows)", len(rows))
         self._save_rows(rows, quarantined)

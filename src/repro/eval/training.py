@@ -4,8 +4,9 @@ The paper's headline claim is about *unseen* designs: a model trained on a
 pool of PDN designs predicts worst-case noise on a design it never saw.  The
 single-design :class:`~repro.core.training.NoiseModelTrainer` cannot express
 that regime — it normalises one dataset against one distance tensor — so
-:class:`MultiDesignTrainer` generalises its batched engine to a *pool* of
-per-design corpora:
+:class:`MultiDesignTrainer` runs its engine over a *pool* of per-design
+corpora, reusing its partition normaliser, batched loss evaluation and
+early-stopping bookkeeping from :mod:`repro.core.training`:
 
 * the feature normaliser is fitted once on the pooled training partitions
   (current/noise percentiles over every design, distance scale from the
@@ -14,28 +15,36 @@ per-design corpora:
   so designs of different tile shapes share one model, but each forward pass
   uses its design's own distance tensor;
 * the per-epoch schedule interleaves the designs' minibatches in seeded
-  shuffled order, and the early-stopping bookkeeping is literally
-  :func:`repro.core.training.note_epoch` — the same code path as the
-  single-design engines.
+  shuffled order (the one part that is this trainer's own);
+* the validation loss is the sample-weighted mean over every design's
+  validation partition.
 
 Training is deterministic under a fixed seed, exactly like the single-design
-engines (the determinism suite asserts it).
+trainer (the determinism suite asserts it).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Union
+from typing import Mapping, Optional
 
 import numpy as np
 
 from repro import faults, obs
 from repro.core.config import ModelConfig, TrainingConfig
 from repro.core.model import WorstCaseNoiseNet
-from repro.core.training import LOSS_FUNCTIONS, TrainingHistory, _observe_epoch, note_epoch
+from repro.core.training import (
+    LOSS_FUNCTIONS,
+    TrainingHistory,
+    _observe_epoch,
+    evaluate_partition,
+    normalized_partition,
+    note_epoch,
+    partition_rows,
+)
 from repro.features.extraction import FeatureNormalizer
-from repro.nn import Adam, no_grad
+from repro.nn import Adam
 from repro.nn.tensor import record_graph
 from repro.utils import Timer, get_logger
 from repro.utils.random import ensure_rng
@@ -44,10 +53,6 @@ from repro.workloads.dataset import DatasetSplit, NoiseDataset, expansion_split
 __all__ = ["MultiDesignTrainer", "PooledTrainingResult", "fit_pooled_normalizer"]
 
 _LOG = get_logger("eval.training")
-
-#: One partition's normalised current maps: dense ``(N, T, m, n)`` when stamp
-#: counts are uniform, else one ``(T_i, m, n)`` array per sample.
-_PartitionInputs = Union[np.ndarray, List[np.ndarray]]
 
 
 def fit_pooled_normalizer(
@@ -122,8 +127,7 @@ class MultiDesignTrainer:
         Optional per-design partitions; computed with the expansion
         strategy (per design, from ``training_config.seed``) when omitted.
     model_config / training_config:
-        Hyper-parameters; the ``sequential`` engine flag is ignored (pooled
-        training is always batched).
+        Hyper-parameters.
     train_fraction / validation_ratio:
         Expansion-split shares used when ``splits`` is omitted.
     """
@@ -171,37 +175,6 @@ class MultiDesignTrainer:
         )
 
     # ------------------------------------------------------------------ #
-    # partition preparation
-    # ------------------------------------------------------------------ #
-
-    def _normalized_partition(
-        self, label: str, indices: np.ndarray
-    ) -> tuple[_PartitionInputs, np.ndarray]:
-        """Normalise one design's partition once, up front."""
-        dataset = self.datasets[label]
-        samples = [dataset.samples[int(index)] for index in indices]
-        if not samples:
-            empty = np.zeros((0,) + dataset.tile_shape)
-            return empty, empty
-        currents = [
-            self.normalizer.normalize_currents(sample.features.current_maps)
-            for sample in samples
-        ]
-        targets = np.stack(
-            [self.normalizer.normalize_noise(sample.target) for sample in samples]
-        )
-        if len({maps.shape[0] for maps in currents}) == 1:
-            return np.stack(currents), targets
-        return currents, targets
-
-    @staticmethod
-    def _rows(inputs: _PartitionInputs, rows: np.ndarray) -> _PartitionInputs:
-        """Select minibatch rows from a dense or ragged partition."""
-        if isinstance(inputs, np.ndarray):
-            return inputs[rows]
-        return [inputs[int(row)] for row in rows]
-
-    # ------------------------------------------------------------------ #
     # training
     # ------------------------------------------------------------------ #
 
@@ -228,11 +201,15 @@ class MultiDesignTrainer:
             for label in labels
         }
         train_parts = {
-            label: self._normalized_partition(label, self.splits[label].train)
+            label: normalized_partition(
+                self.datasets[label], self.normalizer, self.splits[label].train
+            )
             for label in labels
         }
         validation_parts = {
-            label: self._normalized_partition(label, self.splits[label].validation)
+            label: normalized_partition(
+                self.datasets[label], self.normalizer, self.splits[label].validation
+            )
             for label in labels
         }
         num_train = sum(len(targets) for _, targets in train_parts.values())
@@ -268,7 +245,7 @@ class MultiDesignTrainer:
                     optimizer.zero_grad()
                     with record_graph():
                         prediction = self.model.forward_batch(
-                            self._rows(inputs, rows), distances[label]
+                            partition_rows(inputs, rows), distances[label]
                         )
                         loss = loss_function(prediction, targets[rows])
                         loss.backward()
@@ -280,9 +257,18 @@ class MultiDesignTrainer:
                     metrics, optimizer, num_train, time.perf_counter() - epoch_started
                 )
 
-                validation_loss = self._pooled_validation_loss(
-                    validation_parts, distances, loss_function
-                )
+                # Sample-weighted mean over the pool's validation partitions.
+                validation_count = sum(len(t) for _, t in validation_parts.values())
+                validation_loss = float("nan")
+                if validation_count:
+                    validation_loss = sum(
+                        evaluate_partition(
+                            self.model, loss_function, inputs, targets,
+                            distances[label], config.batch_size,
+                        )
+                        for label, (inputs, targets) in validation_parts.items()
+                        if len(targets)
+                    ) / validation_count
                 stop, best_state, epochs_without_improvement = note_epoch(
                     self.model,
                     config,
@@ -310,32 +296,3 @@ class MultiDesignTrainer:
             history=history,
             splits=self.splits,
         )
-
-    def _pooled_validation_loss(
-        self,
-        validation_parts: Mapping[str, tuple[_PartitionInputs, np.ndarray]],
-        distances: Mapping[str, np.ndarray],
-        loss_function,
-    ) -> float:
-        """Sample-weighted mean validation loss across the design pool."""
-        total = 0.0
-        count = 0
-        batch_size = max(self.training_config.batch_size, 32)
-        with no_grad():
-            for label, (inputs, targets) in validation_parts.items():
-                part_count = len(targets)
-                if part_count == 0:
-                    continue
-                reduced = self.model.reduce_distance(distances[label])
-                for start in range(0, part_count, batch_size):
-                    stop = min(start + batch_size, part_count)
-                    prediction = self.model.forward_batch(
-                        self._rows(inputs, np.arange(start, stop)),
-                        distances[label],
-                        reduced_distance=reduced,
-                    )
-                    total += loss_function(prediction, targets[start:stop]).item() * (
-                        stop - start
-                    )
-                count += part_count
-        return total / count if count else float("nan")

@@ -25,9 +25,7 @@ Two ways to inject:
   constructor argument (``ScreeningGateway(..., faults=...)``); the hooks
   are the same class either way.
 
-``repro.gateway.faults`` re-exports :class:`FaultInjector`,
-:class:`WorkerKilled` and :data:`NULL_FAULTS` for compatibility — the seam
-started life there (see ``docs/resilience.md`` for the full failure model).
+See ``docs/resilience.md`` for the full failure model.
 """
 
 from __future__ import annotations

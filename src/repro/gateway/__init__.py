@@ -13,7 +13,7 @@ sign-off at production scale:
   every accepted future;
 * :class:`~repro.gateway.server.GatewayServer` — a stdlib asyncio TCP
   front-end speaking newline-delimited JSON;
-* :class:`~repro.gateway.faults.FaultInjector` — the deterministic
+* :class:`~repro.faults.FaultInjector` — the deterministic
   fault-injection seam the concurrency test suite (``tests/gateway/``)
   scripts worker kills, duplicated/delayed deliveries, and checkpoint-load
   failures through.
@@ -24,7 +24,7 @@ See ``docs/serving.md`` for the architecture and semantics,
 :class:`~repro.serving.service.ScreeningService` loop.
 """
 
-from repro.gateway.faults import FaultInjector, NULL_FAULTS, WorkerKilled
+from repro.faults import NULL_FAULTS, FaultInjector, WorkerKilled
 from repro.gateway.gateway import SHED_POLICIES, ScreeningGateway
 from repro.gateway.messages import (
     GatewayClosed,

@@ -43,7 +43,7 @@ from typing import Optional, Sequence, Union
 
 from repro import obs
 from repro.core.inference import NoisePredictor, PredictionResult
-from repro.gateway.faults import NULL_FAULTS, FaultInjector
+from repro.faults import NULL_FAULTS, FaultInjector
 from repro.gateway.messages import (
     STOP,
     GatewayClosed,

@@ -14,7 +14,7 @@ Failure containment is layered:
 * a failing **checkpoint load** or **forward pass** fails that design
   group's requests (typed error on their futures) and the worker lives on;
 * an escaping :class:`BaseException` — including the fault seam's
-  :class:`~repro.gateway.faults.WorkerKilled` — is a **crash**: the worker
+  :class:`~repro.faults.WorkerKilled` — is a **crash**: the worker
   hands its unanswered in-hand requests to the supervisor's crash callback
   and exits, leaving the inbox (owned by the gateway) intact for its
   replacement.
@@ -32,7 +32,7 @@ from queue import Empty, Queue
 from typing import Callable, Optional
 
 from repro.features.extraction import VectorFeatures, extract_vector_features
-from repro.gateway.faults import FaultInjector
+from repro.faults import FaultInjector
 from repro.gateway.messages import STOP, GatewayRequest, SwapCommand
 from repro.pdn.designs import Design
 from repro.serving.registry import PredictorRegistry

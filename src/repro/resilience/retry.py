@@ -6,20 +6,24 @@ shares — datagen shard attempts, eval rows, held-out campaign rows — so
 scattered constants.  :func:`run_with_retry` executes a callable under a
 policy with an *injectable sleep*, which is what keeps the fault-injection
 tests free of timing waits: they pass a recording stub and assert the exact
-backoff schedule instead of sleeping through it.
+backoff schedule instead of sleeping through it.  :func:`retry_in_waves` is
+the batch form the datagen engine and the eval sweep share: a whole wave of
+units runs, the failures run again as the next wave, and the backoff grows
+per wave.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Tuple, Type, TypeVar
+from typing import Callable, Iterable, Sequence, Tuple, Type, TypeVar
 
 from repro import obs
 
-__all__ = ["RetryPolicy", "run_with_retry"]
+__all__ = ["RetryPolicy", "retry_in_waves", "run_with_retry"]
 
 _T = TypeVar("_T")
+_U = TypeVar("_U")
 
 
 @dataclass(frozen=True)
@@ -102,3 +106,50 @@ def run_with_retry(
                 sleep(delay)
     metrics.counter("faults.exhausted").inc()
     raise last_error
+
+
+def retry_in_waves(
+    units: Sequence[_U],
+    run_wave: Callable[[list[_U]], Iterable[tuple[_U, dict]]],
+    policy: RetryPolicy,
+    *,
+    on_success: Callable[[_U, dict], None],
+    on_exhausted: Callable[[_U, dict, int], None],
+    sleep: Callable[[float], None] = time.sleep,
+) -> None:
+    """Run ``units`` in waves until each succeeds or exhausts ``policy``.
+
+    ``run_wave(pending)`` runs one wave and yields ``(unit, outcome)`` pairs
+    in any order, each unit being one of the objects in ``pending``; an
+    outcome dict with a truthy ``"failed"`` entry is a failed attempt, any
+    other goes to ``on_success(unit, outcome)``.  A unit whose attempts reach
+    ``policy.max_attempts`` goes to ``on_exhausted(unit, outcome, attempts)``; the rest run again in
+    the next wave after ``sleep(policy.delay(wave))``.  Counters match
+    :func:`run_with_retry`: ``faults.errors`` per failed attempt,
+    ``faults.retries`` per scheduled retry, ``faults.exhausted`` per unit
+    that ran out.
+    """
+    metrics = obs.metrics()
+    attempts: dict[int, int] = {}  # by id(unit): the same objects rerun
+    pending = list(units)
+    wave = 0
+    while pending:
+        retry_next: list[_U] = []
+        for unit, outcome in run_wave(pending):
+            if not outcome.get("failed"):
+                on_success(unit, outcome)
+                continue
+            count = attempts[id(unit)] = attempts.get(id(unit), 0) + 1
+            metrics.counter("faults.errors").inc()
+            if count >= policy.max_attempts:
+                metrics.counter("faults.exhausted").inc()
+                on_exhausted(unit, outcome, count)
+            else:
+                metrics.counter("faults.retries").inc()
+                retry_next.append(unit)
+        pending = retry_next
+        if pending:
+            wave += 1
+            delay = policy.delay(wave)
+            if delay > 0:
+                sleep(delay)

@@ -27,6 +27,8 @@ from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from repro import obs
 from repro.core.inference import NoisePredictor, PredictionResult
 from repro.features.extraction import VectorFeatures, extract_vector_features
@@ -498,9 +500,14 @@ class ScreeningService:
                 # cannot poison later cache hits.  The storage key uses the
                 # fingerprint of the predictor that actually ran (the registry
                 # entry may have been hot-swapped since submission) — a cache
-                # entry must never outlive the model that produced it.
-                store_key = f"{predictor.fingerprint}:{request.content_hash}"
-                self.cache.put(store_key, replace(result, noise_map=result.noise_map.copy()))
+                # entry must never outlive the model that produced it.  A
+                # non-finite map (e.g. from a NaN in the payload) is answered
+                # but never cached, so a re-submit runs the model again.
+                if np.all(np.isfinite(result.noise_map)):
+                    store_key = f"{predictor.fingerprint}:{request.content_hash}"
+                    self.cache.put(
+                        store_key, replace(result, noise_map=result.noise_map.copy())
+                    )
                 self._pending.pop(request.key, None)
                 elapsed = finished - request.submitted_at
                 self._latencies.append(elapsed)

@@ -90,41 +90,6 @@ def alt_predictor(tiny_design):
     )
 
 
-@pytest.fixture(scope="session")
-def write_legacy_checkpoint():
-    """Writer for the pre-PR-1 on-disk predictor layout.
-
-    Returns ``write(predictor, path, with_sidecar)``: weights + metadata in
-    the main archive and (optionally) the distance tensor in a
-    ``<name>.distance.npz`` sidecar — what ``NoisePredictor.load`` must keep
-    reading transparently.
-    """
-    from repro.nn import save_checkpoint
-
-    def write(predictor, path, with_sidecar=True):
-        metadata = {
-            "normalizer": predictor.normalizer.to_dict(),
-            "compression_rate": predictor.compression_rate,
-            "rate_step": predictor.rate_step,
-            "num_bumps": predictor.model.num_bumps,
-            "model_config": {
-                "distance_kernels": predictor.model.config.distance_kernels,
-                "fusion_kernels": predictor.model.config.fusion_kernels,
-                "prediction_kernels": predictor.model.config.prediction_kernels,
-                "kernel_size": predictor.model.config.kernel_size,
-                "distance_depth": predictor.model.config.distance_depth,
-                "prediction_depth": predictor.model.config.prediction_depth,
-                "seed": predictor.model.config.seed,
-            },
-            "distance_shape": list(predictor.distance.shape),
-        }
-        save_checkpoint(predictor.model, path, metadata=metadata)
-        if with_sidecar:
-            np.savez_compressed(str(path) + ".distance.npz", distance=predictor.distance)
-
-    return write
-
-
 @pytest.fixture()
 def rng():
     """Fresh deterministic RNG per test."""

@@ -87,47 +87,23 @@ class TestNoisePredictor:
         restored = NoisePredictor.load(path)
         np.testing.assert_array_equal(restored.distance, predictor.distance)
 
-    def test_load_legacy_sidecar_checkpoint(
-        self, predictor, tiny_design, tiny_traces, tmp_path, write_legacy_checkpoint
-    ):
-        path = tmp_path / "legacy.npz"
-        write_legacy_checkpoint(predictor, path, with_sidecar=True)
-        restored = NoisePredictor.load(path)
-        original = predictor.predict_trace(tiny_traces[0], tiny_design)
-        reloaded = restored.predict_trace(tiny_traces[0], tiny_design)
-        np.testing.assert_allclose(original.noise_map, reloaded.noise_map, rtol=1e-9)
+    def test_load_without_any_distance_source_fails(self, predictor, tmp_path):
+        from dataclasses import asdict
 
-    def test_legacy_roundtrip_preserves_settings_and_distance(
-        self, predictor, tmp_path, write_legacy_checkpoint
-    ):
-        path = tmp_path / "legacy.npz"
-        write_legacy_checkpoint(predictor, path, with_sidecar=True)
-        restored = NoisePredictor.load(path)
-        assert restored.compression_rate == predictor.compression_rate
-        assert restored.rate_step == predictor.rate_step
-        np.testing.assert_array_equal(restored.distance, predictor.distance)
-        assert restored.fingerprint == predictor.fingerprint
+        from repro.nn import save_checkpoint
 
-    def test_load_without_any_distance_source_fails(
-        self, predictor, tmp_path, write_legacy_checkpoint
-    ):
+        # Full predictor metadata, but no embedded distance tensor.
         path = tmp_path / "incomplete.npz"
-        write_legacy_checkpoint(predictor, path, with_sidecar=False)
-        with pytest.raises(FileNotFoundError, match="distance"):
+        metadata = {
+            "normalizer": predictor.normalizer.to_dict(),
+            "compression_rate": predictor.compression_rate,
+            "rate_step": predictor.rate_step,
+            "num_bumps": predictor.model.num_bumps,
+            "model_config": asdict(predictor.model.config),
+        }
+        save_checkpoint(predictor.model, path, metadata=metadata)
+        with pytest.raises(ValueError, match="incomplete.npz stores no distance tensor"):
             NoisePredictor.load(path)
-
-    def test_save_then_load_ignores_stale_sidecar(
-        self, predictor, tiny_design, tiny_traces, tmp_path, write_legacy_checkpoint, rng
-    ):
-        # A modern self-contained checkpoint sitting next to a stale legacy
-        # sidecar must serve the *embedded* distance tensor, not the sidecar.
-        path = tmp_path / "modern.npz"
-        predictor.save(path)
-        np.savez_compressed(
-            str(path) + ".distance.npz", distance=rng.random(predictor.distance.shape)
-        )
-        restored = NoisePredictor.load(path)
-        np.testing.assert_array_equal(restored.distance, predictor.distance)
 
     def test_load_rejects_checkpoint_without_metadata(self, predictor, tmp_path):
         from repro.nn import save_checkpoint

@@ -1,205 +1,119 @@
-"""Batched-vs-sequential training engine equivalence (repro.core.training).
+"""The batched training engine against pinned golden curves (repro.core.training).
 
-Three contracts, mirroring ``benchmarks/bench_training.py``:
+``data/golden_training.npz`` was captured from the batched engine on the tiny
+fixture before the per-sample engine was retired (the per-sample engine then
+matched it to within 2.2e-16 relative).  It holds two runs, each with its
+train/validation loss curves, ``best_epoch`` and final weights:
 
-* the batched engine's loss curves match the sequential engine within float
-  re-association tolerance (both draw the same shuffle stream, so minibatch
-  compositions are identical);
-* the ``sequential=True`` escape hatch is bit-exact with a from-scratch
-  replica of the seed trainer (per-sample forwards, summed minibatch loss,
-  per-parameter Adam) written against the same ops;
-* training is deterministic under a fixed seed.
+* ``dense/*`` — 5 epochs at batch size 3, every sample with its full stamp count;
+* ``ragged/*`` — 2 epochs with every third sample's stamps halved, so the
+  engine takes its per-sample (ragged) partition path.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.config import ModelConfig, TrainingConfig
-from repro.core.model import WorstCaseNoiseNet
 from repro.core.training import NoiseModelTrainer
-from repro.nn import l1_loss, no_grad
-from repro.utils.random import ensure_rng
 from repro.workloads.dataset import NoiseDataset, NoiseSample
 
-#: Documented agreement between the engines' loss curves (see DESIGN.md):
-#: identical shuffle streams and minibatch compositions leave only float
-#: re-association differences, orders of magnitude below this bound.
-CURVE_RTOL = 1e-9
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_training.npz"
 
 MODEL_CONFIG = ModelConfig(distance_kernels=4, fusion_kernels=4, prediction_kernels=6, seed=0)
 
 
-def _training_config(sequential: bool, epochs: int = 5, batch_size: int = 3, seed: int = 0):
-    return TrainingConfig(
-        epochs=epochs,
-        batch_size=batch_size,
-        learning_rate=2e-3,
-        early_stopping_patience=None,
-        seed=seed,
-        sequential=sequential,
-    )
+@pytest.fixture(scope="module")
+def golden():
+    with np.load(GOLDEN_PATH) as data:
+        return dict(data)
 
 
-def _train(dataset, design, split, **kwargs):
+def _train(dataset, design, split, epochs: int = 5, seed: int = 0):
     trainer = NoiseModelTrainer(
         dataset,
         design=design,
         split=split,
         model_config=MODEL_CONFIG,
-        training_config=_training_config(**kwargs),
+        training_config=TrainingConfig(
+            epochs=epochs,
+            batch_size=3,
+            learning_rate=2e-3,
+            early_stopping_patience=None,
+            seed=seed,
+        ),
     )
-    return trainer, trainer.train()
+    return trainer.train()
 
 
-class TestBatchedMatchesSequential:
-    def test_loss_curves_within_tolerance(self, tiny_design, tiny_dataset, tiny_split):
-        _, batched = _train(tiny_dataset, tiny_design, tiny_split, sequential=False)
-        _, sequential = _train(tiny_dataset, tiny_design, tiny_split, sequential=True)
-        np.testing.assert_allclose(
-            batched.history.train_loss, sequential.history.train_loss, rtol=CURVE_RTOL
-        )
-        np.testing.assert_allclose(
-            batched.history.validation_loss,
-            sequential.history.validation_loss,
-            rtol=CURVE_RTOL,
-        )
-        assert batched.history.best_epoch == sequential.history.best_epoch
-
-    def test_final_weights_within_tolerance(self, tiny_design, tiny_dataset, tiny_split):
-        _, batched = _train(tiny_dataset, tiny_design, tiny_split, sequential=False)
-        _, sequential = _train(tiny_dataset, tiny_design, tiny_split, sequential=True)
-        for name, value in batched.model.state_dict().items():
-            np.testing.assert_allclose(
-                value, sequential.model.state_dict()[name], rtol=1e-6, atol=1e-12
+def _ragged(dataset):
+    """``dataset`` with every third sample's current maps truncated."""
+    samples = []
+    for index, sample in enumerate(dataset.samples):
+        maps = sample.features.current_maps
+        if index % 3 == 1:
+            maps = maps[: max(1, maps.shape[0] // 2)]
+        features = type(sample.features)(current_maps=maps, name=sample.name)
+        samples.append(
+            NoiseSample(
+                features=features,
+                target=sample.target,
+                hotspot_map=sample.hotspot_map,
+                sim_runtime=sample.sim_runtime,
+                name=sample.name,
             )
+        )
+    return NoiseDataset(
+        design_name=dataset.design_name,
+        tile_shape=dataset.tile_shape,
+        distance=dataset.distance,
+        samples=samples,
+        dt=dataset.dt,
+        vdd=dataset.vdd,
+        hotspot_threshold=dataset.hotspot_threshold,
+    )
 
-    def test_ragged_stamp_counts_supported(self, tiny_design, tiny_dataset, tiny_split):
-        # Truncate some samples' current maps so stamp counts differ; the
-        # batched engine must fall back to ragged length-bucketing and still
-        # match the sequential engine.
-        samples = []
-        for index, sample in enumerate(tiny_dataset.samples):
-            maps = sample.features.current_maps
-            if index % 3 == 1:
-                maps = maps[: max(1, maps.shape[0] // 2)]
-            features = type(sample.features)(current_maps=maps, name=sample.name)
-            samples.append(
-                NoiseSample(
-                    features=features,
-                    target=sample.target,
-                    hotspot_map=sample.hotspot_map,
-                    sim_runtime=sample.sim_runtime,
-                    name=sample.name,
-                )
-            )
-        ragged = NoiseDataset(
-            design_name=tiny_dataset.design_name,
-            tile_shape=tiny_dataset.tile_shape,
-            distance=tiny_dataset.distance,
-            samples=samples,
-            dt=tiny_dataset.dt,
-            vdd=tiny_dataset.vdd,
-            hotspot_threshold=tiny_dataset.hotspot_threshold,
+
+def _assert_matches_golden(result, golden, key):
+    history = result.history
+    np.testing.assert_allclose(
+        history.train_loss, golden[f"{key}/train_loss"], rtol=1e-12, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        history.validation_loss, golden[f"{key}/validation_loss"], rtol=1e-12, atol=1e-12
+    )
+    assert history.best_epoch == int(golden[f"{key}/best_epoch"])
+    state = result.model.state_dict()
+    prefix = f"{key}/weights/"
+    assert sorted(state) == sorted(
+        name[len(prefix):] for name in golden if name.startswith(prefix)
+    )
+    for name, value in state.items():
+        np.testing.assert_allclose(value, golden[prefix + name], rtol=1e-9, atol=1e-12)
+
+
+class TestBatchedEngine:
+    def test_dense_run_matches_golden(self, tiny_design, tiny_dataset, tiny_split, golden):
+        _assert_matches_golden(
+            _train(tiny_dataset, tiny_design, tiny_split), golden, "dense"
         )
-        _, batched = _train(ragged, tiny_design, tiny_split, sequential=False, epochs=2)
-        _, sequential = _train(ragged, tiny_design, tiny_split, sequential=True, epochs=2)
-        np.testing.assert_allclose(
-            batched.history.train_loss, sequential.history.train_loss, rtol=CURVE_RTOL
-        )
+
+    def test_ragged_run_matches_golden(
+        self, tiny_design, tiny_dataset, tiny_split, golden
+    ):
+        result = _train(_ragged(tiny_dataset), tiny_design, tiny_split, epochs=2)
+        _assert_matches_golden(result, golden, "ragged")
 
     def test_seeded_runs_are_deterministic(self, tiny_design, tiny_dataset, tiny_split):
-        _, first = _train(tiny_dataset, tiny_design, tiny_split, sequential=False, epochs=3)
-        _, second = _train(tiny_dataset, tiny_design, tiny_split, sequential=False, epochs=3)
+        first = _train(tiny_dataset, tiny_design, tiny_split, epochs=3)
+        second = _train(tiny_dataset, tiny_design, tiny_split, epochs=3)
         assert first.history.train_loss == second.history.train_loss
         assert first.history.validation_loss == second.history.validation_loss
         for name, value in first.model.state_dict().items():
             np.testing.assert_array_equal(value, second.model.state_dict()[name])
 
     def test_different_shuffle_seeds_differ(self, tiny_design, tiny_dataset, tiny_split):
-        _, first = _train(tiny_dataset, tiny_design, tiny_split, sequential=False, epochs=3)
-        _, other = _train(
-            tiny_dataset, tiny_design, tiny_split, sequential=False, epochs=3, seed=7
-        )
+        first = _train(tiny_dataset, tiny_design, tiny_split, epochs=3)
+        other = _train(tiny_dataset, tiny_design, tiny_split, epochs=3, seed=7)
         assert first.history.train_loss != other.history.train_loss
-
-
-def _reference_adam_step(state, parameters, learning_rate):
-    """Per-parameter Adam exactly as the seed (pre-fused) implementation."""
-    state.setdefault("m", [np.zeros_like(p.data) for p in parameters])
-    state.setdefault("v", [np.zeros_like(p.data) for p in parameters])
-    state["t"] = state.get("t", 0) + 1
-    beta1, beta2 = 0.9, 0.999
-    bias_correction1 = 1.0 - beta1 ** state["t"]
-    bias_correction2 = 1.0 - beta2 ** state["t"]
-    for parameter, first, second in zip(parameters, state["m"], state["v"]):
-        if parameter.grad is None:
-            continue
-        gradient = parameter.grad
-        first *= beta1
-        first += (1.0 - beta1) * gradient
-        second *= beta2
-        second += (1.0 - beta2) * gradient * gradient
-        corrected_first = first / bias_correction1
-        corrected_second = second / bias_correction2
-        parameter.data = parameter.data - learning_rate * corrected_first / (
-            np.sqrt(corrected_second) + 1e-8
-        )
-
-
-def _seed_replica_losses(dataset, split, normalizer, epochs, batch_size, learning_rate, seed):
-    """Replay the seed trainer loop against the same ops: per-sample forwards,
-    summed minibatch loss, DFS backward, per-parameter Adam."""
-    model = WorstCaseNoiseNet(num_bumps=dataset.num_bumps, config=MODEL_CONFIG)
-    parameters = model.parameters()
-    state: dict = {}
-    rng = ensure_rng(seed)
-    normalized_distance = normalizer.normalize_distance(dataset.distance)
-
-    def sample_loss(index):
-        sample = dataset.samples[int(index)]
-        current = normalizer.normalize_currents(sample.features.current_maps)
-        target = normalizer.normalize_noise(sample.target)
-        return l1_loss(model(current, normalized_distance), target)
-
-    train_curve, validation_curve = [], []
-    for _ in range(epochs):
-        train_indices = np.array(split.train, dtype=int)
-        rng.shuffle(train_indices)
-        epoch_loss = 0.0
-        for start in range(0, len(train_indices), batch_size):
-            batch = train_indices[start:start + batch_size]
-            for parameter in parameters:
-                parameter.zero_grad()
-            batch_loss = None
-            for index in batch:
-                loss = sample_loss(index)
-                batch_loss = loss if batch_loss is None else batch_loss + loss
-            batch_loss = batch_loss * (1.0 / len(batch))
-            batch_loss.backward()
-            _reference_adam_step(state, parameters, learning_rate)
-            epoch_loss += batch_loss.item() * len(batch)
-        train_curve.append(epoch_loss / len(train_indices))
-        total = 0.0
-        with no_grad():
-            for index in split.validation:
-                total += sample_loss(index).item()
-        validation_curve.append(total / len(split.validation))
-    return train_curve, validation_curve
-
-
-class TestSequentialEscapeHatch:
-    def test_bit_exact_with_seed_replica(self, tiny_design, tiny_dataset, tiny_split):
-        trainer, result = _train(
-            tiny_dataset, tiny_design, tiny_split, sequential=True, epochs=4
-        )
-        train_curve, validation_curve = _seed_replica_losses(
-            tiny_dataset,
-            tiny_split,
-            trainer.normalizer,
-            epochs=4,
-            batch_size=3,
-            learning_rate=2e-3,
-            seed=0,
-        )
-        assert result.history.train_loss == train_curve
-        assert result.history.validation_loss == validation_curve

@@ -117,7 +117,7 @@ class TestPoolWorkerKill:
         ).read_bytes()
 
 
-def _fresh_training(tiny_dataset, tiny_design, sequential: bool):
+def _fresh_training(tiny_dataset, tiny_design):
     """One from-scratch training run (fresh trainer, fresh split, fresh model)."""
     trainer = NoiseModelTrainer(
         tiny_dataset,
@@ -126,20 +126,16 @@ def _fresh_training(tiny_dataset, tiny_design, sequential: bool):
             distance_kernels=3, fusion_kernels=3, prediction_kernels=3, seed=0
         ),
         training_config=TrainingConfig(
-            epochs=3, batch_size=4, sequential=sequential,
-            early_stopping_patience=None, seed=5,
+            epochs=3, batch_size=4, early_stopping_patience=None, seed=5
         ),
     )
     return trainer.train()
 
 
 class TestTrainerDeterminism:
-    @pytest.mark.parametrize("sequential", [False, True])
-    def test_fresh_runs_have_bit_identical_loss_curves(
-        self, tiny_dataset, tiny_design, sequential
-    ):
-        first = _fresh_training(tiny_dataset, tiny_design, sequential)
-        second = _fresh_training(tiny_dataset, tiny_design, sequential)
+    def test_fresh_runs_have_bit_identical_loss_curves(self, tiny_dataset, tiny_design):
+        first = _fresh_training(tiny_dataset, tiny_design)
+        second = _fresh_training(tiny_dataset, tiny_design)
         # == on float lists: bit-identical, not merely close.
         assert first.history.train_loss == second.history.train_loss
         assert first.history.validation_loss == second.history.validation_loss
@@ -147,13 +143,3 @@ class TestTrainerDeterminism:
         for name, value in first.model.state_dict().items():
             np.testing.assert_array_equal(value, second.model.state_dict()[name])
         np.testing.assert_array_equal(first.split.train, second.split.train)
-
-    def test_fresh_runs_share_one_shuffle_stream(self, tiny_dataset, tiny_design):
-        # The engines must agree on minibatch composition (same seed -> same
-        # stream); their curves differ only by float re-association, so the
-        # first pre-shuffle epoch's losses are within re-association distance.
-        batched = _fresh_training(tiny_dataset, tiny_design, sequential=False)
-        sequential = _fresh_training(tiny_dataset, tiny_design, sequential=True)
-        np.testing.assert_allclose(
-            batched.history.train_loss, sequential.history.train_loss, rtol=1e-9
-        )

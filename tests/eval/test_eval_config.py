@@ -111,6 +111,15 @@ class TestBudgets:
         hashes = {name: budget(name).config_hash() for name in budget_names()}
         assert len(set(hashes.values())) == len(hashes)
 
+    def test_smoke_hash_matches_checked_in_baseline(self):
+        # The golden baseline is only comparable while the hash holds; the
+        # retired training-engine flag stays in the payload for this reason.
+        import json
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[2] / "eval" / "baselines" / "smoke.json"
+        assert budget("smoke").config_hash() == json.loads(path.read_text())["config_hash"]
+
     def test_budgets_are_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             budget("tiny").num_vectors = 99

@@ -112,12 +112,3 @@ class TestScriptedFaults:
             scripted.before_shard("small", 0)
         with pytest.raises(RuntimeError, match="b"):
             scripted.before_shard("small", 1)
-
-
-class TestGatewayShim:
-    def test_gateway_reexports_the_shared_objects(self):
-        from repro.gateway import faults as gateway_faults
-
-        assert gateway_faults.FaultInjector is FaultInjector
-        assert gateway_faults.WorkerKilled is WorkerKilled
-        assert gateway_faults.NULL_FAULTS is NULL_FAULTS

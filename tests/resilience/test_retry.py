@@ -4,6 +4,7 @@ import pytest
 
 from repro.faults import WorkerKilled
 from repro.resilience import RetryPolicy, run_with_retry
+from repro.resilience.retry import retry_in_waves
 
 
 class TestRetryPolicy:
@@ -114,3 +115,49 @@ class TestRunWithRetry:
                 retry_on=(ValueError,),
             )
         assert len(calls) == 1
+
+
+class TestRetryInWaves:
+    def test_wave_backoff_schedule_and_bookkeeping(self, counter_value):
+        # "a" succeeds at once, "b" on its third attempt, "c" never: three
+        # waves, backing off 0.5 s then 1.0 s between them.
+        succeed_on = {"a": 1, "b": 3, "c": 99}
+        calls = {unit: 0 for unit in succeed_on}
+        waves, slept, done, exhausted = [], [], [], []
+
+        def run_wave(pending):
+            waves.append(list(pending))
+            for unit in pending:
+                calls[unit] += 1
+                failed = calls[unit] < succeed_on[unit]
+                yield unit, {"failed": True, "error": "boom"} if failed else {"ok": 1}
+
+        retry_in_waves(
+            ["a", "b", "c"],
+            run_wave,
+            RetryPolicy(max_attempts=3, backoff_s=0.5, backoff_factor=2.0),
+            on_success=lambda unit, outcome: done.append(unit),
+            on_exhausted=lambda unit, outcome, attempts: exhausted.append(
+                (unit, outcome["error"], attempts)
+            ),
+            sleep=slept.append,
+        )
+        assert waves == [["a", "b", "c"], ["b", "c"], ["b", "c"]]
+        assert slept == [pytest.approx(0.5), pytest.approx(1.0)]
+        assert done == ["a", "b"]
+        assert exhausted == [("c", "boom", 3)]
+        assert counter_value("faults.errors") == 5
+        assert counter_value("faults.retries") == 4
+        assert counter_value("faults.exhausted") == 1
+
+    def test_no_failures_means_one_wave_and_no_sleep(self):
+        slept = []
+        retry_in_waves(
+            [1, 2],
+            lambda pending: ((unit, {}) for unit in pending),
+            RetryPolicy(backoff_s=1.0),
+            on_success=lambda unit, outcome: None,
+            on_exhausted=lambda unit, outcome, attempts: None,
+            sleep=slept.append,
+        )
+        assert slept == []

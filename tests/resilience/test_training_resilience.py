@@ -14,17 +14,13 @@ MODEL_CONFIG = ModelConfig(
 )
 
 
-def training_config(epochs: int, sequential: bool = False) -> TrainingConfig:
+def training_config(epochs: int) -> TrainingConfig:
     return TrainingConfig(
-        epochs=epochs,
-        batch_size=4,
-        sequential=sequential,
-        early_stopping_patience=None,
-        seed=5,
+        epochs=epochs, batch_size=4, early_stopping_patience=None, seed=5
     )
 
 
-def make_trainer(dataset, design, epochs, checkpoint_dir=None, sequential=False, **policy):
+def make_trainer(dataset, design, epochs, checkpoint_dir=None, **policy):
     checkpointing = None
     if checkpoint_dir is not None:
         checkpointing = CheckpointPolicy(directory=checkpoint_dir, **policy)
@@ -32,7 +28,7 @@ def make_trainer(dataset, design, epochs, checkpoint_dir=None, sequential=False,
         dataset,
         design=design,
         model_config=MODEL_CONFIG,
-        training_config=training_config(epochs, sequential),
+        training_config=training_config(epochs),
         checkpointing=checkpointing,
     )
 
@@ -84,13 +80,10 @@ class TestCheckpointCadence:
 
 
 class TestResume:
-    @pytest.mark.parametrize("sequential", [False, True])
     def test_interrupt_resume_is_bit_identical(
-        self, tmp_path, tiny_dataset, tiny_design, sequential, counter_value
+        self, tmp_path, tiny_dataset, tiny_design, counter_value
     ):
-        uninterrupted = make_trainer(
-            tiny_dataset, tiny_design, epochs=6, sequential=sequential
-        ).train()
+        uninterrupted = make_trainer(tiny_dataset, tiny_design, epochs=6).train()
 
         # Kill the run mid-epoch-3 (ordinal 6 = epoch 3, step 0: two
         # minibatch steps per epoch with 7 train samples at batch size 4).
@@ -101,13 +94,11 @@ class TestResume:
         with faults.injected(scripted):
             with pytest.raises(WorkerKilled):
                 make_trainer(
-                    tiny_dataset, tiny_design, epochs=6,
-                    checkpoint_dir=checkpoint_dir, sequential=sequential,
+                    tiny_dataset, tiny_design, epochs=6, checkpoint_dir=checkpoint_dir
                 ).train()
 
         resumed = make_trainer(
-            tiny_dataset, tiny_design, epochs=6,
-            checkpoint_dir=checkpoint_dir, sequential=sequential,
+            tiny_dataset, tiny_design, epochs=6, checkpoint_dir=checkpoint_dir
         ).train()
 
         # == on float lists: bit-identical, not merely close.

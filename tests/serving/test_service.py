@@ -96,6 +96,22 @@ class TestResultCache:
         second_hit = service.submit(dataclasses.replace(trace, name="thrice"), tiny_design)
         np.testing.assert_array_equal(second_hit.noise_map, reference)
 
+    def test_non_finite_prediction_is_not_cached(
+        self, service, serving_predictor, tiny_design, tiny_traces
+    ):
+        features = extract_vector_features(
+            tiny_traces[0], tiny_design, compression_rate=serving_predictor.compression_rate
+        )
+        maps = features.current_maps.copy()
+        maps[0, 0, 0] = np.nan
+        poisoned = VectorFeatures(current_maps=maps, name="poisoned")
+        first = service.submit(poisoned, tiny_design.name)
+        second = service.submit(poisoned, tiny_design.name)
+        assert not np.all(np.isfinite(first.noise_map))
+        assert not np.all(np.isfinite(second.noise_map))
+        assert service.stats.cache_hits == 0
+        assert service.stats.batched_vectors == 2
+
     def test_concurrent_duplicates_coalesce(
         self, registry, serving_predictor, make_gated_predictor, tiny_design, tiny_traces
     ):
