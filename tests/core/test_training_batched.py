@@ -75,7 +75,7 @@ def _ragged(dataset):
     )
 
 
-def _assert_matches_golden(result, golden, key):
+def _assert_curves_match_golden(result, golden, key):
     history = result.history
     np.testing.assert_allclose(
         history.train_loss, golden[f"{key}/train_loss"], rtol=1e-12, atol=1e-12
@@ -84,6 +84,9 @@ def _assert_matches_golden(result, golden, key):
         history.validation_loss, golden[f"{key}/validation_loss"], rtol=1e-12, atol=1e-12
     )
     assert history.best_epoch == int(golden[f"{key}/best_epoch"])
+
+
+def _assert_weights_match_golden(result, golden, key):
     state = result.model.state_dict()
     prefix = f"{key}/weights/"
     assert sorted(state) == sorted(
@@ -93,17 +96,24 @@ def _assert_matches_golden(result, golden, key):
         np.testing.assert_allclose(value, golden[prefix + name], rtol=1e-9, atol=1e-12)
 
 
+@pytest.fixture(scope="module")
+def dense_result(tiny_design, tiny_dataset, tiny_split):
+    return _train(tiny_dataset, tiny_design, tiny_split)
+
+
 class TestBatchedEngine:
-    def test_dense_run_matches_golden(self, tiny_design, tiny_dataset, tiny_split, golden):
-        _assert_matches_golden(
-            _train(tiny_dataset, tiny_design, tiny_split), golden, "dense"
-        )
+    def test_dense_loss_curves_match_golden(self, dense_result, golden):
+        _assert_curves_match_golden(dense_result, golden, "dense")
+
+    def test_dense_final_weights_match_golden(self, dense_result, golden):
+        _assert_weights_match_golden(dense_result, golden, "dense")
 
     def test_ragged_run_matches_golden(
         self, tiny_design, tiny_dataset, tiny_split, golden
     ):
         result = _train(_ragged(tiny_dataset), tiny_design, tiny_split, epochs=2)
-        _assert_matches_golden(result, golden, "ragged")
+        _assert_curves_match_golden(result, golden, "ragged")
+        _assert_weights_match_golden(result, golden, "ragged")
 
     def test_seeded_runs_are_deterministic(self, tiny_design, tiny_dataset, tiny_split):
         first = _train(tiny_dataset, tiny_design, tiny_split, epochs=3)
