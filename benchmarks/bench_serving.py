@@ -5,8 +5,9 @@ the serving layer exists to turn that per-vector speed into *throughput*.
 This benchmark screens the same vector set three ways on the small test
 design:
 
-* ``sequential``  — the original per-vector ``predict_features`` loop (what
-  ``predict_dataset`` did before the batched path existed),
+* ``sequential``  — the per-vector ``predict_features`` loop (what
+  ``predict_dataset`` did before the batched path existed; each call is a
+  batch of one that reduces the distance map afresh),
 * ``batched``     — ``NoisePredictor.predict_batch`` (one fused forward pass
   per chunk),
 * ``service``     — the full :class:`ScreeningService` stack (queue,

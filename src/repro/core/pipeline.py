@@ -298,12 +298,12 @@ class WorstCaseNoiseFramework:
             compression_rate=self.config.compression_rate,
             rate_step=self.config.rate_step,
         )
-        # Time each vector through the full stateless forward (including the
-        # distance reduction), exactly as the paper measures one vector at a
-        # time against the commercial tool — predict_batch would amortise the
-        # reduced distance map across vectors and flatter the speedup.  The
-        # batched serving throughput is benchmarked separately in
-        # bench_serving.py.
+        # Time each vector through the full forward (predict_features
+        # reduces the distance map inside every call), exactly as the paper
+        # measures one vector at a time against the commercial tool — the
+        # memoised reduced map of predict_batch would amortise that cost
+        # across vectors and flatter the speedup.  The batched serving
+        # throughput is benchmarked separately in bench_serving.py.
         per_vector = [
             predictor.predict_features(dataset.samples[int(i)].features) for i in indices
         ]

@@ -21,6 +21,7 @@ pipeline it agrees to solver rounding (see ``docs/data-pipeline.md``).
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -547,16 +548,6 @@ def generate_corpus(
     metrics = obs.metrics()
     failures: list[dict] = []
     with obs.get_tracer().span("datagen.generate_corpus", root=str(root)) as run_span:
-        def run_wave(pending):
-            # _run_tasks yields one outcome per task, in task order; it goes
-            # first in the zip so the generator runs to completion and shuts
-            # its pool down.
-            outcomes = _run_tasks(
-                pending, design_factory, num_workers, faults_factory,
-                policy.shard_timeout_s,
-            )
-            return ((task, outcome) for outcome, task in zip(outcomes, pending))
-
         def on_success(task, outcome):
             if outcome.get("deferred"):
                 report.shards_deferred += 1
@@ -580,7 +571,13 @@ def generate_corpus(
 
         retry_in_waves(
             tasks,
-            run_wave,
+            functools.partial(
+                _run_tasks,
+                design_factory=design_factory,
+                num_workers=num_workers,
+                faults_factory=faults_factory,
+                shard_timeout_s=policy.shard_timeout_s,
+            ),
             policy.retry,
             on_success=on_success,
             on_exhausted=on_exhausted,
@@ -673,7 +670,7 @@ def _run_tasks(
     faults_factory: Optional[FaultsFactory] = None,
     shard_timeout_s: Optional[float] = None,
 ):
-    """Yield shard outcomes, from a worker pool when possible, else inline.
+    """Yield ``(task, outcome)`` pairs, from a worker pool when possible, else inline.
 
     Shard-level errors never propagate from here: workers run
     :func:`_generate_shard_safe`, so an exception becomes a ``failed``
@@ -716,7 +713,7 @@ def _run_tasks(
                                 ),
                             }
                         completed += 1
-                        yield outcome
+                        yield task, outcome
                     return
                 except (BrokenProcessPool, pickle.PicklingError) as error:
                     # Worker startup/transport failure, not a shard failure —
@@ -738,4 +735,4 @@ def _run_tasks(
                         ShardStore(tasks[0].root).clear_stale_claims()
     _worker_init(design_factory, faults_factory)
     for task in tasks[completed:]:
-        yield _generate_shard_safe(task)
+        yield task, _generate_shard_safe(task)

@@ -123,11 +123,11 @@ def retry_in_waves(
     in any order, each unit being one of the objects in ``pending``; an
     outcome dict with a truthy ``"failed"`` entry is a failed attempt, any
     other goes to ``on_success(unit, outcome)``.  A unit whose attempts reach
-    ``policy.max_attempts`` goes to ``on_exhausted(unit, outcome, attempts)``; the rest run again in
-    the next wave after ``sleep(policy.delay(wave))``.  Counters match
-    :func:`run_with_retry`: ``faults.errors`` per failed attempt,
-    ``faults.retries`` per scheduled retry, ``faults.exhausted`` per unit
-    that ran out.
+    ``policy.max_attempts`` goes to ``on_exhausted(unit, outcome, attempts)``;
+    the rest run again in the next wave after ``sleep(policy.delay(wave))``.
+    Counters match :func:`run_with_retry`: ``faults.errors`` per failed
+    attempt, ``faults.retries`` per scheduled retry, ``faults.exhausted``
+    per unit that ran out.
     """
     metrics = obs.metrics()
     attempts: dict[int, int] = {}  # by id(unit): the same objects rerun

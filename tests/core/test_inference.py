@@ -28,6 +28,27 @@ class TestNoisePredictor:
         from_trace = predictor.predict_trace(tiny_traces[0], tiny_design)
         np.testing.assert_allclose(from_features.noise_map, from_trace.noise_map, rtol=1e-9)
 
+    def test_only_predict_batch_reuses_the_reduced_distance(
+        self, predictor, tiny_dataset, monkeypatch
+    ):
+        from repro.core.model import WorstCaseNoiseNet
+
+        calls = []
+        original = WorstCaseNoiseNet.reduce_distance
+
+        def counting(self, distance):
+            calls.append(1)
+            return original(self, distance)
+
+        monkeypatch.setattr(WorstCaseNoiseNet, "reduce_distance", counting)
+        features = [sample.features for sample in tiny_dataset.samples[:2]]
+        for item in features:
+            predictor.predict_features(item)
+        assert len(calls) == 2
+        predictor.predict_batch(features)
+        predictor.predict_batch(features)
+        assert len(calls) <= 3
+
     def test_predict_dataset(self, predictor, tiny_dataset):
         maps, runtimes = predictor.predict_dataset(tiny_dataset, indices=[0, 1, 2])
         assert maps.shape == (3,) + tiny_dataset.tile_shape

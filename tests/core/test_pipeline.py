@@ -73,6 +73,26 @@ class TestWorstCaseNoiseFramework:
         assert predicted.shape[0] == 2
         assert runtime.num_vectors == 2
 
+    def test_evaluate_times_distance_reduction_per_vector(
+        self, quick_framework, framework_result, monkeypatch
+    ):
+        # Table 2 times one vector at a time: every timed prediction pays
+        # for the distance subnet instead of reading a memoised reduced map.
+        from repro.core.model import WorstCaseNoiseNet
+
+        calls = []
+        original = WorstCaseNoiseNet.reduce_distance
+
+        def counting(self, distance):
+            calls.append(1)
+            return original(self, distance)
+
+        monkeypatch.setattr(WorstCaseNoiseNet, "reduce_distance", counting)
+        quick_framework.evaluate(
+            framework_result.dataset, framework_result.training, indices=[0, 1, 2]
+        )
+        assert len(calls) == 3
+
     def test_predictions_are_physically_plausible(self, framework_result, tiny_design):
         # Even a lightly trained model must predict positive, sub-Vdd noise.
         predicted = framework_result.predicted_test_maps
