@@ -45,7 +45,7 @@ from repro.io import ExperimentRecord, latency_throughput_columns
 from repro.nn import no_grad
 from repro.obs import MetricsRegistry
 from repro.pdn import small_test_design
-from repro.serving import PredictorRegistry, ScreeningService
+from repro.serving import PredictorRegistry, ScreeningService, service_counts
 from repro.utils import Timer
 from repro.workloads import generate_test_vectors
 from repro.workloads.vectors import VectorConfig
@@ -177,10 +177,10 @@ def test_serving_throughput_report(benchmark, serving_setup):
 
         cold_seconds, served = best_of(ROUNDS, cold_pass)
         cold_latencies = service.latencies()[-len(features):]
-        hits_before_warm = service.stats.cache_hits
+        hits_before_warm = service_counts(service.metrics)["cache_hits"]
         warm_seconds, _ = best_of(1, lambda: service.screen(features, design.name))
         warm_latencies = service.latencies()[-len(features):]
-        stats = service.stats
+        counts = service_counts(service.metrics)
         telemetry = obs_snapshot(service)
     records.append(
         ExperimentRecord(
@@ -189,7 +189,7 @@ def test_serving_throughput_report(benchmark, serving_setup):
             {
                 "total_s": cold_seconds,
                 **latency_throughput_columns(cold_latencies, total_seconds=cold_seconds),
-                "mean_batch": stats.mean_batch_size,
+                "mean_batch": counts["mean_batch_size"],
             },
         )
     )
@@ -200,7 +200,7 @@ def test_serving_throughput_report(benchmark, serving_setup):
             {
                 "total_s": warm_seconds,
                 **latency_throughput_columns(warm_latencies, total_seconds=warm_seconds),
-                "cache_hit_rate": stats.cache_hit_rate,
+                "cache_hit_rate": counts["cache_hit_rate"],
             },
         )
     )
@@ -239,7 +239,7 @@ def test_serving_throughput_report(benchmark, serving_setup):
     # The whole point of the serving layer: >= 3x the sequential loop.
     assert cold_seconds * 3.0 <= sequential_seconds
     # The warm pass is answered from the cache alone and is faster still.
-    assert stats.cache_hits - hits_before_warm == len(features)
+    assert counts["cache_hits"] - hits_before_warm == len(features)
     assert warm_seconds < cold_seconds
 
 

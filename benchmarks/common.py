@@ -41,6 +41,7 @@ from repro.core import (
 from repro.datagen import generate_corpus, load_design_dataset
 from repro.io import ExperimentRecord, format_table, write_csv, write_json
 from repro.pdn import Design, reference_design
+from repro.serving import service_counts
 from repro.workloads import NoiseDataset
 
 #: Directory where benchmark records are written.
@@ -82,11 +83,9 @@ def obs_snapshot(service) -> dict:
     that actually observed samples (and only when the service was built with
     a live registry).
     """
-    stats = service.stats
+    counts = service_counts(service.metrics)
     snapshot = {
-        "requests": stats.requests,
-        "cache_hit_rate": stats.cache_hit_rate,
-        "mean_batch_size": stats.mean_batch_size,
+        key: counts[key] for key in ("requests", "cache_hit_rate", "mean_batch_size")
     }
     for path_name in ("cache_hit", "coalesced", "batched"):
         histogram = service.metrics.get(f"serving.request_latency.{path_name}")

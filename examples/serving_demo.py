@@ -33,9 +33,10 @@ from repro import (
 )
 from repro.io import format_table, latency_throughput_columns
 from repro.pdn.designs import make_design, small_test_design
-from repro.serving import PredictorRegistry
+from repro.obs.metrics import MetricsRegistry
+from repro.serving import PredictorRegistry, service_counts
 from repro.workloads import generate_test_vectors
-from repro.workloads.scenarios import scenario_names
+from repro.workloads.scenarios import scenario_families
 from repro.workloads.vectors import VectorConfig
 
 
@@ -80,7 +81,9 @@ def main() -> None:
             variant, 24, VectorConfig(num_steps=120, dt=1e-11), seed=6
         ),
     }
-    with ScreeningService(registry, max_batch=16, max_wait=2e-3) as service:
+    with ScreeningService(
+        registry, max_batch=16, max_wait=2e-3, metrics=MetricsRegistry()
+    ) as service:
         futures = []
         for design in (primary, variant):
             for trace in vectors[design.name]:
@@ -88,12 +91,13 @@ def main() -> None:
         results = [future.result() for future in futures]
         # Re-screen the first design's vectors: pure cache hits.
         service.screen(vectors[primary.name], primary)
-        stats = service.stats
+        counts = service_counts(service.metrics)
         columns = latency_throughput_columns(service.latencies())
 
     worst = max(result.worst_noise for result in results)
-    print(f"screened {stats.requests} requests ({stats.cache_hits} cache hits, "
-          f"{stats.model_batches} model batches, mean batch {stats.mean_batch_size:.1f})")
+    print(f"screened {counts['requests']} requests ({counts['cache_hits']} cache hits, "
+          f"{counts['model_batches']} model batches, "
+          f"mean batch {counts['mean_batch_size']:.1f})")
     print(f"worst predicted noise across the stream: {worst * 1e3:.1f} mV")
     print(f"p50 latency {columns['p50_latency_ms']:.2f} ms, "
           f"p95 {columns['p95_latency_ms']:.2f} ms, "
@@ -104,7 +108,7 @@ def main() -> None:
     jobs = [
         ScenarioJob(design=design.name, scenario=scenario, num_steps=120)
         for design in (primary, variant)
-        for scenario in scenario_names()
+        for scenario in scenario_families()
     ]
     records = screen_scenarios(
         jobs, registry.root, design_factory=serving_design, num_workers=2

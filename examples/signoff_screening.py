@@ -29,7 +29,7 @@ from repro import (
     build_scenario,
     reference_design,
 )
-from repro.workloads.scenarios import scenario_names
+from repro.workloads.scenarios import scenario_families
 
 
 def main() -> None:
@@ -56,7 +56,7 @@ def main() -> None:
     analysis = DynamicNoiseAnalysis(design, dt)
     simulator_time_saved = 0.0
     flagged = []
-    for index, name in enumerate(scenario_names()):
+    for index, name in enumerate(scenario_families()):
         trace = build_scenario(name, design, num_steps=config.num_steps, dt=dt, seed=index)
         prediction = predictor.predict_trace(trace, design)
         predicted_worst = prediction.worst_noise

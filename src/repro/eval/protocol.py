@@ -41,7 +41,7 @@ from repro.nn import kernels
 from repro.obs.metrics import LatencyHistogram, MetricsRegistry
 from repro.resilience.retry import RetryPolicy, run_with_retry
 from repro.serving.registry import PredictorRegistry
-from repro.serving.service import ScreeningService
+from repro.serving.service import ScreeningService, service_counts
 from repro.utils import get_logger
 from repro.workloads.dataset import NoiseDataset
 
@@ -420,14 +420,9 @@ class CrossDesignEvaluator:
             with tracer.span("eval.serving", heldout=heldout) as serving_span:
                 results = service.screen(features, heldout)
             latencies = service.latencies()
-            stats = service.stats
-            service_counters = {
-                "cache_hits": stats.cache_hits,
-                "coalesced": stats.coalesced,
-                "model_batches": stats.model_batches,
-                "mean_batch_size": stats.mean_batch_size,
-                "max_batch_observed": stats.max_batch_observed,
-            }
+        counts = service_counts(service_metrics)
+        keys = ("cache_hits", "coalesced", "model_batches", "mean_batch_size", "max_batch_observed")
+        service_counters = {key: counts[key] for key in keys}
         latency_samples = _combined_latency_histogram(service_metrics) or latencies
         if obs.enabled():
             obs.metrics().merge_snapshot(service_metrics.snapshot())

@@ -65,7 +65,7 @@ class SweepJob:
         Held-out design label (must have a checkpoint in the campaign
         registry).
     scenario:
-        A family name from :func:`repro.workloads.scenarios.scenario_names`
+        A family name from :func:`repro.workloads.scenarios.scenario_families`
         or a :class:`~repro.workloads.specs.ScenarioSpec` parameter variant.
     num_steps:
         Trace length of this variant.

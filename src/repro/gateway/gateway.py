@@ -45,7 +45,6 @@ from repro import obs
 from repro.core.inference import NoisePredictor, PredictionResult
 from repro.faults import NULL_FAULTS, FaultInjector
 from repro.gateway.messages import (
-    STOP,
     GatewayClosed,
     GatewayOverloaded,
     GatewayRequest,
@@ -57,6 +56,7 @@ from repro.gateway.ring import ConsistentHashRing
 from repro.gateway.worker import DesignFactory, ShardWorker
 from repro.obs.metrics import MetricsRegistry
 from repro.pdn.designs import Design
+from repro.serving.batcher import STOP
 from repro.serving.registry import PredictorRegistry
 from repro.serving.sweep import default_design_factory
 from repro.utils import check_positive, get_logger

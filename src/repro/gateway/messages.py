@@ -2,9 +2,10 @@
 
 Everything that flows through a shard inbox is defined here: admitted
 :class:`GatewayRequest` objects, the :class:`SwapCommand` control message
-that quiesces one shard for a hot checkpoint swap, and the stop sentinel.
-The gateway's caller-facing error taxonomy also lives here so both the
-in-process API and the wire protocol can map failures to typed responses.
+that quiesces one shard for a hot checkpoint swap (the stop sentinel is
+:data:`repro.serving.batcher.STOP`).  The gateway's caller-facing error
+taxonomy also lives here so both the in-process API and the wire protocol
+can map failures to typed responses.
 
 Exactly-once answering is enforced structurally: every request owns one
 :class:`concurrent.futures.Future`, and :meth:`GatewayRequest.resolve` /
@@ -63,10 +64,6 @@ class WorkerCrashed(GatewayError):
 
     ``__cause__`` carries the underlying worker error.
     """
-
-
-#: Inbox sentinel telling a shard worker to exit after draining its batch.
-STOP = object()
 
 
 @dataclass

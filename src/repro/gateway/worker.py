@@ -1,16 +1,16 @@
 """Shard worker: the actor that turns queued requests into predictions.
 
 One :class:`ShardWorker` thread owns one shard of the design space.  It
-drains its inbox into micro-batches (``max_batch``/``max_wait``, same
-discipline as :class:`~repro.serving.service.ScreeningService`), groups each
-batch by design, materialises scenario payloads into traces, and pushes each
-group through the shard's :class:`~repro.serving.registry.PredictorRegistry`
-in one batched forward pass.  Because the gateway's consistent-hash ring
-routes a design to exactly one shard, the registry partition behind this
-worker only ever sees its own designs and keeps their checkpoints warm.
+runs the :class:`~repro.serving.batcher.MicroBatcher` loop over its inbox
+through the shard's :class:`~repro.serving.registry.PredictorRegistry`, and
+adds the swap quiesce points, the stop drain, the fault seams and scenario
+payload materialisation.  Because the gateway's consistent-hash ring routes
+a design to exactly one shard, the registry partition behind this worker
+only ever sees its own designs and keeps their checkpoints warm.
 
 Failure containment is layered:
 
+* a payload that cannot be materialised fails only its own request;
 * a failing **checkpoint load** or **forward pass** fails that design
   group's requests (typed error on their futures) and the worker lives on;
 * an escaping :class:`BaseException` — including the fault seam's
@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import threading
 import time
-from queue import Empty, Queue
-from typing import Callable, Optional
+from queue import Queue
+from typing import Callable
 
 from repro.features.extraction import VectorFeatures, extract_vector_features
 from repro.faults import FaultInjector
-from repro.gateway.messages import STOP, GatewayRequest, SwapCommand
+from repro.gateway.messages import GatewayRequest, SwapCommand
 from repro.pdn.designs import Design
+from repro.serving.batcher import STOP, MicroBatcher
 from repro.serving.registry import PredictorRegistry
 from repro.sim.waveform import CurrentTrace
 from repro.utils import get_logger
@@ -47,7 +48,7 @@ CrashCallback = Callable[["ShardWorker", BaseException, list], None]
 HealthyCallback = Callable[[int], None]
 
 
-class ShardWorker(threading.Thread):
+class ShardWorker(threading.Thread, MicroBatcher):
     """One supervised worker thread bound to a shard inbox and registry.
 
     Parameters
@@ -97,7 +98,7 @@ class ShardWorker(threading.Thread):
         )
         self.shard_id = int(shard_id)
         self.generation = int(generation)
-        self.inbox = inbox
+        self._inbox = inbox
         self.registry = registry
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait)
@@ -115,28 +116,25 @@ class ShardWorker(threading.Thread):
     def run(self) -> None:
         """Drain the inbox until the stop sentinel; crash to the supervisor."""
         batch: list[GatewayRequest] = []
-        commands: list[SwapCommand] = []
+        control = None
         try:
             while True:
-                first = self.inbox.get()
-                if first is STOP:
+                control = self._inbox.get()
+                if not self._is_control(control):
+                    batch, control = self._fill_batch(control)
+                    self._process_batch(batch)
+                    batch = []
+                if control is STOP:
                     return
-                if isinstance(first, SwapCommand):
-                    self._apply_swap(first)
-                    continue
-                batch, commands, stopping = self._fill_batch(first)
-                self._process_batch(batch)
-                batch = []
-                while commands:
-                    self._apply_swap(commands.pop(0))
-                if stopping:
-                    return
+                if control is not None:
+                    command, control = control, None
+                    self._apply_swap(command)
         except BaseException as error:  # noqa: BLE001 - supervised crash path
             survivors = [request for request in batch if not request.done]
-            for command in commands:
+            if isinstance(control, SwapCommand):
                 # A swap deferred behind the crashed batch must not be lost
                 # with the thread; the replacement worker applies it.
-                self.inbox.put(command)
+                self._inbox.put(control)
             _LOG.warning(
                 "shard %d worker (gen %d) crashed with %d request(s) in hand: %s",
                 self.shard_id,
@@ -151,37 +149,12 @@ class ShardWorker(threading.Thread):
     # ------------------------------------------------------------------ #
 
     def _fill_batch(self, first: GatewayRequest):
-        """Micro-batch starting from ``first``; returns (batch, swaps, stop).
+        """Micro-batch starting from ``first``; returns (batch, control).
 
-        Swap commands encountered while filling are deferred until after the
-        in-hand batch — that *is* the quiesce point: requests dequeued before
-        the command keep their old checkpoint, everything behind it sees the
-        new one.  A stop sentinel ends filling and is honoured after the
-        batch completes (graceful drain processes, never abandons).
+        :meth:`run` applies a swap command or stop sentinel that ended the
+        fill only after the in-hand batch: that is the swap's quiesce point.
         """
-        first.dispatched = True
-        batch = list(self._faults.on_dequeue(self.shard_id, first))
-        commands: list[SwapCommand] = []
-        deadline = time.perf_counter() + self.max_wait
-        stopping = False
-        while len(batch) < self.max_batch:
-            timeout = deadline - time.perf_counter()
-            try:
-                if timeout > 0:
-                    item = self.inbox.get(timeout=timeout)
-                else:
-                    item = self.inbox.get_nowait()
-            except Empty:
-                break
-            if item is STOP:
-                stopping = True
-                break
-            if isinstance(item, SwapCommand):
-                commands.append(item)
-                break
-            item.dispatched = True
-            batch.extend(self._faults.on_dequeue(self.shard_id, item))
-        return batch, commands, stopping
+        return self._fill(first)
 
     def _process_batch(self, batch: list[GatewayRequest]) -> None:
         """Predict one micro-batch, one fused forward pass per design group."""
@@ -189,33 +162,22 @@ class ShardWorker(threading.Thread):
         if not live:
             return
         self._faults.before_batch(self.shard_id, live)
-        groups: dict[str, list[GatewayRequest]] = {}
-        for request in live:
-            groups.setdefault(request.design_name, []).append(request)
         self._obs.batch_size.set(len(live))
-        for design_name, requests in groups.items():
-            self._process_group(design_name, requests)
-        self._obs.shard_depth[self.shard_id].set(self.inbox.qsize())
+        self._predict_groups(live)
+        self._obs.shard_depth[self.shard_id].set(self._inbox.qsize())
         self._on_healthy(self.shard_id)
 
-    def _process_group(self, design_name: str, requests: list[GatewayRequest]) -> None:
-        """One design's slice of a batch; failures stay inside the group."""
-        try:
-            self._faults.on_checkpoint_load(self.shard_id, design_name)
-            predictor = self.registry.get(design_name)
-            features = [self._materialise(request, predictor) for request in requests]
-            results = predictor.predict_batch(features, max_batch=self.max_batch)
-        except Exception as error:  # noqa: BLE001 - forwarded to callers
-            self._obs.failures.inc(len(requests))
-            for request in requests:
-                request.fail(error)
-            _LOG.warning(
-                "shard %d batch for design %s failed: %s",
-                self.shard_id,
-                design_name,
-                error,
-            )
-            return
+    def _is_control(self, item) -> bool:
+        return item is STOP or isinstance(item, SwapCommand)
+
+    def _admit(self, request: GatewayRequest):
+        request.dispatched = True
+        return self._faults.on_dequeue(self.shard_id, request)
+
+    def _before_load(self, design_name: str) -> None:
+        self._faults.on_checkpoint_load(self.shard_id, design_name)
+
+    def _resolve_group(self, predictor, requests: list[GatewayRequest], results) -> None:
         finished = time.perf_counter()
         for request, result in zip(requests, results):
             if request.resolve(result):
@@ -224,6 +186,11 @@ class ShardWorker(threading.Thread):
                 # Duplicate delivery or crash-requeue race: the request was
                 # already answered elsewhere; this prediction is dropped.
                 self._obs.duplicates_dropped.inc()
+
+    def _fail_requests(self, requests: list[GatewayRequest], error: BaseException) -> None:
+        self._obs.failures.inc(len(requests))
+        for request in requests:
+            request.fail(error)
 
     def _materialise(self, request: GatewayRequest, predictor) -> VectorFeatures:
         """Turn any accepted payload into extracted features."""

@@ -23,7 +23,7 @@ from repro.serving.cache import (
     trace_content_hash,
 )
 from repro.serving.registry import PredictorRegistry, RegistryStats
-from repro.serving.service import ScreeningService, ScreeningStats, ServiceClosed
+from repro.serving.service import ScreeningService, ServiceClosed, service_counts
 from repro.serving.sweep import (
     ScenarioJob,
     default_design_factory,
@@ -38,8 +38,8 @@ __all__ = [
     "PredictorRegistry",
     "RegistryStats",
     "ScreeningService",
-    "ScreeningStats",
     "ServiceClosed",
+    "service_counts",
     "ScenarioJob",
     "default_design_factory",
     "screen_scenarios",

@@ -3,10 +3,10 @@
 :class:`ScreeningService` is the serving front-end of the repository.  Callers
 submit test vectors (raw :class:`~repro.sim.waveform.CurrentTrace` objects or
 pre-extracted :class:`~repro.features.extraction.VectorFeatures`) against a
-design name; a background worker drains the request queue into micro-batches
+design name; a background worker runs the shared
+:class:`~repro.serving.batcher.MicroBatcher` loop over the request queue
 (up to ``max_batch`` requests, waiting at most ``max_wait`` seconds for the
-batch to fill), groups them by design, and runs each group through the
-registry's predictor in a single batched forward pass.
+batch to fill, one batched forward pass per design group).
 
 Three layers keep redundant work off the model:
 
@@ -34,11 +34,10 @@ from repro.core.inference import NoisePredictor, PredictionResult
 from repro.features.extraction import VectorFeatures, extract_vector_features
 from repro.obs.metrics import MetricsRegistry
 from repro.pdn.designs import Design
+from repro.serving.batcher import STOP, MicroBatcher
 from repro.serving.cache import LRUCache, ScreeningPayload, trace_content_hash
 from repro.serving.registry import PredictorRegistry
-from repro.utils import check_positive, get_logger
-
-_LOG = get_logger("serving.service")
+from repro.utils import check_positive
 
 
 class ServiceClosed(RuntimeError):
@@ -51,29 +50,6 @@ class ServiceClosed(RuntimeError):
     :class:`RuntimeError` so pre-existing ``except RuntimeError`` callers
     keep working.
     """
-
-
-@dataclass
-class ScreeningStats:
-    """Aggregate counters of a :class:`ScreeningService`."""
-
-    requests: int = 0
-    cache_hits: int = 0
-    coalesced: int = 0
-    model_batches: int = 0
-    batched_vectors: int = 0
-    max_batch_observed: int = 0
-    failures: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of requests answered from the result cache."""
-        return self.cache_hits / self.requests if self.requests else 0.0
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average number of vectors per model forward pass."""
-        return self.batched_vectors / self.model_batches if self.model_batches else 0.0
 
 
 @dataclass
@@ -96,9 +72,6 @@ class _Request:
     @property
     def design_name(self) -> str:
         return self.design if isinstance(self.design, str) else self.design.name
-
-
-_SENTINEL = object()
 
 
 def _safe_resolve(
@@ -139,7 +112,20 @@ def _derived_future(
     return derived
 
 
-class ScreeningService:
+def service_counts(metrics: MetricsRegistry) -> dict:
+    """A service's ``serving.*`` counters in ``metrics``, plus the figures derived
+    from them: ``mean_batch_size``, ``cache_hit_rate`` and ``max_batch_observed``
+    (the ``serving.batch_size`` gauge's max).  A disabled registry reads as zeros."""
+    names = ("requests", "cache_hits", "coalesced", "model_batches", "batched_vectors", "failures")
+    counts = {name: getattr(metrics.get(f"serving.{name}"), "value", 0) for name in names}
+    sizes = metrics.get("serving.batch_size")
+    counts["max_batch_observed"] = int(sizes.max) if sizes is not None and sizes.count else 0
+    counts["mean_batch_size"] = counts["batched_vectors"] / max(counts["model_batches"], 1)
+    counts["cache_hit_rate"] = counts["cache_hits"] / max(counts["requests"], 1)
+    return counts
+
+
+class ScreeningService(MicroBatcher):
     """Batched, cached worst-case noise screening across designs.
 
     Parameters
@@ -181,7 +167,6 @@ class ScreeningService:
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait)
         self.cache: LRUCache[PredictionResult] = LRUCache(cache_size)
-        self.stats = ScreeningStats()
         # Instrument handles are resolved once here so the hot paths pay one
         # bound-method call each; with a disabled registry they are shared
         # no-op objects (gated by benchmarks/bench_obs.py).
@@ -198,9 +183,9 @@ class ScreeningService:
             path: self.metrics.histogram(f"serving.request_latency.{path}")
             for path in ("cache_hit", "coalesced", "batched")
         }
-        self._queue: "queue.Queue" = queue.Queue()
+        self._inbox: "queue.Queue" = queue.Queue()
         self._pending: dict[str, "Future[PredictionResult]"] = {}
-        # Guards cache/pending/stats/latencies and the closed flag.  The
+        # Guards cache/pending/latencies and the closed flag.  The
         # registry synchronises itself (and performs cold checkpoint loads
         # outside its own lock), so registry access never happens under this
         # lock and a cold load for one design cannot stall cache hits for
@@ -237,7 +222,7 @@ class ScreeningService:
                 "raw traces need the Design object for tiling; pass pre-extracted "
                 "VectorFeatures when only the design name is available"
             )
-        predictor = self._get_predictor(design_name)
+        predictor = self.registry.get(design_name)
         content_hash = trace_content_hash(payload)
         key = f"{predictor.fingerprint}:{content_hash}"
         started = time.perf_counter()
@@ -250,11 +235,9 @@ class ScreeningService:
             # request is drained before the worker exits.
             if self._closed:
                 raise ServiceClosed("service is closed")
-            self.stats.requests += 1
             self._m_requests.inc()
             cached = self.cache.get(key)
             if cached is not None:
-                self.stats.cache_hits += 1
                 self._m_cache_hits.inc()
                 future: "Future[PredictionResult]" = Future()
                 # Fresh map copy (callers may mutate their result) and the
@@ -284,13 +267,12 @@ class ScreeningService:
                 # hand new submitters an old failure (or a dead future) with
                 # no fresh attempt, so the fresh request below simply
                 # replaces it in the pending map.
-                self.stats.coalesced += 1
                 self._m_coalesced.inc()
                 coalesce_onto = in_flight
             else:
                 future = Future()
                 self._pending[key] = future
-                self._queue.put(
+                self._inbox.put(
                     _Request(
                         payload=payload,
                         design=design,
@@ -300,7 +282,7 @@ class ScreeningService:
                         submitted_at=started,
                     )
                 )
-                self._m_queue_depth.set(self._queue.qsize())
+                self._m_queue_depth.set(self._inbox.qsize())
         if coalesce_onto is not None:
             # Built OUTSIDE the lock: if the primary is already done, these
             # done-callbacks run inline right here, and _record_latency takes
@@ -361,7 +343,7 @@ class ScreeningService:
             if not drain:
                 self._abandon = True
         if not already_closed:
-            self._queue.put(_SENTINEL)
+            self._inbox.put(STOP)
         self._worker.join()
         self._flush_unresolved(ServiceClosed("service closed before the request ran"))
 
@@ -375,9 +357,6 @@ class ScreeningService:
     # worker internals
     # ------------------------------------------------------------------ #
 
-    def _get_predictor(self, design_name: str) -> NoisePredictor:
-        return self.registry.get(design_name)
-
     def _run_worker(self) -> None:
         # The worker must never die with unresolved futures behind it: a
         # pending-map entry whose future will never resolve makes every later
@@ -387,27 +366,17 @@ class ScreeningService:
         # (possibly fatal) error propagates, and the ``finally`` sweep below
         # marks the service closed and rejects whatever is still queued.
         try:
-            while True:
-                first = self._queue.get()
-                if first is _SENTINEL:
+            stop = None
+            while stop is None:
+                first = self._inbox.get()
+                if first is STOP:
                     break
-                batch = [first]
-                deadline = time.perf_counter() + self.max_wait
-                while len(batch) < self.max_batch:
-                    timeout = deadline - time.perf_counter()
-                    try:
-                        item = self._queue.get(timeout=max(timeout, 0.0)) if timeout > 0 else self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if item is _SENTINEL:
-                        self._queue.put(_SENTINEL)
-                        break
-                    batch.append(item)
+                batch, stop = self._fill(first)
                 if self._abandon:
                     self._fail_batch(batch, ServiceClosed("service closed before the request ran"))
                     continue
                 try:
-                    self._process_batch(batch)
+                    self._predict_groups(batch)
                 except BaseException as error:
                     self._fail_batch(batch, error)
                     raise
@@ -418,13 +387,13 @@ class ScreeningService:
                 ServiceClosed("service worker exited before the request ran")
             )
 
-    def _fail_batch(self, batch: list, error: BaseException) -> None:
-        """Fail every request of a batch (crash path; keeps the maps clean)."""
-        requests = [
-            item for item in batch if item is not _SENTINEL and not item.future.done()
-        ]
+    def _fail_batch(self, batch: list[_Request], error: BaseException) -> None:
+        """Fail every unanswered request of a batch (crash path)."""
+        self._fail_requests([request for request in batch if not request.future.done()], error)
+
+    def _fail_requests(self, requests: list[_Request], error: BaseException) -> None:
+        """Fail requests, dropping their pending entries so retries run afresh."""
         with self._lock:
-            self.stats.failures += len(requests)
             self._m_failures.inc(len(requests))
             for request in requests:
                 self._pending.pop(request.key, None)
@@ -440,10 +409,10 @@ class ScreeningService:
         leftovers: list[_Request] = []
         while True:
             try:
-                item = self._queue.get_nowait()
+                item = self._inbox.get_nowait()
             except queue.Empty:
                 break
-            if item is not _SENTINEL:
+            if item is not STOP:
                 leftovers.append(item)
         with self._lock:
             stale = [future for future in self._pending.values() if not future.done()]
@@ -453,44 +422,25 @@ class ScreeningService:
         for future in stale:
             _safe_resolve(future, error=error)
 
-    def _process_batch(self, batch: list[_Request]) -> None:
-        groups: dict[str, list[_Request]] = {}
-        for request in batch:
-            groups.setdefault(request.design_name, []).append(request)
-        for design_name, requests in groups.items():
-            try:
-                self._process_group(design_name, requests)
-            except Exception as error:  # noqa: BLE001 - forwarded to callers
-                with self._lock:
-                    self.stats.failures += len(requests)
-                    self._m_failures.inc(len(requests))
-                    for request in requests:
-                        self._pending.pop(request.key, None)
-                for request in requests:
-                    _safe_resolve(request.future, error=error)
-                _LOG.warning("batch for design %s failed: %s", design_name, error)
+    @staticmethod
+    def _materialise(request: _Request, predictor: NoisePredictor) -> VectorFeatures:
+        if isinstance(request.payload, VectorFeatures):
+            return request.payload
+        return extract_vector_features(
+            request.payload,
+            request.design,
+            compression_rate=predictor.compression_rate,
+            rate_step=predictor.rate_step,
+        )
 
-    def _process_group(self, design_name: str, requests: list[_Request]) -> None:
-        predictor = self._get_predictor(design_name)
-        features: list[VectorFeatures] = []
-        for request in requests:
-            if isinstance(request.payload, VectorFeatures):
-                features.append(request.payload)
-            else:
-                features.append(
-                    extract_vector_features(
-                        request.payload,
-                        request.design,
-                        compression_rate=predictor.compression_rate,
-                        rate_step=predictor.rate_step,
-                    )
-                )
-        results = predictor.predict_batch(features, max_batch=self.max_batch)
+    def _resolve_group(
+        self,
+        predictor: NoisePredictor,
+        requests: list[_Request],
+        results: list[PredictionResult],
+    ) -> None:
         finished = time.perf_counter()
         with self._lock:
-            self.stats.model_batches += 1
-            self.stats.batched_vectors += len(requests)
-            self.stats.max_batch_observed = max(self.stats.max_batch_observed, len(requests))
             self._m_model_batches.inc()
             self._m_batched_vectors.inc(len(requests))
             self._m_batch_size.set(len(requests))

@@ -48,7 +48,7 @@ class ScenarioJob:
         Design name understood by the sweep's design factory (and matching a
         registered checkpoint).
     scenario:
-        A family name from :func:`repro.workloads.scenarios.scenario_names`
+        A family name from :func:`repro.workloads.scenarios.scenario_families`
         or a :class:`~repro.workloads.specs.ScenarioSpec` — parameter
         variants and compositions screen exactly like named scenarios.
     num_steps / dt:

@@ -48,7 +48,6 @@ from repro.workloads.scenarios import (
     family_defaults,
     register_scenario_family,
     scenario_families,
-    scenario_names,
     validate_scenario,
 )
 from repro.workloads.dataset import (
@@ -85,7 +84,6 @@ __all__ = [
     "family_defaults",
     "register_scenario_family",
     "scenario_families",
-    "scenario_names",
     "validate_scenario",
     "DatasetSplit",
     "NoiseDataset",

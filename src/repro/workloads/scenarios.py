@@ -130,11 +130,6 @@ def scenario_families() -> tuple[str, ...]:
     return tuple(sorted(_FAMILIES))
 
 
-def scenario_names() -> tuple[str, ...]:
-    """Names of the available scenarios (legacy alias of :func:`scenario_families`)."""
-    return scenario_families()
-
-
 def family_defaults(name: str) -> dict:
     """The parameter defaults of one registered family."""
     if name not in _FAMILIES:
@@ -538,7 +533,7 @@ def build_scenario(
     Parameters
     ----------
     name:
-        One of :func:`scenario_names`.
+        One of :func:`scenario_families`.
     design:
         Target design.
     num_steps / dt:

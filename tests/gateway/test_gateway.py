@@ -17,6 +17,7 @@ from repro.gateway import (
     LoadShedError,
     ScreeningGateway,
 )
+from repro.sim.waveform import CurrentTrace
 
 
 def test_screen_matches_direct_prediction(make_gateway, tiny_design, tiny_features, expected_results, assert_noise_close):
@@ -156,6 +157,31 @@ def test_cancelled_request_is_skipped_not_served(
     # Draining close() proves the cancelled entry did not wedge the shard.
     gateway.close()
     assert cancelled.cancelled()
+
+
+def test_malformed_trace_fails_only_itself(
+    make_gateway, make_gated_predictor, tiny_design, tiny_predictor, tiny_traces,
+    expected_results, assert_noise_close
+):
+    gateway = make_gateway(num_shards=1)
+    gated = make_gated_predictor(tiny_predictor)
+    gateway.swap_checkpoint(tiny_design.name, gated, persist=False).result(timeout=5)
+    bad = CurrentTrace(tiny_traces[2].currents[:, :5], tiny_traces[2].dt, name="bad")
+
+    blocked = gateway.submit_async(tiny_traces[3], tiny_design)
+    assert gated.started.wait(5)
+    # All three queue behind the blocked batch and land in one design group.
+    good = [gateway.submit_async(trace, tiny_design) for trace in tiny_traces[:2]]
+    doomed = gateway.submit_async(bad, tiny_design)
+    gated.release.set()
+    assert_noise_close(blocked.result(timeout=10), expected_results[3])
+    with pytest.raises(ValueError, match="trace has 5 loads"):
+        doomed.result(timeout=10)
+    for future, expected in zip(good, expected_results[:2]):
+        assert_noise_close(future.result(timeout=10), expected)
+    # The two well-formed traces still shared one forward pass.
+    assert gated.calls == 2
+    assert gateway.metrics.counter("gateway.failures").value == 1
 
 
 def test_close_drains_backlog(make_gateway, tiny_design, tiny_features):

@@ -6,13 +6,27 @@ import numpy as np
 import pytest
 
 from repro.features.extraction import VectorFeatures, extract_vector_features
+from repro.obs.metrics import MetricsRegistry
 from repro.pdn.designs import make_design
 from repro.serving import ScreeningService, ServiceClosed
+from repro.sim.waveform import CurrentTrace
+
+
+def count(service, name):
+    """A ``serving.*`` counter of the service's (private) metrics registry."""
+    return service.metrics.counter(f"serving.{name}").value
+
+
+def max_batch_observed(service):
+    """Largest design group the service ran through one forward pass."""
+    return service.metrics.gauge("serving.batch_size").max
 
 
 @pytest.fixture()
 def service(registry):
-    with ScreeningService(registry, max_batch=8, max_wait=5e-3) as svc:
+    with ScreeningService(
+        registry, max_batch=8, max_wait=5e-3, metrics=MetricsRegistry()
+    ) as svc:
         yield svc
 
 
@@ -35,7 +49,9 @@ class TestScreeningCorrectness:
         # up, so the batch split is exact rather than a max_wait race.
         gated = make_gated_predictor(serving_predictor)
         registry.register(tiny_design.name, gated, persist=False)
-        with ScreeningService(registry, max_batch=8, max_wait=1e-3) as svc:
+        with ScreeningService(
+            registry, max_batch=8, max_wait=1e-3, metrics=MetricsRegistry()
+        ) as svc:
             blocker = svc.submit_async(tiny_traces[0], tiny_design)
             assert gated.started.wait(5)
             futures = [svc.submit_async(trace, tiny_design) for trace in tiny_traces[1:]]
@@ -43,11 +59,10 @@ class TestScreeningCorrectness:
             blocker.result(timeout=10)
             for future in futures:
                 future.result(timeout=10)
-        stats = svc.stats
-        assert stats.batched_vectors == len(tiny_traces)
+        assert count(svc, "batched_vectors") == len(tiny_traces)
         # blocker alone, then the 9 queued requests as ceil(9/8) batches.
-        assert stats.model_batches == 3
-        assert stats.max_batch_observed == 8
+        assert count(svc, "model_batches") == 3
+        assert max_batch_observed(svc) == 8
 
     def test_features_payload_with_design_name(
         self, service, serving_predictor, tiny_design, tiny_traces
@@ -67,11 +82,11 @@ class TestResultCache:
         self, service, tiny_design, tiny_traces
     ):
         first = service.screen(tiny_traces, tiny_design)
-        vectors_after_first = service.stats.batched_vectors
+        vectors_after_first = count(service, "batched_vectors")
         second = service.screen(tiny_traces, tiny_design)
         # No additional forward passes ran ...
-        assert service.stats.batched_vectors == vectors_after_first
-        assert service.stats.cache_hits == len(tiny_traces)
+        assert count(service, "batched_vectors") == vectors_after_first
+        assert count(service, "cache_hits") == len(tiny_traces)
         # ... and the cached maps are bit-identical.
         for a, b in zip(first, second):
             assert np.array_equal(a.noise_map, b.noise_map)
@@ -81,7 +96,7 @@ class TestResultCache:
         service.submit(trace, tiny_design)
         renamed = dataclasses.replace(trace, name="release-candidate-7")
         result = service.submit(renamed, tiny_design)
-        assert service.stats.cache_hits == 1
+        assert count(service, "cache_hits") == 1
         # The hit reports the submitter's vector name, not the twin's.
         assert result.name == "release-candidate-7"
 
@@ -109,24 +124,26 @@ class TestResultCache:
         second = service.submit(poisoned, tiny_design.name)
         assert not np.all(np.isfinite(first.noise_map))
         assert not np.all(np.isfinite(second.noise_map))
-        assert service.stats.cache_hits == 0
-        assert service.stats.batched_vectors == 2
+        assert count(service, "cache_hits") == 0
+        assert count(service, "batched_vectors") == 2
 
     def test_concurrent_duplicates_coalesce(
         self, registry, serving_predictor, make_gated_predictor, tiny_design, tiny_traces
     ):
         gated = make_gated_predictor(serving_predictor)
         registry.register(tiny_design.name, gated, persist=False)
-        with ScreeningService(registry, max_batch=8, max_wait=1e-3) as svc:
+        with ScreeningService(
+            registry, max_batch=8, max_wait=1e-3, metrics=MetricsRegistry()
+        ) as svc:
             twin = dataclasses.replace(tiny_traces[0], name="twin")
             first = svc.submit_async(tiny_traces[0], tiny_design)
             assert gated.started.wait(5)  # the primary is provably in flight
             second = svc.submit_async(twin, tiny_design)
-            assert svc.stats.coalesced == 1
+            assert count(svc, "coalesced") == 1
             gated.release.set()
             primary, follower = first.result(timeout=10), second.result(timeout=10)
             # One forward pass, but each caller owns a private result.
-            assert svc.stats.batched_vectors == 1
+            assert count(svc, "batched_vectors") == 1
             np.testing.assert_array_equal(primary.noise_map, follower.noise_map)
             assert follower.noise_map is not primary.noise_map
             assert follower.name == "twin"
@@ -136,7 +153,9 @@ class TestResultCache:
     ):
         gated = make_gated_predictor(serving_predictor)
         registry.register(tiny_design.name, gated, persist=False)
-        with ScreeningService(registry, max_batch=8, max_wait=1e-3) as svc:
+        with ScreeningService(
+            registry, max_batch=8, max_wait=1e-3, metrics=MetricsRegistry()
+        ) as svc:
             blocker = svc.submit_async(tiny_traces[3], tiny_design)
             assert gated.started.wait(5)
             # These three queue behind the blocked batch and land together.
@@ -146,14 +165,16 @@ class TestResultCache:
             blocker.result(timeout=10)
             survivors = [future.result(timeout=10) for future in futures[1:]]
         assert len(survivors) == 2
-        assert svc.stats.failures == 0
+        assert count(svc, "failures") == 0
 
     def test_new_submitter_not_coalesced_onto_cancelled_future(
         self, registry, serving_predictor, make_gated_predictor, tiny_design, tiny_traces
     ):
         gated = make_gated_predictor(serving_predictor)
         registry.register(tiny_design.name, gated, persist=False)
-        with ScreeningService(registry, max_batch=8, max_wait=1e-3) as svc:
+        with ScreeningService(
+            registry, max_batch=8, max_wait=1e-3, metrics=MetricsRegistry()
+        ) as svc:
             blocker = svc.submit_async(tiny_traces[1], tiny_design)
             assert gated.started.wait(5)
             doomed = svc.submit_async(tiny_traces[0], tiny_design)
@@ -161,7 +182,7 @@ class TestResultCache:
             # An innocent later submitter of the same vector must get a fresh
             # request, not inherit the cancellation.
             fresh = svc.submit_async(tiny_traces[0], tiny_design)
-            assert svc.stats.coalesced == 0
+            assert count(svc, "coalesced") == 0
             gated.release.set()
             blocker.result(timeout=10)
             result = fresh.result(timeout=10)
@@ -187,7 +208,7 @@ class TestCloseSemantics:
 
         gated = make_gated_predictor(serving_predictor)
         registry.register(tiny_design.name, gated, persist=False)
-        svc = ScreeningService(registry, max_batch=1, max_wait=1e-3)
+        svc = ScreeningService(registry, max_batch=1, max_wait=1e-3, metrics=MetricsRegistry())
         blocker = svc.submit_async(tiny_traces[0], tiny_design)
         assert gated.started.wait(5)
         queued = [svc.submit_async(trace, tiny_design) for trace in tiny_traces[1:3]]
@@ -203,7 +224,7 @@ class TestCloseSemantics:
         for future in queued:
             with pytest.raises(ServiceClosed):
                 future.result(timeout=0)
-        assert svc.stats.failures == len(queued)
+        assert count(svc, "failures") == len(queued)
 
     def test_close_with_drain_answers_queued_requests(
         self, registry, serving_predictor, make_gated_predictor, tiny_design, tiny_traces
@@ -265,17 +286,47 @@ class TestFailureIsolation:
     ):
         flaky = make_flaky_predictor(serving_predictor, [RuntimeError("transient GPU error")])
         registry.register(tiny_design.name, flaky, persist=False)
-        with ScreeningService(registry, max_batch=4, max_wait=1e-3) as svc:
+        with ScreeningService(
+            registry, max_batch=4, max_wait=1e-3, metrics=MetricsRegistry()
+        ) as svc:
             with pytest.raises(RuntimeError, match="transient GPU error"):
                 svc.submit(tiny_traces[0], tiny_design)
-            assert svc.stats.failures == 1
+            assert count(svc, "failures") == 1
             # The identical resubmission gets a FRESH attempt: the failed
             # in-flight entry was cleaned up, so nothing coalesces onto the
             # dead future and the retry reaches the recovered predictor.
             result = svc.submit(tiny_traces[0], tiny_design)
-            assert svc.stats.coalesced == 0
+            assert count(svc, "coalesced") == 0
             assert result.noise_map.shape == tiny_design.tile_grid.shape
         assert flaky.calls == 2
+
+
+    def test_malformed_trace_fails_only_itself(
+        self, registry, serving_predictor, make_gated_predictor, tiny_design, tiny_traces
+    ):
+        gated = make_gated_predictor(serving_predictor)
+        registry.register(tiny_design.name, gated, persist=False)
+        bad = CurrentTrace(tiny_traces[2].currents[:, :5], tiny_traces[2].dt, name="bad")
+        with ScreeningService(
+            registry, max_batch=8, max_wait=1e-3, metrics=MetricsRegistry()
+        ) as svc:
+            blocker = svc.submit_async(tiny_traces[3], tiny_design)
+            assert gated.started.wait(5)
+            # All three queue behind the blocked batch and land in one group.
+            good = [svc.submit_async(trace, tiny_design) for trace in tiny_traces[:2]]
+            doomed = svc.submit_async(bad, tiny_design)
+            gated.release.set()
+            blocker.result(timeout=10)
+            with pytest.raises(ValueError, match="trace has 5 loads"):
+                doomed.result(timeout=10)
+            results = [future.result(timeout=10) for future in good]
+        for trace, result in zip(tiny_traces[:2], results):
+            expected = serving_predictor.predict_trace(trace, tiny_design)
+            np.testing.assert_allclose(result.noise_map, expected.noise_map, rtol=1e-10)
+        # The two well-formed traces still shared one forward pass.
+        assert gated.calls == 2
+        assert count(svc, "batched_vectors") == 3
+        assert count(svc, "failures") == 1
 
 
 class TestHotSwapWhileInFlight:
@@ -287,7 +338,9 @@ class TestHotSwapWhileInFlight:
     ):
         gated = make_gated_predictor(serving_predictor)
         registry.register(tiny_design.name, gated, persist=False)
-        with ScreeningService(registry, max_batch=1, max_wait=1e-3) as svc:
+        with ScreeningService(
+            registry, max_batch=1, max_wait=1e-3, metrics=MetricsRegistry()
+        ) as svc:
             in_flight = svc.submit_async(tiny_traces[0], tiny_design)
             assert gated.started.wait(5)  # old checkpoint provably mid-batch
             registry.register(tiny_design.name, alt_predictor, persist=False)
@@ -307,7 +360,7 @@ class TestHotSwapWhileInFlight:
             # ...and old-fingerprint cache entries no longer match: the same
             # vector resubmitted is recomputed under the new fingerprint.
             recomputed = svc.submit(tiny_traces[0], tiny_design)
-            assert svc.stats.cache_hits == 0
+            assert count(svc, "cache_hits") == 0
             np.testing.assert_allclose(
                 recomputed.noise_map,
                 alt_predictor.predict_trace(tiny_traces[0], tiny_design).noise_map,
@@ -316,7 +369,7 @@ class TestHotSwapWhileInFlight:
             assert not np.allclose(recomputed.noise_map, old.noise_map)
             # The new-fingerprint entry it just stored does hit.
             svc.submit(tiny_traces[0], tiny_design)
-            assert svc.stats.cache_hits == 1
+            assert count(svc, "cache_hits") == 1
 
 
 class TestServiceLifecycleAndErrors:
@@ -333,7 +386,7 @@ class TestServiceLifecycleAndErrors:
         bad = VectorFeatures(current_maps=rng.random((4, 5, 5)), name="wrong-shape")
         with pytest.raises(Exception):
             service.submit(bad, tiny_design.name)
-        assert service.stats.failures == 1
+        assert count(service, "failures") == 1
 
     def test_submit_after_close_rejected(self, registry, tiny_design, tiny_traces):
         service = ScreeningService(registry, max_batch=4)
@@ -359,7 +412,11 @@ class TestMultiDesignGrouping:
         gated = make_gated_predictor(serving_predictor)
         registry.register(tiny_design.name, gated, persist=False)
 
-        with ScreeningService(registry, max_batch=16, max_wait=1e-3) as svc:
+        with ScreeningService(
+
+            registry, max_batch=16, max_wait=1e-3, metrics=MetricsRegistry()
+
+        ) as svc:
             blocker = svc.submit_async(tiny_traces[6], tiny_design)
             assert gated.started.wait(5)
             # Six requests across two designs queue behind the blocked batch
@@ -373,7 +430,7 @@ class TestMultiDesignGrouping:
             blocker.result(timeout=10)
             results = [future.result(timeout=10) for future in futures]
         assert len(results) == 6
-        assert svc.stats.batched_vectors == 7
+        assert count(svc, "batched_vectors") == 7
         # One blocker batch, then exactly two per-design groups.
-        assert svc.stats.model_batches == 3
-        assert svc.stats.max_batch_observed == 3
+        assert count(svc, "model_batches") == 3
+        assert max_batch_observed(svc) == 3

@@ -5,7 +5,7 @@ import pytest
 
 from repro.pdn import small_test_design
 from repro.serving import ScenarioJob, default_design_factory, screen_scenarios
-from repro.workloads.scenarios import scenario_names
+from repro.workloads.scenarios import scenario_families
 
 
 def _tiny_factory(name: str):
@@ -17,7 +17,7 @@ def _tiny_factory(name: str):
 def sweep_jobs(tiny_design):
     return [
         ScenarioJob(design=tiny_design.name, scenario=name, num_steps=60)
-        for name in scenario_names()[:3]
+        for name in scenario_families()[:3]
     ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.random import ensure_rng
-from repro.workloads.scenarios import build_scenario, build_scenario_trace, scenario_names
+from repro.workloads.scenarios import build_scenario, build_scenario_trace, scenario_families
 
 
 def _legacy_reference(name, design, num_steps, dt, seed):
@@ -53,7 +53,7 @@ def _legacy_reference(name, design, num_steps, dt, seed):
 
 class TestScenarioNames:
     def test_expected_scenarios_present(self):
-        names = scenario_names()
+        names = scenario_families()
         assert "power_virus" in names
         assert "idle_to_turbo" in names
         assert "steady_state" in names
