@@ -19,10 +19,27 @@ the output layer has a single kernel and no activation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
-from repro.nn import Conv2d, ConvTranspose2d, Module, ReLU, Sequential, Tensor, cat
+from repro.nn import Conv2d, ConvTranspose2d, Module, ReLU, Sequential, Tensor, as_tensor, cat
+from repro.nn.conv import (
+    conv2d_padded,
+    fill_halo,
+    halo_workspace,
+    pad_workspace,
+    subpixel_phases,
+    subpixel_plan,
+    write_phases,
+)
+from repro.nn.kernels import release_workspace
+from repro.nn.tensor import grad_enabled
 from repro.utils.random import ensure_rng
+
+#: Byte budget of one inference block of the fusion subnet: the bytes its
+#: widest activation (the decoder's hidden maps with their one-pixel halo)
+#: may take.  1.5 MiB keeps a block's working set near a 2 MiB L2 cache; a
+#: float32 map is half the bytes, so a float32 block holds twice the maps.
+FUSION_BLOCK_BYTES = 3 << 19
 
 
 def _conv(in_channels: int, out_channels: int, kernel: int, stride: int, seed) -> Conv2d:
@@ -43,13 +60,6 @@ def _deconv(in_channels: int, out_channels: int, seed) -> ConvTranspose2d:
     return ConvTranspose2d(
         in_channels, out_channels, kernel_size=4, stride=2, padding=1, seed=seed
     )
-
-
-def _crop_to(x: Tensor, height: int, width: int) -> Tensor:
-    """Crop the spatial dims of an NCHW tensor (upsampled maps can overshoot by one)."""
-    if x.shape[2] == height and x.shape[3] == width:
-        return x
-    return x[:, :, :height, :width]
 
 
 class EncoderDecoder(Module):
@@ -125,8 +135,9 @@ class EncoderDecoder(Module):
         skips.pop()
         for up, refine in zip(self._up_samplers, self._up_refiners):
             skip = skips.pop()
-            upsampled = up(features).relu()
-            upsampled = _crop_to(upsampled, skip.shape[2], skip.shape[3])
+            # Upsampled maps can overshoot an odd skip size by one; the
+            # deconv never computes the overshoot.
+            upsampled = up(features, output_size=skip.shape[2:]).relu()
             features = refine(cat([upsampled, skip], axis=1))
         return self.output_conv(features)
 
@@ -168,6 +179,10 @@ class CurrentFusionNet(Module):
     independently (the stamps are treated as a batch, so the subnet handles
     vectors of any length with shared weights).  The input has one channel;
     the output is again a single-channel map per stamp.
+
+    Under ``no_grad`` the stamps run in blocks of :meth:`block_size` maps
+    (see :meth:`_forward_blocks`); with a recorded graph they run as one
+    batch through the layers.  Both give the same maps to the bit.
     """
 
     def __init__(self, hidden_channels: int = 8, kernel_size: int = 3, seed: int = 0):
@@ -182,17 +197,95 @@ class CurrentFusionNet(Module):
         self.decoder_up = _deconv(hidden_channels, hidden_channels, rng)
         self.decoder_out = _conv(hidden_channels, 1, kernel_size, 1, rng)
 
+    def block_size(self, height: int, width: int, dtype) -> int:
+        """Maps per inference block (at least one) under :data:`FUSION_BLOCK_BYTES`.
+
+        The budget is divided by one map's widest activation: the decoder's
+        hidden maps with their halo, at ``dtype``'s item size.
+        """
+        head = self.decoder_out
+        per_map = (
+            head.in_channels
+            * (height + 2 * head.padding)
+            * (width + 2 * head.padding)
+            * np.dtype(dtype).itemsize
+        )
+        return max(1, FUSION_BLOCK_BYTES // per_map)
+
     def forward(self, current_maps: Tensor) -> Tensor:
         """Map per-stamp maps ``(T, 1, m, n)`` to per-stamp responses ``(T, 1, m, n)``."""
+        current_maps = as_tensor(current_maps)
         if current_maps.ndim != 4 or current_maps.shape[1] != 1:
             raise ValueError(
                 f"current maps must have shape (T, 1, m, n), got {current_maps.shape}"
             )
+        if not grad_enabled():
+            return Tensor(self._forward_blocks(current_maps.data))
         height, width = current_maps.shape[2], current_maps.shape[3]
         encoded = self.encoder(current_maps)
-        upsampled = self.decoder_up(encoded).relu()
-        upsampled = _crop_to(upsampled, height, width)
+        upsampled = self.decoder_up(encoded, output_size=(height, width)).relu()
         return self.decoder_out(upsampled)
+
+    def _forward_blocks(self, maps: np.ndarray) -> np.ndarray:
+        """The inference forward, one cache-sized block of stamps at a time.
+
+        Every op works per map (a batched GEMM runs one GEMM per item), so
+        blocking changes no sum.  Within a block each activation carries its
+        halo: the producer writes bias and ReLU straight into the interior
+        of the next layer's pooled pre-padded workspace and only the ring is
+        filled — edge copies ahead of a convolution, zeros ahead of the
+        deconvolution, whose bias and ReLU go onto its own phase array
+        before the phases land in place.  The workspaces are handed back
+        after each block, so the next block reuses the same cache-warm
+        buffers.
+        """
+        down, _, refine, _ = self.encoder
+        up, head = self.decoder_up, self.decoder_out
+        total, _, height, width = maps.shape
+        dtype = np.result_type(maps, *(parameter.data for parameter in self.parameters()))
+        output = np.empty((total, head.out_channels, height, width), dtype=dtype)
+        head_halo = (head.padding,) * 4
+        step = self.block_size(height, width, dtype)
+        for start in range(0, total, step):
+            stamps = slice(start, start + step)
+            padded = pad_workspace(maps[stamps], (down.padding,) * 4, down.padding_mode)
+            hidden = _relu_into_halo(
+                conv2d_padded(padded, down.weight.data, down.stride),
+                down.bias.data,
+                (refine.padding,) * 4,
+                refine.padding_mode,
+            )
+            release_workspace(padded)
+            encoded = conv2d_padded(hidden, refine.weight.data, refine.stride)
+            release_workspace(hidden)
+            offsets, taps, pads, _ = subpixel_plan(
+                encoded.shape, up.kernel_size, up.stride, up.padding, (height, width)
+            )
+            hidden = _relu_into_halo(encoded, refine.bias.data, pads, "zeros")
+            phases = subpixel_phases(hidden, up.weight.data, taps)  # (n, s, s, C, P, Q)
+            release_workspace(hidden)
+            phases += up.bias.data.reshape(1, 1, 1, -1, 1, 1)
+            np.maximum(phases, 0, out=phases)
+            hidden, interior = halo_workspace(
+                (phases.shape[0], phases.shape[3], height, width), head_halo, dtype
+            )
+            write_phases(phases, offsets, interior)
+            fill_halo(hidden, head_halo, head.padding_mode)
+            block = conv2d_padded(hidden, head.weight.data, head.stride, out=output[stamps])
+            release_workspace(hidden)
+            block += head.bias.data.reshape(1, -1, 1, 1)
+        return output
+
+
+def _relu_into_halo(
+    raw: np.ndarray, bias: np.ndarray, pads: tuple[int, int, int, int], mode: str
+) -> np.ndarray:
+    """``relu(raw + bias)`` written into a pooled pre-padded workspace, ring filled."""
+    buffer, interior = halo_workspace(raw.shape, pads, raw.dtype)
+    np.add(raw, bias.reshape(1, -1, 1, 1), out=interior)
+    np.maximum(interior, 0, out=interior)
+    fill_halo(buffer, pads, mode)
+    return buffer
 
 
 class NoisePredictionNet(Module):

@@ -10,12 +10,13 @@ layer k×k-expands only the *narrower* of its two channel sides:
 * a strided convolution, or one with at least as many output as input
   channels, unfolds the input and multiplies (the textbook im2col form);
 * a stride-1 convolution with fewer output than input channels multiplies
-  first, against flipped-tap weights, and folds the narrow result with a
-  stride-1 ``col2im``;
+  first, against flipped-tap weights, and sums the shifted tap planes over
+  the valid centre only (the centre of a stride-1 ``col2im`` fold);
 * a transposed convolution is the sub-pixel (stride-phase) form: one
   ``im2col`` of small windows over the zero-padded input, one GEMM against
   per-phase weights, one interleaving write of the ``stride**2`` output
-  phases — no scatter-add and no zero-filled target.
+  phases — no scatter-add and no zero-filled target.  An ``output_size``
+  crop writes only the phases that land inside it.
 
 Backward follows the same rule.  A stride-1 convolution with ``C_out <=
 C_in`` unfolds its output gradient once, with the flipped kernel, and gets
@@ -23,6 +24,11 @@ both its weight and input gradients from that one buffer; other
 convolutions fold the input gradient with ``col2im``, and a transposed
 convolution unfolds its output gradient.  ``docs/kernels.md`` ("Which side
 a convolution unfolds") has the tap tables and the measured effect.
+
+Padding is a halo: :func:`pad_input` writes the input by slices into the
+interior of a pooled pre-padded workspace and :func:`fill_halo` fills only
+the ring.  An inference producer (see ``CurrentFusionNet``) can write its
+output straight into such an interior and skip the copy.
 
 Array layout is NCHW throughout.
 """
@@ -48,15 +54,68 @@ PADDING_MODES = ("zeros", "replicate")
 # workspace is recycled during backward).
 
 
+def fill_halo(buffer: np.ndarray, pads: tuple[int, int, int, int], mode: str) -> None:
+    """Fill the ring of a pre-padded NCHW buffer whose interior is already written.
+
+    ``pads`` is ``(top, bottom, left, right)``.  ``"replicate"`` copies the
+    interior's edge rows and columns outward (corners included, as
+    ``np.pad(mode="edge")`` does); ``"zeros"`` zeroes the ring.  Only the
+    ring is written, so a producer can write its output straight into the
+    interior and hand the buffer to the next convolution without a copy.
+    """
+    top, bottom, left, right = pads
+    height, width = buffer.shape[2], buffer.shape[3]
+    rows = slice(top, height - bottom)
+    if mode == "zeros":
+        buffer[:, :, :top] = 0
+        buffer[:, :, height - bottom :] = 0
+        buffer[:, :, rows, :left] = 0
+        buffer[:, :, rows, width - right :] = 0
+    elif mode == "replicate":
+        buffer[:, :, rows, :left] = buffer[:, :, rows, left : left + 1]
+        buffer[:, :, rows, width - right :] = buffer[:, :, rows, width - right - 1 : width - right]
+        buffer[:, :, :top] = buffer[:, :, top : top + 1]
+        buffer[:, :, height - bottom :] = buffer[:, :, height - bottom - 1 : height - bottom]
+    else:
+        raise ValueError(f"unknown padding mode {mode!r}; expected one of {PADDING_MODES}")
+
+
+def halo_workspace(
+    shape: tuple[int, int, int, int], pads: tuple[int, int, int, int], dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """A pooled pre-padded buffer for ``shape`` maps and a view of its interior.
+
+    The caller writes the interior, fills the ring with :func:`fill_halo`
+    and releases the buffer with :func:`release_workspace` when done.
+    """
+    top, bottom, left, right = pads
+    batch, channels, height, width = shape
+    buffer = take_workspace(
+        (batch, channels, top + height + bottom, left + width + right), dtype=dtype
+    )
+    return buffer, buffer[:, :, top : top + height, left : left + width]
+
+
+def pad_workspace(x: np.ndarray, pads: tuple[int, int, int, int], mode: str) -> np.ndarray:
+    """``x`` written by slices into a pooled pre-padded buffer, ring filled."""
+    buffer, interior = halo_workspace(x.shape, pads, x.dtype)
+    interior[...] = x
+    fill_halo(buffer, pads, mode)
+    return buffer
+
+
 def pad_input(x: np.ndarray, padding: int, mode: str) -> np.ndarray:
-    """Pad the two spatial axes of an NCHW array."""
+    """Pad the two spatial axes of an NCHW array.
+
+    With ``padding > 0`` the result is a pooled workspace (``x`` written into
+    its interior, the ring filled by :func:`fill_halo`) that the caller may
+    hand back with :func:`release_workspace`; ``padding == 0`` returns ``x``.
+    """
     if padding == 0:
         return x
-    if mode == "zeros":
-        return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    if mode == "replicate":
-        return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="edge")
-    raise ValueError(f"unknown padding mode {mode!r}; expected one of {PADDING_MODES}")
+    if mode not in PADDING_MODES:
+        raise ValueError(f"unknown padding mode {mode!r}; expected one of {PADDING_MODES}")
+    return pad_workspace(x, (padding,) * 4, mode)
 
 
 def unpad_gradient(grad_padded: np.ndarray, padding: int, mode: str) -> np.ndarray:
@@ -155,23 +214,69 @@ def _flipped_taps(weight: np.ndarray) -> np.ndarray:
     )
 
 
-def _conv_fold_first(x_padded: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def _conv_fold_first(
+    x_padded: np.ndarray, weight: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Stride-1 convolution that expands its (narrow) output side.
 
     GEMM the padded input against :func:`_flipped_taps` to get every output
-    channel's ``k*k`` tap responses at every padded position, then fold them
-    with a stride-1 :func:`col2im`.  The fold's image is ``k - 1`` larger
-    than the input on each side; its centre is the valid convolution.
+    channel's ``k*k`` tap responses at every padded position, then sum the
+    shifted tap planes over the valid centre only — the centre of a
+    stride-1 :func:`col2im` fold, added in the fold's tap order, so the sums
+    are the fold's to the bit.  ``out`` (e.g. a slice of a larger result)
+    receives the sum when given.
     """
     out_channels, in_channels, kernel, _ = weight.shape
     batch, _, height, width = x_padded.shape
+    out_h, out_w = height - kernel + 1, width - kernel + 1
     responses = kernels.matmul(
         _flipped_taps(weight), x_padded.reshape(batch, in_channels, height * width)
-    )
-    image = col2im(
-        responses, (batch, out_channels, height + kernel - 1, width + kernel - 1), kernel, 1
-    )
-    return np.ascontiguousarray(image[:, :, kernel - 1 : height, kernel - 1 : width])
+    ).reshape(batch, out_channels, kernel, kernel, height, width)
+    if out is None:
+        out = np.empty((batch, out_channels, out_h, out_w), dtype=responses.dtype)
+    for row in range(kernel):
+        rows = slice(kernel - 1 - row, kernel - 1 - row + out_h)
+        for col in range(kernel):
+            tap = responses[:, :, row, col, rows, kernel - 1 - col : kernel - 1 - col + out_w]
+            if row == col == 0:
+                np.copyto(out, tap)
+            else:
+                out += tap
+    return out
+
+
+def _conv_unfold_first(x_padded: np.ndarray, weight: np.ndarray, stride: int):
+    """The textbook im2col form: ``(output, columns)``; the caller owns the columns."""
+    out_channels, _, kernel, _ = weight.shape
+    batch, _, height, width = x_padded.shape
+    columns = _unfold(x_padded, kernel, stride)
+    # matmul broadcasts (O, F) @ (N, F, P) -> (N, O, P) straight into
+    # batched GEMM; unlike einsum there is no per-call path search, which
+    # matters when serving many small maps.
+    output = kernels.matmul(weight.reshape(out_channels, -1), columns)
+    out_h = (height - kernel) // stride + 1
+    out_w = (width - kernel) // stride + 1
+    return output.reshape(batch, out_channels, out_h, out_w), columns
+
+
+def conv2d_padded(
+    x_padded: np.ndarray, weight: np.ndarray, stride: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Bias-free convolution of an already padded array, for inference.
+
+    Picks the same form as :class:`Conv2dFunction` (fold-first for stride-1
+    layers with ``C_out < C_in``, unfold-first otherwise), so its sums are
+    the layer's to the bit.  ``out`` receives the result when given.
+    """
+    out_channels, in_channels, _, _ = weight.shape
+    if stride == 1 and out_channels < in_channels:
+        return _conv_fold_first(x_padded, weight, out)
+    output, columns = _conv_unfold_first(x_padded, weight, stride)
+    release_workspace(columns)
+    if out is None:
+        return output
+    np.copyto(out, output)
+    return out
 
 
 def _mirrored_gradients(
@@ -188,7 +293,10 @@ def _mirrored_gradients(
     """
     out_channels, in_channels, kernel, _ = weight.shape
     batch = grad.shape[0]
-    columns = _unfold(pad_input(grad, kernel - 1, "zeros"), kernel, 1)  # (N, O*k*k, Hp*Wp)
+    grad_full = pad_input(grad, kernel - 1, "zeros")
+    columns = _unfold(grad_full, kernel, 1)  # (N, O*k*k, Hp*Wp)
+    if kernel > 1:
+        release_workspace(grad_full)
     # (N, O*k*k, P) x (N, P, C) batched GEMM summed over the batch, then the
     # taps flipped back into the (O, C, k, k) layout.
     flipped = kernels.matmul(
@@ -222,34 +330,32 @@ class Conv2dFunction(Function):
         padding: int = 0,
         padding_mode: str = "zeros",
     ) -> np.ndarray:
-        out_channels, in_channels, kernel, _ = weight.shape
+        out_channels, in_channels, _, _ = weight.shape
         if x.ndim != 4 or x.shape[1] != in_channels:
             raise ValueError(
                 f"input shape {x.shape} incompatible with weight shape {weight.shape}"
             )
+        recording = grad_enabled()
         x_padded = pad_input(x, padding, padding_mode)
         mirrored = stride == 1 and out_channels <= in_channels
         columns = None
         if stride == 1 and out_channels < in_channels:
             output = _conv_fold_first(x_padded, weight)
         else:
-            out_h = conv_output_size(x.shape[2], kernel, stride, padding)
-            out_w = conv_output_size(x.shape[3], kernel, stride, padding)
-            columns = _unfold(x_padded, kernel, stride)
-            # matmul broadcasts (O, F) @ (N, F, P) -> (N, O, P) straight into
-            # batched GEMM; unlike einsum there is no per-call path search,
-            # which matters when serving many small maps.
-            output = kernels.matmul(weight.reshape(out_channels, -1), columns)
-            output = output.reshape(x.shape[0], out_channels, out_h, out_w)
-            if mirrored or not grad_enabled():
+            output, columns = _conv_unfold_first(x_padded, weight, stride)
+            if mirrored or not recording:
                 # The unfolded columns are by far the largest forward buffer
                 # and only the col2im backward needs them, so inference
                 # (no_grad) and mirrored layers hand them straight back.
                 release_workspace(columns)
         if bias is not None:
             output += bias.reshape(1, -1, 1, 1)
-        if grad_enabled():
+        if recording:
             ctx.save(x_padded if mirrored else columns, weight, x_padded.shape)
+        if padding and not (mirrored and recording):
+            # A padded input is a pooled workspace: a recording mirrored
+            # layer owns it until its backward pass; everyone else is done.
+            release_workspace(x_padded)
         ctx.attrs.update(
             stride=stride,
             padding=padding,
@@ -284,6 +390,9 @@ class Conv2dFunction(Function):
 
         if stride == 1 and out_channels <= in_channels:
             grad_weight, grad_padded = _mirrored_gradients(grad, saved, weight, needs_input)
+            if padding:
+                release_workspace(saved)
+            del saved
         else:
             columns = saved
             # (N, O, P) x (N, P, F) batched GEMM summed over the batch — same
@@ -351,12 +460,85 @@ def _subpixel_weights(weight: np.ndarray, taps: np.ndarray) -> np.ndarray:
     )
 
 
+def subpixel_plan(
+    input_shape: tuple[int, ...],
+    kernel: int,
+    stride: int,
+    padding: int,
+    output_size: Optional[tuple[int, int]] = None,
+) -> tuple[list[int], np.ndarray, tuple[int, int, int, int], tuple[int, int]]:
+    """Geometry of a sub-pixel transposed convolution of ``(N, C, H, W)`` maps.
+
+    ``output_size`` ``(OH, OW)`` crops the natural output
+    (:func:`conv_transpose_output_size`) to its top-left ``OH x OW``
+    corner; it must lie between 1 and the natural size.  Returns the window
+    offsets and tap table of :func:`_subpixel_taps`, the ``(top, bottom,
+    left, right)`` zero padding the input needs for every kept phase
+    window to exist, and the output size.
+    """
+    in_h, in_w = input_shape[2], input_shape[3]
+    natural = (
+        conv_transpose_output_size(in_h, kernel, stride, padding),
+        conv_transpose_output_size(in_w, kernel, stride, padding),
+    )
+    out_h, out_w = natural if output_size is None else (int(output_size[0]), int(output_size[1]))
+    if not (1 <= out_h <= natural[0] and 1 <= out_w <= natural[1]):
+        raise ValueError(
+            f"output_size {output_size} must lie between 1 and the natural size {natural}"
+        )
+    offsets, taps = _subpixel_taps(kernel, stride, padding)
+    front = taps.shape[1] - 1
+    # Pad behind far enough that every phase's last kept window exists.
+    pad_h = max(0, max(offsets) + -(-out_h // stride) - in_h)
+    pad_w = max(0, max(offsets) + -(-out_w // stride) - in_w)
+    return offsets, taps, (front, pad_h, front, pad_w), (out_h, out_w)
+
+
+def subpixel_phases(x_padded: np.ndarray, weight: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Every output phase of a transposed convolution over its zero-padded input.
+
+    One unfold of ``window``-wide stride-1 windows and one GEMM against
+    :func:`_subpixel_weights`; returns ``(N, s, s, C_out, P, Q)``, phase
+    ``(row, col)`` of output pixel ``(q * s + row, r * s + col)`` at
+    ``[:, row, col, :, q + offsets[row], r + offsets[col]]``.  The array is
+    a fresh GEMM result the caller owns (bias and activation may go in place).
+    """
+    stride, window = taps.shape
+    batch, _, height, width = x_padded.shape
+    columns = _unfold(x_padded, window, 1)
+    phases = kernels.matmul(_subpixel_weights(weight, taps), columns)
+    release_workspace(columns)
+    return phases.reshape(
+        batch, stride, stride, weight.shape[1], height - window + 1, width - window + 1
+    )
+
+
+def write_phases(phase_maps: np.ndarray, offsets: list[int], out: np.ndarray) -> np.ndarray:
+    """Interleave :func:`subpixel_phases` into ``out`` ``(N, C_out, OH, OW)``.
+
+    Every output pixel belongs to exactly one phase, so ``out`` (a fresh
+    array or the interior of a pre-padded workspace) needs no zero fill, and
+    phases past ``OH x OW`` are never read.
+    """
+    stride = phase_maps.shape[1]
+    out_h, out_w = out.shape[2], out.shape[3]
+    for row in range(stride):
+        rows = slice(offsets[row], offsets[row] + len(range(row, out_h, stride)))
+        for col in range(stride):
+            cols = slice(offsets[col], offsets[col] + len(range(col, out_w, stride)))
+            out[:, :, row::stride, col::stride] = phase_maps[:, row, col, :, rows, cols]
+    return out
+
+
 class ConvTranspose2dFunction(Function):
     """2-D transposed convolution (NCHW), the adjoint of :class:`Conv2dFunction`.
 
     Weight layout follows the PyTorch convention ``(C_in, C_out, k, k)``.
     Only zero padding is supported, matching the paper's deconvolution layers.
-    The forward pass is the sub-pixel decomposition of :func:`_subpixel_taps`.
+    The forward pass is the sub-pixel decomposition of :func:`_subpixel_taps`;
+    ``output_size`` crops the output (see :func:`subpixel_plan`) by never
+    computing the phases outside it, and the backward pass zero-extends the
+    cropped gradient back to the natural size.
     """
 
     @staticmethod
@@ -367,6 +549,7 @@ class ConvTranspose2dFunction(Function):
         bias: Optional[np.ndarray] = None,
         stride: int = 1,
         padding: int = 0,
+        output_size: Optional[tuple[int, int]] = None,
     ) -> np.ndarray:
         in_channels, out_channels, kernel, _ = weight.shape
         if x.ndim != 4 or x.shape[1] != in_channels:
@@ -374,28 +557,14 @@ class ConvTranspose2dFunction(Function):
                 f"input shape {x.shape} incompatible with weight shape {weight.shape}"
             )
         batch, _, in_h, in_w = x.shape
-        out_h = conv_transpose_output_size(in_h, kernel, stride, padding)
-        out_w = conv_transpose_output_size(in_w, kernel, stride, padding)
-
-        offsets, taps = _subpixel_taps(kernel, stride, padding)
-        window = taps.shape[1]
-        # Pad behind far enough that every phase's last window exists.
-        pad_h = max(0, max(offsets) + -(-out_h // stride) - in_h)
-        pad_w = max(0, max(offsets) + -(-out_w // stride) - in_w)
-        x_padded = np.pad(x, ((0, 0), (0, 0), (window - 1, pad_h), (window - 1, pad_w)))
-        columns = _unfold(x_padded, window, 1)
-        phases = kernels.matmul(_subpixel_weights(weight, taps), columns)
-        release_workspace(columns)
-        phase_maps = phases.reshape(batch, stride, stride, out_channels, in_h + pad_h, in_w + pad_w)
-
-        # Every output pixel belongs to exactly one phase, so the target
-        # needs no zero fill.
-        output = np.empty((batch, out_channels, out_h, out_w), dtype=phases.dtype)
-        for row in range(stride):
-            rows = slice(offsets[row], offsets[row] + len(range(row, out_h, stride)))
-            for col in range(stride):
-                cols = slice(offsets[col], offsets[col] + len(range(col, out_w, stride)))
-                output[:, :, row::stride, col::stride] = phase_maps[:, row, col, :, rows, cols]
+        offsets, taps, pads, (out_h, out_w) = subpixel_plan(
+            x.shape, kernel, stride, padding, output_size
+        )
+        x_padded = pad_workspace(x, pads, "zeros")
+        phase_maps = subpixel_phases(x_padded, weight, taps)
+        release_workspace(x_padded)
+        output = np.empty((batch, out_channels, out_h, out_w), dtype=phase_maps.dtype)
+        write_phases(phase_maps, offsets, output)
         if bias is not None:
             output += bias.reshape(1, -1, 1, 1)
         if grad_enabled():
@@ -411,7 +580,16 @@ class ConvTranspose2dFunction(Function):
         stride = ctx.attrs["stride"]
         padding = ctx.attrs["padding"]
         in_channels, out_channels, kernel, _ = weight.shape
-        grad_columns = _unfold(pad_input(grad, padding, "zeros"), kernel, stride)  # (N, O*k*k, H*W)
+        in_h, in_w = ctx.attrs["input_shape"][2:]
+        # A cropped output's gradient is zero past the crop: pad it behind
+        # out to the natural size, so the unfold sees every input pixel.
+        extra_h = conv_transpose_output_size(in_h, kernel, stride, padding) - grad.shape[2]
+        extra_w = conv_transpose_output_size(in_w, kernel, stride, padding) - grad.shape[3]
+        grad_padded = pad_workspace(
+            grad, (padding, padding + extra_h, padding, padding + extra_w), "zeros"
+        )
+        grad_columns = _unfold(grad_padded, kernel, stride)  # (N, O*k*k, H*W)
+        release_workspace(grad_padded)
 
         weight_matrix = weight.reshape(in_channels, out_channels * kernel * kernel)
         needs = ctx.needs_input_grad
@@ -454,8 +632,14 @@ def conv_transpose2d(
     bias: Optional[Tensor] = None,
     stride: int = 1,
     padding: int = 0,
+    output_size: Optional[tuple[int, int]] = None,
 ) -> Tensor:
-    """Functional 2-D transposed convolution on :class:`Tensor` inputs."""
-    if bias is None:
-        return ConvTranspose2dFunction.apply(x, weight, stride=stride, padding=padding)
-    return ConvTranspose2dFunction.apply(x, weight, bias, stride=stride, padding=padding)
+    """Functional 2-D transposed convolution on :class:`Tensor` inputs.
+
+    ``output_size`` ``(OH, OW)``, at most the natural size, returns the
+    top-left crop of the output without computing what the crop drops.
+    """
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return ConvTranspose2dFunction.apply(
+        *inputs, stride=stride, padding=padding, output_size=output_size
+    )

@@ -243,9 +243,15 @@ class ConvTranspose2d(Module):
         )
         self.bias = Parameter(init.zeros((out_channels,))) if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, output_size: Optional[tuple[int, int]] = None) -> Tensor:
+        """Upsample ``x``; ``output_size`` crops to ``(OH, OW)`` (see :func:`conv_transpose2d`)."""
         return conv_transpose2d(
-            x, self.weight, self.bias, stride=self.stride, padding=self.padding
+            x,
+            self.weight,
+            self.bias,
+            stride=self.stride,
+            padding=self.padding,
+            output_size=output_size,
         )
 
 

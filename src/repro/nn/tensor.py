@@ -545,13 +545,17 @@ class Power(Function):
 
 
 class ReLU(Function):
-    """Rectified linear unit."""
+    """Rectified linear unit.
+
+    ``np.maximum`` into a fresh array: the input is never written (it may be
+    the caller's), NaN stays NaN, and only a recorded graph keeps the mask.
+    """
 
     @staticmethod
     def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
-        mask = a > 0
-        ctx.save(mask)
-        return a * mask
+        if grad_enabled():
+            ctx.save(a > 0)
+        return np.maximum(a, 0)
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):

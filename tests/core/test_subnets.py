@@ -1,15 +1,24 @@
 """Tests for repro.core.subnets."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.config import ModelConfig
+from repro.core import subnets
+from repro.core.model import WorstCaseNoiseNet
 from repro.core.subnets import (
     CurrentFusionNet,
     DistanceReductionNet,
     EncoderDecoder,
     NoisePredictionNet,
 )
-from repro.nn import Tensor
+from repro.nn import Tensor, kernels, no_grad
+
+PROPERTY_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True)
 
 
 class TestEncoderDecoder:
@@ -71,6 +80,81 @@ class TestCurrentFusionNet:
         network = CurrentFusionNet(seed=0)
         with pytest.raises(ValueError):
             network(Tensor(rng.random((3, 2, 8, 8))))
+
+
+def _fused(network, maps, blocked):
+    """Fusion output through the no_grad block loop, or through the layer graph."""
+    if blocked:
+        with no_grad():
+            return network(Tensor(maps)).data
+    return network(Tensor(maps)).data
+
+
+class TestFusionBlocking:
+    """The no_grad block loop against the unblocked layer graph, bit for bit."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        dtype=st.sampled_from(["float64", "float32"]),
+        edge=st.sampled_from([None, -1, 0, 1]),
+        height=st.integers(2, 9),
+        width=st.integers(2, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_blocked_equals_unblocked(self, dtype, edge, height, width, seed):
+        network = CurrentFusionNet(hidden_channels=3, seed=seed).astype(dtype)
+        block = network.block_size(height, width, dtype)
+        count = 1 if edge is None else block + edge  # 1, block - 1, block, block + 1
+        maps = np.random.default_rng(seed).standard_normal((count, 1, height, width)).astype(dtype)
+        blocked = _fused(network, maps, blocked=True)
+        assert blocked.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(blocked, _fused(network, maps, blocked=False))
+
+    @PROPERTY_SETTINGS
+    @given(
+        dtype=st.sampled_from(["float64", "float32"]),
+        lengths=st.lists(st.integers(1, 40), min_size=2, max_size=5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_ragged_batch_blocked_equals_unblocked(self, dtype, lengths, seed):
+        # Ragged vectors through the whole model, with a budget of 7 maps a
+        # block so that vectors straddle block boundaries.
+        model = WorstCaseNoiseNet(
+            num_bumps=3,
+            config=ModelConfig(
+                distance_kernels=2, fusion_kernels=3, prediction_kernels=2, seed=seed
+            ),
+        ).astype(dtype)
+        rng = np.random.default_rng(seed)
+        ragged = [rng.standard_normal((length, 6, 7)).astype(dtype) for length in lengths]
+        distance = rng.standard_normal((3, 6, 7)).astype(dtype)
+        per_map = 3 * (6 + 2) * (7 + 2) * np.dtype(dtype).itemsize  # hidden maps with halo
+        with mock.patch.object(subnets, "FUSION_BLOCK_BYTES", 7 * per_map), no_grad():
+            assert model.fusion_subnet.block_size(6, 7, dtype) == 7
+            blocked = model.forward_batch(ragged, distance).data
+        unblocked = model.forward_batch(ragged, distance).data
+        np.testing.assert_array_equal(blocked, unblocked)
+
+    def test_float32_blocks_hold_twice_the_maps(self):
+        network = CurrentFusionNet(seed=0)
+        block64 = network.block_size(25, 25, np.float64)
+        assert network.block_size(25, 25, np.float32) in (2 * block64, 2 * block64 + 1)
+        # A map larger than the whole budget still runs, one per block.
+        assert network.block_size(4096, 4096, np.float64) == 1
+
+    def test_blocks_reuse_pooled_workspaces(self, rng):
+        network = CurrentFusionNet(seed=0)
+        maps = rng.standard_normal((3 * network.block_size(9, 9, np.float64), 1, 9, 9))
+        kernels.clear_workspace_pool()
+        with no_grad():
+            network(Tensor(maps))
+            after_one = kernels.workspace_pool_stats()
+            network(Tensor(maps))
+        # Every block handed its buffers back, and a second pass takes the
+        # same ones again instead of parking more.
+        assert after_one["pooled_bytes"] > 0
+        assert kernels.workspace_pool_stats() == after_one
+        kernels.clear_workspace_pool()
 
 
 class TestNoisePredictionNet:

@@ -169,3 +169,10 @@ class TestConvTranspose2dGradients:
         layer = ConvTranspose2d(3, 4, seed=0)
         with pytest.raises(ValueError):
             layer(Tensor(rng.standard_normal((1, 2, 5, 5))))
+
+    @pytest.mark.parametrize("output_size", [(11, 14), (10, 15), (0, 14)])
+    def test_output_size_outside_natural_size_rejected(self, output_size, rng):
+        # The natural size is (10, 14); output_size may only crop it.
+        layer = ConvTranspose2d(2, 3, kernel_size=4, stride=2, padding=1, seed=2)
+        with pytest.raises(ValueError, match="natural size"):
+            layer(Tensor(rng.standard_normal((1, 2, 5, 7))), output_size=output_size)

@@ -2,8 +2,9 @@
 
 Pins the invariants every convolution path must keep, whichever channel
 side it unfolds: the adjoint pairs (im2col/col2im, pad/unpad,
-conv/conv-transpose) and agreement of both layer classes, forward and
-backward, with brute-force loop references.
+conv/conv-transpose, cropped conv-transpose/zero-extended conv), agreement
+of both layer classes, forward and backward, with brute-force loop
+references, and the slice-filled halo against ``np.pad``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor, conv2d, conv_transpose2d
-from repro.nn.conv import PADDING_MODES, col2im, im2col, pad_input, unpad_gradient
+from repro.nn.conv import (
+    PADDING_MODES,
+    col2im,
+    conv_transpose_output_size,
+    im2col,
+    pad_input,
+    pad_workspace,
+    unpad_gradient,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -207,3 +216,129 @@ def test_conv_transpose2d_matches_loop_reference(
     _assert_close(x.grad, grad_x)
     _assert_close(weight.grad, grad_weight)
     _assert_close(bias.grad, grad.sum(axis=(0, 2, 3)))
+
+
+NP_PAD_MODES = {"zeros": "constant", "replicate": "edge"}
+
+
+@PROPERTY_SETTINGS
+@given(
+    pads=st.tuples(*[st.integers(0, 3)] * 4),
+    mode=st.sampled_from(PADDING_MODES),
+    chans=channels,
+    height=sizes,
+    width=sizes,
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=seeds,
+)
+def test_slice_filled_halo_equals_np_pad(pads, mode, chans, height, width, dtype, seed):
+    x = np.random.default_rng(seed).standard_normal((2, chans, height, width)).astype(dtype)
+    top, bottom, left, right = pads
+    expected = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)), mode=NP_PAD_MODES[mode])
+    padded = pad_workspace(x, pads, mode)
+    assert padded.dtype == dtype
+    np.testing.assert_array_equal(padded, expected)
+    if len(set(pads)) == 1 and top:
+        np.testing.assert_array_equal(pad_input(x, top, mode), expected)
+
+
+@PROPERTY_SETTINGS
+@given(
+    padding=st.integers(1, 4),
+    mode=st.sampled_from(PADDING_MODES),
+    length=sizes,
+    tall=st.booleans(),
+    seed=seeds,
+)
+def test_halo_of_one_pixel_wide_maps_equals_np_pad(padding, mode, length, tall, seed):
+    # A halo wider than the map itself replicates its single row or column.
+    shape = (1, 2, length, 1) if tall else (1, 2, 1, length)
+    x = np.random.default_rng(seed).standard_normal(shape)
+    expected = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2), mode=NP_PAD_MODES[mode])
+    np.testing.assert_array_equal(pad_input(x, padding, mode), expected)
+
+
+def _transpose_case(data, kernel, stride, in_channels, out_channels, height, width, seed):
+    """Inputs of a transposed convolution plus a random ``output_size`` crop of it."""
+    padding = data.draw(st.integers(0, kernel - 1))
+    natural = (
+        conv_transpose_output_size(height, kernel, stride, padding),
+        conv_transpose_output_size(width, kernel, stride, padding),
+    )
+    assume(min(natural) >= 1)
+    output_size = (data.draw(st.integers(1, natural[0])), data.draw(st.integers(1, natural[1])))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, in_channels, height, width))
+    weight = rng.standard_normal((in_channels, out_channels, kernel, kernel))
+    bias = rng.standard_normal(out_channels)
+    return padding, natural, output_size, x, weight, bias, rng
+
+
+@PROPERTY_SETTINGS
+@given(
+    kernel=kernels_,
+    stride=strides,
+    data=st.data(),
+    in_channels=channels,
+    out_channels=channels,
+    height=sizes,
+    width=sizes,
+    seed=seeds,
+)
+def test_conv_transpose2d_output_size_crops_natural_output(
+    kernel, stride, data, in_channels, out_channels, height, width, seed
+):
+    padding, natural, (out_h, out_w), x, weight, bias, rng = _transpose_case(
+        data, kernel, stride, in_channels, out_channels, height, width, seed
+    )
+    x_t = Tensor(x, requires_grad=True)
+    w_t = Tensor(weight, requires_grad=True)
+    b_t = Tensor(bias, requires_grad=True)
+    cropped = conv_transpose2d(
+        x_t, w_t, b_t, stride=stride, padding=padding, output_size=(out_h, out_w)
+    )
+    full = reference_conv_transpose2d(x, weight, bias, stride, padding)
+    assert cropped.shape == (2, out_channels, out_h, out_w)
+    _assert_close(cropped.data, full[:, :, :out_h, :out_w])
+
+    # The crop's gradient is the natural-size gradient, zero past the crop.
+    grad = rng.standard_normal(cropped.shape)
+    cropped.backward(grad)
+    extended = np.zeros(full.shape)
+    extended[:, :, :out_h, :out_w] = grad
+    grad_x, grad_weight = reference_conv_transpose2d_grads(x, weight, extended, stride, padding)
+    _assert_close(x_t.grad, grad_x)
+    _assert_close(w_t.grad, grad_weight)
+    _assert_close(b_t.grad, grad.sum(axis=(0, 2, 3)))
+
+
+@PROPERTY_SETTINGS
+@given(
+    kernel=kernels_,
+    stride=strides,
+    data=st.data(),
+    in_channels=channels,
+    out_channels=channels,
+    height=sizes,
+    width=sizes,
+    seed=seeds,
+)
+def test_cropped_conv_transpose_and_zero_extended_conv_are_adjoint(
+    kernel, stride, data, in_channels, out_channels, height, width, seed
+):
+    # <crop(conv_T(y)), z> == <y, conv(zero_extend(z))>: cropping is adjoint
+    # to zero-extending, and the natural-size conv maps back onto y's size.
+    padding, natural, (out_h, out_w), y, weight, _, rng = _transpose_case(
+        data, kernel, stride, in_channels, out_channels, height, width, seed
+    )
+    z = rng.standard_normal((2, out_channels, out_h, out_w))
+    extended = np.zeros((2, out_channels) + natural)
+    extended[:, :, :out_h, :out_w] = z
+    cropped = conv_transpose2d(
+        Tensor(y), Tensor(weight), stride=stride, padding=padding, output_size=(out_h, out_w)
+    ).data
+    adjoint = conv2d(
+        Tensor(extended), Tensor(weight), stride=stride, padding=padding
+    ).data
+    assert adjoint.shape == y.shape
+    _assert_close(_inner(cropped, z), _inner(y, adjoint))

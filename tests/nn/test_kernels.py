@@ -1,8 +1,9 @@
 """Tests for the kernel-dispatch layer (``repro.nn.kernels``).
 
 Covers the three things the module owns — dtype policy, thread sharding,
-backend registry — plus the workspace pool's (shape, dtype) keying and
-recency-ordered eviction, and two end-to-end guarantees: the default
+backend registry — plus the workspace pool's (shape, dtype) keying,
+recency-ordered eviction and buffer ownership (a padded input saved for
+backward is never handed to a later forward), and two end-to-end guarantees: the default
 float64 path matches the pre-refactor implementation to rtol/atol 1e-12
 (golden arrays captured before the dispatch layer existed; the convolution
 kernels have since changed summation order), and float32 inference matches
@@ -270,6 +271,51 @@ def test_pool_oversized_buffer_bypasses_pool(fresh_pool, monkeypatch):
     kernels.release_workspace(np.empty((1024,)))
     # The oversized buffer was dropped without disturbing pooled entries.
     assert kernels.workspace_pool_stats() == before
+
+
+def _mirrored_conv(x, weight):
+    # Stride 1 with C_out <= C_in: the layer keeps its pooled padded input.
+    return conv2d(x, weight, stride=1, padding=1, padding_mode="replicate")
+
+
+def test_saved_padded_input_survives_later_forwards(fresh_pool):
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
+    weight = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
+    grad = rng.standard_normal((2, 2, 5, 5))
+    reference_x = Tensor(x.data.copy(), requires_grad=True)
+    reference_w = Tensor(weight.data.copy(), requires_grad=True)
+    _mirrored_conv(reference_x, reference_w).backward(grad)
+    kernels.clear_workspace_pool()
+
+    y = _mirrored_conv(x, weight)
+    saved = y._ctx.saved[0]
+    snapshot = saved.copy()
+    # Same-shape forwards, recording and not, before the backward runs: each
+    # pads into its own buffer, never into the one the first layer owns.
+    for _ in range(3):
+        other = Tensor(rng.standard_normal(x.shape))
+        assert _mirrored_conv(other, weight)._ctx.saved[0] is not saved
+        with no_grad():
+            _mirrored_conv(other, weight)
+    np.testing.assert_array_equal(saved, snapshot)
+
+    y.backward(grad)
+    np.testing.assert_array_equal(x.grad, reference_x.grad)
+    np.testing.assert_array_equal(weight.grad, reference_w.grad)
+    # The backward hands the padded input back to the pool.
+    assert ((2, 3, 7, 7), "float64") in kernels.workspace_pool_stats()["keys"]
+
+
+def test_unpadded_input_is_never_pooled(fresh_pool):
+    # padding=0 keeps the caller's own array as the "padded" input; it must
+    # not be released into the pool, where a later take would overwrite it.
+    x = Tensor(np.random.default_rng(1).standard_normal((1, 2, 4, 4)), requires_grad=True)
+    weight = Tensor(np.ones((1, 2, 3, 3)), requires_grad=True)
+    conv2d(x, weight, stride=1, padding=0).sum().backward()
+    with no_grad():
+        conv2d(x, weight, stride=1, padding=0)
+    assert ((1, 2, 4, 4), "float64") not in kernels.workspace_pool_stats()["keys"]
 
 
 # ---------------------------------------------------------------------- #

@@ -126,6 +126,31 @@ class TestElementwiseFunctions:
     def test_relu_values(self):
         np.testing.assert_allclose(Tensor([-1.0, 2.0]).relu().data, [0.0, 2.0])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_relu_under_no_grad_never_writes_its_input(self, dtype):
+        array = np.array([[-1.5, 0.0, 2.0], [3.0, -0.25, -7.0]], dtype=dtype)
+        before = array.copy()
+        x = Tensor(array)
+        with no_grad():
+            y = x.relu()
+        # The caller's array is untouched and the result does not alias it.
+        assert x.data is array
+        np.testing.assert_array_equal(array, before)
+        assert not np.shares_memory(y.data, array)
+        assert y.data.dtype == dtype
+        np.testing.assert_array_equal(y.data, np.maximum(before, 0))
+
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_relu_keeps_nan(self, recording):
+        x = Tensor([np.nan, -1.0, 1.0], requires_grad=recording)
+        if recording:
+            y = x.relu()
+        else:
+            with no_grad():
+                y = x.relu()
+        assert np.isnan(y.data[0])
+        np.testing.assert_array_equal(y.data[1:], [0.0, 1.0])
+
     def test_sigmoid_range(self, rng):
         values = Tensor(rng.standard_normal(100)).sigmoid().data
         assert np.all((values > 0) & (values < 1))
