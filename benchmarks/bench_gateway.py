@@ -1,25 +1,27 @@
-"""Gateway throughput: supervised sharded gateway vs the bare service loop.
+"""Gateway throughput: a two-shard gateway vs a naive one-at-a-time client.
 
-The gateway exists to run the serving stack as a long-lived front door —
-admission control, sharded workers, supervision — and none of that may cost
+The gateway runs the serving stack as a long-lived front door — admission
+control, sharded workers, supervision — and none of that may cost
 throughput.  This benchmark drives an identical **mixed-design load** (two
 designs, interleaved requests, pre-extracted features) through:
 
-* ``bare_service_loop`` — the naive client against a bare
-  :class:`ScreeningService`: submit one request, wait for its result, move
-  on.  Every request pays a full forward pass; micro-batching never fills.
-* ``service_pipelined`` — the same service driven by a client that submits
-  everything before collecting (informational row: a single pipelined
-  worker is the throughput ceiling on a single-core host).
+* ``bare_service_loop`` — the naive client against a one-shard
+  :class:`ScreeningGateway` (the in-process screening service): submit one
+  request, wait for its result, move on.  Every request pays a full forward
+  pass; micro-batching never fills.
+* ``service_pipelined`` — the same one-shard gateway driven by a client
+  that submits everything before collecting (informational row: a single
+  pipelined worker is the throughput ceiling on a single-core host).
 * ``gateway_2_shards`` — a two-shard :class:`ScreeningGateway` where
   consistent hashing gives each design its own supervised worker and warm
   registry partition.
 
-Every row reports p50/p99 latency and sustained vectors/sec via
-:func:`latency_throughput_columns`; the gate asserts the gateway sustains at
-least the bare loop's throughput — admission, sharding, and supervision must
-come at no cost over what a naive client gets from the bare service.
-Results append to ``BENCH_gateway.json``.
+Every pass starts from an empty result cache, so each row measures model
+passes, not cache replay.  Every row reports p50/p99 latency and sustained
+vectors/sec via :func:`latency_throughput_columns`; the gate asserts the
+two-shard gateway sustains at least the naive loop's throughput —
+admission, sharding, and supervision must come at no cost over what a
+naive client gets from one shard.  Results append to ``BENCH_gateway.json``.
 
 Runs under pytest (``python -m pytest benchmarks/bench_gateway.py``) or as a
 script wrapping a telemetry run::
@@ -38,7 +40,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from common import REPO_ROOT, append_trajectory, save_records
+from common import REPO_ROOT, append_trajectory, save_records, timed_screen
 from repro.core.config import ModelConfig
 from repro.core.inference import NoisePredictor
 from repro.core.model import WorstCaseNoiseNet
@@ -53,7 +55,7 @@ from repro.io import ExperimentRecord, latency_throughput_columns
 from repro.obs import MetricsRegistry
 from repro.pdn import small_test_design
 from repro.pdn.designs import make_design
-from repro.serving import PredictorRegistry, ScreeningService
+from repro.serving import PredictorRegistry
 from repro.workloads import generate_test_vectors
 from repro.workloads.vectors import VectorConfig
 
@@ -127,64 +129,47 @@ def timed_loop(submit_async, items):
     return time.perf_counter() - t0, latencies
 
 
-def timed_screen(submit_async, items):
-    """Submit everything, wait for everything; span + per-request latencies.
-
-    Latency is measured at the caller (submission to done-callback), the
-    same clock for both stacks, so the comparison cannot be skewed by which
-    internal instruments each stack happens to keep.
-    """
-    ends: dict[int, float] = {}
-    futures = []
-    t0 = time.perf_counter()
-    starts = []
-    for index, (payload, design) in enumerate(items):
-        starts.append(time.perf_counter())
-        future = submit_async(payload, design)
-        future.add_done_callback(
-            lambda _, index=index: ends.__setitem__(index, time.perf_counter())
-        )
-        futures.append(future)
-    for future in futures:
-        future.result(timeout=120)
-    span = time.perf_counter() - t0
-    latencies = [ends[index] - start for index, start in enumerate(starts)]
-    return span, latencies
-
-
 def run_benchmark(tmp_root: Path, vectors_per_design: int, rounds: int = ROUNDS):
     """Measure both stacks on the mixed load; returns (records, entry)."""
     registry, mixed = build_setup(tmp_root / "checkpoints", vectors_per_design)
     records = []
 
     # Both stacks stay up for the whole measurement and the rounds alternate
-    # service/gateway, so a background blip (CPU frequency step, page cache
-    # miss) lands on both sides instead of skewing whichever stack happened
-    # to be measured at the time.  Best-of-N then suppresses the blips.
-    service = ScreeningService(
-        registry, max_batch=MAX_BATCH, max_wait=2e-3, cache_size=1, metrics=MetricsRegistry()
+    # one shard / two shards, so a background blip (CPU frequency step, page
+    # cache miss) lands on both sides instead of skewing whichever stack
+    # happened to be measured at the time.  Best-of-N then suppresses the
+    # blips.
+    one_shard = ScreeningGateway(
+        registry.root,
+        num_shards=1,
+        max_batch=MAX_BATCH,
+        max_wait=2e-3,
+        queue_limit=4 * vectors_per_design,
+        metrics=MetricsRegistry(),
     )
     gateway = ScreeningGateway(
-        tmp_root / "checkpoints",
+        registry.root,
         num_shards=NUM_SHARDS,
         max_batch=MAX_BATCH,
         max_wait=2e-3,
         queue_limit=4 * vectors_per_design,
     )
     try:
-        timed_screen(service.submit_async, mixed)  # warm worker + resident LRU
+        timed_screen(one_shard.submit_async, mixed)  # warm worker + resident LRU
         timed_screen(gateway.submit_async, mixed)  # warm shard registries
         best = {}
 
         def measure(label, body):
-            service.cache.clear()  # cold model passes, not cache replay
+            # Cold model passes, not cache replay.
+            one_shard.cache.clear()
+            gateway.cache.clear()
             result = body()
             if label not in best or result[0] < best[label][0]:
                 best[label] = result
 
         for _ in range(rounds):
-            measure("bare_service_loop", lambda: timed_loop(service.submit_async, mixed))
-            measure("service_pipelined", lambda: timed_screen(service.submit_async, mixed))
+            measure("bare_service_loop", lambda: timed_loop(one_shard.submit_async, mixed))
+            measure("service_pipelined", lambda: timed_screen(one_shard.submit_async, mixed))
             measure(
                 f"gateway_{NUM_SHARDS}_shards",
                 lambda: timed_screen(gateway.submit_async, mixed),
@@ -192,8 +177,8 @@ def run_benchmark(tmp_root: Path, vectors_per_design: int, rounds: int = ROUNDS)
         health = gateway.health()
     finally:
         gateway.close()
-        service.close()
-    for label, (span, latencies) in best.items():
+        one_shard.close()
+    for label, (span, latencies, *_) in best.items():
         records.append(
             ExperimentRecord(
                 "gateway",
@@ -230,7 +215,7 @@ def run_benchmark(tmp_root: Path, vectors_per_design: int, rounds: int = ROUNDS)
 def finish(records, entry) -> None:
     """Persist the comparison table and the trajectory row."""
     save_records(
-        records, "gateway", "Gateway throughput — sharded gateway vs bare service loop"
+        records, "gateway", "Gateway throughput — sharded gateway vs naive one-shard loop"
     )
     append_trajectory(
         "gateway",
@@ -247,7 +232,7 @@ def check(records, entry) -> None:
     loop, gateway = records[0].values, records[-1].values
     assert gateway["vectors_per_sec"] >= loop["vectors_per_sec"], (
         f"gateway sustained {gateway['vectors_per_sec']:.1f} vec/s, below the "
-        f"bare service loop's {loop['vectors_per_sec']:.1f} vec/s"
+        f"naive one-shard loop's {loop['vectors_per_sec']:.1f} vec/s"
     )
     # No worker crashed during a clean benchmark run.
     assert all(value == 0 for value in entry["shard_restarts"].values())
@@ -292,7 +277,7 @@ def main(argv=None) -> int:
     finally:
         report = obs.finish_run(extra={"bench": "gateway"})
     finish(records, entry)
-    print(format_table(records, title="Gateway vs bare service loop"))
+    print(format_table(records, title="Gateway vs naive one-shard loop"))
     print(f"telemetry report: {report}")
     check(records, entry)
     return 0

@@ -1,8 +1,8 @@
 """Telemetry overhead gate: `repro.obs` must stay invisible on the hot path.
 
 Every serving request touches a handful of :mod:`repro.obs` instruments
-(request counter, queue-depth gauge, per-path latency histogram, plus the
-per-batch counters amortised over the batch).  The whole design bet of the
+(request counter, shard- and queue-depth gauges, latency histogram, plus
+the per-batch counters amortised over the batch).  The whole design bet of the
 metrics registry — null-object instruments when disabled, lock-free
 counters/gauges and a ``bisect`` histogram when enabled — is that those
 touches cost nanoseconds against a millisecond-scale model call.  This
@@ -14,14 +14,14 @@ benchmark holds that bet to numbers:
    ``DISABLED_BUDGET`` (1%) of a mean un-instrumented request when disabled
    and ``ENABLED_BUDGET`` (5%) when enabled.
 2. **Wall-clock A/B** — screen the same vector set through two otherwise
-   identical :class:`ScreeningService` instances, one built on the null
-   registry and one on a live registry, and require the live pass to stay
+   identical one-shard :class:`ScreeningGateway` instances, one built on
+   the null registry and one on a live registry, and require the live pass to stay
    within ``WALL_CLOCK_SLACK`` of the null pass (a coarse backstop against
    accidental locks/allocations sneaking onto the request path; the precise
    1%/5% gates are carried by the op-cost accounting above, which does not
    suffer scheduler noise).
 
-The un-instrumented reference latency is the null-registry service pass:
+The un-instrumented reference latency is the null-registry gateway pass:
 null instruments compile to a single no-op method call, so that pass is the
 pre-instrumentation serving bench to within one op-cost (itself gated below
 1%).  Results land in ``benchmarks/results/obs.{json,csv}`` and a trajectory
@@ -44,10 +44,11 @@ from repro.features.extraction import (
     distance_feature,
     extract_vector_features,
 )
+from repro.gateway import ScreeningGateway
 from repro.io import ExperimentRecord
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.pdn import small_test_design
-from repro.serving import PredictorRegistry, ScreeningService
+from repro.serving import PredictorRegistry
 from repro.utils import Timer
 from repro.workloads import generate_test_vectors
 from repro.workloads.vectors import VectorConfig
@@ -56,11 +57,14 @@ NUM_VECTORS = 48
 MAX_BATCH = 16
 ROUNDS = 3
 
-#: Worst-case instrument touches per request in ``ScreeningService``: a
-#: request counter, the queue-depth gauge and one latency-histogram observe,
-#: plus the per-batch counter/gauge trio — charged per *request* here rather
-#: than amortised over the batch, as a deliberate over-count.
-OPS_PER_REQUEST = 8
+#: Worst-case instrument touches per answered request in a one-shard
+#: ``ScreeningGateway``: the request counter and shard-depth gauge at
+#: admission, the queue-depth gauge and one latency-histogram observe at the
+#: answer, and a cache-hit or coalesced count; plus the per-batch
+#: model-batch and batched-vector counters and batch-size and shard-depth
+#: gauges — charged per *request* here rather than amortised over the
+#: batch, as a deliberate over-count.
+OPS_PER_REQUEST = 9
 
 #: Timed iterations per instrument op (keeps per-op timing noise < 1 ns).
 OP_ITERATIONS = 100_000
@@ -141,15 +145,16 @@ def screening_setup(tmp_path_factory):
 
 
 def _cold_screen_seconds(registry, design, features, metrics) -> float:
-    """Best-of-N cold screening pass through a service built on ``metrics``."""
-    with ScreeningService(
-        registry, max_batch=MAX_BATCH, max_wait=2e-3, metrics=metrics
-    ) as service:
-        service.screen(features, design.name)  # warm the worker thread
+    """Best-of-N cold screening pass through a gateway built on ``metrics``."""
+    items = [(item, design.name) for item in features]
+    with ScreeningGateway(
+        registry.root, num_shards=1, max_batch=MAX_BATCH, max_wait=2e-3, metrics=metrics
+    ) as gateway:
+        gateway.screen(items)  # warm the worker thread
 
         def cold_pass():
-            service.cache.clear()
-            return service.screen(features, design.name)
+            gateway.cache.clear()
+            return gateway.screen(items)
 
         seconds, _ = _best_of(ROUNDS, cold_pass)
     return seconds
@@ -234,7 +239,7 @@ def test_obs_overhead_gate(benchmark, screening_setup):
         f"request ({live_cost * 1e9:.0f} ns/op x {OPS_PER_REQUEST} ops vs "
         f"{mean_request * 1e6:.0f} us/request; budget {ENABLED_BUDGET:.0%})"
     )
-    # Backstop: the live service pass tracks the null pass wall-clock.
+    # Backstop: the live gateway pass tracks the null pass wall-clock.
     assert wall_clock_ratio <= WALL_CLOCK_SLACK, (
         f"live-registry screening pass is {wall_clock_ratio:.2f}x the "
         f"null-registry pass (backstop {WALL_CLOCK_SLACK}x)"

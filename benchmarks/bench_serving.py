@@ -1,4 +1,4 @@
-"""Serving-layer throughput: batched `ScreeningService` vs the per-vector loop.
+"""Serving-layer throughput: a one-shard `ScreeningGateway` vs the per-vector loop.
 
 The paper's speedup argument (Table 2) is measured one test vector at a time;
 the serving layer exists to turn that per-vector speed into *throughput*.
@@ -10,8 +10,9 @@ design:
   batch of one that reduces the distance map afresh),
 * ``batched``     — ``NoisePredictor.predict_batch`` (one fused forward pass
   per chunk),
-* ``service``     — the full :class:`ScreeningService` stack (queue,
-  micro-batcher, result cache), cold and warm.
+* ``service``     — the full screening stack, a one-shard
+  :class:`ScreeningGateway` (admission, queue, micro-batcher, result
+  cache), cold and warm.
 
 It also asserts the two properties the serving layer promises: batched
 predictions match the sequential ones within 1e-8, and service throughput is
@@ -31,7 +32,7 @@ import time
 import numpy as np
 import pytest
 
-from common import REPO_ROOT, append_trajectory, obs_snapshot, save_records
+from common import REPO_ROOT, append_trajectory, obs_snapshot, save_records, timed_screen
 from repro.core.config import ModelConfig
 from repro.core.inference import NoisePredictor
 from repro.core.model import WorstCaseNoiseNet
@@ -41,11 +42,12 @@ from repro.features.extraction import (
     distance_feature,
     extract_vector_features,
 )
+from repro.gateway import ScreeningGateway
 from repro.io import ExperimentRecord, latency_throughput_columns
 from repro.nn import no_grad
 from repro.obs import MetricsRegistry
 from repro.pdn import small_test_design
-from repro.serving import PredictorRegistry, ScreeningService, service_counts
+from repro.serving import PredictorRegistry
 from repro.utils import Timer
 from repro.workloads import generate_test_vectors
 from repro.workloads.vectors import VectorConfig
@@ -172,25 +174,30 @@ def test_serving_throughput_report(benchmark, serving_setup):
     )
 
     # 3. Full service, cold (model runs) and warm (pure cache hits), reporting
-    # through a live metrics registry so the per-path latency histograms feed
-    # the trajectory snapshot below.
-    with ScreeningService(
-        registry, max_batch=MAX_BATCH, max_wait=2e-3, metrics=MetricsRegistry()
-    ) as service:
+    # through a live metrics registry so the latency histogram feeds the
+    # trajectory snapshot below.
+    items = [(item, design.name) for item in features]
+    with ScreeningGateway(
+        registry.root,
+        num_shards=1,
+        max_batch=MAX_BATCH,
+        max_wait=2e-3,
+        metrics=MetricsRegistry(),
+    ) as gateway:
         # Warm the worker thread itself on vectors outside the measured set.
-        service.screen(warmup, design.name)
+        gateway.screen([(item, design.name) for item in warmup])
 
         def cold_pass():
-            service.cache.clear()
-            return service.screen(features, design.name)
+            gateway.cache.clear()
+            return timed_screen(gateway.submit_async, items)
 
-        cold_seconds, served = best_of(ROUNDS, cold_pass)
-        cold_latencies = service.latencies()[-len(features):]
-        hits_before_warm = service_counts(service.metrics)["cache_hits"]
-        warm_seconds, _ = best_of(1, lambda: service.screen(features, design.name))
-        warm_latencies = service.latencies()[-len(features):]
-        counts = service_counts(service.metrics)
-        telemetry = obs_snapshot(service)
+        cold_seconds, (_, cold_latencies, served) = best_of(ROUNDS, cold_pass)
+        hits_before_warm = gateway.counts()["cache_hits"]
+        warm_seconds, (_, warm_latencies, _) = best_of(
+            1, lambda: timed_screen(gateway.submit_async, items)
+        )
+        counts = gateway.counts()
+        telemetry = obs_snapshot(gateway)
     records.append(
         ExperimentRecord(
             "serving",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +42,6 @@ from repro.core import (
 from repro.datagen import generate_corpus, load_design_dataset
 from repro.io import ExperimentRecord, format_table, write_csv, write_json
 from repro.pdn import Design, reference_design
-from repro.serving import service_counts
 from repro.workloads import NoiseDataset
 
 #: Directory where benchmark records are written.
@@ -73,27 +73,55 @@ def append_trajectory(name: str, entry: dict, header: Optional[dict] = None) -> 
     return path
 
 
-def obs_snapshot(service) -> dict:
+def obs_snapshot(gateway) -> dict:
     """Serving-telemetry snapshot for trajectory rows.
 
-    Pulls cache hit rate, mean batch size, and per-path latency percentiles
-    out of a :class:`~repro.serving.service.ScreeningService`'s metrics
-    registry, so ``BENCH_*.json`` entries carry latency/throughput history
-    rather than bare totals.  Histogram percentiles appear only for paths
-    that actually observed samples (and only when the service was built with
-    a live registry).
+    Pulls the request count, cache hit rate, mean batch size and answered-
+    request latency percentiles out of a
+    :class:`~repro.gateway.ScreeningGateway`'s metrics registry, so
+    ``BENCH_*.json`` entries carry latency/throughput history rather than
+    bare totals.  The percentiles appear only when the gateway was built
+    with a live registry and answered something.
     """
-    counts = service_counts(service.metrics)
+    counts = gateway.counts()
     snapshot = {
         key: counts[key] for key in ("requests", "cache_hit_rate", "mean_batch_size")
     }
-    for path_name in ("cache_hit", "coalesced", "batched"):
-        histogram = service.metrics.get(f"serving.request_latency.{path_name}")
-        if histogram is not None and getattr(histogram, "count", 0):
-            snapshot[f"{path_name}_latency_ms"] = {
-                f"p{q:g}": histogram.percentile(q) * 1e3 for q in (50, 95, 99)
-            }
+    histogram = gateway.metrics.get("gateway.request_latency.ok")
+    if histogram is not None and getattr(histogram, "count", 0):
+        snapshot["latency_ms"] = {
+            f"p{q:g}": histogram.percentile(q) * 1e3 for q in (50, 95, 99)
+        }
     return snapshot
+
+
+def timed_screen(submit_async, items):
+    """Submit every ``(payload, design)`` item, then wait for all of them.
+
+    Returns the wall-clock span, the per-request latencies (submission to
+    done-callback, measured at the caller, so every front door is timed on
+    the same clock) and the results in input order.
+    """
+    ends: dict[int, float] = {}
+    answered = threading.Semaphore(0)
+
+    def finished(index: int) -> None:
+        ends[index] = time.perf_counter()
+        answered.release()
+
+    futures, starts = [], []
+    t0 = time.perf_counter()
+    for index, (payload, design) in enumerate(items):
+        starts.append(time.perf_counter())
+        future = submit_async(payload, design)
+        future.add_done_callback(lambda _, index=index: finished(index))
+        futures.append(future)
+    for _ in futures:
+        if not answered.acquire(timeout=120):
+            raise TimeoutError("screening requests left unanswered for 120 s")
+    span = time.perf_counter() - t0
+    latencies = [ends[index] - start for index, start in enumerate(starts)]
+    return span, latencies, [future.result() for future in futures]
 
 
 def preset_name() -> str:

@@ -7,9 +7,9 @@ that turns that into a multi-design screening *service*:
 
 1. trains a quick predictor for two small design variants and registers both
    in a :class:`~repro.serving.registry.PredictorRegistry`,
-2. stands up a :class:`~repro.serving.service.ScreeningService` and screens a
-   mixed stream of vectors against both designs — micro-batched, grouped by
-   design, with an LRU result cache absorbing repeats,
+2. stands up a one-shard :class:`~repro.gateway.ScreeningGateway` and
+   screens a mixed stream of vectors against both designs — micro-batched,
+   grouped by design, with an LRU result cache absorbing repeats,
 3. fans the named workload scenarios out across worker processes with
    :func:`~repro.serving.sweep.screen_scenarios` and prints the aggregated
    table.
@@ -26,7 +26,7 @@ from repro import (
     ModelConfig,
     PipelineConfig,
     ScenarioJob,
-    ScreeningService,
+    ScreeningGateway,
     TrainingConfig,
     WorstCaseNoiseFramework,
     screen_scenarios,
@@ -34,7 +34,7 @@ from repro import (
 from repro.io import format_table, latency_throughput_columns
 from repro.pdn.designs import make_design, small_test_design
 from repro.obs.metrics import MetricsRegistry
-from repro.serving import PredictorRegistry, service_counts
+from repro.serving import PredictorRegistry
 from repro.workloads import generate_test_vectors
 from repro.workloads.scenarios import scenario_families
 from repro.workloads.vectors import VectorConfig
@@ -72,7 +72,7 @@ def main() -> None:
         print(f"registered {design.name} -> {registry.checkpoint_path(design.name).name}")
 
     print()
-    print("=== 2. Screen a mixed vector stream through the service ===")
+    print("=== 2. Screen a mixed vector stream through a one-shard gateway ===")
     vectors = {
         primary.name: generate_test_vectors(
             primary, 24, VectorConfig(num_steps=120, dt=1e-11), seed=5
@@ -81,18 +81,19 @@ def main() -> None:
             variant, 24, VectorConfig(num_steps=120, dt=1e-11), seed=6
         ),
     }
-    with ScreeningService(
-        registry, max_batch=16, max_wait=2e-3, metrics=MetricsRegistry()
-    ) as service:
+    metrics = MetricsRegistry()
+    with ScreeningGateway(
+        registry.root, num_shards=1, max_batch=16, max_wait=2e-3, metrics=metrics
+    ) as gateway:
         futures = []
         for design in (primary, variant):
             for trace in vectors[design.name]:
-                futures.append(service.submit_async(trace, design))
+                futures.append(gateway.submit_async(trace, design))
         results = [future.result() for future in futures]
         # Re-screen the first design's vectors: pure cache hits.
-        service.screen(vectors[primary.name], primary)
-        counts = service_counts(service.metrics)
-        columns = latency_throughput_columns(service.latencies())
+        gateway.screen([(trace, primary) for trace in vectors[primary.name]])
+    counts = gateway.counts()
+    columns = latency_throughput_columns(metrics.get("gateway.request_latency.ok"))
 
     worst = max(result.worst_noise for result in results)
     print(f"screened {counts['requests']} requests ({counts['cache_hits']} cache hits, "

@@ -37,8 +37,8 @@ from repro.core.model import WorstCaseNoiseNet
 from repro.features.extraction import FeatureNormalizer, distance_feature
 from repro.gateway import GatewayServer, ScreeningGateway
 from repro.io import ExperimentRecord, format_table
+from repro.pdn.designs import design_from_name
 from repro.serving import PredictorRegistry
-from repro.serving.sweep import default_design_factory
 
 DEMO_SCENARIOS = ("power_virus", "resonance_chirp", "didt_step_train", "idle_to_turbo")
 
@@ -54,7 +54,7 @@ def seed_registry(root: Path, design_names: list[str]) -> None:
     for name in design_names:
         if (root / f"{name}.npz").exists():
             continue
-        design = default_design_factory(name)
+        design = design_from_name(name)
         model = WorstCaseNoiseNet(
             num_bumps=design.grid.num_bumps,
             config=ModelConfig(

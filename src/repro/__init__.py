@@ -34,12 +34,8 @@ from repro.core import (
     WorstCaseNoiseFramework,
     WorstCaseNoiseNet,
 )
-from repro.serving import (
-    PredictorRegistry,
-    ScenarioJob,
-    ScreeningService,
-    screen_scenarios,
-)
+from repro.serving import PredictorRegistry, ScenarioJob, screen_scenarios
+from repro.gateway import ScreeningGateway
 from repro.datagen import (
     CorpusDesignSpec,
     CorpusSpec,
@@ -85,8 +81,8 @@ __all__ = [
     "WorstCaseNoiseNet",
     "PredictorRegistry",
     "ScenarioJob",
-    "ScreeningService",
     "screen_scenarios",
+    "ScreeningGateway",
     "CorpusDesignSpec",
     "CorpusSpec",
     "generate_corpus",

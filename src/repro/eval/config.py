@@ -65,8 +65,9 @@ class EvalConfig:
     model / training:
         Hyper-parameters of the pooled cross-design trainer.
     max_batch:
-        Micro-batch bound of the :class:`~repro.serving.ScreeningService`
-        the held-out vectors are screened through.
+        Micro-batch bound of the one-shard
+        :class:`~repro.gateway.ScreeningGateway` the held-out vectors are
+        screened through.
     scenarios:
         Workloads swept against every held-out design's trained model: each
         entry is a family name (defaults) or a full

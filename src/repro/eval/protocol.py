@@ -5,8 +5,8 @@ for every held-out design, a model is trained on the *other* designs' corpora
 (:mod:`repro.datagen` shards + the pooled
 :class:`~repro.eval.training.MultiDesignTrainer`) and then evaluated on the
 held-out design's vectors through the real serving stack — a
-:class:`~repro.serving.PredictorRegistry` checkpoint screened by a
-:class:`~repro.serving.ScreeningService` — so the reported latencies and
+:class:`~repro.serving.PredictorRegistry` checkpoint screened by a one-shard
+:class:`~repro.gateway.ScreeningGateway` — so the reported latencies and
 batch statistics are those of the production path, not a bare forward loop.
 
 The result is a :class:`CrossDesignReport`: one paper-style row per held-out
@@ -35,13 +35,13 @@ from repro.datagen.engine import GenerationReport, generate_corpus
 from repro.datagen.shards import load_design_dataset
 from repro.eval.config import EvalConfig
 from repro.eval.training import MultiDesignTrainer
+from repro.gateway import ScreeningGateway
 from repro.io.atomic import atomic_write_text
 from repro.io.results import ExperimentRecord, format_table, latency_throughput_columns
 from repro.nn import kernels
-from repro.obs.metrics import LatencyHistogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience.retry import RetryPolicy, run_with_retry
 from repro.serving.registry import PredictorRegistry
-from repro.serving.service import ScreeningService, service_counts
 from repro.utils import get_logger
 from repro.workloads.dataset import NoiseDataset
 
@@ -51,22 +51,6 @@ _LOG = get_logger("eval.protocol")
 
 #: Report artefact file name inside a campaign workdir.
 REPORT_NAME = "report.json"
-
-
-def _combined_latency_histogram(metrics: MetricsRegistry) -> Optional[LatencyHistogram]:
-    """All-paths serving latency histogram, or ``None`` when no samples exist.
-
-    Merges the service's per-path ``serving.request_latency.*`` instruments
-    (cache hit / coalesced / batched — identical bucket layouts by
-    construction) into one histogram the runtime tables read percentiles
-    from, replacing the raw-list re-sorting that used to live here.
-    """
-    combined = LatencyHistogram("serving.request_latency")
-    for path in ("cache_hit", "coalesced", "batched"):
-        instrument = metrics.get(f"serving.request_latency.{path}")
-        if instrument is not None:
-            combined.merge(instrument)
-    return combined if combined.count else None
 
 #: Report artefact schema version (bumped on incompatible changes).
 REPORT_VERSION = 1
@@ -95,7 +79,7 @@ class HeldoutEvaluation:
         Serving latency/throughput columns
         (:func:`repro.io.latency_throughput_columns`).
     service:
-        Screening-service counters (cache hits, batch sizes) of the run.
+        Serving counters (cache hits, batch sizes) of the row's gateway.
     training_epochs / best_validation_loss / training_seconds:
         Pooled-training summary.
     serving_seconds:
@@ -372,11 +356,12 @@ class CrossDesignEvaluator:
 
         The trained model is registered (and checkpointed) in the campaign
         registry under the held-out label, then every held-out vector is
-        screened through a :class:`ScreeningService` on top of that registry
-        — the measured latencies are the serving stack's, micro-batching and
-        all.  The held-out design contributes **nothing** to training: not
-        its vectors, not its normaliser scales; only its distance tensor is
-        given to the predictor, exactly as a new design's geometry would be.
+        screened through a one-shard :class:`ScreeningGateway` on top of that
+        registry — the measured latencies are the serving stack's,
+        micro-batching and all.  The held-out design contributes **nothing**
+        to training: not its vectors, not its normaliser scales; only its
+        distance tensor is given to the predictor, exactly as a new design's
+        geometry would be.
         """
         faults.active().before_row(heldout)
         config = self.config
@@ -411,19 +396,20 @@ class CrossDesignEvaluator:
         # histograms with other rows' samples.  When a run is active, the
         # row's metrics are folded into the global registry afterwards.
         service_metrics = MetricsRegistry()
-        with ScreeningService(
-            self.registry,
+        with ScreeningGateway(
+            self.registry.root,
+            num_shards=1,
+            queue_limit=len(features),
             max_batch=config.max_batch,
-            latency_window=max(4096, len(features)),
             metrics=service_metrics,
-        ) as service:
+        ) as gateway:
+            # The freshly trained predictor is served as it is in memory.
+            gateway.swap_checkpoint(heldout, predictor, persist=False).result()
             with tracer.span("eval.serving", heldout=heldout) as serving_span:
-                results = service.screen(features, heldout)
-            latencies = service.latencies()
-        counts = service_counts(service_metrics)
+                results = gateway.screen([(item, heldout) for item in features])
+        counts = gateway.counts()
         keys = ("cache_hits", "coalesced", "model_batches", "mean_batch_size", "max_batch_observed")
         service_counters = {key: counts[key] for key in keys}
-        latency_samples = _combined_latency_histogram(service_metrics) or latencies
         if obs.enabled():
             obs.metrics().merge_snapshot(service_metrics.snapshot())
 
@@ -444,7 +430,9 @@ class CrossDesignEvaluator:
             hotspot_precision=precision,
             hotspot_recall=recall,
             latency=latency_throughput_columns(
-                latency_samples, total_seconds=serving_span.duration_s, vectors=len(features)
+                service_metrics.get("gateway.request_latency.ok"),
+                total_seconds=serving_span.duration_s,
+                vectors=len(features),
             ),
             service=service_counters,
             training_epochs=trained.history.num_epochs,

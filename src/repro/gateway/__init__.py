@@ -1,16 +1,19 @@
-"""Async screening gateway: the serving stack as a supervised service.
+"""The screening gateway: the one front door of the serving stack.
 
-Where :mod:`repro.serving` provides the in-process building blocks (batched
-predictors, registries, the micro-batching service), ``repro.gateway`` turns
-them into a *deployable front door* for model-based worst-case noise
-sign-off at production scale:
+Where :mod:`repro.serving` provides the building blocks (predictor
+registries, the result cache, scenario sweeps), ``repro.gateway`` screens
+requests with them — in process as a one-shard gateway, or as a deployable,
+supervised service for model-based worst-case noise sign-off at
+production scale:
 
 * :class:`~repro.gateway.gateway.ScreeningGateway` — bounded admission with
   configurable overload behaviour, consistent-hash sharded workers (one
   warm :class:`~repro.serving.registry.PredictorRegistry` partition each),
-  supervisor-driven crash restarts with backoff, hot checkpoint swaps that
-  quiesce one shard between batches, and a graceful drain that resolves
-  every accepted future;
+  a shared content-hash result cache looked up in each shard's batch loop,
+  in-batch coalescing of identical vectors, supervisor-driven crash
+  restarts with backoff, hot checkpoint swaps that quiesce one shard
+  between batches, and a graceful drain that resolves every accepted
+  future;
 * :class:`~repro.gateway.server.GatewayServer` — a stdlib asyncio TCP
   front-end speaking newline-delimited JSON;
 * :class:`~repro.faults.FaultInjector` — the deterministic
@@ -20,8 +23,8 @@ sign-off at production scale:
 
 See ``docs/serving.md`` for the architecture and semantics,
 ``scripts/run_gateway.py`` for the CLI entry point, and
-``benchmarks/bench_gateway.py`` for the throughput gate against the bare
-:class:`~repro.serving.service.ScreeningService` loop.
+``benchmarks/bench_gateway.py`` for the throughput gate against a naive
+one-request-at-a-time client of a one-shard gateway.
 """
 
 from repro.faults import NULL_FAULTS, FaultInjector, WorkerKilled

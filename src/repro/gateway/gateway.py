@@ -1,9 +1,9 @@
-"""The asyncio screening gateway: admission, sharding, supervision.
+"""The screening gateway: admission, sharding, caching, supervision.
 
-:class:`ScreeningGateway` is the persistent front door of the serving stack.
-Where :class:`~repro.serving.service.ScreeningService` is a library object a
-caller constructs and drives in-process, the gateway is built to run as a
-long-lived service under sustained mixed-design traffic:
+:class:`ScreeningGateway` is the one front door of the serving stack.  A
+one-shard gateway is the in-process screening service (the evaluation
+protocol and the benchmarks build exactly that); with more shards it runs
+as a long-lived service under sustained mixed-design traffic:
 
 * **Admission control** — a bounded queue with an explicit overload policy:
   ``reject`` answers excess submissions with
@@ -17,16 +17,22 @@ long-lived service under sustained mixed-design traffic:
 * **Supervision** — a supervisor thread restarts crashed workers with
   exponential backoff, requeues the crash's unanswered in-hand requests
   (bounded by ``max_retries``), and reports per-shard health states.
+* **Result cache** — one LRU of predictions keyed by vector content and
+  the serving predictor's fingerprint, shared by every shard and surviving
+  worker restarts; the shard's batch loop looks it up (see
+  :mod:`repro.gateway.worker`), so a cached answer never outlives its model.
 * **Hot swaps** — :meth:`ScreeningGateway.swap_checkpoint` quiesces only the
   owning shard, between batches, so in-flight requests finish on the old
-  checkpoint and nothing is dropped.
+  checkpoint and nothing is dropped.  In-memory predictors (freshly trained,
+  or test doubles) enter the gateway this way with ``persist=False``.
 * **Graceful drain** — :meth:`ScreeningGateway.close` stops admission, lets
   workers finish the backlog, and guarantees every accepted future resolves
   (with a result or a typed error; never a hang).
 
 Every layer publishes through :mod:`repro.obs`: ``gateway.*`` counters
 (requests, rejected, shed, retries, restarts, swaps, failures,
-duplicates_dropped), queue-depth and per-shard depth gauges, and
+duplicates_dropped, cache_hits, coalesced, model_batches, batched_vectors),
+queue-depth, batch-size and per-shard depth gauges, and
 ``gateway.request_latency.{ok,failed}`` histograms.
 """
 
@@ -45,6 +51,7 @@ from repro import obs
 from repro.core.inference import NoisePredictor, PredictionResult
 from repro.faults import NULL_FAULTS, FaultInjector
 from repro.gateway.messages import (
+    STOP,
     GatewayClosed,
     GatewayOverloaded,
     GatewayRequest,
@@ -55,10 +62,9 @@ from repro.gateway.messages import (
 from repro.gateway.ring import ConsistentHashRing
 from repro.gateway.worker import DesignFactory, ShardWorker
 from repro.obs.metrics import MetricsRegistry
-from repro.pdn.designs import Design
-from repro.serving.batcher import STOP
+from repro.pdn.designs import Design, design_from_name
+from repro.serving.cache import LRUCache
 from repro.serving.registry import PredictorRegistry
-from repro.serving.sweep import default_design_factory
 from repro.utils import check_positive, get_logger
 
 _LOG = get_logger("gateway")
@@ -79,6 +85,10 @@ class _GatewayInstruments:
         self.swaps = metrics.counter("gateway.swaps")
         self.failures = metrics.counter("gateway.failures")
         self.duplicates_dropped = metrics.counter("gateway.duplicates_dropped")
+        self.cache_hits = metrics.counter("gateway.cache_hits")
+        self.coalesced = metrics.counter("gateway.coalesced")
+        self.model_batches = metrics.counter("gateway.model_batches")
+        self.batched_vectors = metrics.counter("gateway.batched_vectors")
         self.queue_depth = metrics.gauge("gateway.queue_depth")
         self.batch_size = metrics.gauge("gateway.batch_size")
         self.shard_depth = {
@@ -123,18 +133,28 @@ class ScreeningGateway:
         :class:`GatewayOverloaded`) or ``"shed-oldest"`` (fail the oldest
         waiting request with :class:`LoadShedError` and admit the new one).
     max_batch / max_wait:
-        Per-worker micro-batching bounds (see
-        :class:`~repro.serving.service.ScreeningService`).
+        Per-worker micro-batching bounds: at most ``max_batch`` requests per
+        forward pass, waiting at most ``max_wait`` seconds after the first
+        request for the batch to fill.  Keep ``max_wait`` at a couple of
+        milliseconds: enough to fuse concurrent submissions, invisible next
+        to a forward pass.
     registry_capacity:
         LRU capacity of each shard's registry partition.
+    cache_size:
+        Capacity (entries) of the gateway's LRU result cache, :attr:`cache`.
     design_factory:
         Rebuilds :class:`Design` objects from names for scenario payloads
-        (defaults to :func:`repro.serving.sweep.default_design_factory`).
+        and raw traces submitted by name (defaults to
+        :func:`repro.pdn.designs.design_from_name`).
     faults:
         Fault-injection seam (tests only; defaults to inert hooks).
     metrics:
         Metrics registry to publish into; defaults to the process-global
-        :func:`repro.obs.metrics` registry.
+        :func:`repro.obs.metrics` registry (a no-op registry when
+        observability is disabled).  Pass a private live
+        :class:`~repro.obs.metrics.MetricsRegistry` to collect counts and
+        latency histograms regardless of the global toggle, as the
+        evaluation protocol does.
     max_retries:
         How many times a request stranded by worker crashes is requeued
         before failing with :class:`WorkerCrashed`.
@@ -152,7 +172,8 @@ class ScreeningGateway:
         max_batch: int = 16,
         max_wait: float = 2e-3,
         registry_capacity: int = 4,
-        design_factory: DesignFactory = default_design_factory,
+        cache_size: int = 1024,
+        design_factory: DesignFactory = design_from_name,
         faults: Optional[FaultInjector] = None,
         metrics: Optional[MetricsRegistry] = None,
         max_retries: int = 2,
@@ -182,6 +203,10 @@ class ScreeningGateway:
         self._faults = faults if faults is not None else NULL_FAULTS
         self._design_factory = design_factory
         self._ring = ConsistentHashRing(range(self.num_shards))
+        #: Result cache shared by every shard (workers hold
+        #: ``_cache_lock`` around each use).
+        self.cache: LRUCache[PredictionResult] = LRUCache(cache_size)
+        self._cache_lock = threading.Lock()
         self._lock = threading.Lock()
         self._closed = False
         self._outstanding = 0
@@ -240,7 +265,6 @@ class ScreeningGateway:
                 shed = self._pick_shed_victim_locked()
             self._outstanding += 1
             self._inflight.append(request)
-            self._obs.queue_depth.set(self._outstanding)
         request.future.add_done_callback(lambda _: self._request_done(request))
         if shed is not None and shed.fail(
             LoadShedError("shed under overload (shed-oldest policy)")
@@ -269,8 +293,7 @@ class ScreeningGateway:
         """Screen ``(payload, design)`` pairs, blocking; results in order.
 
         Submits everything first so the shards' micro-batchers can fill
-        even from a single caller thread, mirroring
-        :meth:`ScreeningService.screen`.
+        even from a single caller thread.
         """
         futures = [
             self.submit_async(payload, design, num_steps=num_steps, dt=dt, seed=seed)
@@ -349,6 +372,23 @@ class ScreeningGateway:
                 "queue_limit": self.queue_limit,
                 "shards": shards,
             }
+
+    def counts(self) -> dict:
+        """Serving counts from :attr:`metrics` (all zero when it is disabled).
+
+        The ``gateway.*`` counters ``requests``, ``cache_hits``,
+        ``coalesced``, ``model_batches``, ``batched_vectors`` and
+        ``failures``, plus ``max_batch_observed`` (the largest forward pass,
+        the ``gateway.batch_size`` gauge's max), ``mean_batch_size`` and
+        ``cache_hit_rate``.
+        """
+        names = ("requests", "cache_hits", "coalesced", "model_batches", "batched_vectors", "failures")
+        counts = {name: getattr(self.metrics.get(f"gateway.{name}"), "value", 0) for name in names}
+        sizes = self.metrics.get("gateway.batch_size")
+        counts["max_batch_observed"] = int(sizes.max) if sizes is not None and sizes.count else 0
+        counts["mean_batch_size"] = counts["batched_vectors"] / max(counts["model_batches"], 1)
+        counts["cache_hit_rate"] = counts["cache_hits"] / max(counts["requests"], 1)
+        return counts
 
     def backoff_history(self, shard_id: int) -> list[float]:
         """Backoff delays (seconds) the supervisor applied for one shard."""
@@ -434,6 +474,8 @@ class ScreeningGateway:
             shard_id=shard.shard_id,
             inbox=shard.inbox,
             registry=shard.registry,
+            cache=self.cache,
+            cache_lock=self._cache_lock,
             design_factory=self._design_factory,
             max_batch=self.max_batch,
             max_wait=self.max_wait,
@@ -525,13 +567,17 @@ class ScreeningGateway:
         return max(0.01, self._outstanding * per_request / self.num_shards)
 
     def _request_done(self, request: GatewayRequest) -> None:
-        """Done-callback bookkeeping: counts, gauges, latency EWMA."""
+        """Done-callback bookkeeping: latency, queue depth, latency EWMA.
+
+        The one place a request's latency is observed, whichever path
+        (forward pass, cache hit, coalesced twin, failure) answered it; the
+        queue-depth gauge samples the backlog each answer leaves behind.
+        """
         elapsed = time.perf_counter() - request.submitted_at
-        failed = (not request.future.cancelled()) and (
-            request.future.exception() is not None
-        )
-        if failed:
-            self._obs.latency_failed.observe(elapsed)
+        cancelled = request.future.cancelled()
+        failed = not cancelled and request.future.exception() is not None
+        if not cancelled:
+            (self._obs.latency_failed if failed else self._obs.latency_ok).observe(elapsed)
         with self._lock:
             self._outstanding -= 1
             self._obs.queue_depth.set(self._outstanding)

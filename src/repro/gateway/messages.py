@@ -2,10 +2,10 @@
 
 Everything that flows through a shard inbox is defined here: admitted
 :class:`GatewayRequest` objects, the :class:`SwapCommand` control message
-that quiesces one shard for a hot checkpoint swap (the stop sentinel is
-:data:`repro.serving.batcher.STOP`).  The gateway's caller-facing error
-taxonomy also lives here so both the in-process API and the wire protocol
-can map failures to typed responses.
+that quiesces one shard for a hot checkpoint swap, and the :data:`STOP`
+sentinel that ends a worker (or the supervisor loop).  The gateway's
+caller-facing error taxonomy also lives here so both the in-process API and
+the wire protocol can map failures to typed responses.
 
 Exactly-once answering is enforced structurally: every request owns one
 :class:`concurrent.futures.Future`, and :meth:`GatewayRequest.resolve` /
@@ -28,6 +28,10 @@ from repro.core.inference import PredictionResult
 from repro.pdn.designs import Design
 from repro.serving.cache import ScreeningPayload
 from repro.workloads.specs import ScenarioLike
+
+#: Inbox sentinel telling a shard worker (or the supervisor) to exit after
+#: its in-hand batch.
+STOP = object()
 
 
 class GatewayError(RuntimeError):

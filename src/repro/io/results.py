@@ -148,7 +148,7 @@ def latency_throughput_columns(
         Per-item wall-clock latencies in seconds — either a raw sequence of
         floats, or a :class:`repro.obs.metrics.LatencyHistogram` whose
         bucket counts already aggregate the samples (the serving stack's
-        ``serving.request_latency.*`` instruments).  Percentiles from a
+        ``gateway.request_latency.*`` instruments).  Percentiles from a
         histogram are interpolated within its buckets rather than re-sorted
         from raw lists.
     total_seconds:

@@ -14,7 +14,7 @@ one tracer per process, resolved lazily.  Instrumented call sites do::
 
     from repro import obs
 
-    obs.metrics().counter("serving.requests").inc()
+    obs.metrics().counter("gateway.requests").inc()
     with obs.get_tracer().span("eval.heldout", design=name) as span:
         ...
     elapsed = span.duration_s

@@ -1,18 +1,21 @@
-"""Serving layer: batched, cached, multi-design noise screening at scale.
+"""Serving building blocks: checkpoints, the result cache, scenario sweeps.
 
 The trained CNN replaces the transient simulator precisely because it is
-orders of magnitude faster — this subpackage is where that speed is turned
-into *throughput*.  It provides:
+orders of magnitude faster — this subpackage holds the pieces that turn
+that speed into *throughput*.  The front door that screens requests is
+:class:`repro.gateway.ScreeningGateway` (one shard for in-process use);
+this package provides what it is built from:
 
 * :class:`~repro.serving.registry.PredictorRegistry` — per-design predictor
   checkpoints with LRU residency, so one process serves every design;
-* :class:`~repro.serving.service.ScreeningService` — a micro-batching
-  front-end with an LRU result cache and in-flight coalescing;
+* :class:`~repro.serving.cache.LRUCache` and
+  :func:`~repro.serving.cache.trace_content_hash` — the gateway's result
+  cache and its content key;
 * :func:`~repro.serving.sweep.screen_scenarios` — a worker-pool sweep that
   fans workload scenarios across processes and aggregates
   :class:`~repro.io.results.ExperimentRecord` rows.
 
-See ``DESIGN.md`` for how the pieces fit together and
+See ``docs/serving.md`` for how the pieces fit together and
 ``benchmarks/bench_serving.py`` for measured throughput.
 """
 
@@ -23,12 +26,7 @@ from repro.serving.cache import (
     trace_content_hash,
 )
 from repro.serving.registry import PredictorRegistry, RegistryStats
-from repro.serving.service import ScreeningService, ServiceClosed, service_counts
-from repro.serving.sweep import (
-    ScenarioJob,
-    default_design_factory,
-    screen_scenarios,
-)
+from repro.serving.sweep import ScenarioJob, screen_scenarios
 
 __all__ = [
     "CacheStats",
@@ -37,10 +35,6 @@ __all__ = [
     "trace_content_hash",
     "PredictorRegistry",
     "RegistryStats",
-    "ScreeningService",
-    "ServiceClosed",
-    "service_counts",
     "ScenarioJob",
-    "default_design_factory",
     "screen_scenarios",
 ]

@@ -1,4 +1,4 @@
-"""Result caching for the screening service.
+"""Result caching for the screening gateway.
 
 Sign-off screening traffic is highly repetitive: the same release candidates
 are re-validated after every design spin, and scenario suites overlap heavily
@@ -24,7 +24,7 @@ from repro.utils import check_positive
 
 ValueT = TypeVar("ValueT")
 
-#: Anything the screening service accepts as one unit of work.
+#: A concrete test vector the gateway can cache (scenario payloads are not).
 ScreeningPayload = Union[CurrentTrace, VectorFeatures]
 
 

@@ -69,17 +69,6 @@ class ScenarioJob:
         return normalize_scenario(self.scenario).label
 
 
-def default_design_factory(name: str) -> Design:
-    """Build a design from its sweep name.
-
-    Delegates to :func:`repro.pdn.designs.design_from_name` (seed 0):
-    ``"small"`` (optionally ``"small@<tiles>"``) maps to the unit-test
-    design; ``"D1"`` .. ``"D4"`` (optionally ``"D1@<scale>"``) map to the
-    reference analogues.
-    """
-    return design_from_name(name, seed=0)
-
-
 # Per-worker state, initialised once per process by _worker_init.
 _WORKER_REGISTRY: Optional[PredictorRegistry] = None
 _WORKER_FACTORY: Optional[DesignFactory] = None
@@ -125,7 +114,7 @@ def _run_job(job: ScenarioJob) -> dict:
 def screen_scenarios(
     jobs: Sequence[ScenarioJob],
     registry_root: Union[str, Path],
-    design_factory: DesignFactory = default_design_factory,
+    design_factory: DesignFactory = design_from_name,
     num_workers: Optional[int] = None,
     experiment: str = "serving_sweep",
 ) -> list[ExperimentRecord]:

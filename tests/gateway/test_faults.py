@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.faults import ScriptedFaults
 from repro.gateway import FaultInjector, WorkerCrashed, WorkerKilled
 
 
@@ -116,6 +117,24 @@ def test_worker_killed_mid_batch_loses_nothing(
         assert request.answers == 1
     assert gateway.backoff_history(shard) == [pytest.approx(0.01)]
     wait_for(lambda: gateway.health()["shards"][shard]["state"] == "healthy")
+
+
+def test_crash_mid_fill_requeues_the_requests_already_pulled(
+    make_gateway, tiny_design, tiny_features, expected_results, assert_noise_close
+):
+    # The second dequeue of the first fill kills the worker: the request the
+    # fill already holds and the one it was admitting are both in hand, and
+    # both must reach the supervisor instead of dying with the thread.
+    faults = ScriptedFaults().fail_at("gateway.dequeue", 1, WorkerKilled("killed mid-fill"))
+    gateway = make_gateway(num_shards=1, faults=faults, max_wait=0.2)
+    futures = [
+        gateway.submit_async(features, tiny_design.name) for features in tiny_features[:3]
+    ]
+    for future, expected in zip(futures, expected_results):
+        assert_noise_close(future.result(timeout=5), expected)
+    assert faults.fired == [("gateway.dequeue", 1)]
+    assert gateway.metrics.counter("gateway.restarts").value == 1
+    assert gateway.metrics.counter("gateway.retries").value == 2
 
 
 def test_persistent_crashes_exhaust_retries_with_backoff(

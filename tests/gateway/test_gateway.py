@@ -8,6 +8,7 @@ before the test acts — no ``max_wait`` timing windows anywhere.
 from __future__ import annotations
 
 import asyncio
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.gateway import (
     LoadShedError,
     ScreeningGateway,
 )
+from repro.serving import PredictorRegistry
 from repro.sim.waveform import CurrentTrace
 
 
@@ -31,6 +33,38 @@ def test_screen_matches_direct_prediction(make_gateway, tiny_design, tiny_featur
     # Every accepted request resolved: the admission gauge returns to zero.
     assert gateway.metrics.gauge("gateway.queue_depth").last == 0
     assert gateway.metrics.counter("gateway.requests").value == len(tiny_features)
+
+
+def test_shared_cache_stays_consistent_under_thread_contention(
+    make_gateway, gateway_root, tiny_design, tiny_predictor, tiny_features,
+    expected_results, assert_noise_close
+):
+    # More shard workers than cores share the one result cache, with the
+    # interpreter switching threads as often as it can: a lost update in the
+    # cache would break one of the counts below.
+    names = [f"{tiny_design.name}-{index}" for index in range(8)]
+    registry = PredictorRegistry(gateway_root)
+    for name in names:
+        registry.register(name, tiny_predictor)
+    # Large, slow-filling batches keep the shards' lookups overlapping.
+    gateway = make_gateway(num_shards=4, queue_limit=1024, max_batch=64, max_wait=0.02)
+    vectors = range(len(tiny_features))
+    items = [(index, name) for _ in range(3) for name in names for index in vectors]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = gateway.screen([(tiny_features[index], name) for index, name in items])
+    finally:
+        sys.setswitchinterval(interval)
+    for (index, _), result in zip(items, results):
+        assert_noise_close(result, expected_results[index])
+    counts = gateway.counts()
+    # Every request was answered by exactly one path, after one lookup.
+    assert counts["cache_hits"] + counts["coalesced"] + counts["batched_vectors"] == len(items)
+    assert gateway.cache.stats.requests == len(items)
+    assert gateway.cache.stats.hits == counts["cache_hits"]
+    # One predictor serves every name, so each vector has one entry.
+    assert len(gateway.cache) == len(vectors)
 
 
 def test_scenario_payloads_are_deterministic(make_gateway, tiny_design, assert_noise_close):

@@ -15,7 +15,8 @@ import pytest
 
 from repro import obs
 from repro.datagen import CorpusDesignSpec, CorpusSpec, generate_corpus
-from repro.serving import PredictorRegistry, ScreeningService
+from repro.gateway import ScreeningGateway
+from repro.serving import PredictorRegistry
 
 
 def small_spec() -> CorpusSpec:
@@ -127,10 +128,9 @@ class TestEndToEndPoolRun:
         generate_corpus(small_spec(), tmp_path / "corpus", num_workers=2)
 
         checkpoint_dir = tmp_path / "checkpoints"
-        predictors = PredictorRegistry(checkpoint_dir, capacity=2)
-        predictors.register(tiny_design.name, tiny_predictor)
-        with ScreeningService(predictors, max_batch=4, max_wait=1e-3) as service:
-            service.screen(tiny_traces, tiny_design)
+        PredictorRegistry(checkpoint_dir).register(tiny_design.name, tiny_predictor)
+        with ScreeningGateway(checkpoint_dir, num_shards=1, max_batch=4, max_wait=1e-3) as gateway:
+            gateway.screen([(trace, tiny_design) for trace in tiny_traces])
 
         report = obs.load_run_report(obs.finish_run())
         assert report["config_hash"] == obs.config_hash(
@@ -138,12 +138,12 @@ class TestEndToEndPoolRun:
         )
         metrics = report["metrics"]
         # Serving telemetry: every request counted, queue depth and batch
-        # size sampled, latency histogrammed on the batched path.
-        assert metrics["serving.requests"]["value"] == len(tiny_traces)
-        assert metrics["serving.queue_depth"]["count"] == len(tiny_traces)
-        assert metrics["serving.batch_size"]["count"] >= 1
-        assert 1 <= metrics["serving.batch_size"]["max"] <= 4
-        latency = metrics["serving.request_latency.batched"]
+        # size sampled, latency histogrammed for every answer.
+        assert metrics["gateway.requests"]["value"] == len(tiny_traces)
+        assert metrics["gateway.queue_depth"]["count"] == len(tiny_traces)
+        assert metrics["gateway.batch_size"]["count"] >= 1
+        assert 1 <= metrics["gateway.batch_size"]["max"] <= 4
+        latency = metrics["gateway.request_latency.ok"]
         assert latency["count"] == len(tiny_traces)
         assert latency["summary"]["p95"] >= latency["summary"]["p50"] > 0
         # Datagen telemetry from the pool merged into the same report.

@@ -1,9 +1,9 @@
-"""Property tests for the shared micro-batch fill (derandomized).
+"""Property tests for the shard worker's micro-batch fill (derandomized).
 
-``MicroBatcher._fill`` is the one deadline-bounded drain that both the
-screening service and the gateway shard workers run.  With ``max_wait=0``
-it drains only what is already queued, so random interleavings of requests
-and control items replay deterministically.
+``ShardWorker._fill_batch`` is the one deadline-bounded drain every
+screening request passes through.  With ``max_wait=0`` it drains only what
+is already queued, so random interleavings of requests and control items
+(swap commands) replay deterministically.
 """
 
 from __future__ import annotations
@@ -13,51 +13,53 @@ import queue
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving.batcher import MicroBatcher
+from repro.faults import NULL_FAULTS
+from repro.gateway import GatewayRequest, ShardWorker, SwapCommand
 
 
-class Control:
-    """A control item (shutdown sentinel, swap command) in the inbox."""
-
-    def __init__(self, index: int):
-        self.index = index
-
-
-class FillOnly(MicroBatcher):
-    """Just enough of a batcher to run the fill; ``max_wait=0`` drains what is queued."""
-
-    max_wait = 0.0
-
-    def __init__(self, inbox: "queue.Queue", max_batch: int):
-        self._inbox = inbox
-        self.max_batch = max_batch
-
-    @staticmethod
-    def _is_control(item) -> bool:
-        return isinstance(item, Control)
+def _worker(inbox: "queue.Queue", max_batch: int) -> ShardWorker:
+    """Just enough of a worker to run the fill; ``max_wait=0`` drains what is queued."""
+    return ShardWorker(
+        shard_id=0,
+        inbox=inbox,
+        registry=None,
+        cache=None,
+        cache_lock=None,
+        design_factory=None,
+        max_batch=max_batch,
+        max_wait=0.0,
+        faults=NULL_FAULTS,
+        instruments=None,
+        on_crash=None,
+        on_healthy=None,
+    )
 
 
 def _drain(kinds: list[bool], max_batch: int):
-    """Queue requests (``False``) and controls (``True``); run the fill loop.
+    """Queue requests (``False``) and swap commands (``True``); run the fill loop.
 
     Returns the inbox's items as queued, and the events the loop produced in
     order: each batch (a list) and each control item the caller saw.
     """
-    items = [Control(index) if control else index for index, control in enumerate(kinds)]
+    items = [
+        SwapCommand(design_name=str(index)) if control else GatewayRequest(index, "design")
+        for index, control in enumerate(kinds)
+    ]
     inbox: "queue.Queue" = queue.Queue()
     for item in items:
         inbox.put(item)
-    batcher = FillOnly(inbox, max_batch)
+    worker = _worker(inbox, max_batch)
     events: list = []
     while not inbox.empty():
         first = inbox.get_nowait()
-        if isinstance(first, Control):
+        if isinstance(first, SwapCommand):
             events.append(first)
             continue
-        batch, control = batcher._fill(first)
-        assert control is None or isinstance(control, Control)
+        batch, control = worker._fill_batch(first)
+        assert control is None or isinstance(control, SwapCommand)
         # A fill ends early only at a control item or an empty inbox.
         assert len(batch) == max_batch or control is not None or inbox.empty()
+        assert all(request.dispatched for request in batch)
         events.append(batch)
         if control is not None:
             events.append(control)
@@ -75,11 +77,11 @@ def test_fill_batches_requests_in_order_and_stops_at_controls(kinds, max_batch):
     # No batch exceeds max_batch, and none is empty.
     assert all(1 <= len(batch) <= max_batch for batch in batches)
     # Every request lands in exactly one batch, in FIFO order.
-    requests = [item for item in items if not isinstance(item, Control)]
+    requests = [item for item in items if isinstance(item, GatewayRequest)]
     assert [request for batch in batches for request in batch] == requests
     # Each control item is handed back exactly where it was queued: a fill
     # stops at the first control, and nothing behind it joins the batch.
     flattened = [
         item for event in events for item in (event if isinstance(event, list) else [event])
     ]
-    assert flattened == items
+    assert [id(item) for item in flattened] == [id(item) for item in items]

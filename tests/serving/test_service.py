@@ -1,32 +1,54 @@
-"""Tests for the micro-batching screening service."""
+"""The screening service: a one-shard gateway's cache, coalescing and batching.
+
+Every screening request goes through :class:`ScreeningGateway`; these tests
+pin what its in-process use (one shard over a registry root) promises.
+In-memory test doubles (gated, flaky and alternative predictors) enter the
+shard through ``swap_checkpoint(..., persist=False)``, exactly like a
+freshly trained model.
+"""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
 from repro.features.extraction import VectorFeatures, extract_vector_features
+from repro.gateway import GatewayClosed, ScreeningGateway
 from repro.obs.metrics import MetricsRegistry
 from repro.pdn.designs import make_design
-from repro.serving import ScreeningService, ServiceClosed
 from repro.sim.waveform import CurrentTrace
 
 
+def one_shard(registry, **kwargs) -> ScreeningGateway:
+    """A one-shard gateway over ``registry``'s checkpoints, private metrics."""
+    kwargs.setdefault("metrics", MetricsRegistry())
+    return ScreeningGateway(registry.root, num_shards=1, **kwargs)
+
+
+def serve(gateway, design, predictor) -> None:
+    """Serve ``design`` with an in-memory predictor from the next batch on."""
+    gateway.swap_checkpoint(design.name, predictor, persist=False).result(timeout=5)
+
+
+def submit(gateway, payload, design):
+    """Screen one vector, blocking for its answer."""
+    return gateway.submit_async(payload, design).result(timeout=10)
+
+
 def count(service, name):
-    """A ``serving.*`` counter of the service's (private) metrics registry."""
-    return service.metrics.counter(f"serving.{name}").value
+    """A ``gateway.*`` counter of the service's (private) metrics registry."""
+    return service.metrics.counter(f"gateway.{name}").value
 
 
 def max_batch_observed(service):
     """Largest design group the service ran through one forward pass."""
-    return service.metrics.gauge("serving.batch_size").max
+    return service.metrics.gauge("gateway.batch_size").max
 
 
 @pytest.fixture()
 def service(registry):
-    with ScreeningService(
-        registry, max_batch=8, max_wait=5e-3, metrics=MetricsRegistry()
-    ) as svc:
+    with one_shard(registry, max_batch=8, max_wait=5e-3) as svc:
         yield svc
 
 
@@ -34,7 +56,7 @@ class TestScreeningCorrectness:
     def test_screen_matches_sequential_predictions(
         self, service, serving_predictor, tiny_design, tiny_traces
     ):
-        results = service.screen(tiny_traces, tiny_design)
+        results = service.screen([(trace, tiny_design) for trace in tiny_traces])
         assert len(results) == len(tiny_traces)
         for trace, result in zip(tiny_traces, results):
             sequential = serving_predictor.predict_trace(trace, tiny_design)
@@ -48,10 +70,8 @@ class TestScreeningCorrectness:
         # A gated blocker pins the worker mid-batch while the backlog queues
         # up, so the batch split is exact rather than a max_wait race.
         gated = make_gated_predictor(serving_predictor)
-        registry.register(tiny_design.name, gated, persist=False)
-        with ScreeningService(
-            registry, max_batch=8, max_wait=1e-3, metrics=MetricsRegistry()
-        ) as svc:
+        with one_shard(registry, max_batch=8, max_wait=1e-3) as svc:
+            serve(svc, tiny_design, gated)
             blocker = svc.submit_async(tiny_traces[0], tiny_design)
             assert gated.started.wait(5)
             futures = [svc.submit_async(trace, tiny_design) for trace in tiny_traces[1:]]
@@ -70,7 +90,7 @@ class TestScreeningCorrectness:
         features = extract_vector_features(
             tiny_traces[0], tiny_design, compression_rate=serving_predictor.compression_rate
         )
-        result = service.submit(features, tiny_design.name)
+        result = submit(service, features, tiny_design.name)
         sequential = serving_predictor.predict_features(features)
         np.testing.assert_allclose(
             result.noise_map, sequential.noise_map, rtol=1e-10, atol=1e-12
@@ -81,9 +101,10 @@ class TestResultCache:
     def test_cache_hits_return_identical_maps_without_rerun(
         self, service, tiny_design, tiny_traces
     ):
-        first = service.screen(tiny_traces, tiny_design)
+        items = [(trace, tiny_design) for trace in tiny_traces]
+        first = service.screen(items)
         vectors_after_first = count(service, "batched_vectors")
-        second = service.screen(tiny_traces, tiny_design)
+        second = service.screen(items)
         # No additional forward passes ran ...
         assert count(service, "batched_vectors") == vectors_after_first
         assert count(service, "cache_hits") == len(tiny_traces)
@@ -93,22 +114,22 @@ class TestResultCache:
 
     def test_renamed_identical_trace_hits_cache(self, service, tiny_design, tiny_traces):
         trace = tiny_traces[0]
-        service.submit(trace, tiny_design)
+        submit(service, trace, tiny_design)
         renamed = dataclasses.replace(trace, name="release-candidate-7")
-        result = service.submit(renamed, tiny_design)
+        result = submit(service, renamed, tiny_design)
         assert count(service, "cache_hits") == 1
         # The hit reports the submitter's vector name, not the twin's.
         assert result.name == "release-candidate-7"
 
     def test_caller_mutation_cannot_poison_cache(self, service, tiny_design, tiny_traces):
         trace = tiny_traces[0]
-        original = service.submit(trace, tiny_design)
+        original = submit(service, trace, tiny_design)
         reference = original.noise_map.copy()
         original.noise_map *= 1e3  # caller-side unit conversion
-        hit = service.submit(dataclasses.replace(trace, name="again"), tiny_design)
+        hit = submit(service, dataclasses.replace(trace, name="again"), tiny_design)
         np.testing.assert_array_equal(hit.noise_map, reference)
         hit.noise_map[:] = -1.0  # mutating a hit must not touch the cache either
-        second_hit = service.submit(dataclasses.replace(trace, name="thrice"), tiny_design)
+        second_hit = submit(service, dataclasses.replace(trace, name="thrice"), tiny_design)
         np.testing.assert_array_equal(second_hit.noise_map, reference)
 
     def test_non_finite_prediction_is_not_cached(
@@ -120,8 +141,8 @@ class TestResultCache:
         maps = features.current_maps.copy()
         maps[0, 0, 0] = np.nan
         poisoned = VectorFeatures(current_maps=maps, name="poisoned")
-        first = service.submit(poisoned, tiny_design.name)
-        second = service.submit(poisoned, tiny_design.name)
+        first = submit(service, poisoned, tiny_design.name)
+        second = submit(service, poisoned, tiny_design.name)
         assert not np.all(np.isfinite(first.noise_map))
         assert not np.all(np.isfinite(second.noise_map))
         assert count(service, "cache_hits") == 0
@@ -131,19 +152,21 @@ class TestResultCache:
         self, registry, serving_predictor, make_gated_predictor, tiny_design, tiny_traces
     ):
         gated = make_gated_predictor(serving_predictor)
-        registry.register(tiny_design.name, gated, persist=False)
-        with ScreeningService(
-            registry, max_batch=8, max_wait=1e-3, metrics=MetricsRegistry()
-        ) as svc:
+        with one_shard(registry, max_batch=8, max_wait=1e-3) as svc:
+            serve(svc, tiny_design, gated)
+            blocker = svc.submit_async(tiny_traces[1], tiny_design)
+            assert gated.started.wait(5)  # the twins queue behind the blocker
             twin = dataclasses.replace(tiny_traces[0], name="twin")
             first = svc.submit_async(tiny_traces[0], tiny_design)
-            assert gated.started.wait(5)  # the primary is provably in flight
             second = svc.submit_async(twin, tiny_design)
-            assert count(svc, "coalesced") == 1
             gated.release.set()
+            blocker.result(timeout=10)
             primary, follower = first.result(timeout=10), second.result(timeout=10)
-            # One forward pass, but each caller owns a private result.
-            assert count(svc, "batched_vectors") == 1
+            # The twins landed in one fill and shared one feature row ...
+            assert count(svc, "coalesced") == 1
+            assert count(svc, "batched_vectors") == 2
+            assert gated.calls == 2
+            # ... but each caller owns a private result under its own name.
             np.testing.assert_array_equal(primary.noise_map, follower.noise_map)
             assert follower.noise_map is not primary.noise_map
             assert follower.name == "twin"
@@ -152,10 +175,8 @@ class TestResultCache:
         self, registry, serving_predictor, make_gated_predictor, tiny_design, tiny_traces
     ):
         gated = make_gated_predictor(serving_predictor)
-        registry.register(tiny_design.name, gated, persist=False)
-        with ScreeningService(
-            registry, max_batch=8, max_wait=1e-3, metrics=MetricsRegistry()
-        ) as svc:
+        with one_shard(registry, max_batch=8, max_wait=1e-3) as svc:
+            serve(svc, tiny_design, gated)
             blocker = svc.submit_async(tiny_traces[3], tiny_design)
             assert gated.started.wait(5)
             # These three queue behind the blocked batch and land together.
@@ -171,69 +192,66 @@ class TestResultCache:
         self, registry, serving_predictor, make_gated_predictor, tiny_design, tiny_traces
     ):
         gated = make_gated_predictor(serving_predictor)
-        registry.register(tiny_design.name, gated, persist=False)
-        with ScreeningService(
-            registry, max_batch=8, max_wait=1e-3, metrics=MetricsRegistry()
-        ) as svc:
+        with one_shard(registry, max_batch=8, max_wait=1e-3) as svc:
+            serve(svc, tiny_design, gated)
             blocker = svc.submit_async(tiny_traces[1], tiny_design)
             assert gated.started.wait(5)
             doomed = svc.submit_async(tiny_traces[0], tiny_design)
             doomed.cancel()
-            # An innocent later submitter of the same vector must get a fresh
-            # request, not inherit the cancellation.
+            # An innocent later submitter of the same vector must get its own
+            # answer, not inherit the cancellation.
             fresh = svc.submit_async(tiny_traces[0], tiny_design)
-            assert count(svc, "coalesced") == 0
             gated.release.set()
             blocker.result(timeout=10)
             result = fresh.result(timeout=10)
+        assert count(svc, "coalesced") == 0
+        assert doomed.cancelled()
         assert result.noise_map.shape == tiny_design.tile_grid.shape
 
 
 class TestCloseSemantics:
-    """close() resolves — never abandons — every accepted future (PR 7)."""
+    """close() resolves — never abandons — every accepted future."""
 
     def test_submit_after_close_raises_typed_service_closed(
         self, registry, tiny_design, tiny_traces
     ):
-        service = ScreeningService(registry, max_batch=4)
+        service = one_shard(registry, max_batch=4)
         service.close()
-        with pytest.raises(ServiceClosed):
-            service.submit(tiny_traces[0], tiny_design)
+        with pytest.raises(GatewayClosed):
+            service.submit_async(tiny_traces[0], tiny_design)
+        service.close()  # idempotent
 
     def test_close_without_drain_resolves_queued_futures(
         self, registry, serving_predictor, make_gated_predictor, wait_for,
         tiny_design, tiny_traces
     ):
-        import threading
-
         gated = make_gated_predictor(serving_predictor)
-        registry.register(tiny_design.name, gated, persist=False)
-        svc = ScreeningService(registry, max_batch=1, max_wait=1e-3, metrics=MetricsRegistry())
+        svc = one_shard(registry, max_batch=1, max_wait=1e-3)
+        serve(svc, tiny_design, gated)
         blocker = svc.submit_async(tiny_traces[0], tiny_design)
         assert gated.started.wait(5)
         queued = [svc.submit_async(trace, tiny_design) for trace in tiny_traces[1:3]]
 
         closer = threading.Thread(target=lambda: svc.close(drain=False))
         closer.start()
+        # Every accepted future — in flight or queued — is *resolved* with
+        # the typed error at once, not silently abandoned to hang forever.
+        wait_for(lambda: all(future.done() for future in [blocker, *queued]))
+        for future in [blocker, *queued]:
+            with pytest.raises(GatewayClosed):
+                future.result(timeout=0)
         gated.release.set()
         closer.join(timeout=10)
         assert not closer.is_alive()
-        # The in-flight request finished; the queued ones were *resolved*
-        # with the typed error — not silently abandoned to hang forever.
-        assert blocker.result(timeout=0) is not None
-        for future in queued:
-            with pytest.raises(ServiceClosed):
-                future.result(timeout=0)
-        assert count(svc, "failures") == len(queued)
+        assert gated.calls == 1  # the queued requests never reached the model
+        assert svc.metrics.histogram("gateway.request_latency.failed").count == 3
 
     def test_close_with_drain_answers_queued_requests(
         self, registry, serving_predictor, make_gated_predictor, tiny_design, tiny_traces
     ):
-        import threading
-
         gated = make_gated_predictor(serving_predictor)
-        registry.register(tiny_design.name, gated, persist=False)
-        svc = ScreeningService(registry, max_batch=1, max_wait=1e-3)
+        svc = one_shard(registry, max_batch=1, max_wait=1e-3)
+        serve(svc, tiny_design, gated)
         blocker = svc.submit_async(tiny_traces[0], tiny_design)
         assert gated.started.wait(5)
         queued = [svc.submit_async(trace, tiny_design) for trace in tiny_traces[1:3]]
@@ -247,69 +265,57 @@ class TestCloseSemantics:
         for future in queued:  # drained, not rejected
             assert future.result(timeout=0) is not None
 
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-    )
-    def test_worker_death_fails_batch_and_flushes_queue(
+    def test_worker_death_requeues_batch_and_serves_queue(
         self, registry, serving_predictor, make_gated_predictor, make_flaky_predictor,
-        wait_for, tiny_design, tiny_traces
+        tiny_design, tiny_traces
     ):
         class WorkerDeath(BaseException):
             """Non-Exception error: kills the worker thread outright."""
 
         lethal = make_gated_predictor(make_flaky_predictor(serving_predictor, [WorkerDeath()]))
-        registry.register(tiny_design.name, lethal, persist=False)
-        svc = ScreeningService(registry, max_batch=1, max_wait=1e-3)
-        doomed = svc.submit_async(tiny_traces[0], tiny_design)
-        assert lethal.started.wait(5)
-        stranded = svc.submit_async(tiny_traces[1], tiny_design)
-        lethal.release.set()
-
-        # The in-hand batch gets the real error...
-        with pytest.raises(WorkerDeath):
-            doomed.result(timeout=10)
-        # ...and the queued request is flushed with the typed error once the
-        # worker is gone — before the fix its pending entry leaked forever.
-        with pytest.raises(ServiceClosed):
-            stranded.result(timeout=10)
-        wait_for(lambda: not svc._worker.is_alive())
-        with pytest.raises(ServiceClosed):
-            svc.submit_async(tiny_traces[2], tiny_design)
-        svc.close()  # still idempotent after a crashed worker
+        with one_shard(registry, max_batch=1, max_wait=1e-3, backoff_base=0.01) as svc:
+            serve(svc, tiny_design, lethal)
+            doomed = svc.submit_async(tiny_traces[0], tiny_design)
+            assert lethal.started.wait(5)
+            stranded = svc.submit_async(tiny_traces[1], tiny_design)
+            lethal.release.set()
+            # The supervisor restarts the worker, requeues the batch it died
+            # holding, and the replacement serves both requests.
+            for future, trace in ((doomed, tiny_traces[0]), (stranded, tiny_traces[1])):
+                expected = serving_predictor.predict_trace(trace, tiny_design)
+                np.testing.assert_allclose(
+                    future.result(timeout=10).noise_map, expected.noise_map, rtol=1e-10
+                )
+            assert count(svc, "restarts") == 1
+            assert count(svc, "retries") == 1
 
 
 class TestFailureIsolation:
-    """A failing forward pass must not leave stale coalescing state behind."""
+    """A failing forward pass must not leave stale state behind."""
 
     def test_predictor_failure_rejects_future_then_resubmission_succeeds(
         self, registry, serving_predictor, make_flaky_predictor, tiny_design, tiny_traces
     ):
         flaky = make_flaky_predictor(serving_predictor, [RuntimeError("transient GPU error")])
-        registry.register(tiny_design.name, flaky, persist=False)
-        with ScreeningService(
-            registry, max_batch=4, max_wait=1e-3, metrics=MetricsRegistry()
-        ) as svc:
+        with one_shard(registry, max_batch=4, max_wait=1e-3) as svc:
+            serve(svc, tiny_design, flaky)
             with pytest.raises(RuntimeError, match="transient GPU error"):
-                svc.submit(tiny_traces[0], tiny_design)
+                submit(svc, tiny_traces[0], tiny_design)
             assert count(svc, "failures") == 1
-            # The identical resubmission gets a FRESH attempt: the failed
-            # in-flight entry was cleaned up, so nothing coalesces onto the
-            # dead future and the retry reaches the recovered predictor.
-            result = svc.submit(tiny_traces[0], tiny_design)
-            assert count(svc, "coalesced") == 0
+            # The identical resubmission gets a FRESH attempt that reaches
+            # the recovered predictor: a failure is never cached.
+            result = submit(svc, tiny_traces[0], tiny_design)
+            assert count(svc, "cache_hits") == 0
             assert result.noise_map.shape == tiny_design.tile_grid.shape
         assert flaky.calls == 2
-
 
     def test_malformed_trace_fails_only_itself(
         self, registry, serving_predictor, make_gated_predictor, tiny_design, tiny_traces
     ):
         gated = make_gated_predictor(serving_predictor)
-        registry.register(tiny_design.name, gated, persist=False)
         bad = CurrentTrace(tiny_traces[2].currents[:, :5], tiny_traces[2].dt, name="bad")
-        with ScreeningService(
-            registry, max_batch=8, max_wait=1e-3, metrics=MetricsRegistry()
-        ) as svc:
+        with one_shard(registry, max_batch=8, max_wait=1e-3) as svc:
+            serve(svc, tiny_design, gated)
             blocker = svc.submit_async(tiny_traces[3], tiny_design)
             assert gated.started.wait(5)
             # All three queue behind the blocked batch and land in one group.
@@ -330,20 +336,18 @@ class TestFailureIsolation:
 
 
 class TestHotSwapWhileInFlight:
-    """Registry hot-swap with a batch in flight (satellite of PR 7)."""
+    """Hot swap with a batch in flight, and its ordering against the cache."""
 
     def test_swap_mid_batch_keeps_old_weights_for_in_flight_requests(
         self, registry, serving_predictor, alt_predictor, make_gated_predictor,
         tiny_design, tiny_traces
     ):
         gated = make_gated_predictor(serving_predictor)
-        registry.register(tiny_design.name, gated, persist=False)
-        with ScreeningService(
-            registry, max_batch=1, max_wait=1e-3, metrics=MetricsRegistry()
-        ) as svc:
+        with one_shard(registry, max_batch=1, max_wait=1e-3) as svc:
+            serve(svc, tiny_design, gated)
             in_flight = svc.submit_async(tiny_traces[0], tiny_design)
             assert gated.started.wait(5)  # old checkpoint provably mid-batch
-            registry.register(tiny_design.name, alt_predictor, persist=False)
+            swapped = svc.swap_checkpoint(tiny_design.name, alt_predictor, persist=False)
             after = svc.submit_async(tiny_traces[1], tiny_design)
             gated.release.set()
 
@@ -352,6 +356,7 @@ class TestHotSwapWhileInFlight:
             expected_old = serving_predictor.predict_trace(tiny_traces[0], tiny_design)
             np.testing.assert_allclose(old.noise_map, expected_old.noise_map, rtol=1e-10)
             # ...the next batch ran on the NEW weights...
+            assert swapped.result(timeout=10) == alt_predictor.fingerprint
             new = after.result(timeout=10)
             expected_new = alt_predictor.predict_trace(tiny_traces[1], tiny_design)
             np.testing.assert_allclose(new.noise_map, expected_new.noise_map, rtol=1e-10)
@@ -359,7 +364,7 @@ class TestHotSwapWhileInFlight:
 
             # ...and old-fingerprint cache entries no longer match: the same
             # vector resubmitted is recomputed under the new fingerprint.
-            recomputed = svc.submit(tiny_traces[0], tiny_design)
+            recomputed = submit(svc, tiny_traces[0], tiny_design)
             assert count(svc, "cache_hits") == 0
             np.testing.assert_allclose(
                 recomputed.noise_map,
@@ -368,38 +373,56 @@ class TestHotSwapWhileInFlight:
             )
             assert not np.allclose(recomputed.noise_map, old.noise_map)
             # The new-fingerprint entry it just stored does hit.
-            svc.submit(tiny_traces[0], tiny_design)
+            submit(svc, tiny_traces[0], tiny_design)
             assert count(svc, "cache_hits") == 1
+
+    def test_vector_queued_behind_a_swap_is_not_served_from_the_old_cache(
+        self, registry, serving_predictor, alt_predictor, make_gated_predictor,
+        tiny_design, tiny_traces
+    ):
+        gated = make_gated_predictor(serving_predictor)
+        with one_shard(registry, max_batch=8, max_wait=1e-3) as svc:
+            cached = submit(svc, tiny_traces[0], tiny_design)  # old model's entry
+            serve(svc, tiny_design, gated)  # same fingerprint, now gated
+            blocker = svc.submit_async(tiny_traces[1], tiny_design)
+            assert gated.started.wait(5)
+            svc.swap_checkpoint(tiny_design.name, alt_predictor, persist=False)
+            # Admitted while the old model still serves, but queued behind
+            # the swap: it must be answered by the new model, not the cache.
+            resubmitted = svc.submit_async(tiny_traces[0], tiny_design)
+            gated.release.set()
+            blocker.result(timeout=10)
+            result = resubmitted.result(timeout=10)
+        expected = alt_predictor.predict_trace(tiny_traces[0], tiny_design)
+        np.testing.assert_allclose(result.noise_map, expected.noise_map, rtol=1e-10)
+        assert not np.allclose(result.noise_map, cached.noise_map)
+        assert count(svc, "cache_hits") == 0
 
 
 class TestServiceLifecycleAndErrors:
-    def test_unknown_design_raises_synchronously(self, service, tiny_traces, tiny_design):
+    def test_unknown_design_fails_its_request(self, service, tiny_traces, tiny_design):
         features = extract_vector_features(tiny_traces[0], tiny_design)
         with pytest.raises(KeyError):
-            service.submit(features, "not-registered")
+            submit(service, features, "not-registered")
+        assert count(service, "failures") == 1
 
     def test_raw_trace_with_name_only_rejected(self, service, tiny_design, tiny_traces):
-        with pytest.raises(TypeError):
-            service.submit(tiny_traces[0], tiny_design.name)
+        # A raw trace needs its design for tiling; the default factory
+        # cannot rebuild the unit-test design from its name.
+        with pytest.raises(ValueError, match="unknown reference design"):
+            submit(service, tiny_traces[0], tiny_design.name)
 
     def test_worker_errors_propagate_to_caller(self, service, tiny_design, rng):
         bad = VectorFeatures(current_maps=rng.random((4, 5, 5)), name="wrong-shape")
         with pytest.raises(Exception):
-            service.submit(bad, tiny_design.name)
+            submit(service, bad, tiny_design.name)
         assert count(service, "failures") == 1
 
-    def test_submit_after_close_rejected(self, registry, tiny_design, tiny_traces):
-        service = ScreeningService(registry, max_batch=4)
-        service.close()
-        with pytest.raises(RuntimeError):
-            service.submit(tiny_traces[0], tiny_design)
-        service.close()  # idempotent
-
     def test_latencies_recorded(self, service, tiny_design, tiny_traces):
-        service.screen(tiny_traces[:4], tiny_design)
-        latencies = service.latencies()
-        assert len(latencies) == 4
-        assert all(value >= 0 for value in latencies)
+        service.screen([(trace, tiny_design) for trace in tiny_traces[:4]])
+        latency = service.metrics.histogram("gateway.request_latency.ok")
+        assert latency.count == 4
+        assert latency.percentile(50) > 0
 
 
 class TestMultiDesignGrouping:
@@ -410,13 +433,9 @@ class TestMultiDesignGrouping:
         sibling = make_design(sibling_spec, seed=0)
         registry.register(sibling.name, serving_predictor)
         gated = make_gated_predictor(serving_predictor)
-        registry.register(tiny_design.name, gated, persist=False)
 
-        with ScreeningService(
-
-            registry, max_batch=16, max_wait=1e-3, metrics=MetricsRegistry()
-
-        ) as svc:
+        with one_shard(registry, max_batch=16, max_wait=1e-3) as svc:
+            serve(svc, tiny_design, gated)
             blocker = svc.submit_async(tiny_traces[6], tiny_design)
             assert gated.started.wait(5)
             # Six requests across two designs queue behind the blocked batch

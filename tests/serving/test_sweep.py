@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.pdn import small_test_design
-from repro.serving import ScenarioJob, default_design_factory, screen_scenarios
+from repro.pdn.designs import design_from_name
+from repro.serving import ScenarioJob, screen_scenarios
 from repro.workloads.scenarios import scenario_families
 
 
@@ -92,12 +93,14 @@ class TestScreenScenarios:
 
 
 class TestDefaultDesignFactory:
+    """The sweep's (and the gateway's) default factory, ``design_from_name``."""
+
     def test_small_names(self):
-        design = default_design_factory("small")
+        design = design_from_name("small")
         assert design.tile_grid.shape == (8, 8)
-        sized = default_design_factory("small@6")
+        sized = design_from_name("small@6")
         assert sized.tile_grid.shape == (6, 6)
 
     def test_reference_names_with_scale(self):
-        design = default_design_factory("D1@0.1")
+        design = design_from_name("D1@0.1")
         assert design.name == "D1"
