@@ -26,7 +26,6 @@ contract, and ``benchmarks/bench_datagen.py`` for measured speedups.
 """
 
 from repro.datagen.engine import (
-    DEFAULT_POLICY,
     DesignFactory,
     GenerationPolicy,
     GenerationReport,
@@ -51,7 +50,6 @@ __all__ = [
     "paper_corpus_spec",
     "DesignFactory",
     "GenerationPolicy",
-    "DEFAULT_POLICY",
     "GenerationReport",
     "generate_corpus",
     "shard_vectors",

@@ -3,11 +3,11 @@
 :func:`generate_corpus` turns a :class:`~repro.datagen.spec.CorpusSpec` into
 on-disk shards.  The unit of work is one *shard* — a contiguous slice of one
 design's vector suite — and shards are independent by construction, so they
-fan out across a :class:`~concurrent.futures.ProcessPoolExecutor` exactly
-like the serving sweep fans out scenarios: design factory *references* cross
-the process boundary, each worker builds its designs and transient
-factorisations once, and every shard is written atomically with its content
-hash recorded in the manifest.
+fan out across worker processes through :func:`repro.resilience.fan_out`,
+like the sweeps' scenarios: design factory *references* cross the process
+boundary, each worker builds its designs and transient factorisations once,
+and every shard is written atomically with its content hash recorded in the
+manifest.
 
 Determinism contract: vector ``i`` of a design is generated from the ``i``-th
 generator of ``spawn_rngs(seed, num_vectors)`` — the exact derivation
@@ -23,10 +23,6 @@ from __future__ import annotations
 
 import functools
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -41,6 +37,7 @@ from repro.datagen.shards import (
 from repro.datagen.spec import CorpusDesignSpec, CorpusSpec
 from repro.pdn.designs import Design, design_from_name
 from repro.resilience.errors import CorruptShardError, ShardFailedError
+from repro.resilience.fanout import FaultsFactory, fan_out
 from repro.resilience.quarantine import poisoned_sample_indices
 from repro.resilience.retry import RetryPolicy, retry_in_waves
 from repro.sim.dynamic_noise import DynamicNoiseAnalysis
@@ -57,9 +54,6 @@ _LOG = get_logger("datagen.engine")
 #: Signature of a design factory: reference string -> Design.
 DesignFactory = Callable[[str], Design]
 
-#: Signature of a picklable fault-injector factory installed in each worker.
-FaultsFactory = Callable[[], "faults.FaultInjector"]
-
 
 @dataclass(frozen=True)
 class GenerationPolicy:
@@ -68,18 +62,8 @@ class GenerationPolicy:
     Attributes
     ----------
     retry:
-        Per-shard retry budget and backoff.  Failed shards are retried in
-        waves (all first-attempt failures, then all second attempts, …) with
-        the policy's exponential backoff between waves; shards that exhaust
-        the budget are reported in a
-        :class:`~repro.resilience.errors.ShardFailedError` *after* every
-        other shard has been generated and recorded.
-    shard_timeout_s:
-        Parent-side deadline per pooled shard.  A shard exceeding it counts
-        as a failed attempt (``faults.shard_timeouts``) and is retried; the
-        stuck worker is left to finish or die — its claim fences the retry
-        until it does.  ``None`` disables timeouts (and inline runs cannot
-        enforce them).
+        Per-shard retry budget, spent in waves by
+        :func:`repro.resilience.retry_in_waves`.
     quarantine:
         Scan each shard's freshly simulated dataset for non-finite labels or
         current maps; poisoned vectors are dropped from the shard and
@@ -92,13 +76,8 @@ class GenerationPolicy:
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    shard_timeout_s: Optional[float] = None
     quarantine: bool = True
     verify_resume: bool = True
-
-
-#: Default failure handling: 3 attempts, quarantine on, resume verification on.
-DEFAULT_POLICY = GenerationPolicy()
 
 
 @dataclass(frozen=True)
@@ -195,24 +174,12 @@ _WORKER_DESIGNS: dict[str, Design] = {}
 _WORKER_ANALYSES: dict[tuple, DynamicNoiseAnalysis] = {}
 
 
-def _worker_init(
-    factory: DesignFactory, faults_factory: Optional[FaultsFactory] = None
-) -> None:
-    """Process-pool initializer: install the design factory, clear caches.
-
-    When a ``faults_factory`` is supplied its product is installed as the
-    process-global fault injector (:func:`repro.faults.install`), so pooled
-    workers script the same failures an inline run would.  ``None`` leaves
-    whatever injector is already active untouched — which is what lets
-    inline tests install one via :func:`repro.faults.injected` around the
-    engine call.
-    """
+def _worker_init(factory: DesignFactory) -> None:
+    """Process-pool initializer: install the design factory, clear caches."""
     global _WORKER_FACTORY
     _WORKER_FACTORY = factory
     _WORKER_DESIGNS.clear()
     _WORKER_ANALYSES.clear()
-    if faults_factory is not None:
-        faults.install(faults_factory())
 
 
 def _worker_design(reference: str) -> Design:
@@ -432,7 +399,7 @@ def generate_corpus(
     design_factory: DesignFactory = design_from_name,
     resume: bool = True,
     max_shards: Optional[int] = None,
-    policy: GenerationPolicy = DEFAULT_POLICY,
+    policy: GenerationPolicy = GenerationPolicy(),
     faults_factory: Optional[FaultsFactory] = None,
 ) -> GenerationReport:
     """Generate (or finish) a training corpus on disk.
@@ -441,9 +408,7 @@ def generate_corpus(
     complete (and whose files verify, see ``policy.verify_resume``) are
     skipped, everything else is (re)generated, and the manifest is re-saved
     after every finished shard — killing the run at any point loses at most
-    the shards in flight.  Failed shards are retried in waves under
-    ``policy.retry``; poisoned vectors are quarantined into the manifest
-    instead of crashing the run.
+    the shards in flight.
 
     Parameters
     ----------
@@ -453,10 +418,8 @@ def generate_corpus(
     root:
         Corpus root directory (created on demand).
     num_workers:
-        Worker process count; ``0`` runs inline in this process (the lockstep
-        block solver still applies), ``None`` picks
-        ``min(pending shards, cpu_count)``.  Platforms that refuse to spawn
-        processes degrade to inline execution.
+        Worker process count, as :func:`repro.resilience.fan_out` reads it
+        (``0`` is inline; the lockstep block solver applies either way).
     design_factory:
         Top-level callable turning a spec's ``design`` reference into a
         :class:`~repro.pdn.designs.Design` inside each worker (must be
@@ -468,13 +431,10 @@ def generate_corpus(
         Stop after generating this many shards (testing/ops knob — it is
         how the resume tests simulate an interrupted run).
     policy:
-        Failure handling: retry budget, per-shard timeout, quarantine and
-        resume verification (see :class:`GenerationPolicy`).
+        Failure handling (see :class:`GenerationPolicy`).
     faults_factory:
-        Picklable zero-argument factory whose product is installed as the
-        fault injector inside every worker process (and inline, when the
-        pool is unavailable).  Testing knob — production runs leave it
-        ``None``.
+        Picklable fault-injector factory for :func:`repro.resilience.fan_out`
+        (a testing knob; production runs leave it ``None``).
 
     Returns
     -------
@@ -486,9 +446,8 @@ def generate_corpus(
     ValueError
         When resuming a root whose manifest hash does not match ``spec``.
     repro.resilience.ShardFailedError
-        When shards exhaust ``policy.retry`` — raised only after every other
-        shard has been generated and recorded (the completed work survives;
-        ``error.report`` carries this run's :class:`GenerationReport`).
+        When shards exhaust ``policy.retry``, once every other shard is
+        recorded (``error.report`` carries this run's :class:`GenerationReport`).
     """
     root = Path(root)
     store = ShardStore(root)
@@ -572,11 +531,17 @@ def generate_corpus(
         retry_in_waves(
             tasks,
             functools.partial(
-                _run_tasks,
-                design_factory=design_factory,
+                fan_out,
+                _generate_shard_safe,
                 num_workers=num_workers,
+                initializer=_worker_init,
+                initargs=(design_factory,),
                 faults_factory=faults_factory,
-                shard_timeout_s=policy.shard_timeout_s,
+                # Hard-killed workers never ran their release(), so drop
+                # their dead-pid claims before running shards inline —
+                # otherwise the fallback would defer exactly the shards it
+                # is meant to finish.
+                before_inline=store.clear_stale_claims,
             ),
             policy.retry,
             on_success=on_success,
@@ -662,77 +627,3 @@ def _record_completion(
         manifest.add_quarantine(entry)
     store.save_manifest(manifest)
 
-
-def _run_tasks(
-    tasks: Sequence[_ShardTask],
-    design_factory: DesignFactory,
-    num_workers: Optional[int],
-    faults_factory: Optional[FaultsFactory] = None,
-    shard_timeout_s: Optional[float] = None,
-):
-    """Yield ``(task, outcome)`` pairs, from a worker pool when possible, else inline.
-
-    Shard-level errors never propagate from here: workers run
-    :func:`_generate_shard_safe`, so an exception becomes a ``failed``
-    outcome the caller's retry loop handles.  ``shard_timeout_s`` is
-    enforced parent-side per pooled shard — a late result counts as a
-    failed attempt (``faults.shard_timeouts``) while the stuck worker's
-    claim keeps fencing the shard until the worker actually exits.
-    """
-    completed = 0
-    if num_workers is None:
-        num_workers = min(len(tasks), os.cpu_count() or 1)
-    if num_workers and num_workers > 0:
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=num_workers,
-                initializer=_worker_init,
-                initargs=(design_factory, faults_factory),
-            )
-        except (OSError, PermissionError, NotImplementedError) as error:
-            _LOG.warning("cannot create process pool (%s); generating inline", error)
-        else:
-            with pool:
-                try:
-                    futures = [
-                        pool.submit(_generate_shard_safe, task) for task in tasks
-                    ]
-                    for task, future in zip(tasks, futures):
-                        try:
-                            outcome = future.result(timeout=shard_timeout_s)
-                        except FutureTimeoutError:
-                            future.cancel()
-                            obs.metrics().counter("faults.shard_timeouts").inc()
-                            outcome = {
-                                "failed": True,
-                                "label": task.label,
-                                "index": task.index,
-                                "error": (
-                                    f"TimeoutError('shard exceeded "
-                                    f"{shard_timeout_s}s deadline')"
-                                ),
-                            }
-                        completed += 1
-                        yield task, outcome
-                    return
-                except (BrokenProcessPool, pickle.PicklingError) as error:
-                    # Worker startup/transport failure, not a shard failure —
-                    # shard exceptions are already failure outcomes.  Shards
-                    # already yielded stay done (the caller recorded them);
-                    # only the remainder falls back to inline execution.
-                    # Hard-killed workers never ran their release(), so drop
-                    # their dead-pid claims before retrying inline —
-                    # otherwise the fallback would defer exactly the shards
-                    # it is meant to finish.
-                    _LOG.warning(
-                        "process pool broke after %d/%d shards (%s); "
-                        "generating the rest inline",
-                        completed,
-                        len(tasks),
-                        error,
-                    )
-                    if tasks:
-                        ShardStore(tasks[0].root).clear_stale_claims()
-    _worker_init(design_factory, faults_factory)
-    for task in tasks[completed:]:
-        yield task, _generate_shard_safe(task)

@@ -10,23 +10,22 @@ checkpoint, and reports the noise-map error plus hotspot precision/recall,
 so the sweep answers the question the random vectors cannot: does the model
 hold up on *structured* workloads it was never trained for?
 
-Jobs fan out across a process pool exactly like the datagen engine fans out
-shards (checkpoints cross the process boundary, each worker builds its
-designs and transient factorisations once), and the sweep manifest
-(``sweep.json``) follows the same resumable-artefact conventions: config
-hash, atomic row-by-row saves, complete rows skipped on re-run.
+Jobs fan out across worker processes through :func:`repro.resilience.fan_out`
+like the datagen engine's shards (checkpoints cross the process boundary,
+each worker builds its designs and transient factorisations once), and the
+sweep manifest (``sweep.json``) follows the same resumable-artefact
+conventions: config hash, atomic row-by-row saves, complete rows skipped on
+re-run.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from repro.eval.config import EvalConfig
 from repro.io.atomic import atomic_write_text
 from repro.io.results import ExperimentRecord, format_table
 from repro.pdn.designs import Design, design_from_name
+from repro.resilience.fanout import fan_out
 from repro.resilience.retry import RetryPolicy, retry_in_waves
 from repro.serving.registry import PredictorRegistry
 from repro.sim.dynamic_noise import DynamicNoiseAnalysis
@@ -97,18 +97,8 @@ _WORKER_DESIGNS: dict[str, Design] = {}
 _WORKER_ANALYSES: dict[str, DynamicNoiseAnalysis] = {}
 
 
-def _worker_init(
-    registry_root: str,
-    references: dict[str, str],
-    dt: float,
-    faults_factory: Optional[Callable[[], "faults.FaultInjector"]] = None,
-) -> None:
-    """Process-pool initializer: registry + design references, fresh caches.
-
-    ``faults_factory`` mirrors the datagen engine's: when given, its product
-    is installed as the process-global fault injector so pooled sweep rows
-    script the same failures an inline run would.
-    """
+def _worker_init(registry_root: str, references: dict[str, str], dt: float) -> None:
+    """Process-pool initializer: registry + design references, fresh caches."""
     global _WORKER_REGISTRY, _WORKER_DT
     _WORKER_REGISTRY = PredictorRegistry(registry_root)
     _WORKER_REFERENCES.clear()
@@ -116,8 +106,6 @@ def _worker_init(
     _WORKER_DT = dt
     _WORKER_DESIGNS.clear()
     _WORKER_ANALYSES.clear()
-    if faults_factory is not None:
-        faults.install(faults_factory())
 
 
 def _worker_design(label: str) -> Design:
@@ -206,11 +194,9 @@ class ScenarioSweep:
         trained the checkpoints; the sweep reads ``<workdir>/checkpoints``
         and writes ``<workdir>/sweep.json``.
     retry:
-        Per-row retry budget (see
-        :class:`~repro.resilience.retry.RetryPolicy`).  Rows that exhaust
-        it are *quarantined* into the manifest — recorded with their final
-        error and re-attempted on the next resumed run — instead of killing
-        the sweep.
+        Per-row retry budget, spent in waves as :meth:`run` describes;
+        exhausted rows are *quarantined* into the manifest with their final
+        error instead of killing the sweep.
     """
 
     def __init__(
@@ -302,20 +288,17 @@ class ScenarioSweep:
     # ------------------------------------------------------------------ #
 
     def run(
-        self,
-        num_workers: Optional[int] = None,
-        resume: bool = True,
-        faults_factory: Optional[Callable[[], "faults.FaultInjector"]] = None,
+        self, num_workers: Optional[int] = None, resume: bool = True
     ) -> list[ExperimentRecord]:
         """Run (or finish) the sweep and return every completed row as a record.
 
-        Pending jobs fan out across worker processes (``0`` runs inline;
-        platforms that refuse to spawn degrade to inline execution); the
-        manifest is re-saved after every finished job, so an interrupted
-        sweep resumes from the last completed row.  Failed rows are retried
-        under the sweep's :class:`~repro.resilience.retry.RetryPolicy`; rows
-        that exhaust it are quarantined in the manifest (and re-attempted by
-        the next resumed run) rather than aborting the sweep.
+        Pending jobs fan out across ``num_workers`` processes, as
+        :func:`repro.resilience.fan_out` reads the count; the manifest is
+        re-saved after every finished job, so an interrupted sweep resumes
+        from the last completed row.  Failed rows are retried under the
+        sweep's :class:`~repro.resilience.retry.RetryPolicy`; rows that
+        exhaust it are quarantined in the manifest (and re-attempted by the
+        next resumed run) rather than aborting the sweep.
         """
         jobs = self.jobs()
         rows = self.load_rows() if resume else {}
@@ -348,9 +331,12 @@ class ScenarioSweep:
 
             retry_in_waves(
                 pending,
-                lambda wave_jobs: zip(
-                    wave_jobs,
-                    self._run_jobs(wave_jobs, references, num_workers, faults_factory),
+                functools.partial(
+                    fan_out,
+                    _run_sweep_job_safe,
+                    num_workers=num_workers,
+                    initializer=_worker_init,
+                    initargs=(str(self.registry_root), references, self.config.dt),
                 ),
                 self.retry,
                 on_success=on_success,
@@ -377,54 +363,3 @@ class ScenarioSweep:
         )
         return records
 
-    def _run_jobs(
-        self,
-        pending: list[SweepJob],
-        references: dict[str, str],
-        num_workers: Optional[int],
-        faults_factory: Optional[Callable[[], "faults.FaultInjector"]] = None,
-    ):
-        """Yield one outcome per pending job, pooled when possible, else inline.
-
-        Job errors never propagate: workers run :func:`_run_sweep_job_safe`,
-        so a failed row becomes a ``failed`` outcome the caller's retry loop
-        handles.
-        """
-        completed = 0
-        if num_workers is None:
-            num_workers = min(len(pending), os.cpu_count() or 1)
-        if num_workers and num_workers > 0:
-            try:
-                pool = ProcessPoolExecutor(
-                    max_workers=num_workers,
-                    initializer=_worker_init,
-                    initargs=(
-                        str(self.registry_root),
-                        references,
-                        self.config.dt,
-                        faults_factory,
-                    ),
-                )
-            except (OSError, PermissionError, NotImplementedError) as error:
-                _LOG.warning("cannot create process pool (%s); sweeping inline", error)
-            else:
-                with pool:
-                    try:
-                        for row in pool.map(_run_sweep_job_safe, pending):
-                            completed += 1
-                            yield row
-                        return
-                    except (BrokenProcessPool, pickle.PicklingError) as error:
-                        # Worker startup/transport failure, not a job failure
-                        # — job errors are already failure outcomes.  Rows
-                        # already yielded stay recorded; the rest run inline.
-                        _LOG.warning(
-                            "process pool broke after %d/%d jobs (%s); "
-                            "sweeping the rest inline",
-                            completed,
-                            len(pending),
-                            error,
-                        )
-        _worker_init(str(self.registry_root), references, self.config.dt, faults_factory)
-        for job in pending[completed:]:
-            yield _run_sweep_job_safe(job)

@@ -18,9 +18,9 @@ Two ways to inject:
 
 * **Process-global install** — pipeline call sites read the injector via
   :func:`active`; tests swap it with :func:`install` or the
-  :func:`injected` context manager.  Process-pool runs pass a picklable
-  zero-argument *factory* to the engine (e.g. ``generate_corpus(...,
-  faults_factory=...)``) which installs the injector inside each worker.
+  :func:`injected` context manager.  Pooled runs take a picklable *factory*
+  (``faults_factory=``) whose product :func:`repro.resilience.fan_out`
+  installs in each worker.
 * **Explicit argument** — the gateway keeps taking its injector as a
   constructor argument (``ScreeningGateway(..., faults=...)``); the hooks
   are the same class either way.
@@ -160,9 +160,9 @@ def active() -> FaultInjector:
 def install(injector: Optional[FaultInjector]) -> FaultInjector:
     """Install the process-global injector and return the previous one.
 
-    ``None`` restores the inert default.  Pool engines call this from their
-    worker initialisers with the product of a picklable factory, so the same
-    scripted faults fire no matter how the run is parallelised.
+    ``None`` restores the inert default.  :func:`repro.resilience.fan_out`
+    calls this in each pool worker with the product of a picklable factory,
+    so the same scripted faults fire no matter how the run is parallelised.
     """
     global _ACTIVE
     previous = _ACTIVE

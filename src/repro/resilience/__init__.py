@@ -4,12 +4,12 @@
 solver blow-ups and bit-rot as *expected inputs* instead of run-enders:
 
 * :mod:`~repro.resilience.errors` — every way the pipeline gives up is a
-  typed exception carrying evidence (:class:`CorruptShardError` names the
-  shard and both hashes, :class:`ShardFailedError` lists the exhausted
-  shards, :class:`DivergenceError` names the epoch).
-* :mod:`~repro.resilience.retry` — the shared
-  :class:`RetryPolicy` / :func:`run_with_retry` vocabulary with injectable
-  sleep, used by datagen shard attempts and eval rows.
+  typed exception carrying evidence (shard hashes, exhausted shards, the
+  diverged epoch).
+* :mod:`~repro.resilience.retry` — the shared :class:`RetryPolicy` with
+  injectable sleep: :func:`run_with_retry` retries one call (eval rows),
+  :func:`retry_in_waves` retries the batches that :func:`fan_out` (the one
+  pool-or-inline loop) runs for datagen shards and sweep rows.
 * :mod:`~repro.resilience.quarantine` — poisoned vectors and rows become
   :class:`QuarantineRecord` entries in the artefact instead of crashes.
 * :mod:`~repro.resilience.checkpoint` — preemption-safe training:
@@ -35,8 +35,9 @@ from repro.resilience.errors import (
     ResilienceError,
     ShardFailedError,
 )
+from repro.resilience.fanout import fan_out
 from repro.resilience.quarantine import QuarantineRecord, poisoned_sample_indices
-from repro.resilience.retry import RetryPolicy, run_with_retry
+from repro.resilience.retry import RetryPolicy, retry_in_waves, run_with_retry
 
 __all__ = [
     "ResilienceError",
@@ -46,6 +47,8 @@ __all__ = [
     "CheckpointError",
     "RetryPolicy",
     "run_with_retry",
+    "retry_in_waves",
+    "fan_out",
     "QuarantineRecord",
     "poisoned_sample_indices",
     "CheckpointPolicy",

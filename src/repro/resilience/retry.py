@@ -119,15 +119,13 @@ def retry_in_waves(
 ) -> None:
     """Run ``units`` in waves until each succeeds or exhausts ``policy``.
 
-    ``run_wave(pending)`` runs one wave and yields ``(unit, outcome)`` pairs
-    in any order, each unit being one of the objects in ``pending``; an
-    outcome dict with a truthy ``"failed"`` entry is a failed attempt, any
-    other goes to ``on_success(unit, outcome)``.  A unit whose attempts reach
-    ``policy.max_attempts`` goes to ``on_exhausted(unit, outcome, attempts)``;
-    the rest run again in the next wave after ``sleep(policy.delay(wave))``.
-    Counters match :func:`run_with_retry`: ``faults.errors`` per failed
-    attempt, ``faults.retries`` per scheduled retry, ``faults.exhausted``
-    per unit that ran out.
+    ``run_wave(pending)`` yields one wave's ``(unit, outcome)`` pairs, each
+    unit one of the objects in ``pending`` (as
+    :func:`~repro.resilience.fan_out` does).  Outcomes without a truthy
+    ``"failed"`` go to ``on_success(unit, outcome)``; failed units rerun next
+    wave, after ``sleep(policy.delay(wave))``, until ``policy.max_attempts``
+    sends them to ``on_exhausted(unit, outcome, attempts)``.  Counters are
+    those of :func:`run_with_retry`.
     """
     metrics = obs.metrics()
     attempts: dict[int, int] = {}  # by id(unit): the same objects rerun

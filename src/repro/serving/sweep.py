@@ -1,12 +1,13 @@
 """Multi-process scenario sweeps.
 
 ``screen_scenarios`` fans a list of named workload scenarios (see
-:mod:`repro.workloads.scenarios`) out across a pool of worker processes.
-Each worker owns a :class:`~repro.serving.registry.PredictorRegistry` rooted
-at the shared checkpoint directory plus a small design cache, so designs and
-predictors are built/loaded once per worker rather than once per job.  The
-results come back as :class:`~repro.io.results.ExperimentRecord` rows ready
-for the standard table/CSV/JSON exporters.
+:mod:`repro.workloads.scenarios`) out across worker processes through
+:func:`repro.resilience.fan_out`.  Each worker owns a
+:class:`~repro.serving.registry.PredictorRegistry` rooted at the shared
+checkpoint directory plus a small design cache, so designs and predictors are
+built/loaded once per worker rather than once per job.  The results come back
+as :class:`~repro.io.results.ExperimentRecord` rows ready for the standard
+table/CSV/JSON exporters.
 
 Checkpoints — not live predictor objects — are what crosses the process
 boundary, which keeps the jobs picklable and guarantees every worker serves
@@ -16,9 +17,6 @@ exactly the bytes that were registered.
 from __future__ import annotations
 
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -27,13 +25,11 @@ import numpy as np
 
 from repro.io.results import ExperimentRecord
 from repro.pdn.designs import Design, design_from_name
+from repro.resilience.fanout import fan_out
 from repro.serving.registry import PredictorRegistry
 from repro import obs
-from repro.utils import get_logger
 from repro.workloads.scenarios import build_scenario_trace
 from repro.workloads.specs import ScenarioLike, normalize_scenario
-
-_LOG = get_logger("serving.sweep")
 
 DesignFactory = Callable[[str], Design]
 
@@ -132,55 +128,23 @@ def screen_scenarios(
         Top-level callable rebuilding a design from its name inside each
         worker (must be importable, i.e. picklable by reference).
     num_workers:
-        Process count; ``0`` runs everything inline in this process (useful
-        for tests and debugging), ``None`` picks ``min(len(jobs), cpu_count)``.
-        When the platform refuses to spawn processes the sweep degrades to
-        inline execution rather than failing.
+        Process count, as :func:`repro.resilience.fan_out` reads it; job
+        exceptions propagate unchanged.
     experiment:
         Experiment tag stamped on every record.
     """
     if not jobs:
         return []
-    registry_root = str(registry_root)
-    if num_workers is None:
-        num_workers = min(len(jobs), os.cpu_count() or 1)
-
-    rows: list[dict]
-    if num_workers and num_workers > 0:
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=num_workers,
-                initializer=_worker_init,
-                initargs=(registry_root, design_factory),
-            )
-        except (OSError, PermissionError, NotImplementedError) as error:
-            _LOG.warning("cannot create process pool (%s); running sweep inline", error)
-            rows = _run_inline(jobs, registry_root, design_factory)
-        else:
-            with pool:
-                try:
-                    rows = list(pool.map(_run_job, jobs))
-                except (BrokenProcessPool, pickle.PicklingError) as error:
-                    # Worker startup/transport failure, not a job failure —
-                    # job exceptions (bad checkpoint, unknown scenario, ...)
-                    # propagate unchanged instead of re-running inline.
-                    _LOG.warning(
-                        "process pool broke (%s); running sweep inline", error
-                    )
-                    rows = _run_inline(jobs, registry_root, design_factory)
-    else:
-        rows = _run_inline(jobs, registry_root, design_factory)
-
-    records = []
-    for row in rows:
-        label = f"{row['design']}:{row['scenario']}"
-        records.append(ExperimentRecord(experiment=experiment, label=label, values=row))
-    return records
-
-
-def _run_inline(
-    jobs: Sequence[ScenarioJob], registry_root: str, design_factory: DesignFactory
-) -> list[dict]:
-    """Run the sweep in-process (no pool)."""
-    _worker_init(registry_root, design_factory)
-    return [_run_job(job) for job in jobs]
+    outcomes = fan_out(
+        _run_job,
+        jobs,
+        num_workers=num_workers,
+        initializer=_worker_init,
+        initargs=(str(registry_root), design_factory),
+    )
+    return [
+        ExperimentRecord(
+            experiment=experiment, label=f"{row['design']}:{row['scenario']}", values=row
+        )
+        for _, row in outcomes
+    ]

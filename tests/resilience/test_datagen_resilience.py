@@ -295,3 +295,30 @@ class TestCorruptShardError:
         ShardStore(tmp_path).shard_path("small", 0).write_bytes(b"junk")
         with pytest.raises(CorruptShardError):
             load_design_dataset(tmp_path, "small", verify=False)
+
+
+class _RecordingFaults(faults.FaultInjector):
+    """Injector factory whose products record the shards they saw start."""
+
+    def __init__(self):
+        self.started = []
+
+    def __call__(self) -> "_RecordingFaults":
+        return self
+
+    def before_shard(self, label, index):
+        self.started.append((label, index))
+
+
+class TestInlineFaultsFactory:
+    def test_inline_run_restores_the_callers_injector(self, tmp_path, make_spec):
+        before = ScriptedFaults()
+        factory = _RecordingFaults()
+        with faults.injected(before):
+            report = generate_corpus(
+                make_spec(), tmp_path, num_workers=0, faults_factory=factory
+            )
+            assert faults.active() is before
+        assert report.complete
+        # The factory's injector was the active one while the shards ran.
+        assert factory.started == [("small", 0), ("small", 1)]
