@@ -49,7 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 import pytest
 
-from common import REPO_ROOT, append_trajectory, save_records
+from common import REPO_ROOT, append_trajectory, best_of, save_records
 from repro.datagen import (
     dataset_content_hash,
     generate_corpus,
@@ -63,7 +63,6 @@ from repro.pdn.designs import design_from_name
 from repro.sim.dynamic_noise import DynamicNoiseAnalysis
 from repro.sim.rom import ROMOptions
 from repro.sim.transient import TransientEngine, TransientOptions
-from repro.utils import Timer
 from repro.workloads import generate_test_vectors
 from repro.workloads.dataset import build_dataset
 from repro.workloads.vectors import TestVectorGenerator, VectorConfig
@@ -110,26 +109,15 @@ def _sequential_baseline() -> dict:
     return datasets
 
 
-def _best_of(runs, body):
-    """Best-of-N wall time (standard noise suppression for benchmarks)."""
-    times, result = [], None
-    for _ in range(runs):
-        timer = Timer()
-        with timer.measure():
-            result = body()
-        times.append(timer.last)
-    return min(times), result
-
-
 def test_datagen_speedup_and_equivalence(benchmark, tmp_path):
     """Factory >= 3x the per-vector loop, with equal corpus contents."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
-    sequential_seconds, baseline = _best_of(ROUNDS, _sequential_baseline)
+    sequential_seconds, baseline = best_of(ROUNDS, _sequential_baseline)
 
     roots = [tmp_path / f"corpus-{i}" for i in range(ROUNDS)]
     run_index = iter(range(ROUNDS))
-    factory_seconds, report = _best_of(
+    factory_seconds, report = best_of(
         ROUNDS,
         lambda: generate_corpus(SPEC, roots[next(run_index)], num_workers=0),
     )
@@ -237,14 +225,14 @@ def run_rom_benchmark(rounds: int = ROUNDS):
     )
 
     full_engine = TransientEngine(design.mna, ROM_DT, TransientOptions())
-    build_timer = Timer()
-    with build_timer.measure():
-        rom_engine = TransientEngine(
-            design.mna, ROM_DT, TransientOptions(solver_mode="rom", rom=ROM_OPTIONS)
-        )
+    build_started = time.perf_counter()
+    rom_engine = TransientEngine(
+        design.mna, ROM_DT, TransientOptions(solver_mode="rom", rom=ROM_OPTIONS)
+    )
+    build_seconds = time.perf_counter() - build_started
 
-    full_seconds, full_results = _best_of(rounds, lambda: full_engine.run_many(traces))
-    rom_seconds, rom_results = _best_of(rounds, lambda: rom_engine.run_many(traces))
+    full_seconds, full_results = best_of(rounds, lambda: full_engine.run_many(traces))
+    rom_seconds, rom_results = best_of(rounds, lambda: rom_engine.run_many(traces))
     speedup = full_seconds / rom_seconds
 
     # Accuracy over *every* vector, not just the gate's sample: the relative
@@ -274,7 +262,7 @@ def run_rom_benchmark(rounds: int = ROUNDS):
                 "vectors": ROM_VECTORS,
                 "vectors_per_sec": ROM_VECTORS / rom_seconds,
                 "rank": rom_engine.strategy.rank,
-                "build_s": build_timer.last,
+                "build_s": build_seconds,
                 "speedup_vs_full": speedup,
                 "max_rel_error": max_rel,
                 "fallbacks": stats.fallbacks,
@@ -289,7 +277,7 @@ def run_rom_benchmark(rounds: int = ROUNDS):
         "vectors": ROM_VECTORS,
         "steps": ROM_STEPS,
         "rank": rom_engine.strategy.rank,
-        "rom_build_s": build_timer.last,
+        "rom_build_s": build_seconds,
         "full_s": full_seconds,
         "rom_s": rom_seconds,
         "speedup": speedup,

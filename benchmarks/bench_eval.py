@@ -15,13 +15,13 @@ stage timings under ``benchmarks/results/eval.json``.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from common import save_records
 from repro.eval import CrossDesignEvaluator, ScenarioSweep, budget
 from repro.io import ExperimentRecord
-from repro.utils import Timer
 
 
 @pytest.fixture(scope="module")
@@ -41,40 +41,40 @@ def test_eval_campaign_cost_and_determinism(benchmark, campaign_dirs):
     records = []
 
     evaluator = CrossDesignEvaluator(config, first_dir)
-    cold = Timer()
-    with cold.measure():
-        report = evaluator.run()
-        sweep_records = ScenarioSweep(config, first_dir).run()
+    started = time.perf_counter()
+    report = evaluator.run()
+    sweep_records = ScenarioSweep(config, first_dir).run()
+    cold_s = time.perf_counter() - started
     records.append(
         ExperimentRecord(
             "eval",
             "campaign_cold",
             {
-                "total_s": cold.last,
+                "total_s": cold_s,
                 "rows": len(report.rows),
                 "sweep_rows": len(sweep_records),
             },
         )
     )
 
-    resumed = Timer()
-    with resumed.measure():
-        resumed_report = evaluator.run()
-        ScenarioSweep(config, first_dir).run()
+    started = time.perf_counter()
+    resumed_report = evaluator.run()
+    ScenarioSweep(config, first_dir).run()
+    resumed_s = time.perf_counter() - started
     records.append(
         ExperimentRecord(
             "eval",
             "campaign_resumed",
-            {"total_s": resumed.last, "rows": len(resumed_report.rows)},
+            {"total_s": resumed_s, "rows": len(resumed_report.rows)},
         )
     )
 
-    repeat = Timer()
-    with repeat.measure():
-        second_report = CrossDesignEvaluator(config, second_dir).run()
+    started = time.perf_counter()
+    second_report = CrossDesignEvaluator(config, second_dir).run()
+    repeat_s = time.perf_counter() - started
     records.append(
         ExperimentRecord(
-            "eval", "campaign_repeat_fresh", {"total_s": repeat.last, "rows": len(second_report.rows)}
+            "eval", "campaign_repeat_fresh", {"total_s": repeat_s, "rows": len(second_report.rows)}
         )
     )
     save_records(records, "eval", "Evaluation harness — campaign cost and resume")
@@ -82,7 +82,7 @@ def test_eval_campaign_cost_and_determinism(benchmark, campaign_dirs):
     # Resume must not redo any held-out evaluation (artefact-driven skip).
     assert resumed_report.rows.keys() == report.rows.keys()
     # Resuming costs far less than the cold campaign (no training, no sim).
-    assert resumed.last < cold.last
+    assert resumed_s < cold_s
     # The foundation of golden-baseline gating: fresh campaigns agree bit-for-bit.
     assert json.dumps(report.gated_metrics(), sort_keys=True) == json.dumps(
         second_report.gated_metrics(), sort_keys=True

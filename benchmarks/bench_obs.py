@@ -34,7 +34,7 @@ import time
 
 import pytest
 
-from common import REPO_ROOT, append_trajectory, save_records
+from common import REPO_ROOT, append_trajectory, best_of, save_records
 from repro.core.config import ModelConfig
 from repro.core.inference import NoisePredictor
 from repro.core.model import WorstCaseNoiseNet
@@ -49,7 +49,6 @@ from repro.io import ExperimentRecord
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.pdn import small_test_design
 from repro.serving import PredictorRegistry
-from repro.utils import Timer
 from repro.workloads import generate_test_vectors
 from repro.workloads.vectors import VectorConfig
 
@@ -96,17 +95,6 @@ def _op_cost(registry) -> float:
         histogram.observe(1.5e-4)
     elapsed = time.perf_counter() - started
     return elapsed / (3 * OP_ITERATIONS)
-
-
-def _best_of(runs, body):
-    """Best-of-N wall time (standard noise suppression for micro-benchmarks)."""
-    times, result = [], None
-    for _ in range(runs):
-        timer = Timer()
-        with timer.measure():
-            result = body()
-        times.append(timer.last)
-    return min(times), result
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +144,7 @@ def _cold_screen_seconds(registry, design, features, metrics) -> float:
             gateway.cache.clear()
             return gateway.screen(items)
 
-        seconds, _ = _best_of(ROUNDS, cold_pass)
+        seconds, _ = best_of(ROUNDS, cold_pass)
     return seconds
 
 

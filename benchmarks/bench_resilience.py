@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 
-from common import REPO_ROOT, append_trajectory, save_records
+from common import REPO_ROOT, append_trajectory, best_of, save_records
 from repro import faults
 from repro.core.config import ModelConfig, TrainingConfig
 from repro.core.training import NoiseModelTrainer
@@ -36,7 +36,6 @@ from repro.datagen import git_revision
 from repro.faults import NULL_FAULTS, ScriptedFaults
 from repro.io import ExperimentRecord
 from repro.pdn import small_test_design
-from repro.utils import Timer
 from repro.workloads import build_dataset, expansion_split, generate_test_vectors
 from repro.workloads.vectors import VectorConfig
 
@@ -102,17 +101,6 @@ def _train(design, dataset, split):
     return trainer.train()
 
 
-def _best_of(runs, body):
-    """Best-of-N wall time (standard noise suppression for benchmarks)."""
-    times, result = [], None
-    for _ in range(runs):
-        timer = Timer()
-        with timer.measure():
-            result = body()
-        times.append(timer.last)
-    return min(times), result
-
-
 def test_fault_seam_overhead_gate():
     """One disabled seam call <= 1% of a mean train step and a mean solve."""
     step_cost = _seam_cost(lambda: faults.active().on_train_step(0, 0, None))
@@ -130,15 +118,15 @@ def test_fault_seam_overhead_gate():
     num_solves = counting.calls["sim.solve"]
     split = expansion_split(dataset, seed=0)
 
-    inert_sim_seconds, _ = _best_of(ROUNDS, lambda: _simulate(design, traces))
-    inert_train_seconds, _ = _best_of(ROUNDS, lambda: _train(design, dataset, split))
+    inert_sim_seconds, _ = best_of(ROUNDS, lambda: _simulate(design, traces))
+    inert_train_seconds, _ = best_of(ROUNDS, lambda: _train(design, dataset, split))
 
     def scripted_train():
         with faults.injected(ScriptedFaults()) as injector:
             _train(design, dataset, split)
         return injector
 
-    scripted_train_seconds, injector = _best_of(ROUNDS, scripted_train)
+    scripted_train_seconds, injector = best_of(ROUNDS, scripted_train)
     num_steps = injector.calls["training.step"]
 
     mean_step = inert_train_seconds / num_steps

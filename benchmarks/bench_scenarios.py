@@ -22,9 +22,11 @@ and asserts:
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from common import save_records
+from common import best_of, save_records
 from repro.datagen import (
     CorpusDesignSpec,
     CorpusSpec,
@@ -32,7 +34,6 @@ from repro.datagen import (
     load_design_dataset,
 )
 from repro.io import ExperimentRecord
-from repro.utils import Timer
 from repro.workloads import overlay, scenario_spec
 
 #: Eight distinct scenario families in the mix (with variants/composition).
@@ -61,28 +62,22 @@ def _spec(with_mix: bool) -> CorpusSpec:
     return CorpusSpec(designs=(CorpusDesignSpec(**fields),))
 
 
-def _best_of(runs, body):
-    """Best-of-N wall time (standard noise suppression for benchmarks)."""
-    times, result = [], None
-    for index in range(runs):
-        timer = Timer()
-        with timer.measure():
-            result = body(index)
-        times.append(timer.last)
-    return min(times), result
-
-
 def test_scenario_mix_generation_cost(benchmark, tmp_path):
     """Scenario-mix shard generation stays within 1.2x the random path."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
-    random_seconds, _ = _best_of(
+    # Every run generates into a fresh directory (random-0, random-1, ...),
+    # so none resumes another.
+    random_runs, mix_runs = itertools.count(), itertools.count()
+    random_seconds, _ = best_of(
         ROUNDS,
-        lambda i: generate_corpus(_spec(False), tmp_path / f"random-{i}", num_workers=0),
+        lambda: generate_corpus(
+            _spec(False), tmp_path / f"random-{next(random_runs)}", num_workers=0
+        ),
     )
-    mix_seconds, _ = _best_of(
+    mix_seconds, _ = best_of(
         ROUNDS,
-        lambda i: generate_corpus(_spec(True), tmp_path / f"mix-{i}", num_workers=0),
+        lambda: generate_corpus(_spec(True), tmp_path / f"mix-{next(mix_runs)}", num_workers=0),
     )
     ratio = mix_seconds / random_seconds
 

@@ -32,7 +32,14 @@ import time
 import numpy as np
 import pytest
 
-from common import REPO_ROOT, append_trajectory, obs_snapshot, save_records, timed_screen
+from common import (
+    REPO_ROOT,
+    append_trajectory,
+    best_of,
+    obs_snapshot,
+    save_records,
+    timed_screen,
+)
 from repro.core.config import ModelConfig
 from repro.core.inference import NoisePredictor
 from repro.core.model import WorstCaseNoiseNet
@@ -48,7 +55,6 @@ from repro.nn import no_grad
 from repro.obs import MetricsRegistry
 from repro.pdn import small_test_design
 from repro.serving import PredictorRegistry
-from repro.utils import Timer
 from repro.workloads import generate_test_vectors
 from repro.workloads.vectors import VectorConfig
 
@@ -126,16 +132,6 @@ def test_serving_throughput_report(benchmark, serving_setup):
     design, predictor, registry, features, warmup = serving_setup
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     records = []
-
-    def best_of(runs, body):
-        """Best-of-N wall time (standard noise suppression for micro-benchmarks)."""
-        times = []
-        for _ in range(runs):
-            timer = Timer()
-            with timer.measure():
-                result = body()
-            times.append(timer.last)
-        return min(times), result
 
     # 1. Sequential per-vector loop (the pre-serving baseline).
     sequential_seconds, sequential = best_of(
@@ -314,15 +310,6 @@ def test_dtype_throughput_report(benchmark):
     currents64 = rng.normal(
         0.0, 1.0, size=(DTYPE_VECTORS, DTYPE_STAMPS, DTYPE_TILE, DTYPE_TILE)
     )
-
-    def best_of(runs, body):
-        times, result = [], None
-        for _ in range(runs):
-            timer = Timer()
-            with timer.measure():
-                result = body()
-            times.append(timer.last)
-        return min(times), result
 
     records, seconds, outputs = [], {}, {}
     for dtype in ("float64", "float32"):

@@ -18,13 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from common import append_trajectory, save_records
+from common import append_trajectory, best_of, save_records
 from repro.core.config import ModelConfig, TrainingConfig
 from repro.core.training import NoiseModelTrainer
 from repro.datagen import git_revision
 from repro.io import ExperimentRecord
 from repro.pdn import small_test_design
-from repro.utils import Timer
 from repro.workloads import build_dataset, expansion_split, generate_test_vectors
 from repro.workloads.vectors import VectorConfig
 
@@ -72,17 +71,6 @@ def _train(design, dataset, split, batch_size: int):
     return trainer.train()
 
 
-def _best_of(runs, body):
-    """Best-of-N wall time (standard noise suppression for benchmarks)."""
-    times, result = [], None
-    for _ in range(runs):
-        timer = Timer()
-        with timer.measure():
-            result = body()
-        times.append(timer.last)
-    return min(times), result
-
-
 #: Header seeding the repo-root ``BENCH_training.json`` trajectory file.
 _TRAJECTORY_HEADER = {"metric": "batched training engine wall clock per run"}
 
@@ -95,7 +83,7 @@ def test_training_wall_clock(benchmark):
     records = []
     results = {}
     for batch_size in BATCH_SIZES:
-        seconds, result = _best_of(
+        seconds, result = best_of(
             ROUNDS, lambda: _train(design, dataset, split, batch_size)
         )
         assert np.all(np.isfinite(result.history.train_loss))

@@ -95,6 +95,16 @@ def obs_snapshot(gateway) -> dict:
     return snapshot
 
 
+def best_of(runs: int, body):
+    """Best-of-N wall time of ``body()`` and its last result (noise suppression)."""
+    times, result = [], None
+    for _ in range(runs):
+        started = time.perf_counter()
+        result = body()
+        times.append(time.perf_counter() - started)
+    return min(times), result
+
+
 def timed_screen(submit_async, items):
     """Submit every ``(payload, design)`` item, then wait for all of them.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -27,7 +28,7 @@ from repro.features.extraction import (
 from repro.nn import kernels, load_checkpoint, load_extras, no_grad, save_checkpoint
 from repro.pdn.designs import Design
 from repro.sim.waveform import CurrentTrace
-from repro.utils import Timer, check_non_negative, check_positive
+from repro.utils import check_non_negative, check_positive
 from repro.workloads.dataset import NoiseDataset
 
 
@@ -183,7 +184,7 @@ class NoisePredictor:
     def predict_features(self, features: VectorFeatures) -> PredictionResult:
         """Predict from pre-extracted features (a :meth:`predict_batch` of one).
 
-        Each call reduces the distance map afresh inside its timer, so
+        Each call reduces the distance map afresh inside its timed region, so
         ``runtime_seconds`` is the paper's one-vector-at-a-time cost rather
         than the amortised serving cost.
         """
@@ -191,17 +192,18 @@ class NoisePredictor:
 
     def predict_trace(self, trace: CurrentTrace, design: Design) -> PredictionResult:
         """Predict from a raw test vector (tiling + compression + CNN)."""
-        timer = Timer()
-        with timer.measure():
-            features = extract_vector_features(
-                trace,
-                design,
-                compression_rate=self.compression_rate,
-                rate_step=self.rate_step,
-            )
-            result = self.predict_features(features)
+        started = time.perf_counter()
+        features = extract_vector_features(
+            trace,
+            design,
+            compression_rate=self.compression_rate,
+            rate_step=self.rate_step,
+        )
+        result = self.predict_features(features)
         return PredictionResult(
-            noise_map=result.noise_map, runtime_seconds=timer.last, name=trace.name
+            noise_map=result.noise_map,
+            runtime_seconds=time.perf_counter() - started,
+            name=trace.name,
         )
 
     def _cached_reduced_distance(self) -> np.ndarray:
@@ -230,30 +232,29 @@ class NoisePredictor:
         together (see :meth:`WorstCaseNoiseNet.forward_batch`), which
         amortises the per-call overhead.  The reduced distance map is
         memoised across calls; ``reuse_distance=False`` instead reduces it
-        inside every chunk's timer.  Per-vector ``runtime_seconds`` is the
-        chunk wall-clock divided by the chunk size.
+        inside every chunk's timed region.  Per-vector ``runtime_seconds``
+        is the chunk wall-clock divided by the chunk size.
         """
         check_positive(max_batch, "max_batch")
         results: list[PredictionResult] = []
         for start in range(0, len(features), int(max_batch)):
             chunk = features[start : start + int(max_batch)]
-            timer = Timer()
-            with timer.measure():
-                normalized = self._cast_input(
-                    self.normalizer.normalize_current_batch(
-                        [item.current_maps for item in chunk]
-                    )
+            started = time.perf_counter()
+            normalized = self._cast_input(
+                self.normalizer.normalize_current_batch(
+                    [item.current_maps for item in chunk]
                 )
-                with no_grad():
-                    prediction = self.model.forward_batch(
-                        normalized,
-                        self._normalized_distance,
-                        reduced_distance=(
-                            self._cached_reduced_distance() if reuse_distance else None
-                        ),
-                    )
-                maps = self.normalizer.denormalize_noise(prediction.numpy())
-            per_vector = timer.last / len(chunk)
+            )
+            with no_grad():
+                prediction = self.model.forward_batch(
+                    normalized,
+                    self._normalized_distance,
+                    reduced_distance=(
+                        self._cached_reduced_distance() if reuse_distance else None
+                    ),
+                )
+            maps = self.normalizer.denormalize_noise(prediction.numpy())
+            per_vector = (time.perf_counter() - started) / len(chunk)
             for index, item in enumerate(chunk):
                 results.append(
                     PredictionResult(

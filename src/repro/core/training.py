@@ -1,32 +1,37 @@
 """Training engine for the worst-case noise prediction model (Sec. 3.4.4).
 
-The trainer consumes a labelled :class:`~repro.workloads.dataset.NoiseDataset`
-plus a train/validation/test split (usually produced by the training-set
-expansion strategy), fits the feature normaliser on the training partition,
-and optimises the model with Adam on the L1 loss of the normalised noise
-maps.  Early stopping tracks the validation loss and the best-epoch weights
-are restored at the end.
+There is one epoch loop in the repository,
+:meth:`NoiseModelTrainer._run_epochs`.  It trains on a *pool* of design
+corpora, ``{label: (train part, validation part, normalised distance)}``:
+:class:`NoiseModelTrainer` holds a pool of one design, and its cross-design
+subclass :class:`~repro.eval.training.MultiDesignTrainer` a pool of many.
+The constructor fits the feature normaliser on the training partitions;
+the loop optimises the model with Adam on the L1 loss of the normalised
+noise maps.  Early stopping tracks the validation loss and the best-epoch
+weights are restored at the end.
 
 The train and validation partitions are normalised *once* into stacked
 ``(N, T, m, n)`` current tensors and ``(N, m, n)`` target stacks (per-sample
 arrays when stamp counts are ragged), and every minibatch runs through
 :meth:`WorstCaseNoiseNet.forward_batch` as a single autograd graph per step:
 one batched-GEMM convolution pass, one backward, one fused optimiser step.
-Graphs are built inside :class:`~repro.nn.tensor.record_graph` so
-backpropagation replays the creation-order tape instead of re-deriving the
-traversal order each step, and validation runs through the same batched path
-under ``no_grad``.  The pooled cross-design trainer of
-:mod:`repro.eval.training` reuses :func:`normalized_partition`,
-:func:`evaluate_partition` and :func:`note_epoch`, so there is one training
-engine in the repository.  ``tests/core/data/golden_training.npz`` pins its
-loss curves and final weights on the tiny test fixture.
+Minibatches never mix designs, so each forward pass uses its own design's
+distance tensor.  Each epoch shuffles every design's rows and cuts them into
+minibatches; only a pool of more than one design then interleaves those
+minibatches in seeded shuffled order, so a pool of one makes exactly the
+single-design draws.  Graphs are built inside
+:class:`~repro.nn.tensor.record_graph` so backpropagation replays the
+creation-order tape instead of re-deriving the traversal order each step,
+and validation runs through the same batched path under ``no_grad``.
+``tests/core/data/golden_training.npz`` pins the loop's curves and final
+weights on one design, ``tests/eval/data/golden_pooled_training.npz`` on two.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -42,22 +47,28 @@ from repro.resilience.checkpoint import (
     TrainingGuard,
     divergence_detail,
 )
-from repro.utils import Timer, get_logger
+from repro.utils import get_logger
 from repro.utils.random import ensure_rng
 from repro.workloads.dataset import DatasetSplit, NoiseDataset, expansion_split
 
-__all__ = ["TrainingHistory", "TrainingResult", "NoiseModelTrainer"]
+__all__ = ["TrainingHistory", "TrainingResult", "NoiseModelTrainer", "fit_pooled_normalizer"]
 
 _LOG = get_logger("core.training")
 
-#: Loss name -> callable table shared by every training engine (including the
-#: pooled cross-design trainer in :mod:`repro.eval`).
+#: Loss name -> training loss callable.
 LOSS_FUNCTIONS = {"l1": l1_loss, "mse": mse_loss, "huber": huber_loss}
 
 #: A normalised partition's current maps: one dense ``(N, T, m, n)`` stack
 #: when every sample retains the same number of stamps, else one ``(T_i, m,
 #: n)`` array per sample (ragged Algorithm-1 compression).
 _PartitionInputs = Union[np.ndarray, List[np.ndarray]]
+
+#: One normalised partition: ``(inputs, targets)``.
+_Part = tuple[_PartitionInputs, np.ndarray]
+
+#: What the epoch loop trains on: ``{label: (train part, validation part,
+#: normalised distance)}``, one entry per design.
+_Pool = Mapping[str, tuple[_Part, _Part, np.ndarray]]
 
 
 def _gradient_norm(parameters) -> float:
@@ -86,7 +97,7 @@ def _observe_epoch(metrics, optimizer, num_examples: int, step_seconds: float) -
 
 def normalized_partition(
     dataset: NoiseDataset, normalizer: FeatureNormalizer, indices: np.ndarray
-) -> tuple[_PartitionInputs, np.ndarray]:
+) -> _Part:
     """Normalise one partition of ``dataset`` once, up front.
 
     Returns the stacked normalised current maps (dense ``(N, T, m, n)`` when
@@ -114,6 +125,70 @@ def partition_rows(inputs: _PartitionInputs, rows: np.ndarray) -> _PartitionInpu
     return [inputs[int(row)] for row in rows]
 
 
+def _epoch_schedule(pool: _Pool, config: TrainingConfig, rng) -> list[tuple[str, np.ndarray]]:
+    """One epoch's minibatches as ``(label, rows)`` pairs, each within one design.
+
+    Every design's rows are shuffled and cut into minibatches.  A pool of
+    more than one design then interleaves those minibatches in shuffled
+    order; a pool of one makes no interleave draw, so its schedule is the
+    single-design one.  Every draw comes from the one seeded stream, so the
+    schedule is a pure function of the seed.
+    """
+    schedule: list[tuple[str, np.ndarray]] = []
+    for label, ((_, targets), _, _) in pool.items():
+        order = np.arange(len(targets))
+        if config.shuffle:
+            rng.shuffle(order)
+        for start in range(0, len(order), config.batch_size):
+            schedule.append((label, order[start:start + config.batch_size]))
+    if config.shuffle and len(pool) > 1:
+        rng.shuffle(schedule)
+    return schedule
+
+
+def fit_pooled_normalizer(
+    datasets: Mapping[str, NoiseDataset],
+    splits: Mapping[str, DatasetSplit],
+    percentile: float = 99.0,
+) -> FeatureNormalizer:
+    """Fit one :class:`FeatureNormalizer` over a pool of design corpora.
+
+    Scales are derived from the *training* partitions only (no leakage from
+    validation/test vectors): the current and noise scales are pooled
+    percentiles across every design, the distance scale is the largest
+    distance value of any design in the pool — so the biggest die still
+    normalises into the network's input range.
+
+    Parameters
+    ----------
+    datasets:
+        Per-design corpora (label -> dataset).
+    splits:
+        Per-design partitions; only ``train`` indices contribute.
+    percentile:
+        Percentile used for the current/noise scales.
+    """
+    currents: list[np.ndarray] = []
+    targets: list[np.ndarray] = []
+    distance_scale = 0.0
+    for label, dataset in datasets.items():
+        distance_scale = max(distance_scale, float(np.max(dataset.distance)))
+        for index in splits[label].train:
+            sample = dataset.samples[int(index)]
+            currents.append(sample.features.current_maps.ravel())
+            targets.append(sample.target.ravel())
+    pooled_currents = np.concatenate(currents) if currents else np.zeros(0)
+    positive = pooled_currents[pooled_currents > 0]
+    current_scale = float(np.percentile(positive, percentile)) if positive.size else 1.0
+    pooled_noise = np.concatenate(targets) if targets else np.zeros(0)
+    noise_scale = float(np.percentile(pooled_noise, percentile)) if pooled_noise.size else 1.0
+    return FeatureNormalizer(
+        current_scale=current_scale if current_scale > 0 else 1.0,
+        distance_scale=distance_scale if distance_scale > 0 else 1.0,
+        noise_scale=noise_scale if noise_scale > 0 else 1.0,
+    )
+
+
 def evaluate_partition(
     model: WorstCaseNoiseNet,
     loss_function,
@@ -124,8 +199,8 @@ def evaluate_partition(
 ) -> float:
     """Summed per-sample loss over a pre-normalised partition, under ``no_grad``.
 
-    Callers divide by the sample count (the pooled trainer sums over designs
-    first).  Inference holds no autograd buffers, so evaluation runs
+    The trainer sums this over the pool's designs, then divides by the
+    sample count.  Inference holds no autograd buffers, so evaluation runs
     minibatches of at least 32 regardless of the training ``batch_size``.
     """
     count = len(targets)
@@ -216,6 +291,9 @@ class NoiseModelTrainer:
         self.split = split if split is not None else expansion_split(
             dataset, seed=training_config.seed
         )
+        # The epoch loop trains on a pool; a single design is a pool of one.
+        self.datasets = {dataset.design_name: dataset}
+        self.splits = {dataset.design_name: self.split}
         self.normalizer = self._fit_normalizer()
         self.model = WorstCaseNoiseNet(num_bumps=dataset.num_bumps, config=model_config)
 
@@ -225,50 +303,55 @@ class NoiseModelTrainer:
 
     def _fit_normalizer(self) -> FeatureNormalizer:
         """Fit feature scales on the training partition only (no leakage)."""
+        # Without a design, the scales are the pooled ones of a pool of one.
+        if self.design is None:
+            return fit_pooled_normalizer(self.datasets, self.splits)
         train_samples = [self.dataset.samples[i] for i in self.split.train]
         current_stack = np.concatenate(
             [sample.features.current_maps for sample in train_samples], axis=0
         )
         noise_stack = np.stack([sample.target for sample in train_samples])
-        if self.design is not None:
-            return fit_normalizer(self.design, current_stack, noise_stack)
-        diagonal = float(np.max(self.dataset.distance)) or 1.0
-        positive = current_stack[current_stack > 0]
-        return FeatureNormalizer(
-            current_scale=float(np.percentile(positive, 99.0)) if positive.size else 1.0,
-            distance_scale=diagonal,
-            noise_scale=float(np.percentile(noise_stack, 99.0)) or 1.0,
-        )
+        return fit_normalizer(self.design, current_stack, noise_stack)
 
     # ------------------------------------------------------------------ #
     # loss evaluation
     # ------------------------------------------------------------------ #
 
-    def _evaluate_batched(
-        self,
-        inputs: _PartitionInputs,
-        targets: np.ndarray,
-        normalized_distance: np.ndarray,
-    ) -> float:
-        """Mean loss over a pre-normalised partition via the batched path."""
-        if len(targets) == 0:
+    def _evaluate_batched(self, pool: _Pool) -> float:
+        """Sample-weighted mean validation loss over the pool (``nan`` when empty).
+
+        For one design this is the partition's mean loss.
+        """
+        count = sum(len(targets) for _, (_, targets), _ in pool.values())
+        if count == 0:
             return float("nan")
-        total = evaluate_partition(
-            self.model,
-            LOSS_FUNCTIONS[self.training_config.loss],
-            inputs,
-            targets,
-            normalized_distance,
-            self.training_config.batch_size,
+        loss_function = LOSS_FUNCTIONS[self.training_config.loss]
+        total = sum(
+            evaluate_partition(
+                self.model, loss_function, inputs, targets, distance,
+                self.training_config.batch_size,
+            )
+            for _, (inputs, targets), distance in pool.values()
+            if len(targets)
         )
-        return total / len(targets)
+        return total / count
 
     # ------------------------------------------------------------------ #
     # training
     # ------------------------------------------------------------------ #
 
     def train(self) -> TrainingResult:
-        """Run the full training loop and return the best model.
+        """Run the full training loop and return the best model."""
+        history = self._run_epochs()
+        return TrainingResult(
+            model=self.model,
+            normalizer=self.normalizer,
+            history=history,
+            split=self.split,
+        )
+
+    def _run_epochs(self) -> TrainingHistory:
+        """The epoch loop over :attr:`datasets`; leaves the best weights loaded.
 
         Training runs in float64 only — gradcheck coverage, optimizer state
         and convergence baselines all assume full precision; float32 is an
@@ -291,92 +374,82 @@ class NoiseModelTrainer:
             weight_decay=config.weight_decay,
         )
         loss_function = LOSS_FUNCTIONS[config.loss]
-        normalized_distance = self.normalizer.normalize_distance(self.dataset.distance)
-        train_inputs, train_targets = normalized_partition(
-            self.dataset, self.normalizer, self.split.train
-        )
-        validation_inputs, validation_targets = normalized_partition(
-            self.dataset, self.normalizer, self.split.validation
-        )
-        num_train = len(train_targets)
+        pool = {
+            label: (
+                normalized_partition(dataset, self.normalizer, self.splits[label].train),
+                normalized_partition(dataset, self.normalizer, self.splits[label].validation),
+                self.normalizer.normalize_distance(dataset.distance),
+            )
+            for label, dataset in self.datasets.items()
+        }
+        num_train = sum(len(targets) for (_, targets), _, _ in pool.values())
+        if num_train == 0:
+            raise ValueError("the training partition is empty")
+        has_validation = any(len(split.validation) for split in self.splits.values())
 
         history = TrainingHistory()
         best_state = self.model.state_dict()
         epochs_without_improvement = 0
         guard = None
+        epoch = 0
         if self.checkpointing is not None:
             guard = TrainingGuard(self.checkpointing, self.model, optimizer, rng)
-        epoch = 0
-        if guard is not None:
             epoch, best_state, epochs_without_improvement = guard.restore(
                 history, best_state, epochs_without_improvement
             )
-        timer = Timer()
 
         metrics = obs.metrics()
-        with timer.measure():
-            while epoch < config.epochs:
-                order = np.arange(num_train)
-                if config.shuffle:
-                    rng.shuffle(order)
-
-                epoch_loss = 0.0
-                epoch_started = time.perf_counter()
-                for step, start in enumerate(range(0, num_train, config.batch_size)):
-                    rows = order[start:start + config.batch_size]
-                    optimizer.zero_grad()
-                    with record_graph():
-                        prediction = self.model.forward_batch(
-                            partition_rows(train_inputs, rows), normalized_distance
-                        )
-                        loss = loss_function(prediction, train_targets[rows])
-                        loss.backward()
-                    optimizer.step()
-                    faults.active().on_train_step(epoch, step, self.model)
-                    epoch_loss += loss.item() * len(rows)
-                epoch_loss /= num_train
-                _observe_epoch(
-                    metrics, optimizer, num_train, time.perf_counter() - epoch_started
-                )
-
-                validation_loss = self._evaluate_batched(
-                    validation_inputs, validation_targets, normalized_distance
-                )
-                if guard is not None:
-                    detail = divergence_detail(
-                        epoch_loss, validation_loss, len(self.split.validation) > 0
+        started = time.perf_counter()
+        while epoch < config.epochs:
+            schedule = _epoch_schedule(pool, config, rng)
+            epoch_loss = 0.0
+            epoch_started = time.perf_counter()
+            for step, (label, rows) in enumerate(schedule):
+                (inputs, targets), _, distance = pool[label]
+                optimizer.zero_grad()
+                with record_graph():
+                    prediction = self.model.forward_batch(
+                        partition_rows(inputs, rows), distance
                     )
-                    if detail is not None:
-                        epoch, best_state, epochs_without_improvement = (
-                            guard.handle_divergence(epoch, detail, history)
-                        )
-                        continue
-                stop, best_state, epochs_without_improvement = note_epoch(
-                    self.model,
-                    config,
-                    history,
-                    epoch,
-                    epoch_loss,
-                    validation_loss,
-                    best_state,
-                    epochs_without_improvement,
-                )
-                if guard is not None:
-                    guard.after_epoch(
-                        epoch, history, best_state, epochs_without_improvement
+                    loss = loss_function(prediction, targets[rows])
+                    loss.backward()
+                optimizer.step()
+                faults.active().on_train_step(epoch, step, self.model)
+                epoch_loss += loss.item() * len(rows)
+            epoch_loss /= num_train
+            _observe_epoch(
+                metrics, optimizer, num_train, time.perf_counter() - epoch_started
+            )
+
+            validation_loss = self._evaluate_batched(pool)
+            if guard is not None:
+                detail = divergence_detail(epoch_loss, validation_loss, has_validation)
+                if detail is not None:
+                    epoch, best_state, epochs_without_improvement = (
+                        guard.handle_divergence(epoch, detail, history)
                     )
-                if stop:
-                    break
-                epoch += 1
+                    continue
+            stop, best_state, epochs_without_improvement = note_epoch(
+                self.model,
+                config,
+                history,
+                epoch,
+                epoch_loss,
+                validation_loss,
+                best_state,
+                epochs_without_improvement,
+            )
+            if guard is not None:
+                guard.after_epoch(
+                    epoch, history, best_state, epochs_without_improvement
+                )
+            if stop:
+                break
+            epoch += 1
 
         self.model.load_state_dict(best_state)
-        history.wall_clock_seconds = timer.total
-        return TrainingResult(
-            model=self.model,
-            normalizer=self.normalizer,
-            history=history,
-            split=self.split,
-        )
+        history.wall_clock_seconds = time.perf_counter() - started
+        return history
 
 
 def note_epoch(
@@ -391,10 +464,8 @@ def note_epoch(
 ) -> tuple[bool, dict, int]:
     """One epoch of loss-curve recording and early-stopping bookkeeping.
 
-    Shared by the single-design trainer and the pooled cross-design trainer
-    of :mod:`repro.eval.training`: appends the losses to ``history``, bookmarks
-    the best validation epoch (snapshotting ``model.state_dict()``), and
-    applies the patience rule.
+    Appends the losses to ``history``, bookmarks the best validation epoch
+    (snapshotting ``model.state_dict()``), and applies the patience rule.
 
     Returns
     -------

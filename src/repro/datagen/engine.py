@@ -25,7 +25,7 @@ import functools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro import faults, obs
 from repro.datagen.shards import (
@@ -35,7 +35,7 @@ from repro.datagen.shards import (
     dataset_content_hash,
 )
 from repro.datagen.spec import CorpusDesignSpec, CorpusSpec
-from repro.pdn.designs import Design, design_from_name
+from repro.pdn.designs import Design, DesignFactory, design_from_name
 from repro.resilience.errors import CorruptShardError, ShardFailedError
 from repro.resilience.fanout import FaultsFactory, fan_out
 from repro.resilience.quarantine import poisoned_sample_indices
@@ -50,9 +50,6 @@ from repro.workloads.scenarios import build_scenario_trace
 from repro.workloads.vectors import TestVectorGenerator
 
 _LOG = get_logger("datagen.engine")
-
-#: Signature of a design factory: reference string -> Design.
-DesignFactory = Callable[[str], Design]
 
 
 @dataclass(frozen=True)

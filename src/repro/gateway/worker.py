@@ -49,7 +49,7 @@ from repro.core.inference import PredictionResult
 from repro.features.extraction import VectorFeatures, extract_vector_features
 from repro.faults import FaultInjector
 from repro.gateway.messages import STOP, GatewayRequest, SwapCommand
-from repro.pdn.designs import Design
+from repro.pdn.designs import Design, DesignFactory
 from repro.serving.cache import LRUCache, result_cache_key
 from repro.serving.registry import PredictorRegistry
 from repro.sim.waveform import CurrentTrace
@@ -58,7 +58,6 @@ from repro.workloads.scenarios import build_scenario_trace
 
 _LOG = get_logger("gateway.worker")
 
-DesignFactory = Callable[[str], Design]
 CrashCallback = Callable[["ShardWorker", BaseException, list], None]
 HealthyCallback = Callable[[int], None]
 

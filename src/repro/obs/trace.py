@@ -3,12 +3,10 @@
 A *span* is one timed region of work — ``with tracer.span("datagen.shard",
 design="small")`` — recorded with its duration, its attributes, and its
 position in the span tree (parent/child links via per-span ids and a
-thread-local parent stack).  Spans replace the bare :class:`repro.utils.Timer`
-instances that used to be scattered through ``eval.protocol``, ``eval.sweep``
-and the baselines: the span still *exposes* its duration (``span.duration_s``
-stays valid after the ``with`` block exits, exactly like ``Timer.last``), so
-call sites keep reading their own timings while the tracer records them
-centrally.
+thread-local parent stack).  A span still *exposes* its duration
+(``span.duration_s`` stays valid after the ``with`` block exits), so call
+sites in ``eval.protocol``, ``eval.sweep`` and the baselines read their own
+timings while the tracer records them centrally.
 
 Spans always measure — entering a span on a disabled tracer still costs one
 ``perf_counter`` pair so ``duration_s`` is usable — but only an **enabled**

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -349,6 +350,11 @@ def reference_design(
 def reference_design_names() -> tuple[str, ...]:
     """Names of the available reference designs."""
     return ("D1", "D2", "D3", "D4")
+
+
+#: Signature of a design factory: reference string -> Design (e.g.
+#: :func:`design_from_name`).
+DesignFactory = Callable[[str], Design]
 
 
 def design_from_name(name: str, seed: RandomState = 0) -> Design:

@@ -19,19 +19,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.io.results import ExperimentRecord
-from repro.pdn.designs import Design, design_from_name
+from repro.pdn.designs import Design, DesignFactory, design_from_name
 from repro.resilience.fanout import fan_out
 from repro.serving.registry import PredictorRegistry
 from repro import obs
 from repro.workloads.scenarios import build_scenario_trace
 from repro.workloads.specs import ScenarioLike, normalize_scenario
-
-DesignFactory = Callable[[str], Design]
 
 
 @dataclass(frozen=True)

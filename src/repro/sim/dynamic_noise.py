@@ -11,6 +11,7 @@ same way the paper measures it (Table 2).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,7 +21,7 @@ from repro.pdn.designs import Design
 from repro.sim.transient import TransientEngine, TransientOptions, TransientResult
 from repro.sim.waveform import CurrentTrace, per_tile_maximum
 from repro import faults, obs
-from repro.utils import Timer, check_positive, get_logger
+from repro.utils import check_positive, get_logger
 
 _LOG = get_logger("sim.dynamic_noise")
 
@@ -163,20 +164,19 @@ class DynamicNoiseAnalysis:
         if not traces:
             return []
         faults.active().before_solve(self._design.name, len(traces))
-        timer = Timer()
-        with timer.measure():
-            transients = self._engine.run_many(traces, batch_size=batch_size)
-            share = 0.0
-            results = [self._reduce(transient, share) for transient in transients]
-        obs.metrics().histogram("sim.analysis_seconds").observe(timer.last)
-        share = timer.last / len(traces)
+        started = time.perf_counter()
+        transients = self._engine.run_many(traces, batch_size=batch_size)
+        results = [self._reduce(transient, 0.0) for transient in transients]
+        elapsed = time.perf_counter() - started
+        obs.metrics().histogram("sim.analysis_seconds").observe(elapsed)
+        share = elapsed / len(traces)
         for result in results:
             result.runtime_seconds = share
         _LOG.debug(
             "dynamic noise batch on %s: %d vectors in %.2f s",
             self._design.name,
             len(traces),
-            timer.last,
+            elapsed,
         )
         return results
 

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG handling, validation helpers, logging, timing, artefacts."""
+"""Shared utilities: RNG handling, validation helpers, logging, artefacts."""
 
 from repro.utils.artifacts import atomic_write_text, git_revision
 from repro.utils.random import RandomState, ensure_rng
@@ -10,7 +10,6 @@ from repro.utils.validation import (
     check_shape,
     check_in_range,
 )
-from repro.utils.timing import Timer, timed
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -24,7 +23,5 @@ __all__ = [
     "check_probability",
     "check_shape",
     "check_in_range",
-    "Timer",
-    "timed",
     "get_logger",
 ]

@@ -1,8 +1,8 @@
 """Span tracer: nesting, durations, attributes, the retention cap.
 
 Two properties matter to the instrumented call sites: ``span.duration_s``
-stays valid after the ``with`` block (the ``Timer.last`` replacement
-contract), and it stays valid *even on a disabled tracer* — only the
+stays valid after the ``with`` block, so call sites read their own
+timings, and it stays valid *even on a disabled tracer* — only the
 recording is gated, never the measurement.
 """
 
