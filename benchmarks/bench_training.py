@@ -5,8 +5,11 @@ amortises over.  The engine normalises partitions once into stacked tensors,
 builds one autograd graph per minibatch (tape-recorded backward, pooled
 im2col workspaces) and takes a fused flat-buffer Adam step.  This benchmark
 times a full training run at the quick-preset and paper-style minibatch sizes
-(best of ``ROUNDS``) and appends the absolute ``batched_s`` per batch size to
-the repo-root ``BENCH_training.json`` trajectory; records also land in
+(best of ``ROUNDS``) on 8 x 8 tiles, and the seconds per optimizer step on
+D1@0.5 (25 x 25 tiles, 8 vectors x ~60 stamps a minibatch — the row whose
+fusion subnet records several stamp blocks per step).  It appends the
+absolute ``batched_s`` per batch size and the D1@0.5 ``s_per_step`` to the
+repo-root ``BENCH_training.json`` trajectory; records also land in
 ``benchmarks/results/training.{json,csv}``.  The engine's loss curves are
 pinned by ``tests/core/data/golden_training.npz`` in the tier-1 suite.
 """
@@ -23,8 +26,8 @@ from repro.core.config import ModelConfig, TrainingConfig
 from repro.core.training import NoiseModelTrainer
 from repro.datagen import git_revision
 from repro.io import ExperimentRecord
-from repro.pdn import small_test_design
-from repro.workloads import build_dataset, expansion_split, generate_test_vectors
+from repro.pdn import design_from_name, small_test_design
+from repro.workloads import DatasetSplit, build_dataset, expansion_split, generate_test_vectors
 from repro.workloads.vectors import VectorConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +40,12 @@ ROUNDS = 3
 LEARNING_RATE = 2e-3
 
 _MODEL_CONFIG = ModelConfig(seed=0)
+
+#: The screening-scale row: 32 training vectors of 200 steps, compressed to
+#: ~60 stamps each, in minibatches of 8 — four optimizer steps an epoch.
+D1_DESIGN = "D1@0.5"
+D1_TRAIN_VECTORS = 32
+D1_BATCH = 8
 
 
 def _workload():
@@ -54,14 +63,29 @@ def _workload():
     return design, dataset, split
 
 
-def _train(design, dataset, split, batch_size: int):
+def _d1_workload():
+    """D1@0.5 vectors and a fixed split: 32 train, 4 validation, 4 test."""
+    design = design_from_name(D1_DESIGN)
+    total = D1_TRAIN_VECTORS + 8
+    traces = generate_test_vectors(design, total, VectorConfig(num_steps=200), seed=1)
+    dataset = build_dataset(design, traces, sim_batch_size=total)
+    order = np.arange(total)
+    split = DatasetSplit(
+        train=order[:D1_TRAIN_VECTORS],
+        validation=order[D1_TRAIN_VECTORS:-4],
+        test=order[-4:],
+    )
+    return design, dataset, split
+
+
+def _train(design, dataset, split, batch_size: int, epochs: int = EPOCHS):
     trainer = NoiseModelTrainer(
         dataset,
         design=design,
         split=split,
         model_config=_MODEL_CONFIG,
         training_config=TrainingConfig(
-            epochs=EPOCHS,
+            epochs=epochs,
             batch_size=batch_size,
             learning_rate=LEARNING_RATE,
             early_stopping_patience=None,
@@ -72,7 +96,14 @@ def _train(design, dataset, split, batch_size: int):
 
 
 #: Header seeding the repo-root ``BENCH_training.json`` trajectory file.
-_TRAJECTORY_HEADER = {"metric": "batched training engine wall clock per run"}
+_TRAJECTORY_HEADER = {
+    "metric": "batched training engine wall clock",
+    "rows": {
+        "4, 8": "batched_s: best-of-3 seconds per 8-epoch run at that batch size, 8 x 8 tiles",
+        "D1@0.5_bs8": "s_per_step: best-of-3 seconds per optimizer step of a 1-epoch run "
+        "(its validation pass included), 25 x 25 tiles, 8 vectors x ~60 stamps a minibatch",
+    },
+}
 
 
 def test_training_wall_clock(benchmark):
@@ -95,6 +126,18 @@ def test_training_wall_clock(benchmark):
                 {"total_s": seconds, "epochs": EPOCHS},
             )
         )
+
+    design, dataset, split = _d1_workload()
+    steps = -(-D1_TRAIN_VECTORS // D1_BATCH)
+    seconds, result = best_of(ROUNDS, lambda: _train(design, dataset, split, D1_BATCH, epochs=1))
+    assert np.all(np.isfinite(result.history.train_loss))
+    stamps = float(np.mean([dataset.samples[int(i)].features.num_steps for i in split.train]))
+    results["D1@0.5_bs8"] = {"s_per_step": seconds / steps, "steps": steps, "mean_stamps": stamps}
+    records.append(
+        ExperimentRecord(
+            "training", "d1_bs8", {"s_per_step": seconds / steps, "steps": steps}
+        )
+    )
 
     save_records(records, "training", "Batched training engine wall clock")
     append_trajectory(

@@ -26,6 +26,7 @@ from repro.features.extraction import (
     extract_vector_features,
 )
 from repro.nn import kernels, load_checkpoint, load_extras, no_grad, save_checkpoint
+from repro.nn.serialization import read_archive
 from repro.pdn.designs import Design
 from repro.sim.waveform import CurrentTrace
 from repro.utils import check_non_negative, check_positive
@@ -332,7 +333,7 @@ class NoisePredictor:
         used (float64 for checkpoints written before dtype was recorded).
         """
         path = Path(path)
-        with np.load(path, allow_pickle=False) as data:
+        with read_archive(path) as data:
             if "__metadata_json__" not in data.files:
                 raise ValueError(f"checkpoint {path} is missing predictor metadata")
             metadata = json.loads(str(data["__metadata_json__"]))

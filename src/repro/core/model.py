@@ -102,8 +102,9 @@ class WorstCaseNoiseNet(Module):
         Accepts either a dense ``(N, T, m, n)`` array (every vector retains
         the same number of stamps) or a sequence of ``(T_i, m, n)`` stacks
         (ragged batch, e.g. per-vector Algorithm-1 compression).  All stamps
-        of all vectors go through the weight-shared fusion subnet in a single
-        forward pass; the temporal statistics are then reduced per vector.
+        of all vectors go through the weight-shared fusion subnet in one call,
+        which runs them in cache-sized blocks regardless of vector edges; the
+        temporal statistics are then reduced per vector.
         """
         tensors, lengths = self._coerce_current_batch(current_maps)
         height, width = tensors[0].shape[1], tensors[0].shape[2]

@@ -35,10 +35,11 @@ from repro.nn.kernels import release_workspace
 from repro.nn.tensor import grad_enabled
 from repro.utils.random import ensure_rng
 
-#: Byte budget of one inference block of the fusion subnet: the bytes its
-#: widest activation (the decoder's hidden maps with their one-pixel halo)
-#: may take.  1.5 MiB keeps a block's working set near a 2 MiB L2 cache; a
-#: float32 map is half the bytes, so a float32 block holds twice the maps.
+#: Byte budget of one block of the fusion subnet, inference and training
+#: alike: the bytes its widest activation (the decoder's hidden maps with
+#: their one-pixel halo) may take.  1.5 MiB keeps a block's working set near
+#: a 2 MiB L2 cache; a float32 map is half the bytes, so a float32 block
+#: holds twice the maps.
 FUSION_BLOCK_BYTES = 3 << 19
 
 
@@ -180,9 +181,11 @@ class CurrentFusionNet(Module):
     vectors of any length with shared weights).  The input has one channel;
     the output is again a single-channel map per stamp.
 
-    Under ``no_grad`` the stamps run in blocks of :meth:`block_size` maps
-    (see :meth:`_forward_blocks`); with a recorded graph they run as one
-    batch through the layers.  Both give the same maps to the bit.
+    The stamps run in blocks of :meth:`block_size` maps: under ``no_grad``
+    through the fused loop of :meth:`_forward_blocks`, with a recorded graph
+    through the layers, one graph per block, whose outputs are concatenated.
+    Both give the same maps to the bit; a backward pass sums the weight and
+    bias gradients block by block, which only reassociates the batch sums.
     """
 
     def __init__(self, hidden_channels: int = 8, kernel_size: int = 3, seed: int = 0):
@@ -198,7 +201,7 @@ class CurrentFusionNet(Module):
         self.decoder_out = _conv(hidden_channels, 1, kernel_size, 1, rng)
 
     def block_size(self, height: int, width: int, dtype) -> int:
-        """Maps per inference block (at least one) under :data:`FUSION_BLOCK_BYTES`.
+        """Maps per block (at least one) under :data:`FUSION_BLOCK_BYTES`.
 
         The budget is divided by one map's widest activation: the decoder's
         hidden maps with their halo, at ``dtype``'s item size.
@@ -221,10 +224,20 @@ class CurrentFusionNet(Module):
             )
         if not grad_enabled():
             return Tensor(self._forward_blocks(current_maps.data))
-        height, width = current_maps.shape[2], current_maps.shape[3]
-        encoded = self.encoder(current_maps)
-        upsampled = self.decoder_up(encoded, output_size=(height, width)).relu()
-        return self.decoder_out(upsampled)
+        total, _, height, width = current_maps.shape
+        step = self.block_size(height, width, self._result_dtype(current_maps.data))
+        blocks = []
+        for start in range(0, total, step):
+            # Slicing a non-grad input records no node, so the first layer
+            # still skips its input gradient.
+            encoded = self.encoder(current_maps[start : start + step])
+            upsampled = self.decoder_up(encoded, output_size=(height, width)).relu()
+            blocks.append(self.decoder_out(upsampled))
+        return blocks[0] if len(blocks) == 1 else cat(blocks, axis=0)
+
+    def _result_dtype(self, maps: np.ndarray) -> np.dtype:
+        """The dtype the layers compute in: ``maps`` promoted with the weights."""
+        return np.result_type(maps, *(parameter.data for parameter in self.parameters()))
 
     def _forward_blocks(self, maps: np.ndarray) -> np.ndarray:
         """The inference forward, one cache-sized block of stamps at a time.
@@ -242,7 +255,7 @@ class CurrentFusionNet(Module):
         down, _, refine, _ = self.encoder
         up, head = self.decoder_up, self.decoder_out
         total, _, height, width = maps.shape
-        dtype = np.result_type(maps, *(parameter.data for parameter in self.parameters()))
+        dtype = self._result_dtype(maps)
         output = np.empty((total, head.out_channels, height, width), dtype=dtype)
         head_halo = (head.padding,) * 4
         step = self.block_size(height, width, dtype)

@@ -10,8 +10,10 @@ keys so they can never collide with parameter names.
 from __future__ import annotations
 
 import json
+import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -20,6 +22,23 @@ from repro.nn.modules import Module
 _METADATA_KEY = "__metadata_json__"
 _EXTRA_PREFIX = "__extra__"
 _RESERVED_PREFIX = "__"
+
+# numpy parses every ``.npy`` header with ``ast.literal_eval``, and CPython
+# 3.11 keeps the AST builder's recursion counter in interpreter-wide state:
+# two threads parsing at once can fail with "SystemError: AST constructor
+# recursion depth mismatch".  Serving shards load checkpoints on their own
+# threads, so every checkpoint read holds this one process-wide lock.
+_READ_LOCK = threading.Lock()
+
+
+@contextmanager
+def read_archive(path: Union[str, Path]) -> Iterator[np.lib.npyio.NpzFile]:
+    """Open a checkpoint archive for reading, one reader thread at a time.
+
+    Arrays are decoded when indexed, so index them inside the ``with`` block.
+    """
+    with _READ_LOCK, np.load(path, allow_pickle=False) as data:
+        yield data
 
 
 def save_checkpoint(
@@ -58,7 +77,7 @@ def load_checkpoint(
     Returns the metadata dictionary when one was stored, else ``None``.
     Reserved (``__``-prefixed) entries such as extras are ignored here.
     """
-    with np.load(path, allow_pickle=False) as data:
+    with read_archive(path) as data:
         state = {
             key: data[key] for key in data.files if not key.startswith(_RESERVED_PREFIX)
         }
@@ -71,7 +90,7 @@ def load_checkpoint(
 
 def load_extras(path: Union[str, Path]) -> dict[str, np.ndarray]:
     """Read the extra arrays stored in a checkpoint (empty dict if none)."""
-    with np.load(path, allow_pickle=False) as data:
+    with read_archive(path) as data:
         return {
             key[len(_EXTRA_PREFIX):]: np.asarray(data[key])
             for key in data.files

@@ -83,7 +83,7 @@ class TestCurrentFusionNet:
 
 
 def _fused(network, maps, blocked):
-    """Fusion output through the no_grad block loop, or through the layer graph."""
+    """Fusion output through the no_grad block loop, or through the recorded layer graph."""
     if blocked:
         with no_grad():
             return network(Tensor(maps)).data
@@ -91,7 +91,7 @@ def _fused(network, maps, blocked):
 
 
 class TestFusionBlocking:
-    """The no_grad block loop against the unblocked layer graph, bit for bit."""
+    """The no_grad block loop against the recorded layer graph, bit for bit."""
 
     @PROPERTY_SETTINGS
     @given(
@@ -134,6 +134,61 @@ class TestFusionBlocking:
             blocked = model.forward_batch(ragged, distance).data
         unblocked = model.forward_batch(ragged, distance).data
         np.testing.assert_array_equal(blocked, unblocked)
+
+    @PROPERTY_SETTINGS
+    @given(
+        count=st.sampled_from([1, 4, 5, 6, 11]),
+        height=st.integers(2, 9),
+        width=st.integers(2, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_recorded_blocks_match_one_block(self, count, height, width, seed):
+        # A budget of 5 maps a block; 1, block - 1, block, block + 1 and
+        # 2 * block + 1 maps.  The recorded maps equal the no_grad block loop
+        # bit for bit; the gradients only reassociate the batch sums.
+        network = CurrentFusionNet(hidden_channels=3, seed=seed)
+        per_map = 3 * (height + 2) * (width + 2) * 8  # hidden maps with halo
+        block = 5
+        rng = np.random.default_rng(seed)
+        maps = rng.standard_normal((count, 1, height, width))
+        upstream = rng.standard_normal((count, 1, height, width))
+
+        def recorded():
+            network.zero_grad()
+            inputs = Tensor(maps, requires_grad=True)
+            output = network(inputs)
+            (output * Tensor(upstream)).sum().backward()
+            grads = [inputs.grad] + [parameter.grad for parameter in network.parameters()]
+            return output.data, grads
+
+        with mock.patch.object(subnets, "FUSION_BLOCK_BYTES", block * per_map):
+            assert network.block_size(height, width, np.float64) == block
+            blocked, blocked_grads = recorded()
+            with no_grad():
+                np.testing.assert_array_equal(blocked, network(Tensor(maps)).data)
+        assert network.block_size(height, width, np.float64) > count
+        whole, whole_grads = recorded()
+        np.testing.assert_array_equal(blocked, whole)
+        assert len(blocked_grads) == 9
+        for got, want in zip(blocked_grads, whole_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_first_layer_still_skips_its_input_gradient(self, rng):
+        # Blocks are cut from a non-grad input without a graph node, so the
+        # stride-2 input convolution folds no input gradient (no col2im).
+        network = CurrentFusionNet(seed=0)
+        maps = rng.standard_normal((23, 1, 9, 9))
+        per_map = network.decoder_out.in_channels * 11 * 11 * 8
+        with mock.patch.object(subnets, "FUSION_BLOCK_BYTES", 5 * per_map):
+            assert network.block_size(9, 9, np.float64) == 5
+            counts = []
+            for requires_grad in (False, True):
+                output = network(Tensor(maps, requires_grad=requires_grad))
+                with mock.patch.object(kernels, "col2im", wraps=kernels.col2im) as col2im:
+                    output.sum().backward()
+                counts.append(col2im.call_count)
+        # A grad-requiring input folds once per block, so the counter sees them.
+        assert counts == [0, 5]
 
     def test_float32_blocks_hold_twice_the_maps(self):
         network = CurrentFusionNet(seed=0)

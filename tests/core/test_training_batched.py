@@ -8,13 +8,19 @@ train/validation loss curves, ``best_epoch`` and final weights:
 * ``dense/*`` — 5 epochs at batch size 3, every sample with its full stamp count;
 * ``ragged/*`` — 2 epochs with every third sample's stamps halved, so the
   engine takes its per-sample (ragged) partition path.
+
+At the default fusion budget each minibatch records its fusion subnet as one
+block; the dense run is also checked with a budget that cuts every minibatch
+into several blocks, which only reassociates the weight-gradient sums.
 """
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.core import subnets
 from repro.core.config import ModelConfig, TrainingConfig
 from repro.core.training import NoiseModelTrainer
 from repro.workloads.dataset import NoiseDataset, NoiseSample
@@ -22,6 +28,10 @@ from repro.workloads.dataset import NoiseDataset, NoiseSample
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_training.npz"
 
 MODEL_CONFIG = ModelConfig(distance_kernels=4, fusion_kernels=4, prediction_kernels=6, seed=0)
+
+#: Fusion maps per block under the patched budget: a dense minibatch of 3
+#: vectors x 32 stamps records 4 blocks, and vectors straddle block edges.
+BLOCKED_MAPS = 30
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +117,19 @@ class TestBatchedEngine:
 
     def test_dense_final_weights_match_golden(self, dense_result, golden):
         _assert_weights_match_golden(dense_result, golden, "dense")
+
+    def test_dense_run_across_fusion_blocks_matches_golden(
+        self, tiny_design, tiny_dataset, tiny_split, golden
+    ):
+        rows, cols = tiny_dataset.tile_shape
+        stamps = tiny_dataset.samples[0].features.current_maps.shape[0]
+        assert -(-3 * stamps // BLOCKED_MAPS) >= 3
+        per_map = MODEL_CONFIG.fusion_kernels * (rows + 2) * (cols + 2) * 8  # hidden maps with halo
+        with mock.patch.object(subnets, "FUSION_BLOCK_BYTES", BLOCKED_MAPS * per_map):
+            result = _train(tiny_dataset, tiny_design, tiny_split)
+            assert result.model.fusion_subnet.block_size(rows, cols, np.float64) == BLOCKED_MAPS
+        _assert_curves_match_golden(result, golden, "dense")
+        _assert_weights_match_golden(result, golden, "dense")
 
     def test_ragged_run_matches_golden(
         self, tiny_design, tiny_dataset, tiny_split, golden

@@ -1,5 +1,9 @@
 """Tests for repro.nn.serialization."""
 
+import gc
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -72,3 +76,49 @@ class TestCheckpointExtras:
         path = tmp_path / "model.npz"
         save_checkpoint(model, path)
         assert load_extras(path) == {}
+
+
+class _Cycle:
+    """Cyclic garbage whose finalizer runs Python code inside a GC pass."""
+
+    def __init__(self):
+        self.me = self
+
+    def __del__(self):
+        sum(range(50))
+
+
+class TestConcurrentReads:
+    def test_threads_load_the_same_checkpoint(self, model, tmp_path, rng):
+        # Every .npy header is parsed with ast.literal_eval.  Frequent GC
+        # passes that run finalizers, and a tiny switch interval, hand the
+        # interpreter to another thread mid-parse; unserialised, CPython
+        # 3.11 then fails some reads with "AST constructor recursion depth
+        # mismatch".
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path, metadata={"k": 1}, extras={"aux": rng.random(5)})
+        errors: list[BaseException] = []
+
+        def reader() -> None:
+            try:
+                for _ in range(150):
+                    _Cycle()
+                    assert load_checkpoint(model, path) == {"k": 1}
+                    assert set(load_extras(path)) == {"aux"}
+            except BaseException as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=reader) for _ in range(8)]
+        thresholds, interval = gc.get_threshold(), sys.getswitchinterval()
+        gc.set_threshold(5)
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            gc.set_threshold(*thresholds)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
