@@ -258,7 +258,6 @@ class WorstCaseNoiseFramework:
         return CorpusSpec(
             designs=(self.corpus_design_spec(design_reference, label, shard_size),),
             sim_batch_size=self.config.sim_batch_size or 1,
-            solver_method=options.solver_method,
             integration_method=options.method,
             initial_state=options.initial_state,
         )

@@ -86,7 +86,6 @@ class _ShardTask:
     index: int
     design_spec: CorpusDesignSpec
     sim_batch_size: int
-    solver_method: str
     integration_method: str
     initial_state: str
     quarantine: bool = True
@@ -196,7 +195,6 @@ def _worker_analysis(task: _ShardTask, design: Design) -> DynamicNoiseAnalysis:
         task.design_spec.dt,
         task.integration_method,
         task.initial_state,
-        task.solver_method,
         task.solver_mode,
         task.rom,
     )
@@ -206,7 +204,6 @@ def _worker_analysis(task: _ShardTask, design: Design) -> DynamicNoiseAnalysis:
             method=task.integration_method,
             initial_state=task.initial_state,
             store_waveform=False,
-            solver_method=task.solver_method,
             solver_mode=task.solver_mode,
             rom=task.rom,
         )
@@ -489,7 +486,6 @@ def generate_corpus(
                     index=index,
                     design_spec=design,
                     sim_batch_size=spec.sim_batch_size,
-                    solver_method=spec.solver_method,
                     integration_method=spec.integration_method,
                     initial_state=spec.initial_state,
                     quarantine=policy.quarantine,

@@ -31,6 +31,11 @@ from repro.workloads.scenarios import validate_scenario
 from repro.workloads.specs import ScenarioSpec
 from repro.workloads.vectors import VectorConfig
 
+# The ``solver_method`` value every manifest records.  It names the one
+# symmetric SuperLU factorisation; the pair stays in the hashed payload so
+# pre-existing corpora keep their config hashes.
+_SOLVER_METHOD = "cholesky"
+
 
 @dataclass(frozen=True)
 class CorpusDesignSpec:
@@ -214,15 +219,12 @@ class CorpusSpec:
         Vectors per lockstep transient block
         (:meth:`~repro.sim.dynamic_noise.DynamicNoiseAnalysis.run_many`);
         bounds the solver working set.
-    solver_method / integration_method / initial_state:
+    integration_method / initial_state:
         Ground-truth transient engine options (see
-        :class:`~repro.sim.transient.TransientOptions`).  The solver
-        defaults to ``"cholesky"`` — PDN system matrices are SPD, the
-        symmetric SuperLU mode produces ~40% sparser factors, and sparser
-        factors make every block back-substitution of the corpus run
-        proportionally faster.  Results agree with the ``"direct"`` LU
-        factorisation to solver rounding (~1e-14 relative; see
-        ``docs/data-pipeline.md``).
+        :class:`~repro.sim.transient.TransientOptions`).  Every corpus is
+        labelled by the one symmetric SuperLU factorisation
+        (:class:`~repro.sim.linear.LinearSolver`); the manifest records it
+        as the fixed, hashed pair ``"solver_method": "cholesky"``.
     solver_mode:
         Which transient strategy labels the corpus: ``"full"`` (the
         full-order companion path, the default) or ``"rom"`` (the gated
@@ -238,7 +240,6 @@ class CorpusSpec:
 
     designs: tuple[CorpusDesignSpec, ...]
     sim_batch_size: int = 48
-    solver_method: str = "cholesky"
     integration_method: str = "backward_euler"
     initial_state: str = "dc"
     solver_mode: str = "full"
@@ -274,7 +275,6 @@ class CorpusSpec:
             method=self.integration_method,
             initial_state=self.initial_state,
             store_waveform=False,
-            solver_method=self.solver_method,
             solver_mode=self.solver_mode,
             rom=self.rom,
         )
@@ -303,9 +303,12 @@ class CorpusSpec:
         pre-existing full-order corpora keep their config hashes (and stay
         resumable) across the solver seam's introduction; ROM-mode specs
         record the complete :class:`~repro.sim.rom.ROMOptions` block.
+        The payload always carries ``"solver_method": "cholesky"``: the key
+        predates the single solver, and every existing manifest hashes it.
         """
         payload = asdict(self)
         payload["designs"] = [design.to_dict() for design in self.designs]
+        payload["solver_method"] = _SOLVER_METHOD
         if self.solver_mode == "full":
             del payload["solver_mode"]
             del payload["rom"]
@@ -315,8 +318,19 @@ class CorpusSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CorpusSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        Raises ``ValueError`` when the payload names a ``solver_method``
+        other than ``"cholesky"``: such a corpus was labelled by
+        another factorisation and must not be resumed as this one.
+        """
         payload = dict(payload)
+        solver_method = payload.pop("solver_method", _SOLVER_METHOD)
+        if solver_method != _SOLVER_METHOD:
+            raise ValueError(
+                f"solver_method must be {_SOLVER_METHOD!r} (the only solver), "
+                f"got {solver_method!r}"
+            )
         payload["designs"] = tuple(
             CorpusDesignSpec.from_dict(entry) for entry in payload["designs"]
         )

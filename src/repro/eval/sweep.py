@@ -121,7 +121,7 @@ def _worker_analysis(label: str) -> DynamicNoiseAnalysis:
     """Build (or fetch) the cached ground-truth analysis for one design."""
     analysis = _WORKER_ANALYSES.get(label)
     if analysis is None:
-        options = TransientOptions(store_waveform=False, solver_method="cholesky")
+        options = TransientOptions(store_waveform=False)
         analysis = DynamicNoiseAnalysis(_worker_design(label), _WORKER_DT, options)
         _WORKER_ANALYSES[label] = analysis
     return analysis

@@ -22,10 +22,9 @@ backend selection live in exactly one place:
 * **Backend registry.**  The pure-numpy :class:`NumpyBackend` is the
   reference implementation; an accelerated backend (a compiled extension,
   a GPU bridge) plugs in behind the same three entry points via
-  :func:`register_backend` + :func:`set_backend` (or the scoped
-  :class:`use_backend`), without touching any caller.  The ``numpy``
-  backend can never be unregistered, so the bit-exact reference is always
-  one :func:`set_backend` call away.
+  :func:`register_backend` + :func:`set_backend`, without touching any
+  caller.  The ``numpy`` backend can never be unregistered, so the
+  bit-exact reference is always one :func:`set_backend` call away.
 
 Callers (``repro.nn.conv``, ``repro.nn.tensor``) import the module-level
 :func:`matmul` / :func:`im2col` / :func:`col2im` functions; they dispatch to
@@ -47,7 +46,6 @@ __all__ = [
     "SUPPORTED_DTYPES",
     "KernelBackend",
     "NumpyBackend",
-    "available_backends",
     "canonical_dtype",
     "clear_workspace_pool",
     "col2im",
@@ -62,7 +60,6 @@ __all__ = [
     "set_backend",
     "set_kernel_threads",
     "take_workspace",
-    "use_backend",
     "use_kernel_threads",
     "workspace_pool_stats",
 ]
@@ -229,18 +226,14 @@ class NumpyBackend(KernelBackend):
 _REGISTRY_LOCK = threading.Lock()
 _BACKENDS: dict[str, KernelBackend] = {"numpy": NumpyBackend()}
 _ACTIVE_BACKEND = "numpy"
-# Thread-local override so `use_backend` on a serving thread can never flip
-# the backend under a training loop running concurrently on another thread.
-_THREAD_STATE = threading.local()
 
 
 def register_backend(name: str, backend: KernelBackend, activate: bool = False) -> None:
     """Register an accelerated backend under ``name``.
 
     Registration alone changes nothing — callers opt in per process with
-    :func:`set_backend` or per scope with :class:`use_backend`.  Re-registering
-    a name replaces the backend (except ``"numpy"``, which is the immutable
-    reference implementation).
+    :func:`set_backend`.  Re-registering a name replaces the backend
+    (except ``"numpy"``, which is the immutable reference implementation).
     """
     if not name or not isinstance(name, str):
         raise ValueError(f"backend name must be a non-empty string, got {name!r}")
@@ -250,12 +243,6 @@ def register_backend(name: str, backend: KernelBackend, activate: bool = False) 
         _BACKENDS[name] = backend
     if activate:
         set_backend(name)
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted (``"numpy"`` is always present)."""
-    with _REGISTRY_LOCK:
-        return tuple(sorted(_BACKENDS))
 
 
 def set_backend(name: str) -> None:
@@ -270,35 +257,14 @@ def set_backend(name: str) -> None:
 
 
 def get_backend_name() -> str:
-    """Name of the backend the calling thread dispatches to."""
-    override = getattr(_THREAD_STATE, "backend", None)
-    return override if override is not None else _ACTIVE_BACKEND
+    """Name of the process-wide active backend."""
+    return _ACTIVE_BACKEND
 
 
 def get_backend() -> KernelBackend:
-    """The backend instance the calling thread dispatches to."""
+    """The active backend instance."""
     with _REGISTRY_LOCK:
-        return _BACKENDS[get_backend_name()]
-
-
-class use_backend:
-    """Context manager selecting a backend for the calling thread only."""
-
-    def __init__(self, name: str):
-        with _REGISTRY_LOCK:
-            if name not in _BACKENDS:
-                raise KeyError(
-                    f"unknown kernel backend {name!r}; registered: {sorted(_BACKENDS)}"
-                )
-        self._name = name
-
-    def __enter__(self) -> "use_backend":
-        self._previous = getattr(_THREAD_STATE, "backend", None)
-        _THREAD_STATE.backend = self._name
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        _THREAD_STATE.backend = self._previous
+        return _BACKENDS[_ACTIVE_BACKEND]
 
 
 # ---------------------------------------------------------------------- #
@@ -323,6 +289,9 @@ _GLOBAL_THREADS = _threads_from_env()
 #: more than the GEMMs it would parallelise.
 _MIN_SHARD_BATCH = 8
 
+# Per-thread override set by `use_kernel_threads`.
+_LOCAL_THREADS = threading.local()
+
 _EXECUTOR_LOCK = threading.Lock()
 _EXECUTORS: dict[int, ThreadPoolExecutor] = {}
 
@@ -342,7 +311,7 @@ def set_kernel_threads(count: int) -> None:
 
 def kernel_threads() -> int:
     """Kernel threads the calling thread dispatches with (thread-local first)."""
-    override = getattr(_THREAD_STATE, "threads", None)
+    override = getattr(_LOCAL_THREADS, "count", None)
     return override if override is not None else _GLOBAL_THREADS
 
 
@@ -355,12 +324,12 @@ class use_kernel_threads:
         self._count = int(count)
 
     def __enter__(self) -> "use_kernel_threads":
-        self._previous = getattr(_THREAD_STATE, "threads", None)
-        _THREAD_STATE.threads = self._count
+        self._previous = getattr(_LOCAL_THREADS, "count", None)
+        _LOCAL_THREADS.count = self._count
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
-        _THREAD_STATE.threads = self._previous
+        _LOCAL_THREADS.count = self._previous
 
 
 def _executor(threads: int) -> ThreadPoolExecutor:

@@ -1,8 +1,8 @@
 """PDN simulation engine.
 
 This subpackage is the reproduction's substitute for the commercial PDN
-sign-off tool: sparse linear solvers (sparse LU, symmetric-mode SuperLU and
-conjugate gradients), static IR analysis, a transient engine with companion
+sign-off tool: one sparse solver (symmetric-mode SuperLU, factor once and solve
+many), static IR analysis, a transient engine with companion
 models for decap and package inductance, and the worst-case dynamic noise
 analysis that produces the ground-truth tile maps.
 
@@ -12,14 +12,7 @@ reduced-order model (:class:`ReducedOrderStrategy`, ``solver_mode="rom"``)
 are interchangeable behind :class:`TransientEngine` — see ``docs/solvers.md``.
 """
 
-from repro.sim.linear import (
-    CholeskySolver,
-    ConjugateGradientSolver,
-    DirectSolver,
-    LinearSolver,
-    make_solver,
-    solver_names,
-)
+from repro.sim.linear import LinearSolver, make_solver
 from repro.sim.static_ir import StaticIRAnalysis, StaticIRResult, run_static_analysis
 from repro.sim.transient import (
     INTEGRATION_METHODS,
@@ -40,11 +33,7 @@ from repro.sim.waveform import CurrentTrace, VoltageWaveform, per_tile_maximum
 
 __all__ = [
     "LinearSolver",
-    "DirectSolver",
-    "CholeskySolver",
-    "ConjugateGradientSolver",
     "make_solver",
-    "solver_names",
     "StaticIRAnalysis",
     "StaticIRResult",
     "run_static_analysis",

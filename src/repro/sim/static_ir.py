@@ -56,11 +56,9 @@ class StaticIRAnalysis:
     as a sign-off tool would.
     """
 
-    def __init__(self, mna: MNASystem, solver_method: str = "direct", **solver_kwargs):
+    def __init__(self, mna: MNASystem):
         self._mna = mna
-        self._solver: LinearSolver = make_solver(
-            mna.static_conductance(), solver_method, **solver_kwargs
-        )
+        self._solver: LinearSolver = make_solver(mna.static_conductance())
 
     @property
     def solver(self) -> LinearSolver:
@@ -78,7 +76,6 @@ class StaticIRAnalysis:
 def run_static_analysis(
     design: Design,
     load_currents: Optional[np.ndarray] = None,
-    solver_method: str = "direct",
 ) -> StaticIRResult:
     """One-shot static IR analysis of a design.
 
@@ -89,12 +86,10 @@ def run_static_analysis(
     load_currents:
         Per-load DC currents (A); defaults to the nominal currents of the
         design's load placement.
-    solver_method:
-        Any name accepted by :func:`repro.sim.linear.make_solver`.
     """
     if load_currents is None:
         load_currents = design.loads.nominal_currents
-    analysis = StaticIRAnalysis(design.mna, solver_method=solver_method)
+    analysis = StaticIRAnalysis(design.mna)
     node_droop = analysis.solve(load_currents)
 
     die_droop = node_droop[: design.mna.num_die_nodes]

@@ -63,9 +63,6 @@ class TransientOptions:
     store_waveform:
         Keep the full ``(T, N)`` droop waveform.  Worst-case noise analysis
         only needs the running maximum, so this defaults to off.
-    solver_method:
-        Linear solver used for the (single) factorised system and for the
-        DC initial-condition solves.
     solver_mode:
         ``"full"`` integrates the full-order companion system
         (:class:`FullOrderStrategy`, the default); ``"rom"`` integrates the
@@ -81,7 +78,6 @@ class TransientOptions:
     method: str = "backward_euler"
     initial_state: str = "dc"
     store_waveform: bool = False
-    solver_method: str = "direct"
     solver_mode: str = "full"
     rom: Optional["ROMOptions"] = None
 
@@ -193,7 +189,7 @@ class FullOrderStrategy(TransientSolverStrategy):
         system = system + sp.diags(self._cap_companion, format="csc")
         self._system = system.tocsc()
         factor_started = time.perf_counter()
-        self._solver: LinearSolver = make_solver(self._system, options.solver_method)
+        self._solver: LinearSolver = make_solver(self._system)
         # The factor/solve split: building the strategy pays the (single)
         # sparse factorisation; every block afterwards is back-substitution.
         obs.metrics().histogram("sim.factor_seconds").observe(
@@ -236,9 +232,7 @@ class FullOrderStrategy(TransientSolverStrategy):
     def _static(self) -> LinearSolver:
         """The lazily built static (DC) solver shared by all initial states."""
         if self._static_solver is None:
-            self._static_solver = make_solver(
-                self._mna.static_conductance(), self._options.solver_method
-            )
+            self._static_solver = make_solver(self._mna.static_conductance())
         return self._static_solver
 
     def _dc_state(self, load_currents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

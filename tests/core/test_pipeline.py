@@ -157,18 +157,14 @@ class TestCorpusWiring:
         framework = WorstCaseNoiseFramework(
             design,
             PipelineConfig(num_vectors=8, num_steps=40, sim_batch_size=4),
-            transient_options=TransientOptions(
-                method="trapezoidal", initial_state="zero", solver_method="cg"
-            ),
+            transient_options=TransientOptions(method="trapezoidal", initial_state="zero"),
         )
         spec = framework.corpus_spec("small@8")
         assert spec.integration_method == "trapezoidal"
         assert spec.initial_state == "zero"
-        assert spec.solver_method == "cg"
         assert spec.sim_batch_size == 4
         # Unset sim_batch_size maps to true per-vector simulation.
         per_vector = WorstCaseNoiseFramework(
             design, PipelineConfig(num_vectors=8, num_steps=40)
         ).corpus_spec("small@8")
         assert per_vector.sim_batch_size == 1
-        assert per_vector.solver_method == "direct"

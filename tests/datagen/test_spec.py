@@ -65,11 +65,21 @@ class TestCorpusSpec:
         with pytest.raises(ValueError):
             CorpusSpec(designs=(_design(),), integration_method="forward_euler")
 
-    def test_rejects_bad_solver(self):
-        spec = CorpusSpec(designs=(_design(),), solver_method="bogus")
-        # Solver validation happens when the engine is built; the options
-        # object itself is permissive about solver names.
-        assert spec.transient_options().solver_method == "bogus"
+    @pytest.mark.parametrize("solver", ["direct", "cg", "bogus"])
+    def test_from_dict_rejects_foreign_solver(self, solver):
+        # A corpus labelled by another factorisation must not be resumed.
+        payload = CorpusSpec(designs=(_design(),)).to_dict()
+        payload["solver_method"] = solver
+        with pytest.raises(ValueError, match="solver_method"):
+            CorpusSpec.from_dict(payload)
+
+    def test_from_dict_accepts_the_one_solver_or_none(self):
+        spec = CorpusSpec(designs=(_design(),))
+        payload = spec.to_dict()
+        assert payload["solver_method"] == "cholesky"
+        assert CorpusSpec.from_dict(payload) == spec
+        del payload["solver_method"]
+        assert CorpusSpec.from_dict(payload) == spec
 
     def test_lookup_by_label(self):
         spec = CorpusSpec(designs=(_design(), _design(label="other")))
@@ -97,9 +107,16 @@ class TestConfigHash:
         assert base.config_hash() != CorpusSpec(
             designs=(_design(),), sim_batch_size=base.sim_batch_size + 1
         ).config_hash()
-        assert base.config_hash() != CorpusSpec(
-            designs=(_design(),), solver_method="direct"
-        ).config_hash()
+
+    def test_smoke_corpus_hash_is_pinned(self):
+        # The config hash every existing smoke corpus manifest records
+        # (eval/runs/smoke/corpus/manifest.json); a change here makes those
+        # workdirs unresumable.
+        from repro.eval.config import budget
+
+        assert budget("smoke").corpus_spec().config_hash() == (
+            "c86d86e76056c9f057c77106333491691b1f542bbe6392332123da7f90c292f0"
+        )
 
     def test_hash_stable_across_processes(self):
         # Pure function of the spec fields — no ids, no timestamps.

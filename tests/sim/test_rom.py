@@ -79,18 +79,6 @@ class TestStrategySelection:
         assert engine.strategy.rank <= 48
 
 
-class TestStaticSolverMethod:
-    # Regression: the DC initial-condition solver must follow the
-    # configured solver_method, not a hardcoded "direct".
-    def test_static_solver_follows_options(self, tiny_design):
-        direct = TransientEngine(tiny_design.mna, 1e-11, TransientOptions())
-        cholesky = TransientEngine(
-            tiny_design.mna, 1e-11, TransientOptions(solver_method="cholesky")
-        )
-        assert type(direct.full_order._static()).__name__ == "DirectSolver"
-        assert type(cholesky.full_order._static()).__name__ == "CholeskySolver"
-
-
 class TestGatedRunMany:
     def test_labels_match_full_order_on_tiny_design(self, tiny_design, full_engine, traces):
         # A tiny design's ROM basis spans nearly the whole space — labels

@@ -204,3 +204,33 @@ class TestRunMany:
         bad = CurrentTrace(np.ones((10, 3)), tiny_traces[0].dt)
         with pytest.raises(ValueError):
             engine.run_many([tiny_traces[0], bad])
+
+
+class TestSolverSeam:
+    """Every factorisation goes through ``repro.sim.transient.make_solver``.
+
+    The traced perfbench runs time factorisations by patching that module
+    global, so a solver built any other way would go unmeasured.
+    """
+
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        import repro.sim.transient as transient
+
+        calls = []
+        real = transient.make_solver
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return real(matrix)
+
+        monkeypatch.setattr(transient, "make_solver", counting)
+        return calls
+
+    @pytest.mark.parametrize("initial_state, expected", [("dc", 2), ("zero", 1)])
+    def test_factorisations_per_run(self, tiny_design, factor_calls, initial_state, expected):
+        dt = 1e-11
+        engine = TransientEngine(tiny_design.mna, dt, TransientOptions(initial_state=initial_state))
+        engine.run(_constant_trace(tiny_design, 1.0, 10, dt))
+        # The companion system, plus the static (DC) system for "dc" runs.
+        assert len(factor_calls) == expected
