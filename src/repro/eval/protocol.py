@@ -40,7 +40,7 @@ from repro.io.atomic import atomic_write_text
 from repro.io.results import ExperimentRecord, format_table, latency_throughput_columns
 from repro.nn import kernels
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience.retry import RetryPolicy, run_with_retry
+from repro.resilience.retry import RetryPolicy, retry_in_waves
 from repro.serving.registry import PredictorRegistry
 from repro.utils import get_logger
 from repro.workloads.dataset import NoiseDataset
@@ -482,6 +482,18 @@ class CrossDesignEvaluator:
             )
         return report
 
+    def _evaluate_heldout_safe(self, heldout: str) -> dict:
+        """Evaluate one row, converting errors into failure outcomes.
+
+        Only :class:`Exception` is converted; an injected
+        :class:`~repro.faults.WorkerKilled` still unwinds, so a preempted
+        campaign resumes instead of half-reporting.
+        """
+        try:
+            return {"row": self.evaluate_heldout(heldout)}
+        except Exception as error:
+            return {"failed": True, "error": repr(error)}
+
     def run(
         self, num_workers: Optional[int] = None, resume: bool = True
     ) -> CrossDesignReport:
@@ -516,40 +528,44 @@ class CrossDesignEvaluator:
                 label_solver=self.config.solver_mode,
             )
         started = time.perf_counter()
+
+        def save() -> None:
+            self.workdir.mkdir(parents=True, exist_ok=True)
+            report.save(self.report_path)
+
+        def run_wave(wave: list[str]) -> list[tuple[str, dict]]:
+            return [(heldout, self._evaluate_heldout_safe(heldout)) for heldout in wave]
+
+        def on_success(heldout: str, outcome: dict) -> None:
+            report.rows[heldout] = outcome["row"]
+            report.quarantined.pop(heldout, None)
+            save()
+
+        def on_exhausted(heldout: str, outcome: dict, attempts: int) -> None:
+            # Quarantine the row, keep the campaign going.
+            obs.metrics().counter("faults.quarantined_rows").inc()
+            report.quarantined[heldout] = {"error": outcome["error"], "attempts": attempts}
+            _LOG.warning(
+                "heldout %s quarantined after %d attempts: %s",
+                heldout,
+                attempts,
+                outcome["error"],
+            )
+            save()
+
         for heldout in self.config.heldout:
             if heldout in report.rows:
                 _LOG.info("heldout %s already evaluated; skipping", heldout)
                 continue
-            try:
-                row = run_with_retry(
-                    lambda label=heldout: self.evaluate_heldout(label),
-                    self.retry,
-                    describe=f"heldout {heldout}",
-                )
-            except Exception as error:
-                # Exhausted retries: quarantine the row, keep the campaign
-                # going.  WorkerKilled is a BaseException and still unwinds —
-                # a preempted campaign resumes, it does not half-report.
-                obs.metrics().counter("faults.quarantined_rows").inc()
-                report.quarantined[heldout] = {
-                    "error": repr(error),
-                    "attempts": self.retry.max_attempts,
-                }
-                _LOG.warning(
-                    "heldout %s quarantined after %d attempts: %r",
-                    heldout,
-                    self.retry.max_attempts,
-                    error,
-                )
-                self.workdir.mkdir(parents=True, exist_ok=True)
-                report.save(self.report_path)
-                continue
-            report.rows[heldout] = row
-            report.quarantined.pop(heldout, None)
-            self.workdir.mkdir(parents=True, exist_ok=True)
-            report.save(self.report_path)
-        self.workdir.mkdir(parents=True, exist_ok=True)
-        report.save(self.report_path)
+            # A wave of one row: rows run (and retry) in config order.
+            retry_in_waves(
+                [heldout],
+                run_wave,
+                self.retry,
+                on_success=on_success,
+                on_exhausted=on_exhausted,
+            )
+        save()
         _LOG.info(
             "campaign %s: %d/%d rows complete, %d quarantined (%.1f s this run)",
             self.config.name,

@@ -10,8 +10,8 @@ gradient is validated against numerical differentiation in the test suite.
 :mod:`repro.core.training` — which batches whole minibatches through one
 autograd graph per step.)
 
-All dense kernels (matmul / im2col / col2im, the workspace pool, dtype and
-threading policy) dispatch through :mod:`repro.nn.kernels`: float64 is the
+All dense kernels (matmul / im2col / col2im, the workspace pool and the dtype
+policy) dispatch through :mod:`repro.nn.kernels`: float64 is the
 bit-exact reference and training precision, float32 the opt-in inference
 fast path, and accelerated backends can be registered behind the same entry
 points.
@@ -25,9 +25,8 @@ from repro.nn.conv import (
     conv_transpose2d,
     conv_output_size,
     conv_transpose_output_size,
-    im2col,
-    col2im,
 )
+from repro.nn.kernels import col2im, im2col
 from repro.nn.modules import (
     Conv2d,
     ConvTranspose2d,

@@ -155,56 +155,24 @@ def conv_transpose_output_size(size: int, kernel: int, stride: int, padding: int
     return (size - 1) * stride - 2 * padding + kernel
 
 
-def im2col(
-    x_padded: np.ndarray, kernel: int, stride: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Unfold sliding windows into columns (via the active kernel backend).
-
-    Parameters
-    ----------
-    x_padded:
-        Padded input, shape ``(N, C, H, W)``.
-    kernel / stride:
-        Square kernel size and stride.
-    out:
-        Optional preallocated C-contiguous destination of shape
-        ``(N, C * kernel * kernel, OH * OW)`` (e.g. a pooled workspace);
-        allocated when omitted.
-
-    Returns
-    -------
-    Array of shape ``(N, C * kernel * kernel, OH * OW)`` (``out`` if given).
-    """
-    return kernels.im2col(x_padded, kernel, stride, out=out)
-
-
-def col2im(
-    columns: np.ndarray,
-    padded_shape: tuple[int, int, int, int],
-    kernel: int,
-    stride: int,
-) -> np.ndarray:
-    """Adjoint of :func:`im2col` (via the active kernel backend)."""
-    return kernels.col2im(columns, padded_shape, kernel, stride)
-
-
 def _unfold(x_padded: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """:func:`im2col` into a pooled workspace (release it when done)."""
+    """:func:`kernels.im2col` into a pooled workspace (release it when done)."""
     batch, channels, height, width = x_padded.shape
     out_h = (height - kernel) // stride + 1
     out_w = (width - kernel) // stride + 1
     workspace = take_workspace(
         (batch, channels * kernel * kernel, out_h * out_w), dtype=x_padded.dtype
     )
-    return im2col(x_padded, kernel, stride, out=workspace)
+    return kernels.im2col(x_padded, kernel, stride, out=workspace)
 
 
 def _flipped_taps(weight: np.ndarray) -> np.ndarray:
     """``(O, C, k, k)`` conv weights with both kernel axes reversed, as ``(O*k*k, C)``.
 
     Row ``(o, a, b)`` holds tap ``(k-1-a, k-1-b)``, the layout a stride-1
-    :func:`col2im` scatters from — and, transposed, the layout that turns a
-    stride-1 :func:`im2col` of the output gradient into the input gradient.
+    :func:`kernels.col2im` scatters from — and, transposed, the layout that
+    turns a stride-1 :func:`kernels.im2col` of the output gradient into the
+    input gradient.
     """
     out_channels, in_channels, kernel, _ = weight.shape
     return (
@@ -222,9 +190,9 @@ def _conv_fold_first(
     GEMM the padded input against :func:`_flipped_taps` to get every output
     channel's ``k*k`` tap responses at every padded position, then sum the
     shifted tap planes over the valid centre only — the centre of a
-    stride-1 :func:`col2im` fold, added in the fold's tap order, so the sums
-    are the fold's to the bit.  ``out`` (e.g. a slice of a larger result)
-    receives the sum when given.
+    stride-1 :func:`kernels.col2im` fold, added in the fold's tap order, so
+    the sums are the fold's to the bit.  ``out`` (e.g. a slice of a larger
+    result) receives the sum when given.
     """
     out_channels, in_channels, kernel, _ = weight.shape
     batch, _, height, width = x_padded.shape
@@ -411,7 +379,7 @@ class Conv2dFunction(Function):
                 # slower buffered path; the transient result is parked in the
                 # pool instead.
                 grad_columns = kernels.matmul(weight.reshape(out_channels, -1).T, grad_flat)
-                grad_padded = col2im(grad_columns, padded_shape, kernel, stride)
+                grad_padded = kernels.col2im(grad_columns, padded_shape, kernel, stride)
                 release_workspace(grad_columns)
         if grad_padded is None:
             return None, grad_weight, grad_bias

@@ -2,8 +2,8 @@
 
 Every dense kernel the network executes — the batched GEMM behind a
 convolution, the im2col unfold, the col2im fold, the workspace pool feeding
-them — routes through this module, so precision policy, threading and
-backend selection live in exactly one place:
+them — routes through this module, so precision policy and backend
+selection live in exactly one place:
 
 * **Dtype policy.**  Kernels run in ``float64`` (the bit-exact reference,
   the only dtype the training path accepts) or ``float32`` (the serving
@@ -11,14 +11,6 @@ backend selection live in exactly one place:
   throughput).  :data:`SUPPORTED_DTYPES` is the closed set; the workspace
   pool is keyed by ``(shape, dtype)`` so a float32 serving thread recycles
   buffers exactly like the float64 training loop does.
-* **Thread sharding.**  :func:`matmul` shards a *batched* product across a
-  thread pool when the batch is large enough and more than one kernel
-  thread is configured (:func:`set_kernel_threads` / the
-  ``REPRO_KERNEL_THREADS`` environment variable).  Each shard is an
-  independent slice of the batch computed by the same backend call, so the
-  sharded result is bit-identical to the single-thread one at any thread
-  count — reproducibility is a matter of pinning the thread count in
-  config, not of tolerating nondeterminism.
 * **Backend registry.**  The pure-numpy :class:`NumpyBackend` is the
   reference implementation; an accelerated backend (a compiled extension,
   a GPU bridge) plugs in behind the same three entry points via
@@ -33,10 +25,8 @@ the active backend at call time.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Union
 
 import numpy as np
@@ -58,9 +48,7 @@ __all__ = [
     "register_backend",
     "release_workspace",
     "set_backend",
-    "set_kernel_threads",
     "take_workspace",
-    "use_kernel_threads",
     "workspace_pool_stats",
 ]
 
@@ -228,7 +216,7 @@ _BACKENDS: dict[str, KernelBackend] = {"numpy": NumpyBackend()}
 _ACTIVE_BACKEND = "numpy"
 
 
-def register_backend(name: str, backend: KernelBackend, activate: bool = False) -> None:
+def register_backend(name: str, backend: KernelBackend) -> None:
     """Register an accelerated backend under ``name``.
 
     Registration alone changes nothing — callers opt in per process with
@@ -241,8 +229,6 @@ def register_backend(name: str, backend: KernelBackend, activate: bool = False) 
         raise ValueError("the 'numpy' reference backend cannot be replaced")
     with _REGISTRY_LOCK:
         _BACKENDS[name] = backend
-    if activate:
-        set_backend(name)
 
 
 def set_backend(name: str) -> None:
@@ -268,141 +254,22 @@ def get_backend() -> KernelBackend:
 
 
 # ---------------------------------------------------------------------- #
-# thread sharding
+# dispatch
 # ---------------------------------------------------------------------- #
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("REPRO_KERNEL_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_KERNEL_THREADS must be an integer, got {raw!r}"
-        ) from None
-
-
-_GLOBAL_THREADS = _threads_from_env()
-
-#: Batches smaller than this are never sharded — the shard hand-off costs
-#: more than the GEMMs it would parallelise.
-_MIN_SHARD_BATCH = 8
-
-# Per-thread override set by `use_kernel_threads`.
-_LOCAL_THREADS = threading.local()
-
-_EXECUTOR_LOCK = threading.Lock()
-_EXECUTORS: dict[int, ThreadPoolExecutor] = {}
-
-
-def set_kernel_threads(count: int) -> None:
-    """Pin the process-wide kernel thread count (>= 1; 1 = no sharding).
-
-    The thread count is part of the reproducibility config: runs record it
-    (e.g. bench trajectories) so a measurement can be replayed bit-identically
-    — sharding itself never changes results, only wall-clock.
-    """
-    if int(count) < 1:
-        raise ValueError(f"kernel thread count must be >= 1, got {count}")
-    global _GLOBAL_THREADS
-    _GLOBAL_THREADS = int(count)
 
 
 def kernel_threads() -> int:
-    """Kernel threads the calling thread dispatches with (thread-local first)."""
-    override = getattr(_LOCAL_THREADS, "count", None)
-    return override if override is not None else _GLOBAL_THREADS
-
-
-class use_kernel_threads:
-    """Context manager pinning the kernel thread count for the calling thread."""
-
-    def __init__(self, count: int):
-        if int(count) < 1:
-            raise ValueError(f"kernel thread count must be >= 1, got {count}")
-        self._count = int(count)
-
-    def __enter__(self) -> "use_kernel_threads":
-        self._previous = getattr(_LOCAL_THREADS, "count", None)
-        _LOCAL_THREADS.count = self._count
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        _LOCAL_THREADS.count = self._previous
-
-
-def _executor(threads: int) -> ThreadPoolExecutor:
-    with _EXECUTOR_LOCK:
-        pool = _EXECUTORS.get(threads)
-        if pool is None:
-            pool = _EXECUTORS[threads] = ThreadPoolExecutor(
-                max_workers=threads, thread_name_prefix=f"repro-kernel-{threads}"
-            )
-        return pool
-
-
-def _shard_bounds(batch: int, shards: int) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` slices splitting ``batch`` into ``shards`` parts."""
-    base, extra = divmod(batch, shards)
-    bounds = []
-    start = 0
-    for index in range(shards):
-        stop = start + base + (1 if index < extra else 0)
-        if stop > start:
-            bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
-def _sharded_matmul(
-    backend: KernelBackend, a: np.ndarray, b: np.ndarray, threads: int
-) -> np.ndarray:
-    """Shard a batched matmul over the batch axis across ``threads`` workers.
-
-    Each shard is the same backend call on a contiguous batch slice, so the
-    result is bit-identical to the unsharded product (numpy's batched matmul
-    runs one GEMM per batch element either way).
-    """
-    a_batched = a.ndim == 3
-    b_batched = b.ndim == 3
-    batch = a.shape[0] if a_batched else b.shape[0]
-    rows = a.shape[-2]
-    cols = b.shape[-1]
-    out = np.empty((batch, rows, cols), dtype=np.result_type(a, b))
-
-    def run(lo: int, hi: int) -> None:
-        out[lo:hi] = backend.matmul(
-            a[lo:hi] if a_batched else a, b[lo:hi] if b_batched else b
-        )
-
-    bounds = _shard_bounds(batch, min(threads, batch))
-    pool = _executor(threads)
-    futures = [pool.submit(run, lo, hi) for lo, hi in bounds[1:]]
-    run(*bounds[0])  # the caller works too instead of only waiting
-    for future in futures:
-        future.result()
-    return out
+    """Always ``1``: every kernel runs on the caller's thread."""
+    return 1
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product via the active backend, batch-sharded when configured.
+    """Matrix product via the active backend.
 
     The dispatch entry point behind every GEMM in the network (tensor
-    ``MatMul``, conv forward/backward contractions).  With the default
-    single kernel thread this is exactly one backend ``matmul`` call; with
-    ``kernel_threads() > 1`` and a batched operand of at least
-    ``_MIN_SHARD_BATCH`` items, the batch axis is sharded across the thread
-    pool (bit-identical results — see :func:`_sharded_matmul`).
+    ``MatMul``, conv forward/backward contractions).
     """
-    backend = get_backend()
-    threads = kernel_threads()
-    if threads > 1 and max(a.ndim, b.ndim) == 3:
-        batch = a.shape[0] if a.ndim == 3 else b.shape[0]
-        compatible = a.ndim != 3 or b.ndim != 3 or a.shape[0] == b.shape[0]
-        if compatible and batch >= _MIN_SHARD_BATCH:
-            return _sharded_matmul(backend, a, b, threads)
-    return backend.matmul(a, b)
+    return get_backend().matmul(a, b)
 
 
 def im2col(

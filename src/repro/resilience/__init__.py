@@ -6,10 +6,11 @@ solver blow-ups and bit-rot as *expected inputs* instead of run-enders:
 * :mod:`~repro.resilience.errors` — every way the pipeline gives up is a
   typed exception carrying evidence (shard hashes, exhausted shards, the
   diverged epoch).
-* :mod:`~repro.resilience.retry` — the shared :class:`RetryPolicy` with
-  injectable sleep: :func:`run_with_retry` retries one call (eval rows),
-  :func:`retry_in_waves` retries the batches that :func:`fan_out` (the one
-  pool-or-inline loop) runs for datagen shards and sweep rows.
+* :mod:`~repro.resilience.retry` — the shared :class:`RetryPolicy` and
+  the one retry loop, :func:`retry_in_waves` (injectable sleep): it
+  retries the batches that :func:`fan_out` (the one pool-or-inline loop)
+  runs for datagen shards and sweep rows, and held-out eval rows as waves
+  of one.
 * :mod:`~repro.resilience.quarantine` — poisoned vectors and rows become
   :class:`QuarantineRecord` entries in the artefact instead of crashes.
 * :mod:`~repro.resilience.checkpoint` — preemption-safe training:
@@ -37,7 +38,7 @@ from repro.resilience.errors import (
 )
 from repro.resilience.fanout import fan_out
 from repro.resilience.quarantine import QuarantineRecord, poisoned_sample_indices
-from repro.resilience.retry import RetryPolicy, retry_in_waves, run_with_retry
+from repro.resilience.retry import RetryPolicy, retry_in_waves
 
 __all__ = [
     "ResilienceError",
@@ -46,7 +47,6 @@ __all__ = [
     "DivergenceError",
     "CheckpointError",
     "RetryPolicy",
-    "run_with_retry",
     "retry_in_waves",
     "fan_out",
     "QuarantineRecord",

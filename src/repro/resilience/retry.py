@@ -3,26 +3,24 @@
 :class:`RetryPolicy` is the one retry vocabulary every pipeline stage
 shares — datagen shard attempts, eval rows, held-out campaign rows — so
 "how many attempts, backing off how" is a frozen, hashable value instead of
-scattered constants.  :func:`run_with_retry` executes a callable under a
-policy with an *injectable sleep*, which is what keeps the fault-injection
-tests free of timing waits: they pass a recording stub and assert the exact
-backoff schedule instead of sleeping through it.  :func:`retry_in_waves` is
-the batch form the datagen engine and the eval sweep share: a whole wave of
-units runs, the failures run again as the next wave, and the backoff grows
-per wave.
+scattered constants.  :func:`retry_in_waves` is the one retry loop, shared
+by the datagen engine, the eval sweep and the held-out campaign rows: a
+whole wave of units runs, the failures run again as the next wave, and the
+backoff grows per wave.  Its sleep is *injectable*, which is what keeps the
+fault-injection tests free of timing waits: they pass a recording stub and
+assert the exact backoff schedule instead of sleeping through it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Tuple, Type, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro import obs
 
-__all__ = ["RetryPolicy", "retry_in_waves", "run_with_retry"]
+__all__ = ["RetryPolicy", "retry_in_waves"]
 
-_T = TypeVar("_T")
 _U = TypeVar("_U")
 
 
@@ -60,54 +58,6 @@ class RetryPolicy:
         return self.backoff_s * self.backoff_factor ** (failures - 1)
 
 
-def run_with_retry(
-    operation: Callable[[], _T],
-    policy: RetryPolicy = RetryPolicy(),
-    *,
-    describe: str = "operation",
-    sleep: Callable[[float], None] = time.sleep,
-    retry_on: Tuple[Type[BaseException], ...] = (Exception,),
-) -> _T:
-    """Run ``operation`` under a retry policy; return its first success.
-
-    Publishes ``faults.errors`` per failed attempt, ``faults.retries`` per
-    retry actually scheduled, and ``faults.exhausted`` when the budget runs
-    out (the last error is then re-raised unchanged).
-    :class:`~repro.faults.WorkerKilled` is a :class:`BaseException` and is
-    therefore *never* retried by the default ``retry_on`` — an injected kill
-    unwinds like a real one.
-
-    Parameters
-    ----------
-    operation:
-        Zero-argument callable to run.
-    policy:
-        The retry budget and backoff schedule.
-    describe:
-        Name used in log/metric context.
-    sleep:
-        Backoff sleeper; tests inject a recorder for zero-wait determinism.
-    retry_on:
-        Exception types that count as retryable failures.
-    """
-    metrics = obs.metrics()
-    last_error: BaseException = RuntimeError(f"{describe}: no attempts ran")
-    for attempt in range(1, policy.max_attempts + 1):
-        try:
-            return operation()
-        except retry_on as error:  # noqa: PERF203 - retry loop by design
-            last_error = error
-            metrics.counter("faults.errors").inc()
-            if attempt >= policy.max_attempts:
-                break
-            metrics.counter("faults.retries").inc()
-            delay = policy.delay(attempt)
-            if delay > 0:
-                sleep(delay)
-    metrics.counter("faults.exhausted").inc()
-    raise last_error
-
-
 def retry_in_waves(
     units: Sequence[_U],
     run_wave: Callable[[list[_U]], Iterable[tuple[_U, dict]]],
@@ -124,8 +74,12 @@ def retry_in_waves(
     :func:`~repro.resilience.fan_out` does).  Outcomes without a truthy
     ``"failed"`` go to ``on_success(unit, outcome)``; failed units rerun next
     wave, after ``sleep(policy.delay(wave))``, until ``policy.max_attempts``
-    sends them to ``on_exhausted(unit, outcome, attempts)``.  Counters are
-    those of :func:`run_with_retry`.
+    sends them to ``on_exhausted(unit, outcome, attempts)``.
+
+    Publishes ``faults.errors`` per failed attempt, ``faults.retries`` per
+    retry scheduled and ``faults.exhausted`` per unit out of budget.  An
+    exception ``run_wave`` raises (e.g. an injected
+    :class:`~repro.faults.WorkerKilled`) propagates uncounted.
     """
     metrics = obs.metrics()
     attempts: dict[int, int] = {}  # by id(unit): the same objects rerun

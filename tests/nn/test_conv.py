@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor, conv2d, conv_transpose2d, conv_output_size, conv_transpose_output_size
-from repro.nn.conv import col2im, im2col, pad_input, unpad_gradient
+from repro.nn.conv import pad_input, unpad_gradient
+from repro.nn.kernels import col2im, im2col
 from repro.nn.modules import Conv2d, ConvTranspose2d
 from tests.nn.gradcheck import check_input_gradient, check_parameter_gradient
 

@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 from repro.nn import Tensor, conv2d, conv_transpose2d
 from repro.nn.conv import (
     PADDING_MODES,
-    col2im,
     conv_transpose_output_size,
-    im2col,
     pad_input,
     pad_workspace,
     unpad_gradient,
 )
+from repro.nn.kernels import col2im, im2col
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 

@@ -1,7 +1,7 @@
 """Tests for the kernel-dispatch layer (``repro.nn.kernels``).
 
-Covers the three things the module owns — dtype policy, thread sharding,
-backend registry — plus the workspace pool's (shape, dtype) keying,
+Covers the two things the module owns — dtype policy and the backend
+registry — plus the workspace pool's (shape, dtype) keying,
 recency-ordered eviction and buffer ownership (a padded input saved for
 backward is never handed to a later forward), and two end-to-end guarantees: the default
 float64 path matches the pre-refactor implementation to rtol/atol 1e-12
@@ -99,73 +99,8 @@ def test_set_backend_dispatches_process_wide():
     np.testing.assert_array_equal(kernels.matmul(a, b), reference)
 
 
-# ---------------------------------------------------------------------- #
-# thread sharding
-# ---------------------------------------------------------------------- #
-
-
-def test_sharded_matmul_bit_identical():
-    rng = np.random.default_rng(0)
-    cases = [
-        (rng.standard_normal((12, 5, 7)), rng.standard_normal((12, 7, 3))),  # 3d @ 3d
-        (rng.standard_normal((4, 6)), rng.standard_normal((16, 6, 5))),  # 2d @ 3d
-        (rng.standard_normal((16, 4, 6)), rng.standard_normal((6, 5))),  # 3d @ 2d
-    ]
-    for a, b in cases:
-        reference = kernels.matmul(a, b)
-        for threads in (2, 3, 5):
-            with kernels.use_kernel_threads(threads):
-                sharded = kernels.matmul(a, b)
-            assert np.array_equal(sharded, reference)
-            assert sharded.dtype == reference.dtype
-
-
-def test_sharded_matmul_float32_bit_identical():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((10, 4, 8)).astype(np.float32)
-    b = rng.standard_normal((10, 8, 3)).astype(np.float32)
-    reference = kernels.matmul(a, b)
-    assert reference.dtype == np.float32
-    with kernels.use_kernel_threads(4):
-        assert np.array_equal(kernels.matmul(a, b), reference)
-
-
-def test_small_batches_never_sharded():
-    # Batches below the shard threshold take the single-call path even with
-    # threads configured (the result is identical either way; this pins the
-    # no-overhead contract for tiny batches).
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((2, 3, 4))
-    b = rng.standard_normal((2, 4, 5))
-    with kernels.use_kernel_threads(8):
-        np.testing.assert_array_equal(kernels.matmul(a, b), np.matmul(a, b))
-
-
-def test_shard_bounds_cover_batch_exactly():
-    for batch in (1, 7, 8, 13):
-        for shards in (1, 2, 3, 8):
-            bounds = kernels._shard_bounds(batch, min(shards, batch))
-            assert bounds[0][0] == 0
-            assert bounds[-1][1] == batch
-            for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-                assert hi == lo
-
-
-def test_set_kernel_threads_validation():
-    with pytest.raises(ValueError):
-        kernels.set_kernel_threads(0)
-    with pytest.raises(ValueError):
-        kernels.use_kernel_threads(0)
-
-
-def test_threads_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
-    assert kernels._threads_from_env() == 3
-    monkeypatch.setenv("REPRO_KERNEL_THREADS", "")
-    assert kernels._threads_from_env() == 1
-    monkeypatch.setenv("REPRO_KERNEL_THREADS", "many")
-    with pytest.raises(ValueError):
-        kernels._threads_from_env()
+def test_kernels_run_on_the_callers_thread():
+    assert kernels.kernel_threads() == 1
 
 
 # ---------------------------------------------------------------------- #

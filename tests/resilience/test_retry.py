@@ -3,8 +3,7 @@
 import pytest
 
 from repro.faults import WorkerKilled
-from repro.resilience import RetryPolicy, run_with_retry
-from repro.resilience.retry import retry_in_waves
+from repro.resilience import RetryPolicy, retry_in_waves
 
 
 class TestRetryPolicy:
@@ -31,90 +30,6 @@ class TestRetryPolicy:
     def test_invalid_policies_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
-
-
-class TestRunWithRetry:
-    def test_first_success_runs_once_without_metrics(self, counter_value):
-        calls = []
-        result = run_with_retry(lambda: calls.append(1) or "ok")
-        assert result == "ok"
-        assert len(calls) == 1
-        assert counter_value("faults.errors") == 0
-        assert counter_value("faults.retries") == 0
-
-    def test_transient_failures_are_retried_with_recorded_backoff(
-        self, counter_value
-    ):
-        attempts = []
-        slept = []
-
-        def flaky():
-            attempts.append(len(attempts))
-            if len(attempts) < 3:
-                raise RuntimeError(f"attempt {len(attempts)}")
-            return "recovered"
-
-        policy = RetryPolicy(max_attempts=3, backoff_s=0.5, backoff_factor=2.0)
-        result = run_with_retry(flaky, policy, sleep=slept.append)
-        assert result == "recovered"
-        assert len(attempts) == 3
-        # First retry backs off 0.5 s, second 1.0 s — recorded, not slept.
-        assert slept == [pytest.approx(0.5), pytest.approx(1.0)]
-        assert counter_value("faults.errors") == 2
-        assert counter_value("faults.retries") == 2
-        assert counter_value("faults.exhausted") == 0
-
-    def test_exhaustion_reraises_last_error(self, counter_value):
-        def always_fails():
-            raise ValueError("persistent")
-
-        with pytest.raises(ValueError, match="persistent"):
-            run_with_retry(
-                always_fails,
-                RetryPolicy(max_attempts=3, backoff_s=0.0),
-                sleep=lambda _: None,
-            )
-        assert counter_value("faults.errors") == 3
-        assert counter_value("faults.retries") == 2
-        assert counter_value("faults.exhausted") == 1
-
-    def test_single_attempt_policy_disables_retries(self, counter_value):
-        calls = []
-
-        def fails():
-            calls.append(1)
-            raise RuntimeError("once")
-
-        with pytest.raises(RuntimeError):
-            run_with_retry(fails, RetryPolicy(max_attempts=1))
-        assert len(calls) == 1
-        assert counter_value("faults.retries") == 0
-
-    def test_worker_killed_is_never_retried(self):
-        calls = []
-
-        def killed():
-            calls.append(1)
-            raise WorkerKilled("preempted")
-
-        with pytest.raises(WorkerKilled):
-            run_with_retry(killed, RetryPolicy(max_attempts=5, backoff_s=0.0))
-        assert len(calls) == 1
-
-    def test_retry_on_filters_exception_types(self):
-        calls = []
-
-        def raises_type_error():
-            calls.append(1)
-            raise TypeError("not retryable here")
-
-        with pytest.raises(TypeError):
-            run_with_retry(
-                raises_type_error,
-                RetryPolicy(max_attempts=5, backoff_s=0.0),
-                retry_on=(ValueError,),
-            )
-        assert len(calls) == 1
 
 
 class TestRetryInWaves:
@@ -161,3 +76,32 @@ class TestRetryInWaves:
             sleep=slept.append,
         )
         assert slept == []
+
+    def test_single_attempt_policy_exhausts_without_sleeping(self, counter_value):
+        slept, exhausted = [], []
+        retry_in_waves(
+            ["a"],
+            lambda pending: ((unit, {"failed": True, "error": "once"}) for unit in pending),
+            RetryPolicy(max_attempts=1, backoff_s=1.0),
+            on_success=lambda unit, outcome: None,
+            on_exhausted=lambda unit, outcome, attempts: exhausted.append((unit, attempts)),
+            sleep=slept.append,
+        )
+        assert exhausted == [("a", 1)]
+        assert slept == []
+        assert counter_value("faults.retries") == 0
+        assert counter_value("faults.exhausted") == 1
+
+    def test_worker_killed_propagates_uncounted(self, counter_value):
+        def killed(pending):
+            raise WorkerKilled("preempted")
+
+        with pytest.raises(WorkerKilled):
+            retry_in_waves(
+                ["a"],
+                killed,
+                RetryPolicy(max_attempts=5, backoff_s=0.0),
+                on_success=lambda unit, outcome: None,
+                on_exhausted=lambda unit, outcome, attempts: None,
+            )
+        assert counter_value("faults.errors") == 0
