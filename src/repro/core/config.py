@@ -49,17 +49,15 @@ class ModelConfig:
 class TrainingConfig:
     """Training-loop parameters (Sec. 3.4.4).
 
-    The paper uses Adam with learning rate 1e-4 and an L1 loss; with the
-    scaled-down datasets used in this reproduction a slightly larger default
-    learning rate converges in far fewer epochs while remaining faithful to
-    the optimiser/loss choice.
+    The paper uses Adam with learning rate 1e-4 and an L1 loss; both are
+    fixed, not settable.  With the scaled-down datasets used in this
+    reproduction a slightly larger default learning rate converges in far
+    fewer epochs while remaining faithful to the optimiser/loss choice.
     """
 
     learning_rate: float = 1e-3
     epochs: int = 60
     batch_size: int = 4
-    loss: str = "l1"
-    weight_decay: float = 0.0
     shuffle: bool = True
     seed: int = 0
     early_stopping_patience: Optional[int] = 15
@@ -70,8 +68,6 @@ class TrainingConfig:
         check_positive(self.learning_rate, "learning_rate")
         check_positive(self.epochs, "epochs")
         check_positive(self.batch_size, "batch_size")
-        if self.loss not in ("l1", "mse", "huber"):
-            raise ValueError(f"loss must be 'l1', 'mse' or 'huber', got {self.loss!r}")
         if self.early_stopping_patience is not None:
             check_positive(self.early_stopping_patience, "early_stopping_patience")
         if self.early_stopping_min_delta < 0:
@@ -102,12 +98,10 @@ class PipelineConfig:
     seed:
         Master seed for vector generation and splitting.
     sim_batch_size:
-        When set (> 1), ground-truth simulations run through the lockstep
-        block solver in batches of up to this many vectors (noise maps
-        agree with the per-vector loop to solver rounding, several times
-        faster; per-sample runtimes become batch averages).  ``None`` keeps
-        the classic per-vector loop whose runtimes are true per-vector
-        measurements.
+        Vectors per lockstep block of the ground-truth simulations
+        (``None`` means 1).  Larger blocks are several times faster, with
+        noise maps that agree with blocks of one to solver rounding; at 1
+        the summed simulator time is a sum of per-vector measurements.
     """
 
     num_vectors: int = 60

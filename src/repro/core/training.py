@@ -19,10 +19,10 @@ Minibatches never mix designs, so each forward pass uses its own design's
 distance tensor.  Each epoch shuffles every design's rows and cuts them into
 minibatches; only a pool of more than one design then interleaves those
 minibatches in seeded shuffled order, so a pool of one makes exactly the
-single-design draws.  Graphs are built inside
-:class:`~repro.nn.tensor.record_graph` so backpropagation replays the
-creation-order tape instead of re-deriving the traversal order each step,
-and validation runs through the same batched path under ``no_grad``.
+single-design draws.  Each step's graph is dropped before the next
+forward pass starts (:meth:`NoiseModelTrainer._train_step` returns only the
+loss value), and validation runs through the same batched path under
+``no_grad``.
 ``tests/core/data/golden_training.npz`` pins the loop's curves and final
 weights on one design, ``tests/eval/data/golden_pooled_training.npz`` on two.
 """
@@ -39,8 +39,7 @@ from repro import faults, obs
 from repro.core.config import ModelConfig, TrainingConfig
 from repro.core.model import WorstCaseNoiseNet
 from repro.features.extraction import FeatureNormalizer, fit_normalizer
-from repro.nn import Adam, huber_loss, l1_loss, mse_loss, no_grad
-from repro.nn.tensor import record_graph
+from repro.nn import Adam, l1_loss, no_grad
 from repro.pdn.designs import Design
 from repro.resilience.checkpoint import (
     CheckpointPolicy,
@@ -54,9 +53,6 @@ from repro.workloads.dataset import DatasetSplit, NoiseDataset, expansion_split
 __all__ = ["TrainingHistory", "TrainingResult", "NoiseModelTrainer", "fit_pooled_normalizer"]
 
 _LOG = get_logger("core.training")
-
-#: Loss name -> training loss callable.
-LOSS_FUNCTIONS = {"l1": l1_loss, "mse": mse_loss, "huber": huber_loss}
 
 #: A normalised partition's current maps: one dense ``(N, T, m, n)`` stack
 #: when every sample retains the same number of stamps, else one ``(T_i, m,
@@ -72,12 +68,11 @@ _Pool = Mapping[str, tuple[_Part, _Part, np.ndarray]]
 
 
 def _gradient_norm(parameters) -> float:
-    """Global L2 norm over every parameter gradient (missing grads skipped)."""
+    """Global L2 norm over every parameter gradient."""
     total = 0.0
     for parameter in parameters:
-        if parameter.grad is not None:
-            flat = parameter.grad.reshape(-1)
-            total += float(np.dot(flat, flat))
+        flat = parameter.grad.reshape(-1)
+        total += float(np.dot(flat, flat))
     return float(np.sqrt(total))
 
 
@@ -191,13 +186,12 @@ def fit_pooled_normalizer(
 
 def evaluate_partition(
     model: WorstCaseNoiseNet,
-    loss_function,
     inputs: _PartitionInputs,
     targets: np.ndarray,
     normalized_distance: np.ndarray,
     batch_size: int,
 ) -> float:
-    """Summed per-sample loss over a pre-normalised partition, under ``no_grad``.
+    """Summed per-sample L1 loss over a pre-normalised partition, under ``no_grad``.
 
     The trainer sums this over the pool's designs, then divides by the
     sample count.  Inference holds no autograd buffers, so evaluation runs
@@ -217,7 +211,7 @@ def evaluate_partition(
                 normalized_distance,
                 reduced_distance=reduced_distance,
             )
-            total += loss_function(prediction, targets[start:stop]).item() * (stop - start)
+            total += l1_loss(prediction, targets[start:stop]).item() * (stop - start)
     return total
 
 
@@ -325,10 +319,9 @@ class NoiseModelTrainer:
         count = sum(len(targets) for _, (_, targets), _ in pool.values())
         if count == 0:
             return float("nan")
-        loss_function = LOSS_FUNCTIONS[self.training_config.loss]
         total = sum(
             evaluate_partition(
-                self.model, loss_function, inputs, targets, distance,
+                self.model, inputs, targets, distance,
                 self.training_config.batch_size,
             )
             for _, (inputs, targets), distance in pool.values()
@@ -350,6 +343,21 @@ class NoiseModelTrainer:
             split=self.split,
         )
 
+    def _train_step(
+        self, optimizer: Adam, inputs: _PartitionInputs, targets: np.ndarray, distance: np.ndarray
+    ) -> float:
+        """One Adam step on one minibatch; returns the minibatch's mean L1 loss.
+
+        Only the loss value leaves this method, so the step's autograd graph
+        (every activation of the forward pass) is freed before the next
+        step's forward pass allocates its own.
+        """
+        optimizer.zero_grad()
+        loss = l1_loss(self.model.forward_batch(inputs, distance), targets)
+        loss.backward()
+        optimizer.step()
+        return loss.item()
+
     def _run_epochs(self) -> TrainingHistory:
         """The epoch loop over :attr:`datasets`; leaves the best weights loaded.
 
@@ -368,12 +376,7 @@ class NoiseModelTrainer:
                 )
         config = self.training_config
         rng = ensure_rng(config.seed)
-        optimizer = Adam(
-            self.model.parameters(),
-            learning_rate=config.learning_rate,
-            weight_decay=config.weight_decay,
-        )
-        loss_function = LOSS_FUNCTIONS[config.loss]
+        optimizer = Adam(self.model.parameters(), learning_rate=config.learning_rate)
         pool = {
             label: (
                 normalized_partition(dataset, self.normalizer, self.splits[label].train),
@@ -406,16 +409,11 @@ class NoiseModelTrainer:
             epoch_started = time.perf_counter()
             for step, (label, rows) in enumerate(schedule):
                 (inputs, targets), _, distance = pool[label]
-                optimizer.zero_grad()
-                with record_graph():
-                    prediction = self.model.forward_batch(
-                        partition_rows(inputs, rows), distance
-                    )
-                    loss = loss_function(prediction, targets[rows])
-                    loss.backward()
-                optimizer.step()
+                loss = self._train_step(
+                    optimizer, partition_rows(inputs, rows), targets[rows], distance
+                )
                 faults.active().on_train_step(epoch, step, self.model)
-                epoch_loss += loss.item() * len(rows)
+                epoch_loss += loss * len(rows)
             epoch_loss /= num_train
             _observe_epoch(
                 metrics, optimizer, num_train, time.perf_counter() - epoch_started

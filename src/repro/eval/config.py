@@ -31,6 +31,12 @@ from repro.utils import check_positive, check_probability
 from repro.workloads.scenarios import validate_scenario
 from repro.workloads.specs import ScenarioSpec
 
+#: Training settings that are no longer fields of :class:`TrainingConfig` —
+#: the per-sample engine flag, the loss and the weight decay each have one
+#: value.  They stay in the serialised payload at that value so config hashes
+#: (and the baselines pinned against them) are unchanged.
+_FIXED_TRAINING_FIELDS = {"sequential": False, "loss": "l1", "weight_decay": 0.0}
+
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -216,9 +222,7 @@ class EvalConfig:
             del payload["rom"]
         else:
             payload["rom"] = self.rom.to_dict()
-        # The retired per-sample training-engine flag stays in the payload so
-        # config hashes (and the baselines pinned against them) are unchanged.
-        payload["training"]["sequential"] = False
+        payload["training"].update(_FIXED_TRAINING_FIELDS)
         return payload
 
     @classmethod
@@ -236,7 +240,12 @@ class EvalConfig:
             payload[key] = tuple(payload[key])
         payload["model"] = ModelConfig(**payload["model"])
         training = dict(payload["training"])
-        training.pop("sequential", None)
+        for key, fixed in _FIXED_TRAINING_FIELDS.items():
+            value = training.pop(key, fixed)
+            if value != fixed:
+                raise ValueError(
+                    f"training.{key} is fixed at {fixed!r} in this version, got {value!r}"
+                )
         payload["training"] = TrainingConfig(**training)
         if "rom" in payload and payload["rom"] is not None:
             payload["rom"] = ROMOptions.from_dict(payload["rom"])

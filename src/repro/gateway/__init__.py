@@ -6,14 +6,14 @@ requests with them — in process as a one-shard gateway, or as a deployable,
 supervised service for model-based worst-case noise sign-off at
 production scale:
 
-* :class:`~repro.gateway.gateway.ScreeningGateway` — bounded admission with
-  configurable overload behaviour, consistent-hash sharded workers (one
-  warm :class:`~repro.serving.registry.PredictorRegistry` partition each),
-  a shared content-hash result cache looked up in each shard's batch loop,
-  in-batch coalescing of identical vectors, supervisor-driven crash
-  restarts with backoff, hot checkpoint swaps that quiesce one shard
-  between batches, and a graceful drain that resolves every accepted
-  future;
+* :class:`~repro.gateway.gateway.ScreeningGateway` — bounded admission that
+  refuses overload with a retry-after estimate, consistent-hash sharded
+  workers (one warm :class:`~repro.serving.registry.PredictorRegistry`
+  partition each), a shared content-hash result cache looked up in each
+  shard's batch loop, in-batch coalescing of identical vectors,
+  supervisor-driven crash restarts with backoff, hot checkpoint swaps that
+  quiesce one shard between batches, and a graceful drain that resolves
+  every accepted future;
 * :class:`~repro.gateway.server.GatewayServer` — a stdlib asyncio TCP
   front-end speaking newline-delimited JSON;
 * :class:`~repro.faults.FaultInjector` — the deterministic
@@ -28,13 +28,12 @@ one-request-at-a-time client of a one-shard gateway.
 """
 
 from repro.faults import NULL_FAULTS, FaultInjector, WorkerKilled
-from repro.gateway.gateway import SHED_POLICIES, ScreeningGateway
+from repro.gateway.gateway import ScreeningGateway
 from repro.gateway.messages import (
     GatewayClosed,
     GatewayError,
     GatewayOverloaded,
     GatewayRequest,
-    LoadShedError,
     SwapCommand,
     WorkerCrashed,
 )
@@ -55,7 +54,5 @@ __all__ = [
     "GatewayError",
     "GatewayOverloaded",
     "GatewayClosed",
-    "LoadShedError",
     "WorkerCrashed",
-    "SHED_POLICIES",
 ]

@@ -5,11 +5,9 @@ one-shard gateway is the in-process screening service (the evaluation
 protocol and the benchmarks build exactly that); with more shards it runs
 as a long-lived service under sustained mixed-design traffic:
 
-* **Admission control** — a bounded queue with an explicit overload policy:
-  ``reject`` answers excess submissions with
-  :class:`~repro.gateway.messages.GatewayOverloaded` (carrying an honest
-  ``retry_after_s`` estimate), ``shed-oldest`` drops the oldest waiting
-  request instead so fresh traffic keeps flowing.
+* **Admission control** — a bounded queue that rejects excess submissions
+  with :class:`~repro.gateway.messages.GatewayOverloaded` (carrying an
+  honest ``retry_after_s`` estimate).
 * **Sharded workers** — a consistent-hash ring maps each design to one of
   ``num_shards`` worker threads, each owning a private
   :class:`~repro.serving.registry.PredictorRegistry` partition whose LRU
@@ -30,7 +28,7 @@ as a long-lived service under sustained mixed-design traffic:
   (with a result or a typed error; never a hang).
 
 Every layer publishes through :mod:`repro.obs`: ``gateway.*`` counters
-(requests, rejected, shed, retries, restarts, swaps, failures,
+(requests, rejected, retries, restarts, swaps, failures,
 duplicates_dropped, cache_hits, coalesced, model_batches, batched_vectors),
 queue-depth, batch-size and per-shard depth gauges, and
 ``gateway.request_latency.{ok,failed}`` histograms.
@@ -55,7 +53,6 @@ from repro.gateway.messages import (
     GatewayClosed,
     GatewayOverloaded,
     GatewayRequest,
-    LoadShedError,
     SwapCommand,
     WorkerCrashed,
 )
@@ -69,17 +66,12 @@ from repro.utils import check_positive, get_logger
 
 _LOG = get_logger("gateway")
 
-#: Admission overload policies.
-SHED_POLICIES = ("reject", "shed-oldest")
-
-
 class _GatewayInstruments:
     """Pre-resolved metric handles shared by the gateway and its workers."""
 
     def __init__(self, metrics: MetricsRegistry, num_shards: int):
         self.requests = metrics.counter("gateway.requests")
         self.rejected = metrics.counter("gateway.rejected")
-        self.shed = metrics.counter("gateway.shed")
         self.retries = metrics.counter("gateway.retries")
         self.restarts = metrics.counter("gateway.restarts")
         self.swaps = metrics.counter("gateway.swaps")
@@ -127,11 +119,7 @@ class ScreeningGateway:
         the design space with its own registry LRU.
     queue_limit:
         Maximum admitted-but-unanswered requests across the gateway; beyond
-        it the ``shed_policy`` applies.
-    shed_policy:
-        ``"reject"`` (refuse the new request with
-        :class:`GatewayOverloaded`) or ``"shed-oldest"`` (fail the oldest
-        waiting request with :class:`LoadShedError` and admit the new one).
+        it new requests are refused with :class:`GatewayOverloaded`.
     max_batch / max_wait:
         Per-worker micro-batching bounds: at most ``max_batch`` requests per
         forward pass, waiting at most ``max_wait`` seconds after the first
@@ -168,7 +156,6 @@ class ScreeningGateway:
         registry_root: Union[str, Path],
         num_shards: int = 2,
         queue_limit: int = 256,
-        shed_policy: str = "reject",
         max_batch: int = 16,
         max_wait: float = 2e-3,
         registry_capacity: int = 4,
@@ -185,14 +172,9 @@ class ScreeningGateway:
         check_positive(max_batch, "max_batch")
         check_positive(max_wait, "max_wait", strict=False)
         check_positive(backoff_base, "backoff_base", strict=False)
-        if shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"shed_policy must be one of {SHED_POLICIES}, got {shed_policy!r}"
-            )
         self.registry_root = Path(registry_root)
         self.num_shards = int(num_shards)
         self.queue_limit = int(queue_limit)
-        self.shed_policy = shed_policy
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait)
         self.max_retries = int(max_retries)
@@ -246,30 +228,22 @@ class ScreeningGateway:
         reference (family name / :class:`ScenarioSpec`, materialised in the
         worker with ``num_steps``/``dt``/``seed``).  Raises
         :class:`GatewayClosed` after shutdown began and
-        :class:`GatewayOverloaded` when the admission queue is full under
-        the ``reject`` policy.  Thread-safe and non-blocking — safe to call
-        from an event loop.
+        :class:`GatewayOverloaded` when the admission queue is full.
+        Thread-safe and non-blocking — safe to call from an event loop.
         """
         request = GatewayRequest(
             payload=payload, design=design, num_steps=num_steps, dt=dt, seed=seed
         )
-        shed: Optional[GatewayRequest] = None
         with self._lock:
             if self._closed:
                 raise GatewayClosed("gateway is closed")
             self._obs.requests.inc()
             if self._outstanding >= self.queue_limit:
-                if self.shed_policy == "reject":
-                    self._obs.rejected.inc()
-                    raise GatewayOverloaded(self._retry_after_locked())
-                shed = self._pick_shed_victim_locked()
+                self._obs.rejected.inc()
+                raise GatewayOverloaded(self._retry_after_locked())
             self._outstanding += 1
             self._inflight.append(request)
         request.future.add_done_callback(lambda _: self._request_done(request))
-        if shed is not None and shed.fail(
-            LoadShedError("shed under overload (shed-oldest policy)")
-        ):
-            self._obs.shed.inc()
         shard = self._shards[self._ring.assign(request.design_name)]
         shard.inbox.put(request)
         self._obs.shard_depth[shard.shard_id].set(shard.inbox.qsize())
@@ -548,19 +522,6 @@ class ScreeningGateway:
             with self._lock:
                 shard.state = "healthy"
 
-    def _pick_shed_victim_locked(self) -> Optional[GatewayRequest]:
-        """Oldest unanswered, not-yet-dispatched request (lock held).
-
-        Requests a worker already pulled are skipped — shedding them would
-        waste a forward pass that is already under way.  When everything
-        waiting is dispatched (at most ``num_shards * max_batch`` requests)
-        the new request is admitted with a transient overshoot instead.
-        """
-        for request in self._inflight:
-            if not request.done and not request.dispatched:
-                return request
-        return None
-
     def _retry_after_locked(self) -> float:
         """Backlog-drain estimate for overload responses (lock held)."""
         per_request = self._latency_ewma if self._latency_ewma else 0.05
@@ -588,6 +549,6 @@ class ScreeningGateway:
                 else:
                     self._latency_ewma += alpha * (elapsed - self._latency_ewma)
             # Compact the admission-order list lazily from the front; done
-            # requests in the middle are skipped by the shed scan anyway.
+            # requests in the middle are skipped by the close() drain.
             while self._inflight and self._inflight[0].done:
                 self._inflight.pop(0)

@@ -10,10 +10,10 @@ the wire protocol can map failures to typed responses.
 Exactly-once answering is enforced structurally: every request owns one
 :class:`concurrent.futures.Future`, and :meth:`GatewayRequest.resolve` /
 :meth:`GatewayRequest.fail` go through its atomic set-once state machine.
-Whichever path answers first — a worker, a retry after a crash, a load-shed
-decision, or the shutdown sweep — wins; every later attempt (duplicated
-delivery, crashed-then-requeued request that had in fact completed) is a
-recorded no-op.  The ``answers`` counter increments only on the winning
+Whichever path answers first — a worker, a retry after a crash, or the
+shutdown sweep — wins; every later attempt (duplicated delivery,
+crashed-then-requeued request that had in fact completed) is a recorded
+no-op.  The ``answers`` counter increments only on the winning
 transition, which is what the fault-injection suite asserts equals one.
 """
 
@@ -39,7 +39,7 @@ class GatewayError(RuntimeError):
 
 
 class GatewayOverloaded(GatewayError):
-    """Admission rejected: the queue is full and the policy is ``reject``.
+    """Admission rejected: the queue is full.
 
     Carries ``retry_after_s``, the gateway's estimate of when capacity will
     free up (current backlog divided by recent service rate), so callers —
@@ -57,10 +57,6 @@ class GatewayOverloaded(GatewayError):
 
 class GatewayClosed(GatewayError):
     """The gateway shut down before (or while) the request could be answered."""
-
-
-class LoadShedError(GatewayError):
-    """The request was shed under overload (``shed-oldest`` policy)."""
 
 
 class WorkerCrashed(GatewayError):
@@ -114,10 +110,6 @@ class GatewayRequest:
     attempts: int = 0
     #: Number of times a resolution attempt actually won (asserted == 1).
     answers: int = 0
-    #: Set (advisorily) once a worker pulled the request from its inbox; the
-    #: ``shed-oldest`` policy prefers victims that have not been dispatched
-    #: so shedding does not waste a forward pass already under way.
-    dispatched: bool = False
 
     @property
     def design_name(self) -> str:

@@ -190,7 +190,6 @@ class ShardWorker(threading.Thread):
         deadline = time.perf_counter() + self.max_wait
         item = first
         while True:
-            item.dispatched = True
             # In hand before the dequeue seam runs (it may crash the worker);
             # then replaced by the deliveries the seam hands back.
             batch.append(item)

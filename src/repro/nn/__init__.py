@@ -1,11 +1,12 @@
 """A compact numpy-only deep-learning library.
 
 PyTorch (the paper's framework) is unavailable offline, so this subpackage
-provides the pieces the paper's model needs: an autograd tensor (with
-tape-recorded graphs for hot training loops), Conv2d / ConvTranspose2d with
-replication or zero padding and pooled im2col workspaces, ReLU, L1/MSE/Huber
-losses, fused SGD/Adam optimisers and checkpointing.  Every operator's
-gradient is validated against numerical differentiation in the test suite.
+provides exactly the pieces this repository's models run: an autograd
+tensor whose backward pass walks the graph depth-first, Conv2d /
+ConvTranspose2d with replication or zero padding and pooled im2col
+workspaces, Linear, ReLU, the paper's L1 loss, a fused Adam optimiser and
+checkpointing.  Every operator's gradient is validated against numerical
+differentiation in the test suite.
 (Minibatch shuffling lives in the training engine itself —
 :mod:`repro.core.training` — which batches whole minibatches through one
 autograd graph per step.)
@@ -18,7 +19,7 @@ points.
 """
 
 from repro.nn import kernels
-from repro.nn.tensor import Tensor, as_tensor, cat, stack, no_grad, record_graph
+from repro.nn.tensor import Tensor, as_tensor, cat, no_grad
 from repro.nn.conv import (
     PADDING_MODES,
     conv2d,
@@ -30,15 +31,14 @@ from repro.nn.kernels import col2im, im2col
 from repro.nn.modules import (
     Conv2d,
     ConvTranspose2d,
-    Identity,
     Linear,
     Module,
     Parameter,
     ReLU,
     Sequential,
 )
-from repro.nn.losses import huber_loss, l1_loss, mse_loss
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.losses import l1_loss
+from repro.nn.optim import Adam
 from repro.nn.serialization import load_checkpoint, load_extras, save_checkpoint
 from repro.nn import init
 
@@ -47,9 +47,7 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "cat",
-    "stack",
     "no_grad",
-    "record_graph",
     "PADDING_MODES",
     "conv2d",
     "conv_transpose2d",
@@ -59,18 +57,13 @@ __all__ = [
     "col2im",
     "Conv2d",
     "ConvTranspose2d",
-    "Identity",
     "Linear",
     "Module",
     "Parameter",
     "ReLU",
     "Sequential",
     "l1_loss",
-    "mse_loss",
-    "huber_loss",
-    "SGD",
     "Adam",
-    "Optimizer",
     "load_checkpoint",
     "load_extras",
     "save_checkpoint",

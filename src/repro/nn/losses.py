@@ -1,7 +1,7 @@
-"""Loss functions.
+"""The training loss.
 
-The paper trains with an L1 loss over the predicted noise map (Eq. 3); MSE
-and Huber are provided for ablations.
+The paper trains with an L1 loss over the predicted noise map (Eq. 3); it is
+the only loss the training engine and the PowerNet baseline use.
 """
 
 from __future__ import annotations
@@ -9,44 +9,6 @@ from __future__ import annotations
 from repro.nn.tensor import Tensor, as_tensor
 
 
-def l1_loss(prediction: Tensor, target, reduction: str = "mean") -> Tensor:
-    """Mean (or summed) absolute error — the paper's training loss (Eq. 3)."""
-    target = as_tensor(target)
-    difference = (prediction - target).abs()
-    return _reduce(difference, reduction)
-
-
-def mse_loss(prediction: Tensor, target, reduction: str = "mean") -> Tensor:
-    """Mean (or summed) squared error."""
-    target = as_tensor(target)
-    difference = prediction - target
-    return _reduce(difference * difference, reduction)
-
-
-def huber_loss(prediction: Tensor, target, delta: float = 1.0, reduction: str = "mean") -> Tensor:
-    """Huber loss: quadratic near zero, linear in the tails.
-
-    Implemented with differentiable primitives only:
-    ``0.5 * d^2`` for ``|d| <= delta`` and ``delta * (|d| - 0.5 * delta)``
-    otherwise, blended through a ReLU-based split of ``|d|``.
-    """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    target = as_tensor(target)
-    absolute = (prediction - target).abs()
-    # |d| = small + excess with small <= delta and excess = relu(|d| - delta).
-    excess = (absolute - delta).relu()
-    small = absolute - excess
-    loss = 0.5 * small * small + delta * excess
-    return _reduce(loss, reduction)
-
-
-def _reduce(values: Tensor, reduction: str) -> Tensor:
-    """Apply the requested reduction."""
-    if reduction == "mean":
-        return values.mean()
-    if reduction == "sum":
-        return values.sum()
-    if reduction == "none":
-        return values
-    raise ValueError(f"unknown reduction {reduction!r}; expected 'mean', 'sum' or 'none'")
+def l1_loss(prediction: Tensor, target) -> Tensor:
+    """Mean absolute error — the paper's training loss (Eq. 3)."""
+    return (prediction - as_tensor(target)).abs().mean()

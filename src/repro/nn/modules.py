@@ -9,14 +9,14 @@ Mirrors the small subset of ``torch.nn`` the paper's model needs: a
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.nn import init
 from repro.nn.conv import PADDING_MODES, conv2d, conv_transpose2d
-from repro.nn.tensor import Tensor, as_tensor
-from repro.utils.random import RandomState, ensure_rng
+from repro.nn.tensor import Tensor
+from repro.utils.random import RandomState
 
 
 class Parameter(Tensor):
@@ -37,7 +37,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
-        self.training = True
 
     # -- attribute registration ----------------------------------------- #
 
@@ -76,38 +75,20 @@ class Module:
 
         The next backward pass then *writes* each parameter's first gradient
         contribution instead of accumulating into zero-filled arrays — no
-        per-step allocation churn (see :meth:`repro.nn.Optimizer.zero_grad`).
+        per-step allocation churn (see :meth:`repro.nn.Adam.zero_grad`).
         """
         for parameter in self.parameters():
             parameter.zero_grad()
 
-    # -- train / eval ------------------------------------------------------ #
-
-    def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (kept for API familiarity)."""
-        for module in self.modules():
-            module.training = mode
-        return self
-
-    def eval(self) -> "Module":
-        """Set inference mode recursively."""
-        return self.train(False)
-
     def freeze(self) -> "Module":
-        """Disable gradients on every parameter and switch to eval mode.
+        """Disable gradients on every parameter and return self.
 
         Served models never train again, so freezing them keeps forward
         passes from recording the autograd graph even outside ``no_grad``.
         """
         for parameter in self.parameters():
             parameter.requires_grad = False
-        return self.eval()
-
-    def unfreeze(self) -> "Module":
-        """Re-enable gradients on every parameter and return to train mode."""
-        for parameter in self.parameters():
-            parameter.requires_grad = True
-        return self.train(True)
+        return self
 
     # -- state dict -------------------------------------------------------- #
 
@@ -279,13 +260,6 @@ class ReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class Identity(Module):
-    """Pass-through module (useful as a placeholder)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
 
 
 class Sequential(Module):

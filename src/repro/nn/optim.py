@@ -1,16 +1,14 @@
-"""Optimisers.
+"""The optimiser.
 
-The paper trains with Adam at a learning rate of 1e-4 (Sec. 3.4.4); plain SGD
-with momentum is included for ablations and tests.
+The paper trains with Adam at a learning rate of 1e-4 (Sec. 3.4.4); Adam is
+the only optimiser the training engine and the PowerNet baseline use.
 
-Both optimisers run *fused*: optimiser state (momentum / Adam moments) lives
-in one flat contiguous buffer per kind, the per-step gradients are gathered
-into a flat workspace, and the update math is a handful of vectorised numpy
-expressions over the whole parameter vector instead of a Python loop over
-dozens of small arrays.  The fused step is bit-exact with the per-parameter
-reference formulation (identical elementwise expressions, only the array
-layout changes); when some parameter has no gradient the step falls back to
-the reference loop so skip semantics are preserved exactly.
+The update runs *fused*: the Adam moments live in one flat contiguous buffer
+each, the per-step gradients are gathered into a flat workspace, and the
+update math is a handful of vectorised numpy expressions over the whole
+parameter vector instead of a Python loop over dozens of small arrays.
+Every step needs a gradient on every parameter; a parameter without one is
+an error, named in the raised ``ValueError``.
 """
 
 from __future__ import annotations
@@ -23,26 +21,40 @@ from repro.nn.modules import Parameter
 from repro.utils import check_positive
 
 
-class Optimizer:
-    """Base class holding the parameter list and the flat-buffer layout.
+class Adam:
+    """Adam optimiser [Kingma & Ba, 2015] — the paper's training optimiser.
 
     The flat layout maps every parameter to a slice of a single contiguous
-    vector (in registration order).  Subclasses store their state as flat
-    buffers plus per-parameter views of those buffers, so the fused and the
-    per-parameter fallback paths always see the same state.
+    vector (in registration order); the first and second moments are flat
+    buffers over that layout.
     """
 
-    def __init__(self, parameters: Iterable[Parameter]):
+    def __init__(
+        self,
+        parameters: Iterable[Parameter],
+        learning_rate: float = 1e-4,
+        betas: tuple[float, float] = (0.9, 0.999),
+        epsilon: float = 1e-8,
+    ):
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
+        check_positive(learning_rate, "learning_rate")
+        if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
+            raise ValueError(f"betas must be in [0, 1), got {betas}")
+        check_positive(epsilon, "epsilon")
+        self.learning_rate = learning_rate
+        self.betas = betas
+        self.epsilon = epsilon
         offsets = np.cumsum([0] + [parameter.size for parameter in self.parameters])
         self._slices = [
             slice(int(start), int(stop)) for start, stop in zip(offsets[:-1], offsets[1:])
         ]
         self._num_scalars = int(offsets[-1])
         self._grad_buffer: Optional[np.ndarray] = None
-        self._data_buffer: Optional[np.ndarray] = None
+        self._step_count = 0
+        self._first_moment = np.zeros(self._num_scalars, dtype=np.float64)
+        self._second_moment = np.zeros(self._num_scalars, dtype=np.float64)
 
     def zero_grad(self) -> None:
         """Drop every parameter's gradient (sets them to ``None``).
@@ -55,54 +67,62 @@ class Optimizer:
         for parameter in self.parameters:
             parameter.zero_grad()
 
-    # -- flat-buffer plumbing ------------------------------------------- #
-
-    def _flat_state(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """A zeroed flat state buffer plus its per-parameter reshaped views."""
-        flat = np.zeros(self._num_scalars, dtype=np.float64)
-        views = [
-            flat[piece].reshape(parameter.data.shape)
-            for piece, parameter in zip(self._slices, self.parameters)
-        ]
-        return flat, views
-
-    def _gather_gradients(self) -> Optional[np.ndarray]:
-        """Copy all gradients into the flat workspace; ``None`` if any is missing."""
-        if any(parameter.grad is None for parameter in self.parameters):
-            return None
+    def _gather_gradients(self) -> np.ndarray:
+        """Copy all gradients into the flat workspace."""
         if self._grad_buffer is None:
             self._grad_buffer = np.empty(self._num_scalars, dtype=np.float64)
-        for parameter, piece in zip(self.parameters, self._slices):
+        for index, (parameter, piece) in enumerate(zip(self.parameters, self._slices)):
+            if parameter.grad is None:
+                raise ValueError(
+                    f"parameter {index} (shape {parameter.data.shape}) has no gradient; "
+                    "every parameter must take part in the loss"
+                )
             self._grad_buffer[piece] = parameter.grad.reshape(-1)
         return self._grad_buffer
 
-    def _gather_data(self) -> np.ndarray:
-        """Copy all parameter values into the flat data workspace."""
-        if self._data_buffer is None:
-            self._data_buffer = np.empty(self._num_scalars, dtype=np.float64)
-        for parameter, piece in zip(self.parameters, self._slices):
-            self._data_buffer[piece] = parameter.data.reshape(-1)
-        return self._data_buffer
+    def step(self) -> None:
+        """Apply one Adam update using the currently accumulated gradients.
 
-    def _scatter_update(self, update: np.ndarray) -> None:
-        """Apply ``data <- data - update`` slice by slice."""
+        The moment/bias-correction/update math runs as flat vector
+        expressions over every parameter at once.
+
+        Raises
+        ------
+        ValueError
+            When some parameter has no gradient (the step changes nothing).
+        """
+        gradient = self._gather_gradients()
+        self._step_count += 1
+        beta1, beta2 = self.betas
+        bias_correction1 = 1.0 - beta1**self._step_count
+        bias_correction2 = 1.0 - beta2**self._step_count
+        first, second = self._first_moment, self._second_moment
+        first *= beta1
+        first += (1.0 - beta1) * gradient
+        second *= beta2
+        second += (1.0 - beta2) * gradient * gradient
+        corrected_first = first / bias_correction1
+        corrected_second = second / bias_correction2
+        update = self.learning_rate * corrected_first / (np.sqrt(corrected_second) + self.epsilon)
         for parameter, piece in zip(self.parameters, self._slices):
             parameter.data = parameter.data - update[piece].reshape(parameter.data.shape)
-
-    def step(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
 
     # -- checkpointing ---------------------------------------------------- #
 
     def state_dict(self) -> dict:
-        """Copy of the optimiser state (flat buffers + counters).
+        """Copy of the optimiser state: the Adam moments and the step count.
 
         The layout is what training checkpoints persist; restoring it with
         :meth:`load_state_dict` into a freshly-built optimiser over the same
         parameter list makes the next :meth:`step` bit-identical to one of
         an uninterrupted run.
         """
-        return {"kind": type(self).__name__.lower()}
+        return {
+            "kind": "adam",
+            "step_count": self._step_count,
+            "first_moment": self._first_moment.copy(),
+            "second_moment": self._second_moment.copy(),
+        }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore state captured by :meth:`state_dict`.
@@ -113,11 +133,11 @@ class Optimizer:
             When the state belongs to a different optimiser kind or a
             different parameter layout (flat-buffer size mismatch).
         """
-        if state.get("kind") != type(self).__name__.lower():
-            raise ValueError(
-                f"optimizer state is for {state.get('kind')!r}, "
-                f"not {type(self).__name__.lower()!r}"
-            )
+        if state.get("kind") != "adam":
+            raise ValueError(f"optimizer state is for {state.get('kind')!r}, not 'adam'")
+        self._step_count = int(state["step_count"])
+        self._first_moment[:] = self._check_flat("first_moment", state["first_moment"])
+        self._second_moment[:] = self._check_flat("second_moment", state["second_moment"])
 
     def _check_flat(self, name: str, value: np.ndarray) -> np.ndarray:
         """Validate one flat state buffer against this optimiser's layout."""
@@ -128,148 +148,3 @@ class Optimizer:
                 f"parameters need {self._num_scalars}"
             )
         return flat
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        learning_rate: float = 1e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(parameters)
-        check_positive(learning_rate, "learning_rate")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity_flat, self._velocity = self._flat_state()
-
-    def state_dict(self) -> dict:
-        """Copy of the momentum buffer (see :meth:`Optimizer.state_dict`)."""
-        state = super().state_dict()
-        state["velocity"] = self._velocity_flat.copy()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the momentum buffer in place (views stay valid)."""
-        super().load_state_dict(state)
-        self._velocity_flat[:] = self._check_flat("velocity", state["velocity"])
-
-    def step(self) -> None:
-        """Apply one update using the currently accumulated gradients.
-
-        Runs the fused flat-buffer update when every parameter carries a
-        gradient; otherwise falls back to the per-parameter reference loop
-        (skipping gradient-less parameters, exactly like the fused path
-        never touches state it should not).
-        """
-        gradient = self._gather_gradients()
-        if gradient is not None:
-            if self.weight_decay:
-                gradient += self.weight_decay * self._gather_data()
-            self._velocity_flat *= self.momentum
-            self._velocity_flat += gradient
-            self._scatter_update(self.learning_rate * self._velocity_flat)
-            return
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if parameter.grad is None:
-                continue
-            gradient = parameter.grad
-            if self.weight_decay:
-                gradient = gradient + self.weight_decay * parameter.data
-            velocity *= self.momentum
-            velocity += gradient
-            parameter.data = parameter.data - self.learning_rate * velocity
-
-
-class Adam(Optimizer):
-    """Adam optimiser [Kingma & Ba, 2015] — the paper's training optimiser."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        learning_rate: float = 1e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        epsilon: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(parameters)
-        check_positive(learning_rate, "learning_rate")
-        if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
-            raise ValueError(f"betas must be in [0, 1), got {betas}")
-        check_positive(epsilon, "epsilon")
-        self.learning_rate = learning_rate
-        self.betas = betas
-        self.epsilon = epsilon
-        self.weight_decay = weight_decay
-        self._step_count = 0
-        self._first_moment_flat, self._first_moment = self._flat_state()
-        self._second_moment_flat, self._second_moment = self._flat_state()
-
-    def state_dict(self) -> dict:
-        """Copy of the Adam moments + step count (see :meth:`Optimizer.state_dict`)."""
-        state = super().state_dict()
-        state["step_count"] = self._step_count
-        state["first_moment"] = self._first_moment_flat.copy()
-        state["second_moment"] = self._second_moment_flat.copy()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore moments and step count in place (views stay valid)."""
-        super().load_state_dict(state)
-        self._step_count = int(state["step_count"])
-        self._first_moment_flat[:] = self._check_flat("first_moment", state["first_moment"])
-        self._second_moment_flat[:] = self._check_flat(
-            "second_moment", state["second_moment"]
-        )
-
-    def step(self) -> None:
-        """Apply one Adam update using the currently accumulated gradients.
-
-        The fused path runs the whole moment/bias-correction/update math as
-        flat vector expressions (bit-exact with the per-parameter reference);
-        the reference loop is kept as the fallback for steps where some
-        parameter has no gradient and must keep its state untouched.
-        """
-        self._step_count += 1
-        beta1, beta2 = self.betas
-        bias_correction1 = 1.0 - beta1**self._step_count
-        bias_correction2 = 1.0 - beta2**self._step_count
-
-        gradient = self._gather_gradients()
-        if gradient is not None:
-            if self.weight_decay:
-                gradient += self.weight_decay * self._gather_data()
-            first, second = self._first_moment_flat, self._second_moment_flat
-            first *= beta1
-            first += (1.0 - beta1) * gradient
-            second *= beta2
-            second += (1.0 - beta2) * gradient * gradient
-            corrected_first = first / bias_correction1
-            corrected_second = second / bias_correction2
-            self._scatter_update(
-                self.learning_rate * corrected_first / (np.sqrt(corrected_second) + self.epsilon)
-            )
-            return
-        for parameter, first, second in zip(
-            self.parameters, self._first_moment, self._second_moment
-        ):
-            if parameter.grad is None:
-                continue
-            gradient = parameter.grad
-            if self.weight_decay:
-                gradient = gradient + self.weight_decay * parameter.data
-            first *= beta1
-            first += (1.0 - beta1) * gradient
-            second *= beta2
-            second += (1.0 - beta2) * gradient * gradient
-            corrected_first = first / bias_correction1
-            corrected_second = second / bias_correction2
-            parameter.data = parameter.data - self.learning_rate * corrected_first / (
-                np.sqrt(corrected_second) + self.epsilon
-            )

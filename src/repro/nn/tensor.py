@@ -4,9 +4,10 @@ The paper's model is implemented in PyTorch; PyTorch is not available in this
 environment, so this module provides the minimal tensor/autograd substrate
 the model needs: a :class:`Tensor` wrapping a numpy array, a :class:`Function`
 base class for differentiable operations, and reverse-mode backpropagation
-over the recorded graph.  The op set is intentionally small — exactly what a
-U-Net-style CNN with temporal reductions requires — and every op's gradient
-is covered by numerical-gradient tests in ``tests/nn``.
+over the recorded graph.  The op set is exactly what this repository's
+models run — a U-Net-style CNN with temporal reductions and the PowerNet
+baseline — and every op's gradient is covered by numerical-gradient tests
+in ``tests/nn``.
 
 Tensors carry one of the kernel dtypes (``float64`` by default — the
 bit-exact training/reference precision — or ``float32`` for the low-precision
@@ -19,7 +20,7 @@ of silently promoting to float64 at the first ``x * 0.5``.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -131,9 +132,6 @@ class Function:
             ctx.needs_input_grad = tuple(
                 tensor.requires_grad or tensor._function is not None for tensor in tensors
             )
-            tape = getattr(_GRAD_STATE, "tape", None)
-            if tape is not None:
-                tape.append(output)
         return output
 
 
@@ -141,6 +139,11 @@ class Function:
 # graph recording for a training step happening concurrently on another
 # thread (each thread sees its own flag, defaulting to enabled).
 _GRAD_STATE = threading.local()
+
+
+def _accumulate_leaf(leaf: "Tensor", leaf_grad: np.ndarray) -> None:
+    """Add one gradient contribution into a leaf's ``.grad``."""
+    leaf.grad = leaf_grad if leaf.grad is None else leaf.grad + leaf_grad
 
 
 def grad_enabled() -> bool:
@@ -158,53 +161,6 @@ class no_grad:
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         _GRAD_STATE.enabled = self._previous
-
-
-class record_graph:
-    """Context manager recording created nodes on a tape (per thread).
-
-    Inside the context every recorded :class:`Function` output is appended to
-    a tape in creation order.  Creation order is a topological order of the
-    graph, so a ``backward()`` call on the tape's last node can walk the tape
-    in reverse instead of re-deriving the order with a depth-first search —
-    the training loop builds an identically-shaped graph every step, and the
-    tape makes its traversal order a straight list replay.  Contexts nest;
-    each re-entry starts a fresh tape and restores the previous one on exit.
-    """
-
-    def __enter__(self) -> "record_graph":
-        self._previous = getattr(_GRAD_STATE, "tape", None)
-        _GRAD_STATE.tape = []
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        _GRAD_STATE.tape = self._previous
-
-
-def _topological_order(roots: Sequence["Tensor"]) -> list["Tensor"]:
-    """Nodes reachable from ``roots`` in reverse topological order.
-
-    A multi-root depth-first search; reversing its post-order yields an
-    order where every node precedes all of its parents, which is what the
-    backward accumulation loop consumes.
-    """
-    visited: set[int] = set()
-    order: list[Tensor] = []
-
-    stack: list[tuple[Tensor, bool]] = [(root, False) for root in reversed(roots)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
-    return list(reversed(order))
 
 
 class Tensor:
@@ -244,13 +200,6 @@ class Tensor:
         """Dtype of the underlying array (one of the kernel dtypes)."""
         return self.data.dtype
 
-    def astype(self, dtype) -> "Tensor":
-        """Cast to another kernel dtype (differentiable; grad casts back)."""
-        dtype = kernels.canonical_dtype(dtype)
-        if self.data.dtype == dtype:
-            return self
-        return Cast.apply(self, dtype=dtype)
-
     def item(self) -> float:
         """The value of a single-element tensor as a Python float."""
         return float(self.data)
@@ -258,10 +207,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         """The raw numpy array (shared, not copied)."""
         return self.data
-
-    def detach(self) -> "Tensor":
-        """A new tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         """Clear the accumulated gradient."""
@@ -281,11 +226,9 @@ class Tensor:
         """Backpropagate from this tensor through the recorded graph.
 
         ``grad`` defaults to 1 for scalar tensors (the usual loss case).
-        When the graph was built inside a :class:`record_graph` context and
-        this tensor is the tape's newest node (a training-loop loss always
-        is), the tape's creation order is replayed in reverse instead of
-        running the depth-first topological sort — same gradients, none of
-        the per-step graph-walk overhead.
+        Nodes are visited in the reverse topological order of a depth-first
+        walk from this tensor, so every node's gradient is complete before
+        it is pushed to its parents.
         """
         if grad is None:
             if self.data.size != 1:
@@ -296,66 +239,63 @@ class Tensor:
             raise ValueError(f"gradient shape {grad.shape} does not match tensor shape {self.data.shape}")
 
         gradients: dict[int, np.ndarray] = {id(self): grad}
-        # Interior nodes a gradient has been queued for, so pending work can
-        # be recovered if the tape replay does not visit them.
-        pending: dict[int, Tensor] = {}
         # Buffers allocated *by this accumulation loop* may be added into in
         # place; the first gradient reaching a node is adopted as-is (it can
         # alias a Function's scratch space, so it must not be mutated).
         owned: set[int] = set()
 
-        def _accumulate_leaf(leaf: "Tensor", leaf_grad: np.ndarray) -> None:
-            leaf.grad = leaf_grad if leaf.grad is None else leaf.grad + leaf_grad
-
-        def _propagate(order: Iterable["Tensor"]) -> None:
-            for node in order:
-                node_grad = gradients.pop(id(node), None)
-                if node_grad is None:
+        for node in self._topological_order():
+            node_grad = gradients.pop(id(node), None)
+            if node_grad is None:
+                continue
+            if node._function is None:
+                if node.requires_grad:
+                    _accumulate_leaf(node, node_grad)
+                continue
+            input_grads = node._function.backward(node._ctx, node_grad)
+            if not isinstance(input_grads, tuple):
+                input_grads = (input_grads,)
+            for parent, parent_grad in zip(node._parents, input_grads):
+                if parent_grad is None:
                     continue
-                pending.pop(id(node), None)
-                if node._function is None:
-                    if node.requires_grad:
-                        _accumulate_leaf(node, node_grad)
+                if parent._function is None:
+                    # Leaf tensor: accumulate straight into .grad.
+                    if parent.requires_grad:
+                        _accumulate_leaf(parent, parent_grad)
                     continue
-                input_grads = node._function.backward(node._ctx, node_grad)
-                if not isinstance(input_grads, tuple):
-                    input_grads = (input_grads,)
-                for parent, parent_grad in zip(node._parents, input_grads):
-                    if parent_grad is None:
-                        continue
-                    if parent._function is None:
-                        # Leaf tensor: accumulate straight into .grad so the
-                        # tape replay (which only visits interior nodes) sees
-                        # it too.
-                        if parent.requires_grad:
-                            _accumulate_leaf(parent, parent_grad)
-                        continue
-                    key = id(parent)
-                    existing = gradients.get(key)
-                    if existing is None:
-                        gradients[key] = parent_grad
-                        pending[key] = parent
-                    elif key in owned:
-                        existing += parent_grad
-                    else:
-                        gradients[key] = existing + parent_grad
-                        owned.add(key)
-
-        tape = getattr(_GRAD_STATE, "tape", None)
-        if tape is not None and tape and tape[-1] is self:
-            _propagate(reversed(tape))
-            if gradients:
-                # Interior nodes built *before* the recording context opened
-                # (e.g. a cached subgraph reused inside it) never appear on
-                # the tape; finish them with a depth-first order rooted at
-                # every node still holding a queued gradient.
-                _propagate(_topological_order(list(pending.values())))
-        else:
-            _propagate(self._topological_order())
+                key = id(parent)
+                existing = gradients.get(key)
+                if existing is None:
+                    gradients[key] = parent_grad
+                elif key in owned:
+                    existing += parent_grad
+                else:
+                    gradients[key] = existing + parent_grad
+                    owned.add(key)
 
     def _topological_order(self) -> list["Tensor"]:
-        """Nodes reachable from ``self`` in reverse topological order."""
-        return _topological_order([self])
+        """Nodes reachable from ``self`` in reverse topological order.
+
+        A depth-first search; reversing its post-order yields an order where
+        every node precedes all of its parents, which is what the backward
+        accumulation loop consumes.
+        """
+        visited: set[int] = set()
+        order: list[Tensor] = []
+        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        while stack:
+            node, processed = stack.pop()
+            if processed:
+                order.append(node)
+                continue
+            if id(node) in visited:
+                continue
+            visited.add(id(node))
+            stack.append((node, True))
+            for parent in node._parents:
+                if id(parent) not in visited:
+                    stack.append((parent, False))
+        return list(reversed(order))
 
     # ------------------------------------------------------------------ #
     # arithmetic operators (implemented by Functions defined below)
@@ -379,20 +319,11 @@ class Tensor:
     def __rmul__(self, other: ArrayLike) -> "Tensor":
         return Multiply.apply(other, self)
 
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        return Divide.apply(self, other)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Divide.apply(other, self)
-
     def __neg__(self) -> "Tensor":
         return Multiply.apply(self, -1.0)
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         return MatMul.apply(self, other)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        return Power.apply(self, exponent=float(exponent))
 
     def __getitem__(self, index) -> "Tensor":
         return GetItem.apply(self, index=index)
@@ -412,22 +343,6 @@ class Tensor:
     def sqrt(self) -> "Tensor":
         """Elementwise square root."""
         return Sqrt.apply(self)
-
-    def exp(self) -> "Tensor":
-        """Elementwise exponential."""
-        return Exp.apply(self)
-
-    def log(self) -> "Tensor":
-        """Elementwise natural logarithm."""
-        return Log.apply(self)
-
-    def sigmoid(self) -> "Tensor":
-        """Elementwise logistic sigmoid."""
-        return Sigmoid.apply(self)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Sum over the given axes."""
-        return Sum.apply(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Mean over the given axes."""
@@ -512,38 +427,6 @@ class Multiply(Function):
         return _unbroadcast(grad * b, a.shape), _unbroadcast(grad * a, b.shape)
 
 
-class Divide(Function):
-    """Elementwise division with numpy broadcasting."""
-
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ctx.save(a, b)
-        return a / b
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        a, b = ctx.saved
-        grad_a = _unbroadcast(grad / b, a.shape)
-        grad_b = _unbroadcast(-grad * a / (b * b), b.shape)
-        return grad_a, grad_b
-
-
-class Power(Function):
-    """Elementwise power with a constant exponent."""
-
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, exponent: float = 2.0) -> np.ndarray:
-        ctx.save(a)
-        ctx.attrs["exponent"] = exponent
-        return a**exponent
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        (a,) = ctx.saved
-        exponent = ctx.attrs["exponent"]
-        return (grad * exponent * a ** (exponent - 1.0),)
-
-
 class ReLU(Function):
     """Rectified linear unit.
 
@@ -592,50 +475,6 @@ class Sqrt(Function):
         return (grad / (2.0 * result),)
 
 
-class Exp(Function):
-    """Elementwise exponential."""
-
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
-        result = np.exp(a)
-        ctx.save(result)
-        return result
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        (result,) = ctx.saved
-        return (grad * result,)
-
-
-class Log(Function):
-    """Elementwise natural logarithm."""
-
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
-        ctx.save(a)
-        return np.log(a)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        (a,) = ctx.saved
-        return (grad / a,)
-
-
-class Sigmoid(Function):
-    """Logistic sigmoid."""
-
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
-        result = 1.0 / (1.0 + np.exp(-a))
-        ctx.save(result)
-        return result
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        (result,) = ctx.saved
-        return (grad * result * (1.0 - result),)
-
-
 # ---------------------------------------------------------------------- #
 # linear algebra
 # ---------------------------------------------------------------------- #
@@ -676,21 +515,6 @@ def _expand_reduced(grad: np.ndarray, original_shape: tuple[int, ...], axis, kee
         axes = tuple(a % len(original_shape) for a in axes)
         grad = np.expand_dims(grad, axes)
     return np.broadcast_to(grad, original_shape).copy()
-
-
-class Sum(Function):
-    """Summation over axes."""
-
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        ctx.attrs.update(shape=a.shape, axis=axis, keepdims=keepdims)
-        return a.sum(axis=axis, keepdims=keepdims)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        return (
-            _expand_reduced(grad, ctx.attrs["shape"], ctx.attrs["axis"], ctx.attrs["keepdims"]),
-        )
 
 
 class Mean(Function):
@@ -783,19 +607,6 @@ class BroadcastTo(Function):
         return (_unbroadcast(grad, ctx.attrs["shape"]),)
 
 
-class Cast(Function):
-    """Dtype cast between kernel dtypes; backward casts the gradient back."""
-
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, dtype=None) -> np.ndarray:
-        ctx.attrs["dtype"] = a.dtype
-        return a.astype(dtype)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        return (grad.astype(ctx.attrs["dtype"]),)
-
-
 class GetItem(Function):
     """Basic and advanced indexing; backward scatter-adds into the source."""
 
@@ -828,21 +639,6 @@ class Concatenate(Function):
         return tuple(np.split(grad, split_points, axis=axis))
 
 
-class Stack(Function):
-    """Stack along a new axis (variadic)."""
-
-    @staticmethod
-    def forward(ctx: Context, *arrays: np.ndarray, axis: int = 0) -> np.ndarray:
-        ctx.attrs["axis"] = axis
-        return np.stack(arrays, axis=axis)
-
-    @staticmethod
-    def backward(ctx: Context, grad: np.ndarray):
-        axis = ctx.attrs["axis"]
-        pieces = np.split(grad, grad.shape[axis], axis=axis)
-        return tuple(np.squeeze(piece, axis=axis) for piece in pieces)
-
-
 # ---------------------------------------------------------------------- #
 # module-level convenience functions
 # ---------------------------------------------------------------------- #
@@ -851,11 +647,6 @@ class Stack(Function):
 def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along an existing axis."""
     return Concatenate.apply(*tensors, axis=axis)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis."""
-    return Stack.apply(*tensors, axis=axis)
 
 
 def as_tensor(value: ArrayLike, requires_grad: bool = False) -> Tensor:

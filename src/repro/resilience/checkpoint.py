@@ -97,7 +97,7 @@ class TrainingCheckpoint:
     model_state / best_state:
         Current weights and the early-stopping best-so-far snapshot.
     optimizer_state:
-        The optimiser's :meth:`~repro.nn.optim.Optimizer.state_dict`.
+        The optimiser's :meth:`~repro.nn.optim.Adam.state_dict`.
     rng_state:
         The shuffle generator's ``bit_generator.state`` mapping.
     train_loss / validation_loss:

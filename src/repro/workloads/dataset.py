@@ -24,11 +24,10 @@ import numpy as np
 from repro.features.extraction import (
     VectorFeatures,
     distance_feature,
-    extract_vector_features,
     extract_vector_features_batch,
 )
 from repro.pdn.designs import Design
-from repro.sim.dynamic_noise import DynamicNoiseAnalysis, DynamicNoiseResult
+from repro.sim.dynamic_noise import DynamicNoiseAnalysis
 from repro.sim.transient import TransientOptions
 from repro.sim.waveform import CurrentTrace
 from repro.utils import check_probability, get_logger
@@ -230,14 +229,14 @@ def build_dataset(
         An existing :class:`DynamicNoiseAnalysis` to reuse (must match the
         trace ``dt``); built on demand otherwise.
     sim_batch_size:
-        When set (> 1), the ground-truth simulations run through the
-        lockstep block solver (:meth:`DynamicNoiseAnalysis.run_many`) in
-        batches of up to this many vectors — several times faster, with
-        noise maps that agree with the per-vector loop to solver rounding
-        (a few ULPs); per-sample ``sim_runtime`` becomes the batch average.
-        ``None`` keeps the classic one-vector-at-a-time loop, whose
-        per-sample runtimes are true per-vector measurements (the Table 2
-        "commercial tool" column).
+        Vectors per lockstep block of the ground-truth simulation
+        (:meth:`DynamicNoiseAnalysis.run_many`); ``None`` means 1.  Larger
+        blocks are several times faster, with noise maps that agree with
+        blocks of one to solver rounding (a few ULPs).  Each sample's
+        ``sim_runtime`` is an even share of the simulator wall clock; at a
+        block size of 1 every vector is integrated on its own, so the total
+        is a sum of true per-vector measurements (the Table 2 "commercial
+        tool" column).
 
     Returns
     -------
@@ -260,19 +259,10 @@ def build_dataset(
         vdd=design.spec.vdd,
         hotspot_threshold=design.spec.hotspot_threshold,
     )
-    if sim_batch_size is not None and sim_batch_size > 1:
-        results = analysis.run_many(traces, batch_size=sim_batch_size)
-        features_list = extract_vector_features_batch(
-            traces, design, compression_rate=compression_rate, rate_step=rate_step
-        )
-    else:
-        results = [analysis.run(trace) for trace in traces]
-        features_list = [
-            extract_vector_features(
-                trace, design, compression_rate=compression_rate, rate_step=rate_step
-            )
-            for trace in traces
-        ]
+    results = analysis.run_many(traces, batch_size=sim_batch_size or 1)
+    features_list = extract_vector_features_batch(
+        traces, design, compression_rate=compression_rate, rate_step=rate_step
+    )
     for index, (trace, result, features) in enumerate(zip(traces, results, features_list)):
         dataset.samples.append(
             NoiseSample(

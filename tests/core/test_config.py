@@ -30,7 +30,7 @@ class TestModelConfig:
 class TestTrainingConfig:
     def test_defaults_valid(self):
         config = TrainingConfig()
-        assert config.loss == "l1"
+        assert config.learning_rate > 0 and config.epochs > 0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -38,7 +38,7 @@ class TestTrainingConfig:
             {"learning_rate": 0.0},
             {"epochs": 0},
             {"batch_size": 0},
-            {"loss": "hinge"},
+            {"early_stopping_min_delta": -1.0},
             {"early_stopping_patience": 0},
         ],
     )

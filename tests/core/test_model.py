@@ -56,7 +56,7 @@ class TestWorstCaseNoiseNet:
     def test_gradients_flow_to_all_subnets(self, model, rng):
         model.zero_grad()
         prediction = model(rng.random((5, 8, 8)), rng.random((9, 8, 8)))
-        prediction.sum().backward()
+        prediction.mean().backward()
         for subnet in (model.distance_subnet, model.fusion_subnet, model.prediction_subnet):
             grads = [p.grad for p in subnet.parameters()]
             assert all(g is not None for g in grads)

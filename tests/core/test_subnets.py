@@ -41,7 +41,7 @@ class TestEncoderDecoder:
     def test_gradients_reach_all_parameters(self, rng):
         network = EncoderDecoder(1, 1, 3, depth=2, seed=0)
         output = network(Tensor(rng.random((1, 1, 9, 9))))
-        output.sum().backward()
+        output.mean().backward()
         for name, parameter in network.named_parameters():
             assert parameter.grad is not None, f"no gradient for {name}"
             assert np.any(parameter.grad != 0) or parameter.grad.size == 0
@@ -157,7 +157,7 @@ class TestFusionBlocking:
             network.zero_grad()
             inputs = Tensor(maps, requires_grad=True)
             output = network(inputs)
-            (output * Tensor(upstream)).sum().backward()
+            output.backward(upstream)
             grads = [inputs.grad] + [parameter.grad for parameter in network.parameters()]
             return output.data, grads
 
@@ -185,7 +185,7 @@ class TestFusionBlocking:
             for requires_grad in (False, True):
                 output = network(Tensor(maps, requires_grad=requires_grad))
                 with mock.patch.object(kernels, "col2im", wraps=kernels.col2im) as col2im:
-                    output.sum().backward()
+                    output.mean().backward()
                 counts.append(col2im.call_count)
         # A grad-requiring input folds once per block, so the counter sees them.
         assert counts == [0, 5]

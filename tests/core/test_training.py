@@ -1,10 +1,14 @@
 """Tests for repro.core.training."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core.config import ModelConfig, TrainingConfig
+from repro.core.model import WorstCaseNoiseNet
 from repro.core.training import NoiseModelTrainer
+from repro.nn.tensor import grad_enabled
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +104,34 @@ class TestNoiseModelTrainer:
         )
         result = trainer.train()
         assert result.normalizer.distance_scale > 0
+
+
+def test_each_step_graph_is_freed_before_the_next_forward(
+    tiny_design, tiny_dataset, tiny_split, monkeypatch
+):
+    # The autograd graph holds every activation of a step; keeping the last
+    # step's graph alive through the next forward pass doubles peak memory.
+    # Tensors take no weak references, so watch each output's data array.
+    previous: list[weakref.ref] = []
+    alive_at_next_forward: list[bool] = []
+    forward_batch = WorstCaseNoiseNet.forward_batch
+
+    def watched(model, *args, **kwargs):
+        if not grad_enabled():  # validation
+            return forward_batch(model, *args, **kwargs)
+        if previous:
+            alive_at_next_forward.append(previous[-1]() is not None)
+        output = forward_batch(model, *args, **kwargs)
+        previous.append(weakref.ref(output.data))
+        return output
+
+    monkeypatch.setattr(WorstCaseNoiseNet, "forward_batch", watched)
+    NoiseModelTrainer(
+        tiny_dataset,
+        design=tiny_design,
+        split=tiny_split,
+        model_config=ModelConfig(distance_kernels=2, fusion_kernels=2, prediction_kernels=2),
+        training_config=TrainingConfig(epochs=2, batch_size=2, early_stopping_patience=None),
+    ).train()
+    assert len(alive_at_next_forward) >= 3
+    assert not any(alive_at_next_forward)

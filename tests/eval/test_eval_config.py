@@ -65,6 +65,17 @@ class TestEvalConfig:
         assert rebuilt == config
         assert rebuilt.config_hash() == config.config_hash()
 
+    @pytest.mark.parametrize(
+        "key,value", [("loss", "mse"), ("weight_decay", 0.01), ("sequential", True)]
+    )
+    def test_fixed_training_settings_are_serialised_and_enforced(self, key, value):
+        payload = two_design_config().to_dict()
+        assert payload["training"]["loss"] == "l1"
+        assert payload["training"]["weight_decay"] == 0.0
+        payload["training"][key] = value
+        with pytest.raises(ValueError, match=f"training.{key} is fixed"):
+            EvalConfig.from_dict(payload)
+
     def test_scenario_specs_round_trip_through_dict(self):
         import json
 

@@ -15,7 +15,6 @@ import pytest
 from repro.gateway import (
     GatewayClosed,
     GatewayOverloaded,
-    LoadShedError,
     ScreeningGateway,
 )
 from repro.serving import PredictorRegistry
@@ -153,28 +152,6 @@ def test_reject_policy_backpressure(
     assert gateway.submit_async(tiny_features[4], tiny_design.name).result(timeout=10)
 
 
-def test_shed_oldest_spares_dispatched_requests(
-    make_gateway, make_gated_predictor, tiny_design, tiny_predictor, tiny_features
-):
-    gateway = make_gateway(queue_limit=2, shed_policy="shed-oldest", max_batch=1)
-    gated = make_gated_predictor(tiny_predictor)
-    gateway.swap_checkpoint(tiny_design.name, gated, persist=False).result(timeout=5)
-
-    in_flight = gateway.submit_async(tiny_features[0], tiny_design.name)
-    assert gated.started.wait(5)
-    waiting = gateway.submit_async(tiny_features[1], tiny_design.name)
-    fresh = gateway.submit_async(tiny_features[2], tiny_design.name)
-
-    # The oldest *waiting* request was shed; the dispatched one was spared
-    # (shedding it would waste the forward pass already under way).
-    with pytest.raises(LoadShedError):
-        waiting.result(timeout=5)
-    gated.release.set()
-    assert in_flight.result(timeout=10) is not None
-    assert fresh.result(timeout=10) is not None
-    assert gateway.metrics.counter("gateway.shed").value == 1
-
-
 def test_cancelled_request_is_skipped_not_served(
     make_gateway, make_gated_predictor, tiny_design, tiny_predictor, tiny_features
 ):
@@ -268,10 +245,10 @@ def test_submit_and_swap_after_close_raise(make_gateway, tiny_design, tiny_featu
 
 
 def test_invalid_configuration_rejected(gateway_root):
-    with pytest.raises(ValueError, match="shed_policy"):
-        ScreeningGateway(gateway_root, shed_policy="drop-newest")
     with pytest.raises(ValueError):
         ScreeningGateway(gateway_root, num_shards=0)
+    with pytest.raises(ValueError):
+        ScreeningGateway(gateway_root, queue_limit=0)
 
 
 def test_context_manager_closes(gateway_root, tiny_design, tiny_features):

@@ -9,6 +9,17 @@ import numpy as np
 from repro.nn import Tensor
 
 
+def weighted_sum(output: Tensor, weights) -> Tensor:
+    """The scalar ``sum(output * weights)`` as a differentiable tensor.
+
+    Written as a mean scaled back by the element count: the adjoint that
+    reaches ``output`` is exactly ``weights`` (the mean's ``1/n`` and the
+    scale's ``n`` cancel to 1.0 in floating point).
+    """
+    product = output * weights
+    return product.mean() * float(product.size)
+
+
 def numerical_gradient(scalar_fn: Callable[[], float], array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of ``scalar_fn`` with respect to ``array``.
 
@@ -48,12 +59,12 @@ def check_input_gradient(
     weights = rng.standard_normal(probe_output.shape)
 
     tensor = Tensor(input_array, requires_grad=True)
-    objective = (build_output(tensor) * weights).sum()
+    objective = weighted_sum(build_output(tensor), weights)
     objective.backward()
     analytic = tensor.grad
 
     def scalar_fn() -> float:
-        value = (build_output(Tensor(input_array)) * weights).sum()
+        value = weighted_sum(build_output(Tensor(input_array)), weights)
         return float(value.data)
 
     numeric = numerical_gradient(scalar_fn, input_array)
@@ -71,12 +82,12 @@ def check_parameter_gradient(
     weights = rng.standard_normal(build_output().shape)
 
     module.zero_grad()
-    objective = (build_output() * weights).sum()
+    objective = weighted_sum(build_output(), weights)
     objective.backward()
 
     for name, parameter in module.named_parameters():
         def scalar_fn() -> float:
-            return float((build_output() * weights).sum().data)
+            return float(weighted_sum(build_output(), weights).data)
 
         numeric = numerical_gradient(scalar_fn, parameter.data)
         np.testing.assert_allclose(

@@ -236,7 +236,7 @@ def test_unpadded_input_is_never_pooled(fresh_pool):
     # not be released into the pool, where a later take would overwrite it.
     x = Tensor(np.random.default_rng(1).standard_normal((1, 2, 4, 4)), requires_grad=True)
     weight = Tensor(np.ones((1, 2, 3, 3)), requires_grad=True)
-    conv2d(x, weight, stride=1, padding=0).sum().backward()
+    conv2d(x, weight, stride=1, padding=0).mean().backward()
     with no_grad():
         conv2d(x, weight, stride=1, padding=0)
     assert ((1, 2, 4, 4), "float64") not in kernels.workspace_pool_stats()["keys"]
@@ -354,14 +354,3 @@ def test_module_astype_round_trip():
         assert parameter.data.dtype == np.float64
         # float64 -> float32 -> float64 loses mantissa bits; values stay close.
         np.testing.assert_allclose(parameter.data, originals[name], rtol=1e-6, atol=1e-7)
-
-
-def test_tensor_astype_casts_gradients_back():
-    x = Tensor(np.arange(4.0), requires_grad=True)
-    y = (x.astype("float32") * 2.0).sum()
-    assert y.data.dtype == np.float32
-    y.backward()
-    # The Cast adjoint restores the leaf's dtype, so the optimizer state
-    # (float64) never silently mixes precisions.
-    assert x.grad.dtype == np.float64
-    np.testing.assert_array_equal(x.grad, np.full(4, 2.0))

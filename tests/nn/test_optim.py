@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Conv2d, Linear, ReLU, Sequential, Tensor, l1_loss, mse_loss
+from repro.nn import Adam, Conv2d, Linear, ReLU, Sequential, Tensor, l1_loss
 from repro.nn.modules import Parameter
+
+
+def _mse(prediction, target):
+    """Mean squared error, composed from the tensor ops."""
+    difference = prediction - target
+    return (difference * difference).mean()
 
 
 def _quadratic_problem():
@@ -12,50 +18,9 @@ def _quadratic_problem():
     parameter = Parameter(np.array([0.0]))
 
     def loss_fn():
-        return mse_loss(parameter * 1.0, np.array([3.0]))
+        return _mse(parameter, np.array([3.0]))
 
     return parameter, loss_fn
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        parameter, loss_fn = _quadratic_problem()
-        optimizer = SGD([parameter], learning_rate=0.1)
-        for _ in range(200):
-            optimizer.zero_grad()
-            loss_fn().backward()
-            optimizer.step()
-        assert parameter.data[0] == pytest.approx(3.0, abs=1e-3)
-
-    def test_momentum_accelerates(self):
-        parameter_plain, loss_plain = _quadratic_problem()
-        parameter_momentum, loss_momentum = _quadratic_problem()
-        plain = SGD([parameter_plain], learning_rate=0.01)
-        momentum = SGD([parameter_momentum], learning_rate=0.01, momentum=0.9)
-        for _ in range(50):
-            for optimizer, loss_fn in ((plain, loss_plain), (momentum, loss_momentum)):
-                optimizer.zero_grad()
-                loss_fn().backward()
-                optimizer.step()
-        assert abs(parameter_momentum.data[0] - 3.0) < abs(parameter_plain.data[0] - 3.0)
-
-    def test_weight_decay_shrinks_weights(self):
-        parameter = Parameter(np.array([1.0]))
-        optimizer = SGD([parameter], learning_rate=0.1, weight_decay=1.0)
-        optimizer.zero_grad()
-        parameter.grad = np.array([0.0])
-        optimizer.step()
-        assert parameter.data[0] < 1.0
-
-    def test_rejects_bad_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], momentum=1.0)
-
-    def test_skips_parameters_without_grad(self):
-        parameter = Parameter(np.array([1.0]))
-        optimizer = SGD([parameter], learning_rate=0.5)
-        optimizer.step()  # no gradient accumulated yet
-        assert parameter.data[0] == 1.0
 
 
 class TestAdam:
@@ -102,7 +67,7 @@ class TestAdam:
         targets = inputs @ true_weight.T
         for _ in range(300):
             optimizer.zero_grad()
-            loss = mse_loss(layer(Tensor(inputs)), targets)
+            loss = _mse(layer(Tensor(inputs)), targets)
             loss.backward()
             optimizer.step()
         np.testing.assert_allclose(layer.weight.data, true_weight, atol=0.05)
@@ -115,8 +80,8 @@ def _make_params(seed: int) -> list[Parameter]:
 
 
 def _reference_adam_step(state: dict, parameters, learning_rate, betas=(0.9, 0.999),
-                         epsilon=1e-8, weight_decay=0.0) -> None:
-    """One per-parameter Adam step exactly as the pre-fused implementation."""
+                         epsilon=1e-8) -> None:
+    """One per-parameter Adam step, the textbook formulation."""
     state.setdefault("m", [np.zeros_like(p.data) for p in parameters])
     state.setdefault("v", [np.zeros_like(p.data) for p in parameters])
     state["t"] = state.get("t", 0) + 1
@@ -124,11 +89,7 @@ def _reference_adam_step(state: dict, parameters, learning_rate, betas=(0.9, 0.9
     bias_correction1 = 1.0 - beta1 ** state["t"]
     bias_correction2 = 1.0 - beta2 ** state["t"]
     for parameter, first, second in zip(parameters, state["m"], state["v"]):
-        if parameter.grad is None:
-            continue
         gradient = parameter.grad
-        if weight_decay:
-            gradient = gradient + weight_decay * parameter.data
         first *= beta1
         first += (1.0 - beta1) * gradient
         second *= beta2
@@ -140,29 +101,13 @@ def _reference_adam_step(state: dict, parameters, learning_rate, betas=(0.9, 0.9
         )
 
 
-def _reference_sgd_step(state: dict, parameters, learning_rate, momentum=0.0,
-                        weight_decay=0.0) -> None:
-    """One per-parameter SGD step exactly as the pre-fused implementation."""
-    state.setdefault("v", [np.zeros_like(p.data) for p in parameters])
-    for parameter, velocity in zip(parameters, state["v"]):
-        if parameter.grad is None:
-            continue
-        gradient = parameter.grad
-        if weight_decay:
-            gradient = gradient + weight_decay * parameter.data
-        velocity *= momentum
-        velocity += gradient
-        parameter.data = parameter.data - learning_rate * velocity
-
-
 class TestFusedSteps:
-    """The fused flat-buffer steps must be bit-exact with the reference loops."""
+    """The fused flat-buffer step must be bit-exact with the reference loop."""
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_fused_adam_bit_exact(self, weight_decay):
+    def test_fused_adam_bit_exact(self):
         fused_params = _make_params(seed=1)
         reference_params = _make_params(seed=1)
-        optimizer = Adam(fused_params, learning_rate=1e-3, weight_decay=weight_decay)
+        optimizer = Adam(fused_params, learning_rate=1e-3)
         state: dict = {}
         grad_rng = np.random.default_rng(2)
         for _ in range(20):
@@ -171,69 +116,26 @@ class TestFusedSteps:
                 fused.grad = gradient.copy()
                 reference.grad = gradient.copy()
             optimizer.step()
-            _reference_adam_step(
-                state, reference_params, learning_rate=1e-3, weight_decay=weight_decay
-            )
+            _reference_adam_step(state, reference_params, learning_rate=1e-3)
         for fused, reference in zip(fused_params, reference_params):
             np.testing.assert_array_equal(fused.data, reference.data)
 
-    @pytest.mark.parametrize("momentum,weight_decay", [(0.0, 0.0), (0.9, 0.01)])
-    def test_fused_sgd_bit_exact(self, momentum, weight_decay):
-        fused_params = _make_params(seed=3)
-        reference_params = _make_params(seed=3)
-        optimizer = SGD(
-            fused_params, learning_rate=1e-2, momentum=momentum, weight_decay=weight_decay
-        )
-        state: dict = {}
-        grad_rng = np.random.default_rng(4)
-        for _ in range(20):
-            for fused, reference in zip(fused_params, reference_params):
-                gradient = grad_rng.standard_normal(fused.data.shape)
-                fused.grad = gradient.copy()
-                reference.grad = gradient.copy()
-            optimizer.step()
-            _reference_sgd_step(
-                state, reference_params, learning_rate=1e-2,
-                momentum=momentum, weight_decay=weight_decay,
-            )
-        for fused, reference in zip(fused_params, reference_params):
-            np.testing.assert_array_equal(fused.data, reference.data)
-
-    def test_missing_grad_falls_back_and_preserves_skip_semantics(self):
-        fused_params = _make_params(seed=5)
-        reference_params = _make_params(seed=5)
-        optimizer = Adam(fused_params, learning_rate=1e-2)
-        state: dict = {}
+    def test_missing_grad_raises_and_leaves_state_untouched(self):
+        params = _make_params(seed=5)
+        optimizer = Adam(params, learning_rate=1e-2)
         grad_rng = np.random.default_rng(6)
-        for step in range(6):
-            for index, (fused, reference) in enumerate(zip(fused_params, reference_params)):
-                if step % 2 == 0 and index == 2:
-                    fused.grad = None
-                    reference.grad = None
-                    continue
-                gradient = grad_rng.standard_normal(fused.data.shape)
-                fused.grad = gradient.copy()
-                reference.grad = gradient.copy()
-            optimizer.step()
-            _reference_adam_step(state, reference_params, learning_rate=1e-2)
-        for fused, reference in zip(fused_params, reference_params):
-            np.testing.assert_array_equal(fused.data, reference.data)
+        for parameter in params:
+            parameter.grad = grad_rng.standard_normal(parameter.data.shape)
+        optimizer.step()
+        before = [parameter.data.copy() for parameter in params]
+        state = optimizer.state_dict()
 
-    def test_fused_moments_and_fallback_share_state(self):
-        # A fused step followed by a skip-step must see the fused step's
-        # moments through the per-parameter views (and vice versa).
-        parameter = Parameter(np.array([1.0, -2.0]))
-        other = Parameter(np.array([0.5]))
-        optimizer = Adam([parameter, other], learning_rate=1e-2)
-        parameter.grad = np.array([0.1, 0.2])
-        other.grad = np.array([0.3])
-        optimizer.step()  # fused
-        first_after_fused = optimizer._first_moment[0].copy()
-        assert np.any(first_after_fused != 0.0)
-        parameter.grad = np.array([0.1, 0.2])
-        other.grad = None
-        optimizer.step()  # fallback (views over the same flat buffers)
-        assert np.any(optimizer._first_moment[0] != first_after_fused)
-        np.testing.assert_array_equal(
-            optimizer._second_moment[1], optimizer._second_moment_flat[-1:]
-        )
+        params[2].grad = None
+        with pytest.raises(ValueError, match=r"parameter 2 \(shape \(8, 4, 3, 3\)\)"):
+            optimizer.step()
+        for parameter, data in zip(params, before):
+            np.testing.assert_array_equal(parameter.data, data)
+        after = optimizer.state_dict()
+        assert after["step_count"] == state["step_count"]
+        np.testing.assert_array_equal(after["first_moment"], state["first_moment"])
+        np.testing.assert_array_equal(after["second_moment"], state["second_moment"])

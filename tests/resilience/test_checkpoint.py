@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Parameter, SGD
+from repro.nn import Adam, Parameter
 from repro.resilience import (
     CheckpointError,
     CheckpointManager,
@@ -141,13 +141,10 @@ class TestOptimizerStateDict:
             parameter.grad = rng.normal(size=parameter.data.shape)
         optimizer.step()
 
-    @pytest.mark.parametrize("kind", ["sgd", "adam"])
-    def test_restored_optimizer_takes_bit_identical_steps(self, kind):
-        make = (
-            (lambda ps: SGD(ps, learning_rate=0.1, momentum=0.9))
-            if kind == "sgd"
-            else (lambda ps: Adam(ps, learning_rate=0.01))
-        )
+    def test_restored_optimizer_takes_bit_identical_steps(self):
+        def make(parameters):
+            return Adam(parameters, learning_rate=0.01)
+
         # Reference: 3 uninterrupted steps.
         reference = self._parameters()
         optimizer = make(reference)
@@ -167,10 +164,10 @@ class TestOptimizerStateDict:
             np.testing.assert_array_equal(expected.data, actual.data)
 
     def test_kind_mismatch_is_rejected(self):
-        sgd_state = SGD(self._parameters(), learning_rate=0.1).state_dict()
         adam = Adam(self._parameters(), learning_rate=0.1)
+        foreign = dict(adam.state_dict(), kind="sgd")
         with pytest.raises(ValueError, match="'sgd', not 'adam'"):
-            adam.load_state_dict(sgd_state)
+            adam.load_state_dict(foreign)
 
     def test_size_mismatch_is_rejected(self):
         small = Adam(self._parameters(), learning_rate=0.1)

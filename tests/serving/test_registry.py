@@ -37,7 +37,6 @@ class TestPredictorRegistry:
         registry.evict(tiny_design.name)
         predictor = registry.get(tiny_design.name)
         assert all(not p.requires_grad for p in predictor.model.parameters())
-        assert not predictor.model.training
 
     def test_capacity_eviction(self, tmp_path, tiny_design, serving_predictor):
         registry = PredictorRegistry(tmp_path / "small", capacity=2)
