@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.pdn import DesignSpec, LayerSpec, PackageModel, make_design
 from repro.sim import DynamicNoiseAnalysis, run_static_analysis
-from repro.workloads import build_scenario
+from repro.workloads import build_scenario_trace
 
 
 def build_candidate(name: str, decap_per_area: float, bump_grid: int) -> DesignSpec:
@@ -63,7 +63,7 @@ def main() -> None:
     for spec in candidates:
         design = make_design(spec, seed=0)
         static = run_static_analysis(design)
-        virus = build_scenario("power_virus", design, num_steps=300, dt=dt)
+        virus = build_scenario_trace("power_virus", design, num_steps=300, dt=dt)
         dynamic = DynamicNoiseAnalysis(design, dt).run(virus)
         resonance = spec.package.resonance_frequency(design.grid.total_decap)
         hotspots = int(np.count_nonzero(dynamic.hotspot_map))

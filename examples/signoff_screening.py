@@ -26,10 +26,9 @@ from repro import (
     PipelineConfig,
     TrainingConfig,
     WorstCaseNoiseFramework,
-    build_scenario,
     reference_design,
 )
-from repro.workloads.scenarios import scenario_families
+from repro.workloads.scenarios import build_scenario_trace, scenario_families
 
 
 def main() -> None:
@@ -57,7 +56,7 @@ def main() -> None:
     simulator_time_saved = 0.0
     flagged = []
     for index, name in enumerate(scenario_families()):
-        trace = build_scenario(name, design, num_steps=config.num_steps, dt=dt, seed=index)
+        trace = build_scenario_trace(name, design, num_steps=config.num_steps, dt=dt, seed=index)
         prediction = predictor.predict_trace(trace, design)
         predicted_worst = prediction.worst_noise
         decision = "VIOLATION -> simulate" if predicted_worst > 0.95 * specification else "pass"

@@ -20,7 +20,6 @@ from repro.workloads import (
     TestVectorGenerator,
     VectorConfig,
     build_dataset,
-    build_scenario,
     expansion_split,
     generate_test_vectors,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "TestVectorGenerator",
     "VectorConfig",
     "build_dataset",
-    "build_scenario",
     "expansion_split",
     "generate_test_vectors",
     "AccuracyReport",

@@ -100,8 +100,9 @@ class PipelineConfig:
     sim_batch_size:
         Vectors per lockstep block of the ground-truth simulations
         (``None`` means 1).  Larger blocks are several times faster, with
-        noise maps that agree with blocks of one to solver rounding; at 1
-        the summed simulator time is a sum of per-vector measurements.
+        noise maps that agree with blocks of one to solver rounding.  A
+        sample's simulator time is its share of its block; at 1 it is that
+        vector's own measurement.
     """
 
     num_vectors: int = 60

@@ -235,13 +235,12 @@ class WorstCaseNoiseFramework:
         """A complete single-design corpus spec reproducing this framework.
 
         Unlike :meth:`corpus_design_spec` alone, the returned
-        :class:`repro.datagen.CorpusSpec` also carries this framework's
-        *transient options* (integration method, initial state, solver) and
-        maps ``config.sim_batch_size`` onto the corpus batch size (``None``
-        becomes 1, i.e. true per-vector simulation) — so
-        ``generate_corpus(framework.corpus_spec(ref), root)`` labels exactly
-        what :meth:`build_dataset` would simulate in-process, physics
-        included.
+        :class:`repro.datagen.CorpusSpec` also maps ``config.sim_batch_size``
+        onto the corpus batch size (``None`` becomes 1, i.e. true per-vector
+        simulation) — so ``generate_corpus(framework.corpus_spec(ref), root)``
+        labels what :meth:`build_dataset` would simulate in-process with the
+        full-order solver (the corpus always uses the default
+        ``solver_mode``).
 
         Parameters
         ----------
@@ -254,12 +253,9 @@ class WorstCaseNoiseFramework:
         """
         from repro.datagen import CorpusSpec
 
-        options = self.transient_options
         return CorpusSpec(
             designs=(self.corpus_design_spec(design_reference, label, shard_size),),
             sim_batch_size=self.config.sim_batch_size or 1,
-            integration_method=options.method,
-            initial_state=options.initial_state,
         )
 
     def train(self, dataset: NoiseDataset, split: Optional[DatasetSplit] = None) -> TrainingResult:

@@ -86,8 +86,6 @@ class _ShardTask:
     index: int
     design_spec: CorpusDesignSpec
     sim_batch_size: int
-    integration_method: str
-    initial_state: str
     quarantine: bool = True
     solver_mode: str = "full"
     rom: Optional[ROMOptions] = None
@@ -193,16 +191,12 @@ def _worker_analysis(task: _ShardTask, design: Design) -> DynamicNoiseAnalysis:
     key = (
         task.design_spec.design,
         task.design_spec.dt,
-        task.integration_method,
-        task.initial_state,
         task.solver_mode,
         task.rom,
     )
     analysis = _WORKER_ANALYSES.get(key)
     if analysis is None:
         options = TransientOptions(
-            method=task.integration_method,
-            initial_state=task.initial_state,
             store_waveform=False,
             solver_mode=task.solver_mode,
             rom=task.rom,
@@ -486,8 +480,6 @@ def generate_corpus(
                     index=index,
                     design_spec=design,
                     sim_batch_size=spec.sim_batch_size,
-                    integration_method=spec.integration_method,
-                    initial_state=spec.initial_state,
                     quarantine=policy.quarantine,
                     solver_mode=spec.solver_mode,
                     rom=spec.rom,

@@ -25,16 +25,21 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from repro.sim.rom import ROMOptions
-from repro.sim.transient import INTEGRATION_METHODS, SOLVER_MODES, TransientOptions
+from repro.sim.transient import SOLVER_MODES, TransientOptions
 from repro.utils import check_positive
 from repro.workloads.scenarios import validate_scenario
 from repro.workloads.specs import ScenarioSpec
 from repro.workloads.vectors import VectorConfig
 
-# The ``solver_method`` value every manifest records.  It names the one
-# symmetric SuperLU factorisation; the pair stays in the hashed payload so
-# pre-existing corpora keep their config hashes.
-_SOLVER_METHOD = "cholesky"
+# Keys every manifest records with one fixed value: the one symmetric SuperLU
+# factorisation, and backward Euler started from the DC operating point.  The
+# pairs stay in the hashed payload so pre-existing corpora keep their config
+# hashes; any other value names a corpus another engine labelled.
+_FIXED_KEYS = {
+    "solver_method": "cholesky",
+    "integration_method": "backward_euler",
+    "initial_state": "dc",
+}
 
 
 @dataclass(frozen=True)
@@ -218,13 +223,13 @@ class CorpusSpec:
     sim_batch_size:
         Vectors per lockstep transient block
         (:meth:`~repro.sim.dynamic_noise.DynamicNoiseAnalysis.run_many`);
-        bounds the solver working set.
-    integration_method / initial_state:
-        Ground-truth transient engine options (see
-        :class:`~repro.sim.transient.TransientOptions`).  Every corpus is
-        labelled by the one symmetric SuperLU factorisation
-        (:class:`~repro.sim.linear.LinearSolver`); the manifest records it
-        as the fixed, hashed pair ``"solver_method": "cholesky"``.
+        bounds the solver working set.  Every corpus is labelled by the one
+        symmetric SuperLU factorisation
+        (:class:`~repro.sim.linear.LinearSolver`) and by backward Euler
+        started from the DC operating point; the manifest records them as
+        the fixed, hashed pairs ``"solver_method": "cholesky"``,
+        ``"integration_method": "backward_euler"`` and
+        ``"initial_state": "dc"``.
     solver_mode:
         Which transient strategy labels the corpus: ``"full"`` (the
         full-order companion path, the default) or ``"rom"`` (the gated
@@ -240,8 +245,6 @@ class CorpusSpec:
 
     designs: tuple[CorpusDesignSpec, ...]
     sim_batch_size: int = 48
-    integration_method: str = "backward_euler"
-    initial_state: str = "dc"
     solver_mode: str = "full"
     rom: Optional[ROMOptions] = None
 
@@ -252,11 +255,6 @@ class CorpusSpec:
         if len(set(labels)) != len(labels):
             raise ValueError(f"design labels must be unique, got {labels}")
         check_positive(self.sim_batch_size, "sim_batch_size")
-        if self.integration_method not in INTEGRATION_METHODS:
-            raise ValueError(
-                f"unknown integration method {self.integration_method!r}; "
-                f"expected one of {INTEGRATION_METHODS}"
-            )
         if self.solver_mode not in SOLVER_MODES:
             raise ValueError(
                 f"unknown solver mode {self.solver_mode!r}; "
@@ -272,8 +270,6 @@ class CorpusSpec:
     def transient_options(self) -> TransientOptions:
         """The transient-engine options every ground-truth run uses."""
         return TransientOptions(
-            method=self.integration_method,
-            initial_state=self.initial_state,
             store_waveform=False,
             solver_mode=self.solver_mode,
             rom=self.rom,
@@ -303,12 +299,14 @@ class CorpusSpec:
         pre-existing full-order corpora keep their config hashes (and stay
         resumable) across the solver seam's introduction; ROM-mode specs
         record the complete :class:`~repro.sim.rom.ROMOptions` block.
-        The payload always carries ``"solver_method": "cholesky"``: the key
-        predates the single solver, and every existing manifest hashes it.
+        The payload always carries ``"solver_method": "cholesky"``,
+        ``"integration_method": "backward_euler"`` and
+        ``"initial_state": "dc"``: the keys predate the single solver and
+        the single integrator, and every existing manifest hashes them.
         """
         payload = asdict(self)
         payload["designs"] = [design.to_dict() for design in self.designs]
-        payload["solver_method"] = _SOLVER_METHOD
+        payload.update(_FIXED_KEYS)
         if self.solver_mode == "full":
             del payload["solver_mode"]
             del payload["rom"]
@@ -320,17 +318,16 @@ class CorpusSpec:
     def from_dict(cls, payload: dict) -> "CorpusSpec":
         """Rebuild a spec from :meth:`to_dict` output.
 
-        Raises ``ValueError`` when the payload names a ``solver_method``
-        other than ``"cholesky"``: such a corpus was labelled by
-        another factorisation and must not be resumed as this one.
+        Raises ``ValueError`` when the payload names a ``solver_method``,
+        ``integration_method`` or ``initial_state`` other than the fixed
+        value :meth:`to_dict` writes: such a corpus was labelled by another
+        factorisation or integrator and must not be resumed as this one.
         """
         payload = dict(payload)
-        solver_method = payload.pop("solver_method", _SOLVER_METHOD)
-        if solver_method != _SOLVER_METHOD:
-            raise ValueError(
-                f"solver_method must be {_SOLVER_METHOD!r} (the only solver), "
-                f"got {solver_method!r}"
-            )
+        for key, fixed in _FIXED_KEYS.items():
+            value = payload.pop(key, fixed)
+            if value != fixed:
+                raise ValueError(f"{key} must be {fixed!r} (the only one), got {value!r}")
         payload["designs"] = tuple(
             CorpusDesignSpec.from_dict(entry) for entry in payload["designs"]
         )

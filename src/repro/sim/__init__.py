@@ -2,8 +2,9 @@
 
 This subpackage is the reproduction's substitute for the commercial PDN
 sign-off tool: one sparse solver (symmetric-mode SuperLU, factor once and solve
-many), static IR analysis, a transient engine with companion
-models for decap and package inductance, and the worst-case dynamic noise
+many), static IR analysis, a transient engine (backward-Euler companion
+models for decap and package inductance, started from the DC operating
+point), and the worst-case dynamic noise
 analysis that produces the ground-truth tile maps.
 
 Transient integration sits behind a solver-strategy seam: the full-order
@@ -15,7 +16,6 @@ are interchangeable behind :class:`TransientEngine` — see ``docs/solvers.md``.
 from repro.sim.linear import LinearSolver, make_solver
 from repro.sim.static_ir import StaticIRAnalysis, StaticIRResult, run_static_analysis
 from repro.sim.transient import (
-    INTEGRATION_METHODS,
     SOLVER_MODES,
     FullOrderStrategy,
     TransientEngine,
@@ -45,7 +45,6 @@ __all__ = [
     "ReducedOrderStrategy",
     "ROMOptions",
     "ROMRunStats",
-    "INTEGRATION_METHODS",
     "SOLVER_MODES",
     "DynamicNoiseAnalysis",
     "DynamicNoiseResult",

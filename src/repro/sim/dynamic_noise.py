@@ -99,8 +99,13 @@ class DynamicNoiseAnalysis:
         """The underlying transient engine."""
         return self._engine
 
-    def _reduce(self, transient: TransientResult, runtime_seconds: float) -> DynamicNoiseResult:
-        """Reduce one transient result to the per-tile worst-case noise map."""
+    def _reduce(self, transient: TransientResult) -> DynamicNoiseResult:
+        """Reduce one transient result to the per-tile worst-case noise map.
+
+        The result's ``runtime_seconds`` is the trace's share of its transient
+        block plus this reduction's own time.
+        """
+        started = time.perf_counter()
         design = self._design
         die_noise = transient.max_droop_per_node[: design.mna.num_die_nodes]
         tile_values = per_tile_maximum(
@@ -113,7 +118,7 @@ class DynamicNoiseAnalysis:
             worst_noise=transient.worst_droop,
             worst_time_index=transient.worst_time_index,
             hotspot_map=tile_noise > design.spec.hotspot_threshold,
-            runtime_seconds=runtime_seconds,
+            runtime_seconds=transient.runtime_seconds + time.perf_counter() - started,
         )
 
     def run(self, trace: CurrentTrace) -> DynamicNoiseResult:
@@ -144,9 +149,11 @@ class DynamicNoiseAnalysis:
         block back-substitution for the whole batch instead of one solve per
         vector.  Noise maps agree with per-vector :meth:`run` calls to
         solver rounding (a few ULPs at worst) and are deterministic for a
-        given batch decomposition; the ``runtime_seconds`` bookkeeping also
-        differs — the batch wall-clock time is split evenly across the
-        vectors, since individual solves are no longer separable.
+        given batch decomposition.  Each vector's ``runtime_seconds`` is its
+        share of the lockstep block that integrated it (block solves are not
+        separable per vector) plus its own tile reduction, so vectors in
+        different blocks carry different times.  In gated ROM runs a vector
+        carries the time of the path that produced its label.
 
         Parameters
         ----------
@@ -166,12 +173,9 @@ class DynamicNoiseAnalysis:
         faults.active().before_solve(self._design.name, len(traces))
         started = time.perf_counter()
         transients = self._engine.run_many(traces, batch_size=batch_size)
-        results = [self._reduce(transient, 0.0) for transient in transients]
+        results = [self._reduce(transient) for transient in transients]
         elapsed = time.perf_counter() - started
         obs.metrics().histogram("sim.analysis_seconds").observe(elapsed)
-        share = elapsed / len(traces)
-        for result in results:
-            result.runtime_seconds = share
         _LOG.debug(
             "dynamic noise batch on %s: %d vectors in %.2f s",
             self._design.name,

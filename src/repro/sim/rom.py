@@ -2,7 +2,7 @@
 
 Datagen throughput is bounded by the full-order transient solver: every time
 stamp of every test vector is one sparse back-substitution against the
-companion system ``S = G + G_L(dt) + cap_factor * C / dt``.  This module
+backward-Euler companion system ``S = G + G_L(dt) + C / dt``.  This module
 replays the *same* companion-model iteration in a small subspace instead:
 
 1. **Basis construction** (truncated block Krylov / moment matching): the
@@ -355,11 +355,6 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         """Number of basis columns actually kept after rank truncation."""
         return int(self._basis.shape[1])
 
-    @property
-    def basis(self) -> np.ndarray:
-        """The orthonormal projection basis ``V``, shape ``(N, r)``."""
-        return self._basis
-
     def run_block(self, traces: list[CurrentTrace]) -> list[TransientResult]:
         """Lockstep reduced-order integration of equal-length traces.
 
@@ -379,16 +374,10 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         num_nodes = mna.num_nodes
         num_traces = len(traces)
         num_steps = traces[0].num_steps
-        trapezoidal = options.method == "trapezoidal"
         basis = self._basis
         rank = basis.shape[1]
         currents = np.stack([trace.currents for trace in traces])  # (V, T, L)
-
-        if options.initial_state == "dc":
-            droop, inductor_current = full._dc_state(currents[:, 0, :])
-        else:
-            droop = np.zeros((num_nodes, num_traces))
-            inductor_current = np.zeros((mna.num_inductors, num_traces))
+        droop, inductor_current = full._dc_state(currents[:, 0, :])
 
         # Pre-applied load drive of every stamp: one GEMM for the whole block.
         flat = np.ascontiguousarray(currents.transpose(2, 1, 0)).reshape(
@@ -403,8 +392,6 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         ind_companion = full.ind_companion[:, np.newaxis]
         has_inductors = bool(mna.num_inductors)
         applied = step_matrix @ state  # F z, carried across steps
-        cap_term = np.zeros((rank, num_traces))  # S_r⁻¹ c_r (trapezoidal only)
-        branch_voltage = ind_proj.T @ state if has_inductors else None
 
         # The DC droop is known exactly — seed the maxima with it rather than
         # with its in-subspace projection.
@@ -449,28 +436,12 @@ class ReducedOrderStrategy(TransientSolverStrategy):
             pending = []
 
         for step in range(1, num_steps):
-            # z' = F z + S_r⁻¹(c_r + B u_t - E h_t); ``applied`` carries F z.
-            rhs = applied + drive[:, step, :]
-            if trapezoidal:
-                rhs += cap_term
+            # z' = F z + S_r⁻¹(B u_t - E h_t); ``applied`` carries F z.
+            state = applied + drive[:, step, :]
             if has_inductors:
-                if trapezoidal:
-                    history = inductor_current + ind_companion * branch_voltage
-                else:
-                    history = inductor_current
-                rhs -= ind_gain @ history
-            new_applied = step_matrix @ rhs
-            if has_inductors:
-                branch_voltage = ind_proj.T @ rhs
-                if trapezoidal:
-                    inductor_current = history + ind_companion * branch_voltage
-                else:
-                    inductor_current = inductor_current + ind_companion * branch_voltage
-            if trapezoidal:
-                # c_r' = D_r (z' - z) - c_r, kept in pre-applied form.
-                cap_term = new_applied - applied - cap_term
-            state = rhs
-            applied = new_applied
+                state -= ind_gain @ inductor_current
+                inductor_current = inductor_current + ind_companion * (ind_proj.T @ state)
+            applied = step_matrix @ state
             pending.append(state)
             if len(pending) >= chunk_steps:
                 flush()

@@ -7,8 +7,9 @@ that the system matrix is constant and a single sparse factorisation is
 reused for every time stamp — exactly the "series of static analyses with the
 same matrix" structure the paper describes (Sec. 2).
 
-Backward Euler (default, L-stable) and the trapezoidal rule (second-order,
-used to validate accuracy) are provided.
+The integrator is backward Euler (first order, L-stable), started from the
+DC operating point of each trace's first stamp, so no artificial power-on
+transient enters the labels.
 
 The integration itself sits behind a **solver-strategy seam**
 (:class:`TransientSolverStrategy`): :class:`FullOrderStrategy` is the classic
@@ -42,9 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 _LOG = get_logger("sim.transient")
 
-#: Supported integration methods.
-INTEGRATION_METHODS = ("backward_euler", "trapezoidal")
-
 #: Supported solver strategies (see ``docs/solvers.md``).
 SOLVER_MODES = ("full", "rom")
 
@@ -55,11 +53,6 @@ class TransientOptions:
 
     Attributes
     ----------
-    method:
-        ``"backward_euler"`` or ``"trapezoidal"``.
-    initial_state:
-        ``"dc"`` starts from the DC solution of the first time stamp
-        (no artificial power-on transient); ``"zero"`` starts from rest.
     store_waveform:
         Keep the full ``(T, N)`` droop waveform.  Worst-case noise analysis
         only needs the running maximum, so this defaults to off.
@@ -75,19 +68,11 @@ class TransientOptions:
         defaults.
     """
 
-    method: str = "backward_euler"
-    initial_state: str = "dc"
     store_waveform: bool = False
     solver_mode: str = "full"
     rom: Optional["ROMOptions"] = None
 
     def __post_init__(self) -> None:
-        if self.method not in INTEGRATION_METHODS:
-            raise ValueError(
-                f"unknown integration method {self.method!r}; expected one of {INTEGRATION_METHODS}"
-            )
-        if self.initial_state not in ("dc", "zero"):
-            raise ValueError(f"initial_state must be 'dc' or 'zero', got {self.initial_state!r}")
         if self.solver_mode not in SOLVER_MODES:
             raise ValueError(
                 f"unknown solver mode {self.solver_mode!r}; expected one of {SOLVER_MODES}"
@@ -125,6 +110,10 @@ class TransientResult:
         Name of the strategy that produced this result (``"full"`` or
         ``"rom"``) — in gated ROM runs the validation sample comes back
         ``"full"``.
+    runtime_seconds:
+        This trace's share of the wall clock of the strategy block that
+        produced it (block time divided by the traces in the block); set by
+        :meth:`TransientEngine.run_many`.
     """
 
     max_droop_per_node: np.ndarray
@@ -135,6 +124,7 @@ class TransientResult:
     dt: float
     waveform: Optional[VoltageWaveform] = None
     solver: str = "full"
+    runtime_seconds: float = 0.0
 
 
 class TransientSolverStrategy(abc.ABC):
@@ -158,8 +148,8 @@ class TransientSolverStrategy(abc.ABC):
 class FullOrderStrategy(TransientSolverStrategy):
     """The full-order companion-model integrator (the classic path).
 
-    Building the strategy assembles and factorises the companion system
-    ``S = G + G_L(dt) + cap_factor * C / dt`` once; every block afterwards
+    Building the strategy assembles and factorises the backward-Euler
+    companion system ``S = G + G_L(dt) + C / dt`` once; every block afterwards
     is back-substitution against that factorisation.  This is the reference
     every other strategy is validated against: its results define the
     ground-truth labels of the corpus format.
@@ -172,16 +162,9 @@ class FullOrderStrategy(TransientSolverStrategy):
         self._dt = dt
         self._options = options
 
-        if options.method == "backward_euler":
-            cap_factor = 1.0
-            ind_factor = 1.0
-        else:  # trapezoidal
-            cap_factor = 2.0
-            ind_factor = 0.5
-
-        self._cap_companion = cap_factor * mna.cap_diag / dt
+        self._cap_companion = mna.cap_diag / dt
         if mna.num_inductors:
-            self._ind_companion = ind_factor * dt / mna.ind_value
+            self._ind_companion = dt / mna.ind_value
         else:
             self._ind_companion = np.empty(0)
 
@@ -221,16 +204,16 @@ class FullOrderStrategy(TransientSolverStrategy):
 
     @property
     def cap_companion(self) -> np.ndarray:
-        """Per-node capacitor companion conductance ``cap_factor * C / dt``."""
+        """Per-node capacitor companion conductance ``C / dt``."""
         return self._cap_companion
 
     @property
     def ind_companion(self) -> np.ndarray:
-        """Per-branch inductor companion conductance ``ind_factor * dt / L``."""
+        """Per-branch inductor companion conductance ``dt / L``."""
         return self._ind_companion
 
     def _static(self) -> LinearSolver:
-        """The lazily built static (DC) solver shared by all initial states."""
+        """The lazily built static (DC) solver of the initial state."""
         if self._static_solver is None:
             self._static_solver = make_solver(self._mna.static_conductance())
         return self._static_solver
@@ -270,15 +253,8 @@ class FullOrderStrategy(TransientSolverStrategy):
         num_nodes = mna.num_nodes
         num_traces = len(traces)
         num_steps = traces[0].num_steps
-        trapezoidal = options.method == "trapezoidal"
         currents = np.stack([trace.currents for trace in traces])  # (V, T, L)
-
-        if options.initial_state == "dc":
-            droop, inductor_current = self._dc_state(currents[:, 0, :])
-        else:
-            droop = np.zeros((num_nodes, num_traces))
-            inductor_current = np.zeros((mna.num_inductors, num_traces))
-        cap_current = np.zeros((num_nodes, num_traces))
+        droop, inductor_current = self._dc_state(currents[:, 0, :])
 
         max_droop = droop.copy()
         if num_nodes:
@@ -318,20 +294,13 @@ class FullOrderStrategy(TransientSolverStrategy):
             else:
                 np.add.at(rhs, load_nodes, step_currents[step])
             rhs += cap_companion * droop
-            if trapezoidal:
-                rhs += cap_current
             if mna.num_inductors:
-                if trapezoidal:
-                    v_ab = droop[ind_a] - np.where(ind_to_ref_col, 0.0, droop[ind_b_safe])
-                    history = inductor_current + ind_companion * v_ab
-                else:
-                    history = inductor_current
                 if unique_inductors:
-                    rhs[ind_a] -= history
+                    rhs[ind_a] -= inductor_current
                 else:
-                    np.subtract.at(rhs, ind_a, history)
+                    np.subtract.at(rhs, ind_a, inductor_current)
                 if any_internal_ind:
-                    np.add.at(rhs, ind_b_safe[~ind_to_ref], history[~ind_to_ref])
+                    np.add.at(rhs, ind_b_safe[~ind_to_ref], inductor_current[~ind_to_ref])
 
             new_droop = self._solver.solve_many(rhs)
 
@@ -339,12 +308,7 @@ class FullOrderStrategy(TransientSolverStrategy):
                 v_ab_new = new_droop[ind_a] - np.where(
                     ind_to_ref_col, 0.0, new_droop[ind_b_safe]
                 )
-                if trapezoidal:
-                    inductor_current = history + ind_companion * v_ab_new
-                else:
-                    inductor_current = inductor_current + ind_companion * v_ab_new
-            if trapezoidal:
-                cap_current = cap_companion * (new_droop - droop) - cap_current
+                inductor_current = inductor_current + ind_companion * v_ab_new
 
             droop = new_droop
             np.maximum(max_droop, droop, out=max_droop)
@@ -403,8 +367,6 @@ class TransientEngine:
         check_positive(dt, "dt")
         self._mna = mna
         self._dt = dt
-        self._options = options
-
         self._full = FullOrderStrategy(mna, dt, options)
         self._rom: Optional["ReducedOrderStrategy"] = None
         if options.solver_mode == "rom":
@@ -413,29 +375,9 @@ class TransientEngine:
             self._rom = ReducedOrderStrategy.build(self._full, options.rom)
 
     @property
-    def dt(self) -> float:
-        """Integration time step in seconds."""
-        return self._dt
-
-    @property
-    def options(self) -> TransientOptions:
-        """The option set the engine was built with."""
-        return self._options
-
-    @property
-    def mna(self) -> MNASystem:
-        """The MNA system being integrated."""
-        return self._mna
-
-    @property
     def strategy(self) -> TransientSolverStrategy:
         """The active integration strategy (full-order or ROM)."""
         return self._rom if self._rom is not None else self._full
-
-    @property
-    def full_order(self) -> FullOrderStrategy:
-        """The full-order strategy (always built; the ROM's reference)."""
-        return self._full
 
     @property
     def rom_stats(self) -> Optional["ROMRunStats"]:
@@ -535,7 +477,10 @@ class TransientEngine:
         batch_size: Optional[int],
         strategy: TransientSolverStrategy,
     ) -> list[TransientResult]:
-        """Group already-validated traces by length and run lockstep blocks."""
+        """Group already-validated traces by length and run lockstep blocks.
+
+        Each result carries its share of its block's wall clock.
+        """
         results: list[Optional[TransientResult]] = [None] * len(traces)
         groups: dict[int, list[int]] = {}
         for index, trace in enumerate(traces):
@@ -544,7 +489,11 @@ class TransientEngine:
             limit = batch_size or len(indices)
             for start in range(0, len(indices), limit):
                 chunk = indices[start:start + limit]
-                for index, result in zip(chunk, strategy.run_block([traces[i] for i in chunk])):
+                started = time.perf_counter()
+                block = strategy.run_block([traces[i] for i in chunk])
+                share = (time.perf_counter() - started) / len(chunk)
+                for index, result in zip(chunk, block):
+                    result.runtime_seconds = share
                     results[index] = result
         return results  # type: ignore[return-value]
 

@@ -42,7 +42,6 @@ from repro.workloads.specs import (
 )
 from repro.workloads.scenarios import (
     ScenarioFamily,
-    build_scenario,
     build_scenario_activity,
     build_scenario_trace,
     family_defaults,
@@ -78,7 +77,6 @@ __all__ = [
     "overlay",
     "concat",
     "mix",
-    "build_scenario",
     "build_scenario_activity",
     "build_scenario_trace",
     "family_defaults",

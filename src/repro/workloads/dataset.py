@@ -233,10 +233,10 @@ def build_dataset(
         (:meth:`DynamicNoiseAnalysis.run_many`); ``None`` means 1.  Larger
         blocks are several times faster, with noise maps that agree with
         blocks of one to solver rounding (a few ULPs).  Each sample's
-        ``sim_runtime`` is an even share of the simulator wall clock; at a
-        block size of 1 every vector is integrated on its own, so the total
-        is a sum of true per-vector measurements (the Table 2 "commercial
-        tool" column).
+        ``sim_runtime`` is its share of the block that integrated it plus its
+        own tile reduction; at a block size of 1 every vector is integrated
+        on its own, so each value is a true per-vector measurement (the
+        Table 2 "commercial tool" column).
 
     Returns
     -------

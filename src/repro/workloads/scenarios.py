@@ -39,8 +39,8 @@ Registered families (see ``docs/workloads.md`` for the full catalogue):
 * ``mixed_criticality`` — a steady base load with periodic critical bursts
   on a random subset of clusters.
 
-The legacy ``build_scenario(name, ...)`` API remains as a thin shim over
-the registry and is bit-identical to the original five scenarios.
+An all-defaults spec of one of the original five families builds a trace
+bit-identical to the original hard-coded scenario.
 """
 
 from __future__ import annotations
@@ -515,34 +515,3 @@ def build_scenario_trace(
         design, clamp_activity(activity, max_activity)
     )
     return CurrentTrace(currents, dt, name=name or f"{design.name}-{spec.label}")
-
-
-def build_scenario(
-    name: str,
-    design: Design,
-    num_steps: int = 400,
-    dt: float = 1e-11,
-    seed: RandomState = 0,
-) -> CurrentTrace:
-    """Build a named scenario trace for a design (legacy registry shim).
-
-    Equivalent to :func:`build_scenario_trace` with an all-defaults spec of
-    the named family; output is bit-identical to the original hard-coded
-    scenarios for the five legacy names.
-
-    Parameters
-    ----------
-    name:
-        One of :func:`scenario_families`.
-    design:
-        Target design.
-    num_steps / dt:
-        Trace length and time step.
-    seed:
-        Seed for the scenario's (small) random choices, e.g. which cluster
-        sprints.
-    """
-    return build_scenario_trace(
-        name, design, num_steps=num_steps, dt=dt, seed=seed,
-        name=f"{design.name}-{name}",
-    )

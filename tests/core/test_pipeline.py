@@ -151,17 +151,11 @@ class TestCorpusWiring:
         from repro.core.config import PipelineConfig
         from repro.core.pipeline import WorstCaseNoiseFramework
         from repro.pdn.designs import design_from_name
-        from repro.sim.transient import TransientOptions
-
         design = design_from_name("small@8")
         framework = WorstCaseNoiseFramework(
-            design,
-            PipelineConfig(num_vectors=8, num_steps=40, sim_batch_size=4),
-            transient_options=TransientOptions(method="trapezoidal", initial_state="zero"),
+            design, PipelineConfig(num_vectors=8, num_steps=40, sim_batch_size=4)
         )
         spec = framework.corpus_spec("small@8")
-        assert spec.integration_method == "trapezoidal"
-        assert spec.initial_state == "zero"
         assert spec.sim_batch_size == 4
         # Unset sim_batch_size maps to true per-vector simulation.
         per_vector = WorstCaseNoiseFramework(

@@ -137,8 +137,6 @@ class TestGenerateCorpus:
         task = _ShardTask(
             root=str(tmp_path), label="small", index=1,
             design_spec=spec.designs[0], sim_batch_size=spec.sim_batch_size,
-            integration_method=spec.integration_method,
-            initial_state=spec.initial_state,
         )
         outcome = _generate_shard(task)
         assert outcome["deferred"] is True

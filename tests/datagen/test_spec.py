@@ -62,8 +62,14 @@ class TestCorpusSpec:
             CorpusSpec(designs=())
 
     def test_rejects_bad_integration_method(self):
-        with pytest.raises(ValueError):
-            CorpusSpec(designs=(_design(),), integration_method="forward_euler")
+        # A corpus labelled by another integrator must not be resumed.
+        spec = CorpusSpec(designs=(_design(),))
+        assert spec.to_dict()["integration_method"] == "backward_euler"
+        assert spec.to_dict()["initial_state"] == "dc"
+        for key, value in (("integration_method", "trapezoidal"), ("initial_state", "zero")):
+            payload = {**spec.to_dict(), key: value}
+            with pytest.raises(ValueError, match=key):
+                CorpusSpec.from_dict(payload)
 
     @pytest.mark.parametrize("solver", ["direct", "cg", "bogus"])
     def test_from_dict_rejects_foreign_solver(self, solver):

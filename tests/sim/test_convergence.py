@@ -1,7 +1,7 @@
-"""Temporal convergence order of the transient integrators.
+"""Temporal convergence order of the transient integrator.
 
-An analytic reference pins the accuracy claims the engine's docstrings make:
-backward Euler is first order, the trapezoidal rule second order.  The test
+An analytic reference pins the accuracy claim the engine's docstrings make:
+backward Euler is first order.  The test
 circuit is the smallest MNA system with dynamics — one node with a
 conductance ``g`` and a capacitance ``c`` to the reference, driven by the
 (non-negative) raised-cosine load current ``i(t) = a (1 - cos w t)`` — whose
@@ -9,14 +9,14 @@ droop solves
 
     c v'(t) + g v(t) = a (1 - cos w t),   v(0) = 0
 
-in closed form.  Starting from rest at ``i(0) = 0`` both schemes start from
-*exact* initial data (``v(0) = 0`` and ``v'(0) = 0``), so the observed error
-slope is the scheme's global order, uncontaminated by start-up error.
+in closed form.  The drive draws no current at ``i(0) = 0``, so the DC
+start is *exact* initial data (``v(0) = 0`` and ``v'(0) = 0``), and the
+observed error slope is the scheme's global order, uncontaminated by
+start-up error.
 
 The grid refinement halves ``dt`` at fixed final time and measures the
 worst-case waveform error against the analytic droop; the observed order
-``log2(err(dt) / err(dt/2))`` must straddle 1 for backward Euler and 2 for
-the trapezoidal rule.
+``log2(err(dt) / err(dt/2))`` must straddle 1.
 """
 
 import numpy as np
@@ -73,39 +73,27 @@ def analytic_droop(t: np.ndarray) -> np.ndarray:
     return steady + forced + homogeneous
 
 
-def waveform_error(method: str, dt: float) -> float:
+def waveform_error(dt: float) -> float:
     """Worst-case waveform error vs the analytic droop at step ``dt``."""
     mna = rc_system()
     num_steps = round(T_FINAL / dt) + 1
     t = np.arange(num_steps) * dt
     currents = drive(t)[:, np.newaxis]
-    engine = TransientEngine(
-        mna, dt, TransientOptions(method=method, store_waveform=True)
-    )
+    engine = TransientEngine(mna, dt, TransientOptions(store_waveform=True))
     result = engine.run(CurrentTrace(currents, dt))
     return float(np.max(np.abs(result.waveform.droops[:, 0] - analytic_droop(t))))
 
 
-def observed_orders(method: str) -> list[float]:
+def observed_orders() -> list[float]:
     """Error-slope estimates across successive dt halvings."""
-    errors = [waveform_error(method, DT0 / 2**k) for k in range(REFINEMENTS)]
+    errors = [waveform_error(DT0 / 2**k) for k in range(REFINEMENTS)]
     assert all(later < earlier for earlier, later in zip(errors, errors[1:])), (
-        f"{method} error must decrease under refinement, got {errors}"
+        f"error must decrease under refinement, got {errors}"
     )
     return [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])]
 
 
 class TestConvergenceOrder:
     def test_backward_euler_is_first_order(self):
-        for order in observed_orders("backward_euler"):
+        for order in observed_orders():
             assert 0.8 < order < 1.2, f"backward Euler slope {order:.3f} is not ~1"
-
-    def test_trapezoidal_is_second_order(self):
-        for order in observed_orders("trapezoidal"):
-            assert 1.8 < order < 2.2, f"trapezoidal slope {order:.3f} is not ~2"
-
-    def test_trapezoidal_beats_backward_euler(self):
-        # At the same (resolved) step the second-order scheme is strictly
-        # more accurate — the reason it exists as the validation method.
-        dt = DT0 / 2
-        assert waveform_error("trapezoidal", dt) < waveform_error("backward_euler", dt) / 10

@@ -89,10 +89,15 @@ class TestRunManyBatched:
 
     def test_runtime_split_evenly(self, tiny_design, tiny_traces):
         analysis = DynamicNoiseAnalysis(tiny_design, tiny_traces[0].dt)
+        # One lockstep block: its wall clock is split evenly over its traces.
+        shares = {result.runtime_seconds for result in analysis.engine.run_many(tiny_traces[:4])}
+        assert len(shares) == 1
+        assert shares.pop() > 0
+        # Each vector then adds its own tile reduction, a small fraction.
         results = analysis.run_many(tiny_traces[:4])
-        runtimes = {result.runtime_seconds for result in results}
-        assert len(runtimes) == 1
-        assert runtimes.pop() > 0
+        runtimes = np.array([result.runtime_seconds for result in results])
+        assert np.all(runtimes > 0)
+        assert np.ptp(runtimes) < runtimes.min()
 
     def test_empty_batch(self, tiny_design):
         analysis = DynamicNoiseAnalysis(tiny_design, 1e-11)

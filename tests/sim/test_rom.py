@@ -166,20 +166,6 @@ class TestValidationIndices:
 
 
 class TestReducedIntegration:
-    def test_trapezoidal_method_supported(self, tiny_design, traces):
-        full = TransientEngine(
-            tiny_design.mna, 1e-11, TransientOptions(method="trapezoidal")
-        )
-        rom = TransientEngine(
-            tiny_design.mna,
-            1e-11,
-            TransientOptions(method="trapezoidal", solver_mode="rom"),
-        )
-        reference = full.run_many(traces)
-        results = rom.run_many(traces)
-        for ours, theirs in zip(results, reference):
-            assert ours.worst_droop == pytest.approx(theirs.worst_droop, rel=1e-2)
-
     def test_waveform_reconstruction(self, tiny_design, traces):
         full = TransientEngine(
             tiny_design.mna, 1e-11, TransientOptions(store_waveform=True)

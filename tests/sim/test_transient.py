@@ -20,19 +20,21 @@ def _step_trace(design, steps: int, dt: float, step_at: int) -> CurrentTrace:
 
 
 class TestTransientOptions:
+    # Backward Euler from the DC operating point is the only integrator, so
+    # the options have no knob that could name another one.
     def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            TransientOptions(method="forward_euler")
+        with pytest.raises(TypeError):
+            TransientOptions(method="trapezoidal")
 
     def test_rejects_unknown_initial_state(self):
-        with pytest.raises(ValueError):
-            TransientOptions(initial_state="warm")
+        with pytest.raises(TypeError):
+            TransientOptions(initial_state="zero")
 
 
 class TestTransientEngine:
     def test_constant_current_stays_at_dc(self, tiny_design):
         dt = 1e-11
-        engine = TransientEngine(tiny_design.mna, dt, TransientOptions(initial_state="dc"))
+        engine = TransientEngine(tiny_design.mna, dt)
         trace = _constant_trace(tiny_design, 1.0, 40, dt)
         result = engine.run(trace)
         static = StaticIRAnalysis(tiny_design.mna).solve(tiny_design.loads.nominal_currents)
@@ -42,9 +44,7 @@ class TestTransientEngine:
 
     def test_step_overshoots_dc_level(self, tiny_design):
         dt = 1e-11
-        engine = TransientEngine(
-            tiny_design.mna, dt, TransientOptions(initial_state="zero", store_waveform=True)
-        )
+        engine = TransientEngine(tiny_design.mna, dt, TransientOptions(store_waveform=True))
         result = engine.run(_step_trace(tiny_design, 300, dt, step_at=30))
         static = StaticIRAnalysis(tiny_design.mna).solve(tiny_design.loads.nominal_currents)
         # Dynamic first droop exceeds the static level (package resonance).
@@ -66,36 +66,23 @@ class TestTransientEngine:
 
     def test_max_droop_matches_stored_waveform(self, tiny_design):
         dt = 1e-11
-        engine = TransientEngine(
-            tiny_design.mna, dt, TransientOptions(initial_state="zero", store_waveform=True)
-        )
+        engine = TransientEngine(tiny_design.mna, dt, TransientOptions(store_waveform=True))
         result = engine.run(_step_trace(tiny_design, 120, dt, step_at=20))
         np.testing.assert_allclose(
             result.max_droop_per_node, result.waveform.droops.max(axis=0), rtol=1e-12
         )
-
-    def test_trapezoidal_close_to_backward_euler(self, tiny_design):
-        dt = 5e-12
-        trace = _step_trace(tiny_design, 200, dt, step_at=20)
-        backward = TransientEngine(
-            tiny_design.mna, dt, TransientOptions(method="backward_euler", initial_state="zero")
-        ).run(trace)
-        trapezoid = TransientEngine(
-            tiny_design.mna, dt, TransientOptions(method="trapezoidal", initial_state="zero")
-        ).run(trace)
-        assert trapezoid.worst_droop == pytest.approx(backward.worst_droop, rel=0.15)
 
     def test_backward_euler_converges_with_dt(self, tiny_design):
         # Halving dt should change the worst droop only moderately (first-order
         # convergence); a blow-up would indicate an unstable companion model.
         coarse_dt, fine_dt = 2e-11, 1e-11
         steps = 150
-        coarse = TransientEngine(
-            tiny_design.mna, coarse_dt, TransientOptions(initial_state="zero")
-        ).run(_step_trace(tiny_design, steps, coarse_dt, 20))
-        fine = TransientEngine(
-            tiny_design.mna, fine_dt, TransientOptions(initial_state="zero")
-        ).run(_step_trace(tiny_design, 2 * steps, fine_dt, 40))
+        coarse = TransientEngine(tiny_design.mna, coarse_dt).run(
+            _step_trace(tiny_design, steps, coarse_dt, 20)
+        )
+        fine = TransientEngine(tiny_design.mna, fine_dt).run(
+            _step_trace(tiny_design, 2 * steps, fine_dt, 40)
+        )
         assert fine.worst_droop == pytest.approx(coarse.worst_droop, rel=0.25)
 
     def test_dt_mismatch_rejected(self, tiny_design):
@@ -108,17 +95,15 @@ class TestTransientEngine:
         with pytest.raises(ValueError):
             engine.run(CurrentTrace(np.ones((10, 3)), 1e-11))
 
-    def test_zero_initial_state_starts_at_rest(self, tiny_design):
+    def test_trace_whose_first_stamp_draws_no_current_starts_at_rest(self, tiny_design):
         dt = 1e-11
-        engine = TransientEngine(
-            tiny_design.mna, dt, TransientOptions(initial_state="zero", store_waveform=True)
-        )
+        engine = TransientEngine(tiny_design.mna, dt, TransientOptions(store_waveform=True))
         result = engine.run(_step_trace(tiny_design, 30, dt, step_at=10))
         np.testing.assert_allclose(result.waveform.droops[0], 0.0, atol=1e-15)
 
     def test_worst_time_index_in_range(self, tiny_design):
         dt = 1e-11
-        engine = TransientEngine(tiny_design.mna, dt, TransientOptions(initial_state="zero"))
+        engine = TransientEngine(tiny_design.mna, dt)
         result = engine.run(_step_trace(tiny_design, 100, dt, step_at=50))
         assert 0 <= result.worst_time_index < 100
         # The worst droop happens after the current step is applied.
@@ -132,11 +117,9 @@ class TestRunMany:
         "options",
         [
             TransientOptions(),
-            TransientOptions(method="trapezoidal"),
-            TransientOptions(initial_state="zero"),
             TransientOptions(store_waveform=True),
         ],
-        ids=["backward_euler", "trapezoidal", "zero_init", "waveform"],
+        ids=["backward_euler", "waveform"],
     )
     def test_matches_per_trace_run(self, tiny_design, tiny_traces, options):
         engine = TransientEngine(tiny_design.mna, tiny_traces[0].dt, options)
@@ -227,10 +210,9 @@ class TestSolverSeam:
         monkeypatch.setattr(transient, "make_solver", counting)
         return calls
 
-    @pytest.mark.parametrize("initial_state, expected", [("dc", 2), ("zero", 1)])
-    def test_factorisations_per_run(self, tiny_design, factor_calls, initial_state, expected):
+    def test_factorisations_per_run(self, tiny_design, factor_calls):
         dt = 1e-11
-        engine = TransientEngine(tiny_design.mna, dt, TransientOptions(initial_state=initial_state))
+        engine = TransientEngine(tiny_design.mna, dt)
         engine.run(_constant_trace(tiny_design, 1.0, 10, dt))
-        # The companion system, plus the static (DC) system for "dc" runs.
-        assert len(factor_calls) == expected
+        # The companion system, plus the static system of the DC start.
+        assert len(factor_calls) == 2

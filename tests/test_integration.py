@@ -13,7 +13,7 @@ import repro
 from repro.core import ModelConfig, PipelineConfig, TrainingConfig, WorstCaseNoiseFramework
 from repro.io import ExperimentRecord, format_table
 from repro.sim import DynamicNoiseAnalysis, run_static_analysis
-from repro.workloads import build_scenario
+from repro.workloads import build_scenario_trace
 
 
 class TestPublicApi:
@@ -41,8 +41,12 @@ class TestStaticVsDynamicConsistency:
     def test_scenarios_produce_distinct_noise_levels(self, tiny_design):
         dt = 1e-11
         analysis = DynamicNoiseAnalysis(tiny_design, dt)
-        virus = analysis.run(build_scenario("power_virus", tiny_design, num_steps=120, dt=dt))
-        steady = analysis.run(build_scenario("steady_state", tiny_design, num_steps=120, dt=dt))
+        virus = analysis.run(
+            build_scenario_trace("power_virus", tiny_design, num_steps=120, dt=dt)
+        )
+        steady = analysis.run(
+            build_scenario_trace("steady_state", tiny_design, num_steps=120, dt=dt)
+        )
         assert virus.worst_noise > steady.worst_noise
 
 

@@ -123,8 +123,15 @@ class TestBatchedBuild:
         batched = build_dataset(
             tiny_design, tiny_traces[:4], compression_rate=0.4, sim_batch_size=4
         )
-        runtimes = {sample.sim_runtime for sample in batched.samples}
-        assert len(runtimes) == 1
+        # The block's even share, plus each vector's (small) tile reduction.
+        runtimes = np.array([sample.sim_runtime for sample in batched.samples])
+        assert np.all(runtimes > 0)
+        assert np.ptp(runtimes) < runtimes.min()
+
+    def test_unbatched_runtime_is_per_vector(self, tiny_design, tiny_traces):
+        dataset = build_dataset(tiny_design, tiny_traces[:4], compression_rate=0.4)
+        runtimes = {sample.sim_runtime for sample in dataset.samples}
+        assert len(runtimes) == 4 and min(runtimes) > 0
 
 
 class TestMergeDatasets:

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from repro.utils.random import ensure_rng
-from repro.workloads.scenarios import build_scenario, build_scenario_trace, scenario_families
+from repro.workloads.scenarios import build_scenario_trace, scenario_families
 
 
 def _legacy_reference(name, design, num_steps, dt, seed):
     """In-test replica of the pre-registry scenario closures.
 
-    ``build_scenario`` promises bit-identical output for the five legacy
-    names; this replica is the frozen pre-refactor math it is held against.
+    ``build_scenario_trace`` promises bit-identical output for the five
+    legacy families at their defaults; this replica is the frozen
+    pre-refactor math it is held against.
     """
     rng = ensure_rng(seed)
     num_profiles = design.loads.num_clusters + 1
@@ -64,7 +65,7 @@ class TestBuildScenario:
     @pytest.mark.parametrize("name", ["idle_to_turbo", "power_virus", "clock_gating_storm",
                                       "single_core_sprint", "steady_state"])
     def test_all_scenarios_build(self, tiny_design, name):
-        trace = build_scenario(name, tiny_design, num_steps=60)
+        trace = build_scenario_trace(name, tiny_design, num_steps=60)
         assert trace.num_steps == 60
         assert trace.num_loads == tiny_design.num_loads
         assert trace.currents.min() >= 0
@@ -72,45 +73,39 @@ class TestBuildScenario:
 
     def test_unknown_scenario_rejected(self, tiny_design):
         with pytest.raises(ValueError):
-            build_scenario("quantum_storm", tiny_design)
+            build_scenario_trace("quantum_storm", tiny_design)
 
     def test_power_virus_draws_most_current(self, tiny_design):
-        virus = build_scenario("power_virus", tiny_design, num_steps=80)
-        steady = build_scenario("steady_state", tiny_design, num_steps=80)
+        virus = build_scenario_trace("power_virus", tiny_design, num_steps=80)
+        steady = build_scenario_trace("steady_state", tiny_design, num_steps=80)
         assert virus.total_current().max() > steady.total_current().max()
 
     def test_idle_to_turbo_is_monotone_overall(self, tiny_design):
-        trace = build_scenario("idle_to_turbo", tiny_design, num_steps=100)
+        trace = build_scenario_trace("idle_to_turbo", tiny_design, num_steps=100)
         totals = trace.total_current()
         assert totals[-1] > totals[0]
 
     def test_steady_state_has_low_variation(self, tiny_design):
-        trace = build_scenario("steady_state", tiny_design, num_steps=50)
+        trace = build_scenario_trace("steady_state", tiny_design, num_steps=50)
         totals = trace.total_current()
         assert totals.std() / totals.mean() < 1e-9
 
     def test_rejects_bad_arguments(self, tiny_design):
         with pytest.raises(ValueError):
-            build_scenario("power_virus", tiny_design, num_steps=1)
+            build_scenario_trace("power_virus", tiny_design, num_steps=1)
         with pytest.raises(ValueError):
-            build_scenario("power_virus", tiny_design, dt=0.0)
+            build_scenario_trace("power_virus", tiny_design, dt=0.0)
 
     def test_reproducible_with_seed(self, tiny_design):
-        a = build_scenario("single_core_sprint", tiny_design, num_steps=40, seed=5)
-        b = build_scenario("single_core_sprint", tiny_design, num_steps=40, seed=5)
+        a = build_scenario_trace("single_core_sprint", tiny_design, num_steps=40, seed=5)
+        b = build_scenario_trace("single_core_sprint", tiny_design, num_steps=40, seed=5)
         np.testing.assert_allclose(a.currents, b.currents)
 
     @pytest.mark.parametrize("name", ["idle_to_turbo", "power_virus", "clock_gating_storm",
                                       "single_core_sprint", "steady_state"])
     @pytest.mark.parametrize("num_steps,seed", [(60, 0), (101, 7)])
     def test_legacy_scenarios_bit_identical(self, tiny_design, name, num_steps, seed):
-        trace = build_scenario(name, tiny_design, num_steps=num_steps, seed=seed)
+        trace = build_scenario_trace(name, tiny_design, num_steps=num_steps, seed=seed)
         reference = _legacy_reference(name, tiny_design, num_steps, 1e-11, seed)
         np.testing.assert_array_equal(trace.currents, reference)
         assert trace.name == f"{tiny_design.name}-{name}"
-
-    def test_shim_matches_build_scenario_trace(self, tiny_design):
-        shim = build_scenario("power_virus", tiny_design, num_steps=50, seed=2)
-        direct = build_scenario_trace("power_virus", tiny_design, num_steps=50, seed=2)
-        np.testing.assert_array_equal(shim.currents, direct.currents)
-        assert shim.name == direct.name
