@@ -2,14 +2,15 @@
 
 Sec. 3.4.4 training is the stage the paper's Table 2 runtime comparison
 amortises over.  The engine normalises partitions once into stacked tensors,
-builds one autograd graph per minibatch (tape-recorded backward, pooled
+builds one autograd graph per minibatch (a depth-first backward walk, pooled
 im2col workspaces) and takes a fused flat-buffer Adam step.  This benchmark
 times a full training run at the quick-preset and paper-style minibatch sizes
 (best of ``ROUNDS``) on 8 x 8 tiles, and the seconds per optimizer step on
 D1@0.5 (25 x 25 tiles, 8 vectors x ~60 stamps a minibatch — the row whose
-fusion subnet records several stamp blocks per step).  It appends the
-absolute ``batched_s`` per batch size and the D1@0.5 ``s_per_step`` to the
-repo-root ``BENCH_training.json`` trajectory; records also land in
+fusion subnet runs several stamp blocks per step), plus the tracemalloc peak
+of one such step.  It appends the absolute ``batched_s`` per batch size and
+the D1@0.5 ``s_per_step`` and ``step_peak_mb`` to the repo-root
+``BENCH_training.json`` trajectory; records also land in
 ``benchmarks/results/training.{json,csv}``.  The engine's loss curves are
 pinned by ``tests/core/data/golden_training.npz`` in the tier-1 suite.
 """
@@ -17,6 +18,7 @@ pinned by ``tests/core/data/golden_training.npz`` in the tier-1 suite.
 from __future__ import annotations
 
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +80,35 @@ def _d1_workload():
     return design, dataset, split
 
 
-def _train(design, dataset, split, batch_size: int, epochs: int = EPOCHS):
-    trainer = NoiseModelTrainer(
+def _step_peak_mb(design, dataset, split) -> float:
+    """The largest tracemalloc peak of one optimizer step of a 1-epoch run, in MB.
+
+    Each peak is counted above what was live when its step began, so it is
+    the step's own working set: whatever the forward keeps for backward,
+    plus the backward's and the optimizer's transients.
+    """
+    peaks = []
+
+    class PeakTracingTrainer(NoiseModelTrainer):
+        def _train_step(self, *args):
+            tracemalloc.reset_peak()
+            live, _ = tracemalloc.get_traced_memory()
+            loss = super()._train_step(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - live)
+            return loss
+
+    tracemalloc.start()
+    try:
+        _train(design, dataset, split, D1_BATCH, epochs=1, trainer=PeakTracingTrainer)
+    finally:
+        tracemalloc.stop()
+    return max(peaks) / 2**20
+
+
+def _train(
+    design, dataset, split, batch_size: int, epochs: int = EPOCHS, trainer=NoiseModelTrainer
+):
+    trainer = trainer(
         dataset,
         design=design,
         split=split,
@@ -101,7 +130,9 @@ _TRAJECTORY_HEADER = {
     "rows": {
         "4, 8": "batched_s: best-of-3 seconds per 8-epoch run at that batch size, 8 x 8 tiles",
         "D1@0.5_bs8": "s_per_step: best-of-3 seconds per optimizer step of a 1-epoch run "
-        "(its validation pass included), 25 x 25 tiles, 8 vectors x ~60 stamps a minibatch",
+        "(its validation pass included), 25 x 25 tiles, 8 vectors x ~60 stamps a minibatch; "
+        "step_peak_mb: the largest tracemalloc peak of one of its optimizer steps, above "
+        "what was live when the step began",
     },
 }
 
@@ -132,10 +163,18 @@ def test_training_wall_clock(benchmark):
     seconds, result = best_of(ROUNDS, lambda: _train(design, dataset, split, D1_BATCH, epochs=1))
     assert np.all(np.isfinite(result.history.train_loss))
     stamps = float(np.mean([dataset.samples[int(i)].features.num_steps for i in split.train]))
-    results["D1@0.5_bs8"] = {"s_per_step": seconds / steps, "steps": steps, "mean_stamps": stamps}
+    step_peak_mb = _step_peak_mb(design, dataset, split)
+    results["D1@0.5_bs8"] = {
+        "s_per_step": seconds / steps,
+        "step_peak_mb": step_peak_mb,
+        "steps": steps,
+        "mean_stamps": stamps,
+    }
     records.append(
         ExperimentRecord(
-            "training", "d1_bs8", {"s_per_step": seconds / steps, "steps": steps}
+            "training",
+            "d1_bs8",
+            {"s_per_step": seconds / steps, "step_peak_mb": step_peak_mb, "steps": steps},
         )
     )
 

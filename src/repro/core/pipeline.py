@@ -188,8 +188,8 @@ class WorstCaseNoiseFramework:
         Translates the pipeline configuration (vector count, trace length,
         dt, compression, seed) into a
         :class:`repro.datagen.CorpusDesignSpec`.  The slice carries only
-        the data-shape fields; the simulation options (integration method,
-        initial state, solver) live on the enclosing
+        the data-shape fields; the simulation options (solver mode and ROM
+        options) live on the enclosing
         :class:`repro.datagen.CorpusSpec` — use :meth:`corpus_spec` to get
         a complete spec that matches this framework's transient options
         too.
@@ -237,10 +237,9 @@ class WorstCaseNoiseFramework:
         Unlike :meth:`corpus_design_spec` alone, the returned
         :class:`repro.datagen.CorpusSpec` also maps ``config.sim_batch_size``
         onto the corpus batch size (``None`` becomes 1, i.e. true per-vector
-        simulation) — so ``generate_corpus(framework.corpus_spec(ref), root)``
-        labels what :meth:`build_dataset` would simulate in-process with the
-        full-order solver (the corpus always uses the default
-        ``solver_mode``).
+        simulation) and carries the framework's ``solver_mode`` and ``rom``
+        options — so ``generate_corpus(framework.corpus_spec(ref), root)``
+        labels what :meth:`build_dataset` would simulate in-process.
 
         Parameters
         ----------
@@ -256,6 +255,8 @@ class WorstCaseNoiseFramework:
         return CorpusSpec(
             designs=(self.corpus_design_spec(design_reference, label, shard_size),),
             sim_batch_size=self.config.sim_batch_size or 1,
+            solver_mode=self.transient_options.solver_mode,
+            rom=self.transient_options.rom,
         )
 
     def train(self, dataset: NoiseDataset, split: Optional[DatasetSplit] = None) -> TrainingResult:

@@ -23,16 +23,19 @@ import numpy as np
 
 from repro.nn import Conv2d, ConvTranspose2d, Module, ReLU, Sequential, Tensor, as_tensor, cat
 from repro.nn.conv import (
+    conv2d_gradients,
     conv2d_padded,
     fill_halo,
     halo_workspace,
     pad_workspace,
+    saved_once,
     subpixel_phases,
     subpixel_plan,
+    transposed_gradients,
     write_phases,
 )
 from repro.nn.kernels import release_workspace
-from repro.nn.tensor import grad_enabled
+from repro.nn.tensor import Context, Function, grad_enabled
 from repro.utils.random import ensure_rng
 
 #: Byte budget of one block of the fusion subnet, inference and training
@@ -181,11 +184,12 @@ class CurrentFusionNet(Module):
     vectors of any length with shared weights).  The input has one channel;
     the output is again a single-channel map per stamp.
 
-    The stamps run in blocks of :meth:`block_size` maps: under ``no_grad``
-    through the fused loop of :meth:`_forward_blocks`, with a recorded graph
-    through the layers, one graph per block, whose outputs are concatenated.
-    Both give the same maps to the bit; a backward pass sums the weight and
-    bias gradients block by block, which only reassociates the batch sums.
+    The layers run as one :class:`FusionFunction`: one loop over blocks of
+    :meth:`block_size` stamps whose activations carry their padding halo,
+    and a hand-written adjoint that walks each block's layers in reverse.
+    A recording forward keeps each block's halo workspaces for the adjoint
+    instead of handing them back to the pool; the maps are the same to the
+    bit with or without ``no_grad``.
     """
 
     def __init__(self, hidden_channels: int = 8, kernel_size: int = 3, seed: int = 0):
@@ -218,76 +222,133 @@ class CurrentFusionNet(Module):
     def forward(self, current_maps: Tensor) -> Tensor:
         """Map per-stamp maps ``(T, 1, m, n)`` to per-stamp responses ``(T, 1, m, n)``."""
         current_maps = as_tensor(current_maps)
-        if current_maps.ndim != 4 or current_maps.shape[1] != 1:
+        if current_maps.ndim != 4 or current_maps.shape[1] != 1 or len(current_maps) == 0:
             raise ValueError(
-                f"current maps must have shape (T, 1, m, n), got {current_maps.shape}"
+                f"current maps must have shape (T, 1, m, n) with T >= 1, got {current_maps.shape}"
             )
-        if not grad_enabled():
-            return Tensor(self._forward_blocks(current_maps.data))
-        total, _, height, width = current_maps.shape
-        step = self.block_size(height, width, self._result_dtype(current_maps.data))
-        blocks = []
-        for start in range(0, total, step):
-            # Slicing a non-grad input records no node, so the first layer
-            # still skips its input gradient.
-            encoded = self.encoder(current_maps[start : start + step])
-            upsampled = self.decoder_up(encoded, output_size=(height, width)).relu()
-            blocks.append(self.decoder_out(upsampled))
-        return blocks[0] if len(blocks) == 1 else cat(blocks, axis=0)
-
-    def _result_dtype(self, maps: np.ndarray) -> np.dtype:
-        """The dtype the layers compute in: ``maps`` promoted with the weights."""
-        return np.result_type(maps, *(parameter.data for parameter in self.parameters()))
-
-    def _forward_blocks(self, maps: np.ndarray) -> np.ndarray:
-        """The inference forward, one cache-sized block of stamps at a time.
-
-        Every op works per map (a batched GEMM runs one GEMM per item), so
-        blocking changes no sum.  Within a block each activation carries its
-        halo: the producer writes bias and ReLU straight into the interior
-        of the next layer's pooled pre-padded workspace and only the ring is
-        filled — edge copies ahead of a convolution, zeros ahead of the
-        deconvolution, whose bias and ReLU go onto its own phase array
-        before the phases land in place.  The workspaces are handed back
-        after each block, so the next block reuses the same cache-warm
-        buffers.
-        """
         down, _, refine, _ = self.encoder
-        up, head = self.decoder_up, self.decoder_out
+        layers = (down, refine, self.decoder_up, self.decoder_out)
+        parameters = [tensor for layer in layers for tensor in (layer.weight, layer.bias)]
+        dtype = np.result_type(current_maps.data, *(tensor.data for tensor in parameters))
+        _, _, height, width = current_maps.shape
+        return FusionFunction.apply(
+            current_maps, *parameters, layers=layers, step=self.block_size(height, width, dtype)
+        )
+
+
+class FusionFunction(Function):
+    """The fusion subnet's four layers over blocks of ``step`` stamps, with their adjoint.
+
+    Inputs: the ``(T, 1, m, n)`` maps, then the weight and bias of each of
+    ``layers`` (input conv, refine conv, deconvolution, output conv; only
+    their geometry is read).  Every op works per map (a batched GEMM runs
+    one GEMM per item), so blocking changes no map; the adjoint sums the
+    weight and bias gradients block by block, which only reassociates them.
+    """
+
+    @staticmethod
+    def forward(ctx: Context, maps: np.ndarray, *parameters, layers, step: int) -> np.ndarray:
+        """Run the blocks; every activation carries its halo.
+
+        A producer writes bias and ReLU straight into the interior of the
+        next layer's pooled pre-padded workspace and only the ring is filled
+        — edge copies ahead of a convolution, zeros ahead of the
+        deconvolution, whose bias and ReLU go onto its own phase array
+        before the phases land in place.  Under ``no_grad`` each workspace
+        goes back to the pool once consumed, so the next block takes the
+        same cache-warm buffers; a recording forward keeps them for backward.
+        """
+        down, refine, up, head = layers
+        down_w, down_b, refine_w, refine_b, up_w, up_b, head_w, head_b = parameters
+        keep = grad_enabled()
+        done = (lambda buffer: None) if keep else release_workspace
         total, _, height, width = maps.shape
-        dtype = self._result_dtype(maps)
-        output = np.empty((total, head.out_channels, height, width), dtype=dtype)
-        head_halo = (head.padding,) * 4
-        step = self.block_size(height, width, dtype)
+        output = np.empty(
+            (total, head.out_channels, height, width), dtype=np.result_type(maps, *parameters)
+        )
+        halo = (head.padding,) * 4  # the refine and output convs pad alike
+        blocks = []
         for start in range(0, total, step):
             stamps = slice(start, start + step)
             padded = pad_workspace(maps[stamps], (down.padding,) * 4, down.padding_mode)
-            hidden = _relu_into_halo(
-                conv2d_padded(padded, down.weight.data, down.stride),
-                down.bias.data,
-                (refine.padding,) * 4,
-                refine.padding_mode,
-            )
-            release_workspace(padded)
-            encoded = conv2d_padded(hidden, refine.weight.data, refine.stride)
-            release_workspace(hidden)
+            hidden = conv2d_padded(padded, down_w, down.stride)
+            downsampled = _relu_into_halo(hidden, down_b, halo, refine.padding_mode)
+            done(padded)
+            hidden = conv2d_padded(downsampled, refine_w, refine.stride)
+            done(downsampled)
             offsets, taps, pads, _ = subpixel_plan(
-                encoded.shape, up.kernel_size, up.stride, up.padding, (height, width)
+                hidden.shape, up.kernel_size, up.stride, up.padding, (height, width)
             )
-            hidden = _relu_into_halo(encoded, refine.bias.data, pads, "zeros")
-            phases = subpixel_phases(hidden, up.weight.data, taps)  # (n, s, s, C, P, Q)
-            release_workspace(hidden)
-            phases += up.bias.data.reshape(1, 1, 1, -1, 1, 1)
+            refined = _relu_into_halo(hidden, refine_b, pads, "zeros")
+            phases = subpixel_phases(refined, up_w, taps)  # (n, s, s, C, P, Q)
+            done(refined)
+            phases += up_b.reshape(1, 1, 1, -1, 1, 1)
             np.maximum(phases, 0, out=phases)
-            hidden, interior = halo_workspace(
-                (phases.shape[0], phases.shape[3], height, width), head_halo, dtype
+            upsampled, interior = halo_workspace(
+                (phases.shape[0], phases.shape[3], height, width), halo, output.dtype
             )
             write_phases(phases, offsets, interior)
-            fill_halo(hidden, head_halo, head.padding_mode)
-            block = conv2d_padded(hidden, head.weight.data, head.stride, out=output[stamps])
-            release_workspace(hidden)
-            block += head.bias.data.reshape(1, -1, 1, 1)
+            fill_halo(upsampled, halo, head.padding_mode)
+            block = conv2d_padded(upsampled, head_w, head.stride, out=output[stamps])
+            done(upsampled)
+            block += head_b.reshape(1, -1, 1, 1)
+            if keep:
+                blocks.append((stamps, padded, downsampled, refined, upsampled))
+        ctx.save(*blocks)
+        ctx.attrs.update(layers=layers, parameters=parameters, pads=pads, maps=maps)
         return output
+
+    @staticmethod
+    def backward(ctx: Context, grad: np.ndarray):
+        """Walk each block's layers in reverse; each workspace is released once consumed."""
+        blocks = saved_once(ctx, "fusion subnet")
+        down, refine, up, head = ctx.attrs["layers"]
+        pads, maps, parameters = ctx.attrs["pads"], ctx.attrs["maps"], ctx.attrs["parameters"]
+        down_w, _, refine_w, _, up_w, _, head_w, _ = parameters
+        halo = (head.padding,) * 4
+        # The maps are usually the minibatch itself: fold no input gradient then.
+        needs_input = ctx.needs_input_grad[0]
+        grad_maps = np.empty_like(maps) if needs_input else None
+        totals = [np.zeros_like(parameter) for parameter in parameters]
+        for stamps, padded, downsampled, refined, upsampled in reversed(blocks):
+            grad_head = grad[stamps]
+            head_dw, grad_up = conv2d_gradients(
+                grad_head, upsampled, head_w, head.stride, head.padding, head.padding_mode
+            )
+            grad_up = _relu_adjoint(grad_up, upsampled, halo)
+            grad_refine, up_dw = transposed_gradients(
+                grad_up, _interior(refined, pads), up_w, up.stride, up.padding, True
+            )
+            grad_refine = _relu_adjoint(grad_refine, refined, pads)
+            refine_dw, grad_down = conv2d_gradients(
+                grad_refine, downsampled, refine_w, refine.stride, refine.padding, refine.padding_mode
+            )
+            grad_down = _relu_adjoint(grad_down, downsampled, halo)
+            down_dw, grad_input = conv2d_gradients(
+                grad_down, padded, down_w, down.stride, down.padding, down.padding_mode, needs_input
+            )
+            release_workspace(padded)
+            if needs_input:
+                grad_maps[stamps] = grad_input
+            for total, part in zip(totals[::2], (down_dw, refine_dw, up_dw, head_dw)):
+                total += part
+            # A bias gradient sums its layer's output gradient.
+            for total, part in zip(totals[1::2], (grad_down, grad_refine, grad_up, grad_head)):
+                total += part.sum(axis=(0, 2, 3))
+        return (grad_maps, *totals)
+
+
+def _interior(buffer: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
+    """The interior view of a pre-padded NCHW workspace."""
+    top, bottom, left, right = pads
+    return buffer[:, :, top : buffer.shape[2] - bottom, left : buffer.shape[3] - right]
+
+
+def _relu_adjoint(grad: np.ndarray, activation: np.ndarray, pads) -> np.ndarray:
+    """Mask ``grad`` in place by a saved post-ReLU interior, then release its workspace."""
+    grad *= _interior(activation, pads) > 0
+    release_workspace(activation)
+    return grad
 
 
 def _relu_into_halo(

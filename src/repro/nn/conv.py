@@ -18,17 +18,19 @@ layer k×k-expands only the *narrower* of its two channel sides:
   phases — no scatter-add and no zero-filled target.  An ``output_size``
   crop writes only the phases that land inside it.
 
-Backward follows the same rule.  A stride-1 convolution with ``C_out <=
-C_in`` unfolds its output gradient once, with the flipped kernel, and gets
-both its weight and input gradients from that one buffer; other
-convolutions fold the input gradient with ``col2im``, and a transposed
-convolution unfolds its output gradient.  ``docs/kernels.md`` ("Which side
-a convolution unfolds") has the tap tables and the measured effect.
+Backward follows the same rule, and a recording convolution keeps only its
+padded input.  A stride-1 convolution with ``C_out <= C_in`` unfolds its
+output gradient once, with the flipped kernel, and gets both its weight and
+input gradients from that one buffer; other convolutions re-unfold the
+padded input for the weight gradient and fold the input gradient with
+``col2im``, and a transposed convolution unfolds its output gradient.
+``docs/kernels.md`` ("Which side a convolution unfolds") has the tap
+tables and the measured effect.
 
 Padding is a halo: :func:`pad_input` writes the input by slices into the
 interior of a pooled pre-padded workspace and :func:`fill_halo` fills only
-the ring.  An inference producer (see ``CurrentFusionNet``) can write its
-output straight into such an interior and skip the copy.
+the ring.  A producer (see ``CurrentFusionNet``) can write its output
+straight into such an interior and skip the copy.
 
 Array layout is NCHW throughout.
 """
@@ -213,34 +215,28 @@ def _conv_fold_first(
     return out
 
 
-def _conv_unfold_first(x_padded: np.ndarray, weight: np.ndarray, stride: int):
-    """The textbook im2col form: ``(output, columns)``; the caller owns the columns."""
-    out_channels, _, kernel, _ = weight.shape
+def conv2d_padded(
+    x_padded: np.ndarray, weight: np.ndarray, stride: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Bias-free convolution of an already padded array.
+
+    Stride-1 layers with ``C_out < C_in`` fold first (:func:`_conv_fold_first`);
+    every other layer takes the textbook im2col form.  ``out`` receives the
+    result when given.
+    """
+    out_channels, in_channels, kernel, _ = weight.shape
+    if stride == 1 and out_channels < in_channels:
+        return _conv_fold_first(x_padded, weight, out)
     batch, _, height, width = x_padded.shape
     columns = _unfold(x_padded, kernel, stride)
     # matmul broadcasts (O, F) @ (N, F, P) -> (N, O, P) straight into
     # batched GEMM; unlike einsum there is no per-call path search, which
     # matters when serving many small maps.
     output = kernels.matmul(weight.reshape(out_channels, -1), columns)
-    out_h = (height - kernel) // stride + 1
-    out_w = (width - kernel) // stride + 1
-    return output.reshape(batch, out_channels, out_h, out_w), columns
-
-
-def conv2d_padded(
-    x_padded: np.ndarray, weight: np.ndarray, stride: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Bias-free convolution of an already padded array, for inference.
-
-    Picks the same form as :class:`Conv2dFunction` (fold-first for stride-1
-    layers with ``C_out < C_in``, unfold-first otherwise), so its sums are
-    the layer's to the bit.  ``out`` receives the result when given.
-    """
-    out_channels, in_channels, _, _ = weight.shape
-    if stride == 1 and out_channels < in_channels:
-        return _conv_fold_first(x_padded, weight, out)
-    output, columns = _conv_unfold_first(x_padded, weight, stride)
     release_workspace(columns)
+    output = output.reshape(
+        batch, out_channels, (height - kernel) // stride + 1, (width - kernel) // stride + 1
+    )
     if out is None:
         return output
     np.copyto(out, output)
@@ -280,12 +276,63 @@ def _mirrored_gradients(
     return grad_weight, grad_padded
 
 
+def saved_once(ctx: Context, name: str) -> tuple:
+    """``ctx.saved`` for the one backward pass a node allows; a second one raises.
+
+    The saved buffers are pooled workspaces that the first backward pass
+    hands back, so a second pass through the same ``name`` would read
+    recycled memory.
+    """
+    if ctx.attrs.get("workspace_recycled"):
+        raise RuntimeError(
+            f"cannot backpropagate through the same {name} twice: "
+            "its workspaces were recycled by the first backward pass"
+        )
+    saved, ctx.saved = ctx.saved, ()
+    ctx.attrs["workspace_recycled"] = True
+    return saved
+
+
+def conv2d_gradients(
+    grad, x_padded, weight, stride: int, padding: int, padding_mode: str, needs_input: bool = True
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Weight and input gradients of a convolution, from its padded input.
+
+    Stride-1 layers with ``C_out <= C_in`` differentiate through
+    :func:`_mirrored_gradients`; every other layer re-unfolds the padded
+    input for its weight gradient and folds the input gradient with
+    ``col2im``.  The input gradient is ``None`` unless ``needs_input``.
+    """
+    out_channels, in_channels, kernel, _ = weight.shape
+    if stride == 1 and out_channels <= in_channels:
+        grad_weight, grad_padded = _mirrored_gradients(grad, x_padded, weight, needs_input)
+    else:
+        columns = _unfold(x_padded, kernel, stride)
+        grad_flat = grad.reshape(grad.shape[0], out_channels, -1)  # (N, O, OH*OW)
+        # (N, O, P) x (N, P, F) batched GEMM summed over the batch — same
+        # contraction as einsum("nop,nfp->of") without the per-call path search.
+        grad_weight = kernels.matmul(grad_flat, columns.swapaxes(1, 2)).sum(axis=0)
+        grad_weight = grad_weight.reshape(weight.shape)
+        release_workspace(columns)
+        grad_padded = None
+        if needs_input:
+            # Plain matmul (no out=) — numpy's out= variant takes a slower
+            # buffered path; the transient result is parked in the pool instead.
+            grad_columns = kernels.matmul(weight.reshape(out_channels, -1).T, grad_flat)
+            grad_padded = kernels.col2im(grad_columns, x_padded.shape, kernel, stride)
+            release_workspace(grad_columns)
+    if grad_padded is None:
+        return grad_weight, None
+    return grad_weight, unpad_gradient(grad_padded, padding, padding_mode)
+
+
 class Conv2dFunction(Function):
     """2-D convolution (NCHW) with stride, padding and padding-mode support.
 
-    Stride-1 layers with ``C_out <= C_in`` keep the padded input for backward
-    and differentiate through :func:`_mirrored_gradients`; every other layer
-    keeps its unfolded columns and folds the input gradient with ``col2im``.
+    A recording forward keeps only the padded input (a pooled workspace the
+    layer owns until its backward pass); :func:`conv2d_gradients` derives
+    both gradients from it, never from the ``k*k`` times larger unfolded
+    columns.
     """
 
     @staticmethod
@@ -298,92 +345,37 @@ class Conv2dFunction(Function):
         padding: int = 0,
         padding_mode: str = "zeros",
     ) -> np.ndarray:
-        out_channels, in_channels, _, _ = weight.shape
-        if x.ndim != 4 or x.shape[1] != in_channels:
+        if x.ndim != 4 or x.shape[1] != weight.shape[1]:
             raise ValueError(
                 f"input shape {x.shape} incompatible with weight shape {weight.shape}"
             )
-        recording = grad_enabled()
         x_padded = pad_input(x, padding, padding_mode)
-        mirrored = stride == 1 and out_channels <= in_channels
-        columns = None
-        if stride == 1 and out_channels < in_channels:
-            output = _conv_fold_first(x_padded, weight)
-        else:
-            output, columns = _conv_unfold_first(x_padded, weight, stride)
-            if mirrored or not recording:
-                # The unfolded columns are by far the largest forward buffer
-                # and only the col2im backward needs them, so inference
-                # (no_grad) and mirrored layers hand them straight back.
-                release_workspace(columns)
+        output = conv2d_padded(x_padded, weight, stride)
         if bias is not None:
             output += bias.reshape(1, -1, 1, 1)
-        if recording:
-            ctx.save(x_padded if mirrored else columns, weight, x_padded.shape)
-        if padding and not (mirrored and recording):
-            # A padded input is a pooled workspace: a recording mirrored
-            # layer owns it until its backward pass; everyone else is done.
+        if grad_enabled():
+            ctx.save(x_padded, weight)
+        elif padding:
             release_workspace(x_padded)
         ctx.attrs.update(
-            stride=stride,
-            padding=padding,
-            padding_mode=padding_mode,
-            has_bias=bias is not None,
-            input_shape=x.shape,
+            stride=stride, padding=padding, padding_mode=padding_mode, has_bias=bias is not None
         )
         return output
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        if ctx.attrs.get("workspace_recycled"):
-            raise RuntimeError(
-                "cannot backpropagate through the same convolution twice: "
-                "its im2col workspace was recycled by the first backward pass"
-            )
-        saved, weight, padded_shape = ctx.saved
-        ctx.saved = ()
-        ctx.attrs["workspace_recycled"] = True
-        stride = ctx.attrs["stride"]
-        padding = ctx.attrs["padding"]
+        x_padded, weight = saved_once(ctx, "convolution")
+        stride, padding = ctx.attrs["stride"], ctx.attrs["padding"]
         padding_mode = ctx.attrs["padding_mode"]
-        out_channels, in_channels, kernel, _ = weight.shape
-
-        batch = grad.shape[0]
-        grad_flat = grad.reshape(batch, out_channels, -1)  # (N, O, OH*OW)
-        grad_bias = grad_flat.sum(axis=(0, 2)) if ctx.attrs["has_bias"] else None
         # Nobody consumes the input gradient of first-layer convolutions on
         # the minibatch itself — skip it entirely.
-        needs = ctx.needs_input_grad
-        needs_input = not (needs and not needs[0])
-
-        if stride == 1 and out_channels <= in_channels:
-            grad_weight, grad_padded = _mirrored_gradients(grad, saved, weight, needs_input)
-            if padding:
-                release_workspace(saved)
-            del saved
-        else:
-            columns = saved
-            # (N, O, P) x (N, P, F) batched GEMM summed over the batch — same
-            # contraction as einsum("nop,nfp->of") without the per-call path
-            # search overhead.
-            grad_weight = (
-                kernels.matmul(grad_flat, columns.swapaxes(1, 2)).sum(axis=0).reshape(weight.shape)
-            )
-            # The columns are no longer needed past the weight gradient; hand
-            # the buffer back to the pool for the next step's forward pass.
-            release_workspace(columns)
-            del columns, saved
-            grad_padded = None
-            if needs_input:
-                # Plain matmul (no out=) — numpy's out= variant takes a
-                # slower buffered path; the transient result is parked in the
-                # pool instead.
-                grad_columns = kernels.matmul(weight.reshape(out_channels, -1).T, grad_flat)
-                grad_padded = kernels.col2im(grad_columns, padded_shape, kernel, stride)
-                release_workspace(grad_columns)
-        if grad_padded is None:
-            return None, grad_weight, grad_bias
-        return unpad_gradient(grad_padded, padding, padding_mode), grad_weight, grad_bias
+        grad_weight, grad_x = conv2d_gradients(
+            grad, x_padded, weight, stride, padding, padding_mode, ctx.needs_input_grad[0]
+        )
+        if padding:
+            release_workspace(x_padded)
+        grad_bias = grad.sum(axis=(0, 2, 3)) if ctx.attrs["has_bias"] else None
+        return grad_x, grad_weight, grad_bias
 
 
 def _subpixel_taps(kernel: int, stride: int, padding: int) -> tuple[list[int], np.ndarray]:
@@ -498,6 +490,32 @@ def write_phases(phase_maps: np.ndarray, offsets: list[int], out: np.ndarray) ->
     return out
 
 
+def transposed_gradients(
+    grad, x, weight, stride: int, padding: int, needs_input: bool
+) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """Input and weight gradients of a transposed convolution of ``x``: one unfold, two GEMMs."""
+    in_channels, out_channels, kernel, _ = weight.shape
+    batch, _, in_h, in_w = x.shape
+    # A cropped output's gradient is zero past the crop: pad it behind out
+    # to the natural size, so the unfold sees every input pixel.
+    extra_h = conv_transpose_output_size(in_h, kernel, stride, padding) - grad.shape[2]
+    extra_w = conv_transpose_output_size(in_w, kernel, stride, padding) - grad.shape[3]
+    grad_padded = pad_workspace(
+        grad, (padding, padding + extra_h, padding, padding + extra_w), "zeros"
+    )
+    grad_columns = _unfold(grad_padded, kernel, stride)  # (N, O*k*k, H*W)
+    release_workspace(grad_padded)
+    grad_x = None
+    if needs_input:
+        # Batched GEMM replacements for einsum("if,nfp->nip") — no per-call
+        # contraction-path search.
+        grad_x = kernels.matmul(weight.reshape(in_channels, -1), grad_columns).reshape(x.shape)
+    x_flat = x.reshape(batch, in_channels, in_h * in_w)
+    grad_weight = kernels.matmul(x_flat, grad_columns.swapaxes(1, 2)).sum(axis=0)
+    release_workspace(grad_columns)
+    return grad_x, grad_weight.reshape(weight.shape)
+
+
 class ConvTranspose2dFunction(Function):
     """2-D transposed convolution (NCHW), the adjoint of :class:`Conv2dFunction`.
 
@@ -524,7 +542,7 @@ class ConvTranspose2dFunction(Function):
             raise ValueError(
                 f"input shape {x.shape} incompatible with weight shape {weight.shape}"
             )
-        batch, _, in_h, in_w = x.shape
+        batch = x.shape[0]
         offsets, taps, pads, (out_h, out_w) = subpixel_plan(
             x.shape, kernel, stride, padding, output_size
         )
@@ -536,42 +554,16 @@ class ConvTranspose2dFunction(Function):
         if bias is not None:
             output += bias.reshape(1, -1, 1, 1)
         if grad_enabled():
-            ctx.save(x.reshape(batch, in_channels, in_h * in_w), weight)
-        ctx.attrs.update(
-            stride=stride, padding=padding, has_bias=bias is not None, input_shape=x.shape
-        )
+            ctx.save(x, weight)
+        ctx.attrs.update(stride=stride, padding=padding, has_bias=bias is not None)
         return output
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        x_flat, weight = ctx.saved
-        stride = ctx.attrs["stride"]
-        padding = ctx.attrs["padding"]
-        in_channels, out_channels, kernel, _ = weight.shape
-        in_h, in_w = ctx.attrs["input_shape"][2:]
-        # A cropped output's gradient is zero past the crop: pad it behind
-        # out to the natural size, so the unfold sees every input pixel.
-        extra_h = conv_transpose_output_size(in_h, kernel, stride, padding) - grad.shape[2]
-        extra_w = conv_transpose_output_size(in_w, kernel, stride, padding) - grad.shape[3]
-        grad_padded = pad_workspace(
-            grad, (padding, padding + extra_h, padding, padding + extra_w), "zeros"
+        x, weight = ctx.saved
+        grad_x, grad_weight = transposed_gradients(
+            grad, x, weight, ctx.attrs["stride"], ctx.attrs["padding"], ctx.needs_input_grad[0]
         )
-        grad_columns = _unfold(grad_padded, kernel, stride)  # (N, O*k*k, H*W)
-        release_workspace(grad_padded)
-
-        weight_matrix = weight.reshape(in_channels, out_channels * kernel * kernel)
-        needs = ctx.needs_input_grad
-        if needs and not needs[0]:
-            grad_x = None
-        else:
-            # Batched GEMM replacements for einsum("if,nfp->nip") — no
-            # per-call contraction-path search.
-            grad_x = kernels.matmul(weight_matrix, grad_columns).reshape(ctx.attrs["input_shape"])
-
-        grad_weight = (
-            kernels.matmul(x_flat, grad_columns.swapaxes(1, 2)).sum(axis=0).reshape(weight.shape)
-        )
-        release_workspace(grad_columns)
         grad_bias = grad.sum(axis=(0, 2, 3)) if ctx.attrs["has_bias"] else None
         return grad_x, grad_weight, grad_bias
 

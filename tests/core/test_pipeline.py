@@ -151,6 +151,9 @@ class TestCorpusWiring:
         from repro.core.config import PipelineConfig
         from repro.core.pipeline import WorstCaseNoiseFramework
         from repro.pdn.designs import design_from_name
+        from repro.sim import TransientOptions
+        from repro.sim.rom import ROMOptions
+
         design = design_from_name("small@8")
         framework = WorstCaseNoiseFramework(
             design, PipelineConfig(num_vectors=8, num_steps=40, sim_batch_size=4)
@@ -162,3 +165,20 @@ class TestCorpusWiring:
             design, PipelineConfig(num_vectors=8, num_steps=40)
         ).corpus_spec("small@8")
         assert per_vector.sim_batch_size == 1
+        # The default full-order framework hashes as it did before the
+        # solver options were forwarded, so its existing corpora resume.
+        assert spec.solver_mode == "full" and spec.rom is None
+        assert spec.config_hash() == (
+            "9cffe493bbfcdb713cc68c51bac54438f69b79278c2ea0a908cc4f05928aba24"
+        )
+        # A ROM framework's corpus is labelled with the same gated ROM.
+        rom = ROMOptions(rank=24)
+        framework = WorstCaseNoiseFramework(
+            design,
+            PipelineConfig(num_vectors=8, num_steps=40),
+            TransientOptions(solver_mode="rom", rom=rom),
+        )
+        spec = framework.corpus_spec("small@8")
+        assert spec.solver_mode == "rom"
+        assert spec.rom == rom
+        assert spec.transient_options() == framework.transient_options

@@ -1,5 +1,6 @@
 """Tests for repro.core.subnets."""
 
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -81,17 +82,21 @@ class TestCurrentFusionNet:
         with pytest.raises(ValueError):
             network(Tensor(rng.random((3, 2, 8, 8))))
 
+    def test_rejects_an_empty_stamp_stack(self):
+        network = CurrentFusionNet(seed=0)
+        with pytest.raises(ValueError), no_grad():
+            network(Tensor(np.zeros((0, 1, 8, 8))))
 
-def _fused(network, maps, blocked):
-    """Fusion output through the no_grad block loop, or through the recorded layer graph."""
-    if blocked:
-        with no_grad():
-            return network(Tensor(maps)).data
-    return network(Tensor(maps)).data
+
+def _layer_graph(network, maps):
+    """The oracle: the fusion layers recorded one module at a time over the whole batch."""
+    encoded = network.encoder(maps)
+    upsampled = network.decoder_up(encoded, output_size=maps.shape[2:]).relu()
+    return network.decoder_out(upsampled)
 
 
 class TestFusionBlocking:
-    """The no_grad block loop against the recorded layer graph, bit for bit."""
+    """The block Function against the recorded layer graph (maps bit for bit)."""
 
     @PROPERTY_SETTINGS
     @given(
@@ -106,9 +111,10 @@ class TestFusionBlocking:
         block = network.block_size(height, width, dtype)
         count = 1 if edge is None else block + edge  # 1, block - 1, block, block + 1
         maps = np.random.default_rng(seed).standard_normal((count, 1, height, width)).astype(dtype)
-        blocked = _fused(network, maps, blocked=True)
+        with no_grad():
+            blocked = network(Tensor(maps)).data
         assert blocked.dtype == np.dtype(dtype)
-        np.testing.assert_array_equal(blocked, _fused(network, maps, blocked=False))
+        np.testing.assert_array_equal(blocked, _layer_graph(network, Tensor(maps)).data)
 
     @PROPERTY_SETTINGS
     @given(
@@ -138,44 +144,76 @@ class TestFusionBlocking:
     @PROPERTY_SETTINGS
     @given(
         count=st.sampled_from([1, 4, 5, 6, 11]),
+        requires_grad=st.booleans(),
         height=st.integers(2, 9),
         width=st.integers(2, 9),
         seed=st.integers(0, 2**16),
     )
-    def test_recorded_blocks_match_one_block(self, count, height, width, seed):
+    def test_adjoint_matches_layer_graph(self, count, requires_grad, height, width, seed):
         # A budget of 5 maps a block; 1, block - 1, block, block + 1 and
         # 2 * block + 1 maps.  The recorded maps equal the no_grad block loop
-        # bit for bit; the gradients only reassociate the batch sums.
+        # and the unblocked layer graph bit for bit; the gradients only
+        # reassociate the batch sums.
         network = CurrentFusionNet(hidden_channels=3, seed=seed)
         per_map = 3 * (height + 2) * (width + 2) * 8  # hidden maps with halo
-        block = 5
         rng = np.random.default_rng(seed)
         maps = rng.standard_normal((count, 1, height, width))
         upstream = rng.standard_normal((count, 1, height, width))
 
-        def recorded():
+        def recorded(forward):
             network.zero_grad()
-            inputs = Tensor(maps, requires_grad=True)
-            output = network(inputs)
+            inputs = Tensor(maps, requires_grad=requires_grad)
+            output = forward(inputs)
             output.backward(upstream)
             grads = [inputs.grad] + [parameter.grad for parameter in network.parameters()]
             return output.data, grads
 
-        with mock.patch.object(subnets, "FUSION_BLOCK_BYTES", block * per_map):
-            assert network.block_size(height, width, np.float64) == block
-            blocked, blocked_grads = recorded()
+        with mock.patch.object(subnets, "FUSION_BLOCK_BYTES", 5 * per_map):
+            assert network.block_size(height, width, np.float64) == 5
+            blocked, blocked_grads = recorded(network)
             with no_grad():
                 np.testing.assert_array_equal(blocked, network(Tensor(maps)).data)
-        assert network.block_size(height, width, np.float64) > count
-        whole, whole_grads = recorded()
-        np.testing.assert_array_equal(blocked, whole)
+        oracle, oracle_grads = recorded(lambda inputs: _layer_graph(network, inputs))
+        np.testing.assert_array_equal(blocked, oracle)
         assert len(blocked_grads) == 9
-        for got, want in zip(blocked_grads, whole_grads):
-            np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert (blocked_grads[0] is not None) == requires_grad
+        for got, want in zip(blocked_grads, oracle_grads):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_recording_keeps_only_halo_workspaces(self, rng):
+        # 12 maps in blocks of 5: the Function saves each block's padded
+        # input and its three post-ReLU activations with their halos — no
+        # unfolded columns, no ReLU masks — and backward hands every one back.
+        network = CurrentFusionNet(hidden_channels=3, seed=0)
+        height, width, channels = 9, 7, 3
+        per_map = channels * (height + 2) * (width + 2) * 8
+        maps = rng.standard_normal((12, 1, height, width))
+        kernels.clear_workspace_pool()
+        with mock.patch.object(subnets, "FUSION_BLOCK_BYTES", 5 * per_map):
+            output = network(Tensor(maps))
+        saved = [buffer for _, *buffers in output._ctx.saved for buffer in buffers]
+        encoded = (-(-height // 2) + 2) * (-(-width // 2) + 2)  # stride-2 maps with halo
+        halo = (height + 2) * (width + 2)
+        per_map_saved = 8 * (halo + 2 * channels * encoded + channels * halo)
+        assert sum(buffer.nbytes for buffer in saved) == 12 * per_map_saved
+        held = Counter((buffer.shape, buffer.dtype.name) for buffer in saved)
+        assert max(held.values()) <= 4  # every one fits back into the pool
+        assert not set(held) & set(kernels.workspace_pool_stats()["keys"])
+        upstream = rng.standard_normal(output.shape)
+        output.backward(upstream)
+        pooled = kernels.workspace_pool_stats()["keys"]
+        for key, count in held.items():
+            assert pooled.get(key, 0) >= count
+        with pytest.raises(RuntimeError):
+            output.backward(upstream)
+        kernels.clear_workspace_pool()
 
     def test_first_layer_still_skips_its_input_gradient(self, rng):
-        # Blocks are cut from a non-grad input without a graph node, so the
-        # stride-2 input convolution folds no input gradient (no col2im).
+        # A non-grad input needs no input gradient, so the stride-2 input
+        # convolution folds none (no col2im).
         network = CurrentFusionNet(seed=0)
         maps = rng.standard_normal((23, 1, 9, 9))
         per_map = network.decoder_out.in_channels * 11 * 11 * 8
