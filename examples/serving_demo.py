@@ -10,9 +10,9 @@ that turns that into a multi-design screening *service*:
 2. stands up a one-shard :class:`~repro.gateway.ScreeningGateway` and
    screens a mixed stream of vectors against both designs — micro-batched,
    grouped by design, with an LRU result cache absorbing repeats,
-3. fans the named workload scenarios out across worker processes with
-   :func:`~repro.serving.sweep.screen_scenarios` and prints the aggregated
-   table.
+3. screens every named workload scenario through the same gateway — the
+   workers build each scenario's trace from its name — and prints the
+   per-scenario table.
 
 Run with:  python examples/serving_demo.py
 """
@@ -25,13 +25,11 @@ import tempfile
 from repro import (
     ModelConfig,
     PipelineConfig,
-    ScenarioJob,
     ScreeningGateway,
     TrainingConfig,
     WorstCaseNoiseFramework,
-    screen_scenarios,
 )
-from repro.io import format_table, latency_throughput_columns
+from repro.io import ExperimentRecord, format_table, latency_throughput_columns
 from repro.pdn.designs import make_design, small_test_design
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import PredictorRegistry
@@ -55,7 +53,7 @@ def quick_predictor(design):
 
 
 def serving_design(name: str):
-    """Rebuild a demo design from its registry name (used by sweep workers)."""
+    """Rebuild a demo design from its registry name (used by gateway workers)."""
     base = small_test_design(tile_rows=8, tile_cols=8, num_loads=48, seed=0)
     if name == base.name:
         return base
@@ -105,18 +103,29 @@ def main() -> None:
           f"{columns['vectors_per_sec']:.0f} vectors/s")
 
     print()
-    print("=== 3. Fan the named scenarios across worker processes ===")
-    jobs = [
-        ScenarioJob(design=design.name, scenario=scenario, num_steps=120)
-        for design in (primary, variant)
-        for scenario in scenario_families()
+    print("=== 3. Screen the named scenarios through the gateway ===")
+    designs = {design.name: design for design in (primary, variant)}
+    items = [(scenario, name) for name in designs for scenario in scenario_families()]
+    with ScreeningGateway(
+        registry.root, num_shards=1, design_factory=serving_design
+    ) as gateway:
+        results = gateway.screen(items, num_steps=120)
+    records = [
+        ExperimentRecord(
+            experiment="scenario_screen",
+            label=f"{name}:{scenario}",
+            values={
+                "worst_noise_v": result.worst_noise,
+                "mean_noise_v": float(result.noise_map.mean()),
+                "hotspot_fraction": float(
+                    result.hotspot_map(designs[name].spec.hotspot_threshold).mean()
+                ),
+            },
+        )
+        for (scenario, name), result in zip(items, results)
     ]
-    records = screen_scenarios(
-        jobs, registry.root, design_factory=serving_design, num_workers=2
-    )
-    print(format_table(records, title="Scenario sweep (predicted, no simulation)"))
-    workers = {record.values["worker_pid"] for record in records}
-    print(f"\n{len(jobs)} scenario screenings across {len(workers)} worker processes")
+    print(format_table(records, title="Scenario screening (predicted, no simulation)"))
+    print(f"\n{len(items)} scenario screenings through one gateway")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from repro.core import (
     WorstCaseNoiseFramework,
     WorstCaseNoiseNet,
 )
-from repro.serving import PredictorRegistry, ScenarioJob, screen_scenarios
+from repro.serving import PredictorRegistry
 from repro.gateway import ScreeningGateway
 from repro.datagen import (
     CorpusDesignSpec,
@@ -78,8 +78,6 @@ __all__ = [
     "WorstCaseNoiseFramework",
     "WorstCaseNoiseNet",
     "PredictorRegistry",
-    "ScenarioJob",
-    "screen_scenarios",
     "ScreeningGateway",
     "CorpusDesignSpec",
     "CorpusSpec",

@@ -29,7 +29,7 @@ from repro.nn import kernels, load_checkpoint, load_extras, no_grad, save_checkp
 from repro.nn.serialization import read_archive
 from repro.pdn.designs import Design
 from repro.sim.waveform import CurrentTrace
-from repro.utils import check_non_negative, check_positive
+from repro.utils import check_non_negative, check_positive, require_key
 from repro.workloads.dataset import NoiseDataset
 
 
@@ -330,7 +330,9 @@ class NoisePredictor:
         Checkpoints are self-contained: weights, metadata and the distance
         tensor live in the one archive.  ``dtype`` overrides the serving
         precision; otherwise the checkpoint's recorded ``serving_dtype`` is
-        used (float64 for checkpoints written before dtype was recorded).
+        used.  Raises ``ValueError`` when a metadata key is missing or the
+        stored distance tensor's shape differs from the recorded
+        ``distance_shape``.
         """
         path = Path(path)
         with read_archive(path) as data:
@@ -343,11 +345,19 @@ class NoisePredictor:
         extras = load_extras(path)
         if "distance" not in extras:
             raise ValueError(f"checkpoint {path} stores no distance tensor")
+        source = f"checkpoint {path}"
+        recorded_shape = tuple(require_key(metadata, "distance_shape", source))
+        if extras["distance"].shape != recorded_shape:
+            raise ValueError(
+                f"checkpoint {path} stores a distance tensor of shape "
+                f"{extras['distance'].shape}, its metadata records {recorded_shape}"
+            )
+        serving_dtype = require_key(metadata, "serving_dtype", source)
         return cls(
             model=model,
             normalizer=FeatureNormalizer.from_dict(metadata["normalizer"]),
             distance=extras["distance"],
             compression_rate=metadata["compression_rate"],
             rate_step=metadata["rate_step"],
-            dtype=dtype if dtype is not None else metadata.get("serving_dtype", "float64"),
+            dtype=dtype if dtype is not None else serving_dtype,
         )

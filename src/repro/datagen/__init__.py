@@ -38,7 +38,6 @@ from repro.datagen.shards import (
     ShardStore,
     dataset_content_hash,
     git_revision,
-    iter_shard_paths,
     load_corpus,
     load_design_dataset,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "ShardStore",
     "dataset_content_hash",
     "git_revision",
-    "iter_shard_paths",
     "load_corpus",
     "load_design_dataset",
 ]

@@ -27,7 +27,7 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro import faults
 from repro.datagen.spec import CorpusSpec
 from repro.io.atomic import atomic_replace
 from repro.resilience.errors import CorruptShardError
-from repro.utils import get_logger
+from repro.utils import get_logger, require_key
 from repro.utils.artifacts import atomic_write_text, git_revision
 from repro.workloads.dataset import NoiseDataset, merge_datasets
 
@@ -190,10 +190,6 @@ class CorpusManifest:
         record = self.get(label, index)
         return record is not None and record.status == "complete"
 
-    def design_records(self, label: str) -> list[ShardRecord]:
-        """Complete records of one design, ordered by shard index."""
-        return [record for record in self.records if record.label == label]
-
     def add(self, record: ShardRecord) -> None:
         """Insert or replace one shard record."""
         self._records[(record.label, record.index)] = record
@@ -248,7 +244,8 @@ class CorpusManifest:
         Raises
         ------
         ValueError
-            When the manifest schema version is unknown.
+            When the manifest schema version is unknown or its
+            ``quarantined`` section is missing.
         """
         payload = json.loads(Path(path).read_text())
         if payload.get("version") != MANIFEST_VERSION:
@@ -262,9 +259,7 @@ class CorpusManifest:
             manifest.config_hash = payload["config_hash"]
         for entry in payload.get("shards", []):
             manifest.add(ShardRecord.from_dict(entry))
-        # Tolerant read: manifests written before the resilience layer have
-        # no "quarantined" key.
-        for entry in payload.get("quarantined", []):
+        for entry in require_key(payload, "quarantined", f"manifest {path}"):
             manifest.add_quarantine(entry)
         return manifest
 
@@ -508,15 +503,3 @@ def load_corpus(
         design.label: load_design_dataset(root, design.label, verify=verify)
         for design in manifest.spec.designs
     }
-
-
-def iter_shard_paths(root: Union[str, Path]) -> Iterator[tuple[ShardRecord, Path]]:
-    """Yield ``(record, absolute path)`` for every complete shard on disk."""
-    store = ShardStore(root)
-    manifest = store.load_manifest()
-    if manifest is None:
-        return
-    for record in manifest.records:
-        path = store.root / record.path
-        if record.status == "complete" and path.exists():
-            yield record, path

@@ -42,7 +42,7 @@ from repro.nn import kernels
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.retry import RetryPolicy, retry_in_waves
 from repro.serving.registry import PredictorRegistry
-from repro.utils import get_logger
+from repro.utils import get_logger, require_key
 from repro.workloads.dataset import NoiseDataset
 
 __all__ = ["HeldoutEvaluation", "CrossDesignReport", "CrossDesignEvaluator"]
@@ -240,26 +240,24 @@ class CrossDesignReport:
         Raises
         ------
         ValueError
-            When the artefact schema version is unknown.
+            When the artefact schema version is unknown or a stamp
+            (``serving_dtype``, ``label_solver``, ``quarantined``) is missing.
         """
         payload = json.loads(Path(path).read_text())
         if payload.get("version") != REPORT_VERSION:
             raise ValueError(
                 f"unsupported report version {payload.get('version')!r} in {path}"
             )
+        source = f"report {path}"
         report = cls(
             config_hash=payload["config_hash"],
             git_rev=payload.get("git_rev", "unknown"),
-            # Artefacts written before the kernel-dispatch layer are float64.
-            serving_dtype=payload.get("serving_dtype", "float64"),
-            # Artefacts written before the solver seam are full-order.
-            label_solver=payload.get("label_solver", "full"),
+            serving_dtype=require_key(payload, "serving_dtype", source),
+            label_solver=require_key(payload, "label_solver", source),
         )
         for label, row in payload.get("rows", {}).items():
             report.rows[label] = HeldoutEvaluation.from_dict(row)
-        # Tolerant read: artefacts written before the resilience layer have
-        # no quarantine section.
-        report.quarantined = dict(payload.get("quarantined", {}))
+        report.quarantined = dict(require_key(payload, "quarantined", source))
         return report
 
 

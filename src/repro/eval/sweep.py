@@ -40,7 +40,7 @@ from repro.serving.registry import PredictorRegistry
 from repro.sim.dynamic_noise import DynamicNoiseAnalysis
 from repro.sim.transient import TransientOptions
 from repro import faults, obs
-from repro.utils import get_logger
+from repro.utils import get_logger, require_key
 from repro.workloads.scenarios import build_scenario_trace
 from repro.workloads.specs import ScenarioLike, normalize_scenario
 
@@ -258,12 +258,13 @@ class ScenarioSweep:
     def load_quarantined(self) -> dict[str, dict]:
         """Quarantined rows from the manifest: key -> {error, attempts}.
 
-        Empty when the manifest is missing or predates the resilience layer.
+        Empty when the manifest is missing; a manifest without a
+        ``quarantined`` section raises ``ValueError``.
         """
         if not self.manifest_path.exists():
             return {}
         payload = json.loads(self.manifest_path.read_text())
-        return dict(payload.get("quarantined", {}))
+        return dict(require_key(payload, "quarantined", f"sweep manifest {self.manifest_path}"))
 
     def _save_rows(
         self, rows: dict[str, dict], quarantined: Optional[dict[str, dict]] = None

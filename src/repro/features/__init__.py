@@ -8,17 +8,12 @@ CNN.
 """
 
 from repro.features.spatial import (
-    average_current_map,
     load_current_maps,
-    node_noise_to_tile_map,
     tile_incidence_matrix,
-    tile_load_count_map,
-    tile_nominal_current_map,
 )
 from repro.features.temporal import (
     TemporalCompressionResult,
     compress_current_maps,
-    compress_trace,
 )
 from repro.features.extraction import (
     FeatureNormalizer,
@@ -32,14 +27,9 @@ from repro.features.extraction import (
 
 __all__ = [
     "load_current_maps",
-    "average_current_map",
-    "node_noise_to_tile_map",
     "tile_incidence_matrix",
-    "tile_load_count_map",
-    "tile_nominal_current_map",
     "TemporalCompressionResult",
     "compress_current_maps",
-    "compress_trace",
     "FeatureNormalizer",
     "VectorFeatures",
     "current_summary_maps",

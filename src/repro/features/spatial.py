@@ -3,9 +3,10 @@
 Sec. 3.2 of the paper replaces per-node prediction by per-tile prediction:
 the layout is partitioned into an ``m x n`` tile array, instance currents are
 summed per tile to form the load-current feature map, and the per-tile
-worst-case noise is the maximum over the nodes inside the tile (Eq. 2).
-This module implements those aggregations with a sparse incidence matrix so
-that a whole trace is tiled in one sparse-matrix product.
+worst-case noise is the maximum over the nodes inside the tile (Eq. 2, see
+:func:`repro.sim.waveform.per_tile_maximum`).  This module tiles the load
+currents with a sparse incidence matrix so that a whole trace is tiled in
+one sparse-matrix product.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.pdn.designs import Design
-from repro.sim.waveform import CurrentTrace, per_tile_maximum
+from repro.sim.waveform import CurrentTrace
 
 
 def tile_incidence_matrix(tile_index: np.ndarray, num_tiles: int) -> sp.csr_matrix:
@@ -67,37 +68,3 @@ def load_current_maps(trace: CurrentTrace, design: Design) -> np.ndarray:
     incidence = load_tile_incidence(design)
     tiled = trace.currents @ incidence  # (T, num_tiles)
     return np.asarray(tiled).reshape(trace.num_steps, tile_grid.m, tile_grid.n)
-
-
-def average_current_map(trace: CurrentTrace, design: Design) -> np.ndarray:
-    """Time-averaged load-current tile map, shape ``(m, n)``.
-
-    Used by the static-IR baseline and by feature-ablation studies.
-    """
-    maps = load_current_maps(trace, design)
-    return maps.mean(axis=0)
-
-
-def node_noise_to_tile_map(node_noise: np.ndarray, design: Design) -> np.ndarray:
-    """Reduce per-die-node worst-case droop to the per-tile map of Eq. 2."""
-    node_noise = np.asarray(node_noise, dtype=float)
-    expected = design.node_tile_index.shape
-    if node_noise.shape != expected:
-        raise ValueError(
-            f"node_noise must have shape {expected} (one entry per die node), got {node_noise.shape}"
-        )
-    tile_values = per_tile_maximum(node_noise, design.node_tile_index, design.tile_grid.num_tiles)
-    return tile_values.reshape(design.tile_grid.shape)
-
-
-def tile_load_count_map(design: Design) -> np.ndarray:
-    """Number of loads per tile, shape ``(m, n)`` (useful diagnostic feature)."""
-    counts = np.bincount(design.load_tile_index, minlength=design.tile_grid.num_tiles)
-    return counts.reshape(design.tile_grid.shape).astype(float)
-
-
-def tile_nominal_current_map(design: Design) -> np.ndarray:
-    """Nominal (average) current per tile, shape ``(m, n)``."""
-    totals = np.zeros(design.tile_grid.num_tiles)
-    np.add.at(totals, design.load_tile_index, design.loads.nominal_currents)
-    return totals.reshape(design.tile_grid.shape)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.waveform import CurrentTrace
 from repro.utils import check_positive
 
 
@@ -143,22 +142,3 @@ def compress_current_maps(
         original_mu_3sigma=original_statistic,
         compressed_mu_3sigma=_mu_plus_3sigma(total_current[selected_indices]),
     )
-
-
-def compress_trace(
-    trace: CurrentTrace,
-    compression_rate: float,
-    rate_step: float = 0.05,
-) -> tuple[CurrentTrace, np.ndarray]:
-    """Apply Algorithm 1 directly to a per-load trace.
-
-    Returns the compressed trace (same loads, fewer stamps) and the retained
-    stamp indices.  Useful when the downstream consumer wants per-load
-    currents rather than tile maps (e.g. the PowerNet baseline).
-    """
-    totals = trace.total_current()
-    # Reuse the map-based implementation by treating the total as a 1x1 map.
-    result = compress_current_maps(
-        totals.reshape(-1, 1, 1), compression_rate, rate_step
-    )
-    return trace.subset(result.selected_indices), result.selected_indices

@@ -12,12 +12,11 @@ from repro.pdn.geometry import (
     TileGrid,
     distance_to_bumps,
     jittered_bump_array,
-    perimeter_bump_array,
     uniform_bump_array,
 )
 from repro.pdn.grid import GridLayer, PowerGrid, build_power_grid, load_tile_indices, node_tile_indices
 from repro.pdn.loads import LoadPlacement, generate_load_placement
-from repro.pdn.package import PackageModel, default_package_for
+from repro.pdn.package import PackageModel
 from repro.pdn.stamps import REFERENCE_NODE, MNASystem, assemble_conductance, build_mna
 from repro.pdn.designs import (
     Design,
@@ -29,14 +28,12 @@ from repro.pdn.designs import (
     reference_design_names,
     small_test_design,
 )
-from repro.pdn.netlist import Netlist, netlist_to_string, read_netlist, write_netlist
 
 __all__ = [
     "DieArea",
     "TileGrid",
     "distance_to_bumps",
     "uniform_bump_array",
-    "perimeter_bump_array",
     "jittered_bump_array",
     "GridLayer",
     "PowerGrid",
@@ -46,7 +43,6 @@ __all__ = [
     "LoadPlacement",
     "generate_load_placement",
     "PackageModel",
-    "default_package_for",
     "REFERENCE_NODE",
     "MNASystem",
     "assemble_conductance",
@@ -59,8 +55,4 @@ __all__ = [
     "reference_design",
     "reference_design_names",
     "small_test_design",
-    "Netlist",
-    "netlist_to_string",
-    "read_netlist",
-    "write_netlist",
 ]

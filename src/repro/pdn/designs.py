@@ -360,8 +360,8 @@ DesignFactory = Callable[[str], Design]
 def design_from_name(name: str, seed: RandomState = 0) -> Design:
     """Build a design from a compact factory reference string.
 
-    The string format is shared by the serving sweep and the dataset
-    factory, whose worker processes rebuild designs from these references
+    The string format is shared by the screening gateway and the dataset
+    factory, whose workers rebuild designs from these references
     rather than unpickling full :class:`Design` objects:
 
     * ``"small"`` or ``"small@<tiles>"`` — the unit-test design at the given

@@ -11,7 +11,6 @@ placement patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -123,12 +122,6 @@ class TileGrid:
         centers[:, :, 1] = cy[:, np.newaxis]
         return centers
 
-    def iter_tiles(self) -> Iterator[tuple[int, int]]:
-        """Yield ``(row, col)`` for every tile in row-major order."""
-        for row in range(self.m):
-            for col in range(self.n):
-                yield row, col
-
     def aggregate(
         self,
         x: np.ndarray,
@@ -182,34 +175,6 @@ def uniform_bump_array(
     ys = np.linspace(y0, die.height - y0, rows)
     gx, gy = np.meshgrid(xs, ys)
     return np.column_stack([gx.ravel(), gy.ravel()])
-
-
-def perimeter_bump_array(die: DieArea, count: int, inset_fraction: float = 0.05) -> np.ndarray:
-    """Place ``count`` bumps around the die perimeter (wire-bond style).
-
-    Useful for exercising designs where the interior is starved of supply and
-    the distance-to-bump feature carries most of the signal.
-    """
-    if count < 4:
-        raise ValueError(f"perimeter placement needs at least 4 bumps, got {count}")
-    inset_x = die.width * inset_fraction
-    inset_y = die.height * inset_fraction
-    # Walk the perimeter rectangle at uniform arc length.
-    w = die.width - 2 * inset_x
-    h = die.height - 2 * inset_y
-    perimeter = 2 * (w + h)
-    distances = np.linspace(0.0, perimeter, count, endpoint=False)
-    points = np.empty((count, 2), dtype=float)
-    for i, d in enumerate(distances):
-        if d < w:
-            points[i] = (inset_x + d, inset_y)
-        elif d < w + h:
-            points[i] = (inset_x + w, inset_y + (d - w))
-        elif d < 2 * w + h:
-            points[i] = (inset_x + w - (d - w - h), inset_y + h)
-        else:
-            points[i] = (inset_x, inset_y + h - (d - 2 * w - h))
-    return points
 
 
 def jittered_bump_array(

@@ -136,10 +136,6 @@ class PowerGrid:
         """Total on-die decoupling capacitance in farads."""
         return float(np.sum(self.cap_value))
 
-    def layer_nodes(self, layer_index: int) -> np.ndarray:
-        """Return the node indices belonging to ``layer_index``."""
-        return np.nonzero(self.node_layer == layer_index)[0]
-
     def summary(self) -> dict:
         """Human-readable size/electrical summary used by Table 1 reporting."""
         return {

@@ -61,33 +61,3 @@ class PackageModel:
         """
         check_positive(die_decap, "die_decap")
         return 1.0 / (2.0 * np.pi * np.sqrt(self.bump_inductance * die_decap))
-
-    def effective_inductance(self, num_bumps: int) -> float:
-        """Parallel combination of ``num_bumps`` identical bump inductances."""
-        if num_bumps < 1:
-            raise ValueError(f"num_bumps must be >= 1, got {num_bumps}")
-        return self.bump_inductance / num_bumps
-
-    def effective_resistance(self, num_bumps: int) -> float:
-        """Parallel combination of ``num_bumps`` identical bump resistances."""
-        if num_bumps < 1:
-            raise ValueError(f"num_bumps must be >= 1, got {num_bumps}")
-        return self.bump_resistance / num_bumps
-
-
-def default_package_for(num_bumps: int, die_area_um2: float) -> PackageModel:
-    """A reasonable package model scaled to design size.
-
-    Larger dies get proportionally more bulk decap; the per-bump branch
-    parameters stay in the range typical of flip-chip packages.
-    """
-    check_positive(die_area_um2, "die_area_um2")
-    if num_bumps < 1:
-        raise ValueError(f"num_bumps must be >= 1, got {num_bumps}")
-    bulk = 1e-9 * (die_area_um2 / 1e6)  # ~1 nF per mm^2
-    return PackageModel(
-        bump_resistance=25e-3,
-        bump_inductance=40e-12,
-        bulk_decap=bulk,
-        bulk_decap_esr=5e-3,
-    )

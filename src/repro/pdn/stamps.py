@@ -132,10 +132,6 @@ class MNASystem:
         """Number of current-load ports."""
         return int(self.load_nodes.shape[0])
 
-    def capacitance_matrix(self) -> sp.csc_matrix:
-        """The capacitance matrix ``C`` as a sparse diagonal matrix."""
-        return sp.diags(self.cap_diag, format="csc")
-
     def conductance_with_inductor_branches(self, branch_conductance: np.ndarray) -> sp.csc_matrix:
         """``G`` plus each inductive branch replaced by a given conductance.
 

@@ -1,9 +1,9 @@
 """The one process fan-out: a worker pool when possible, inline otherwise.
 
-The datagen engine, the eval scenario sweep and the serving scenario sweep
-all run independent, picklable tasks through :func:`fan_out`.  Work that
-needs retries wraps it in :func:`~repro.resilience.retry.retry_in_waves`,
-which consumes exactly the ``(task, result)`` pairs it yields.
+The datagen engine and the eval scenario sweep run independent, picklable
+tasks through :func:`fan_out`.  Work that needs retries wraps it in
+:func:`~repro.resilience.retry.retry_in_waves`, which consumes exactly the
+``(task, result)`` pairs it yields.
 """
 
 from __future__ import annotations

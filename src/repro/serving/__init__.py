@@ -1,4 +1,4 @@
-"""Serving building blocks: checkpoints, the result cache, scenario sweeps.
+"""Serving building blocks: checkpoints and the result cache.
 
 The trained CNN replaces the transient simulator precisely because it is
 orders of magnitude faster — this subpackage holds the pieces that turn
@@ -10,10 +10,7 @@ this package provides what it is built from:
   checkpoints with LRU residency, so one process serves every design;
 * :class:`~repro.serving.cache.LRUCache` and
   :func:`~repro.serving.cache.trace_content_hash` — the gateway's result
-  cache and its content key;
-* :func:`~repro.serving.sweep.screen_scenarios` — a worker-pool sweep that
-  fans workload scenarios across processes and aggregates
-  :class:`~repro.io.results.ExperimentRecord` rows.
+  cache and its content key.
 
 See ``docs/serving.md`` for how the pieces fit together and
 ``benchmarks/bench_serving.py`` for measured throughput.
@@ -26,7 +23,6 @@ from repro.serving.cache import (
     trace_content_hash,
 )
 from repro.serving.registry import PredictorRegistry, RegistryStats
-from repro.serving.sweep import ScenarioJob, screen_scenarios
 
 __all__ = [
     "CacheStats",
@@ -35,6 +31,4 @@ __all__ = [
     "trace_content_hash",
     "PredictorRegistry",
     "RegistryStats",
-    "ScenarioJob",
-    "screen_scenarios",
 ]

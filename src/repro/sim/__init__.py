@@ -24,11 +24,7 @@ from repro.sim.transient import (
     TransientSolverStrategy,
 )
 from repro.sim.rom import ReducedOrderStrategy, ROMOptions, ROMRunStats
-from repro.sim.dynamic_noise import (
-    DynamicNoiseAnalysis,
-    DynamicNoiseResult,
-    worst_case_summary,
-)
+from repro.sim.dynamic_noise import DynamicNoiseAnalysis, DynamicNoiseResult
 from repro.sim.waveform import CurrentTrace, VoltageWaveform, per_tile_maximum
 
 __all__ = [
@@ -48,7 +44,6 @@ __all__ = [
     "SOLVER_MODES",
     "DynamicNoiseAnalysis",
     "DynamicNoiseResult",
-    "worst_case_summary",
     "CurrentTrace",
     "VoltageWaveform",
     "per_tile_maximum",

@@ -64,11 +64,6 @@ class DynamicNoiseResult:
         """Mean worst-case noise across tiles (V)."""
         return float(np.mean(self.tile_noise))
 
-    @property
-    def max_tile_noise(self) -> float:
-        """Maximum worst-case noise across tiles (V)."""
-        return float(np.max(self.tile_noise))
-
 
 class DynamicNoiseAnalysis:
     """Reusable worst-case dynamic noise analysis for one design.
@@ -183,26 +178,3 @@ class DynamicNoiseAnalysis:
             elapsed,
         )
         return results
-
-
-def worst_case_summary(results: Sequence[DynamicNoiseResult]) -> dict:
-    """Aggregate a batch of results into Table-1-style statistics.
-
-    Returns mean / max worst-case noise (over vectors and tiles) and the
-    average hotspot ratio, the quantities the paper reports per design.
-    """
-    if not results:
-        raise ValueError("at least one result is required")
-    tile_stack = np.stack([result.tile_noise for result in results])
-    per_vector_mean = tile_stack.reshape(len(results), -1).mean(axis=1)
-    per_vector_max = tile_stack.reshape(len(results), -1).max(axis=1)
-    hotspot_ratios = np.array([result.hotspot_ratio for result in results])
-    runtimes = np.array([result.runtime_seconds for result in results])
-    return {
-        "mean_worst_noise_mV": float(np.mean(per_vector_mean) * 1e3),
-        "max_worst_noise_mV": float(np.max(per_vector_max) * 1e3),
-        "hotspot_ratio": float(np.mean(hotspot_ratios)),
-        "total_runtime_s": float(np.sum(runtimes)),
-        "mean_runtime_s": float(np.mean(runtimes)),
-        "num_vectors": len(results),
-    }

@@ -42,11 +42,6 @@ class StaticIRResult:
         """Largest droop across all nodes (V)."""
         return float(np.max(self.node_droop))
 
-    @property
-    def mean_droop(self) -> float:
-        """Mean droop across all nodes (V)."""
-        return float(np.mean(self.node_droop))
-
 
 class StaticIRAnalysis:
     """Reusable static analysis bound to one MNA system.

@@ -121,17 +121,9 @@ class VoltageWaveform:
         """Number of nodes."""
         return int(self.droops.shape[1])
 
-    def worst_case_per_node(self) -> np.ndarray:
-        """Maximum droop over time for every node, shape ``(N,)``."""
-        return np.max(self.droops, axis=0)
-
     def worst_case(self) -> float:
         """Single worst droop over all nodes and stamps (Eq. 1)."""
         return float(np.max(self.droops))
-
-    def node_waveform(self, node: int) -> np.ndarray:
-        """Droop of one node over time, shape ``(T,)``."""
-        return self.droops[:, node]
 
 
 def per_tile_maximum(values: np.ndarray, tile_index: np.ndarray, num_tiles: int) -> np.ndarray:

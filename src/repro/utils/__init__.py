@@ -7,8 +7,7 @@ from repro.utils.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_shape,
-    check_in_range,
+    require_key,
 )
 from repro.utils.logging import get_logger
 
@@ -21,7 +20,6 @@ __all__ = [
     "check_non_negative",
     "check_positive",
     "check_probability",
-    "check_shape",
-    "check_in_range",
+    "require_key",
     "get_logger",
 ]

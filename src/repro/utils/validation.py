@@ -7,7 +7,7 @@ propagating NaNs into a simulation or a training run.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -41,53 +41,8 @@ def check_probability(value: float, name: str = "value") -> float:
     return value
 
 
-def check_in_range(
-    value: float,
-    low: float,
-    high: float,
-    name: str = "value",
-    inclusive: bool = True,
-) -> float:
-    """Raise ``ValueError`` unless ``low <= value <= high`` (or strict)."""
-    if inclusive:
-        ok = low <= value <= high
-    else:
-        ok = low < value < high
-    if not ok:
-        bounds = "[{}, {}]" if inclusive else "({}, {})"
-        raise ValueError(
-            f"{name} must be within {bounds.format(low, high)}, got {value}"
-        )
-    return value
-
-
-def check_shape(
-    array: np.ndarray,
-    expected: Sequence[Optional[int]],
-    name: str = "array",
-) -> np.ndarray:
-    """Raise ``ValueError`` unless ``array.shape`` matches ``expected``.
-
-    ``None`` entries in ``expected`` act as wildcards for that dimension.
-    """
-    arr = np.asarray(array)
-    if arr.ndim != len(expected):
-        raise ValueError(
-            f"{name} must have {len(expected)} dimensions, got shape {arr.shape}"
-        )
-    for axis, (actual, want) in enumerate(zip(arr.shape, expected)):
-        if want is not None and actual != want:
-            raise ValueError(
-                f"{name} has shape {arr.shape}, expected "
-                f"{tuple(expected)} (mismatch at axis {axis})"
-            )
-    return arr
-
-
-def check_same_length(name_to_seq: dict[str, Iterable]) -> int:
-    """Raise ``ValueError`` unless all sequences share one length; return it."""
-    lengths = {name: len(list(seq)) for name, seq in name_to_seq.items()}
-    unique = set(lengths.values())
-    if len(unique) > 1:
-        raise ValueError(f"length mismatch: {lengths}")
-    return unique.pop() if unique else 0
+def require_key(payload: Mapping, key: str, source) -> Any:
+    """``payload[key]``, or a ``ValueError`` naming the missing key and ``source``."""
+    if key not in payload:
+        raise ValueError(f"{source} has no {key!r} entry")
+    return payload[key]

@@ -1,11 +1,11 @@
 """The scenario library: registered workload families and trace building.
 
-The example applications, the corpus factory and both sweep layers want
-recognisable, repeatable workloads rather than fully random vectors.  Each
-scenario *family* registered here is a parameterized builder that produces a
-deterministic cluster-activity profile ``(T, num_clusters + 1)``; a
-:class:`~repro.workloads.specs.ScenarioSpec` selects one family member, and
-:func:`build_scenario_trace` turns it into a
+The example applications, the corpus factory, the eval sweep and the
+screening gateway want recognisable, repeatable workloads rather than fully
+random vectors.  Each scenario *family* registered here is a parameterized
+builder that produces a deterministic cluster-activity profile
+``(T, num_clusters + 1)``; a :class:`~repro.workloads.specs.ScenarioSpec`
+selects one family member, and :func:`build_scenario_trace` turns it into a
 :class:`~repro.sim.waveform.CurrentTrace` under the shared activity contract
 of :mod:`repro.workloads.activity` (non-negative, clamped to the design
 maximum — exactly like random vectors).

@@ -129,14 +129,6 @@ class ScenarioSpec:
         """One explicit parameter value, or ``default`` when unset."""
         return self.param_dict().get(name, default)
 
-    def with_params(self, **updates) -> "ScenarioSpec":
-        """A copy with the given parameters added or replaced."""
-        merged = self.param_dict()
-        merged.update(updates)
-        return ScenarioSpec(
-            family=self.family, params=tuple(merged.items()), children=self.children
-        )
-
     @property
     def label(self) -> str:
         """Short human-readable identifier, stable across processes.

@@ -116,9 +116,9 @@ def test_load_dtype_override(tiny_design, tmp_path):
         assert parameter.data.dtype == np.float64
 
 
-def test_old_checkpoint_without_serving_dtype_loads_float64(tiny_design, tmp_path):
-    # Checkpoints written before the dispatch layer carry no serving_dtype
-    # key; they must keep loading — at float64, the historical behaviour.
+def test_checkpoint_without_serving_dtype_is_refused(tiny_design, tmp_path):
+    # Every checkpoint records its serving dtype; one without the key is
+    # refused, even when the caller names a dtype.
     path = tmp_path / "old.npz"
     _make_predictor(tiny_design, dtype="float64").save(path)
     with np.load(path, allow_pickle=False) as data:
@@ -128,9 +128,9 @@ def test_old_checkpoint_without_serving_dtype_loads_float64(tiny_design, tmp_pat
     arrays["__metadata_json__"] = np.array(json.dumps(metadata))
     np.savez(path, **arrays)
 
-    loaded = NoisePredictor.load(path)
-    assert loaded.serving_dtype == "float64"
-    assert NoisePredictor.load(path, dtype="float32").serving_dtype == "float32"
+    for dtype in (None, "float32"):
+        with pytest.raises(ValueError, match="old.npz has no 'serving_dtype' entry"):
+            NoisePredictor.load(path, dtype=dtype)
 
 
 def test_training_rejects_float32_model(tiny_design, tiny_dataset, tiny_split):

@@ -126,6 +126,22 @@ class TestNoisePredictor:
         with pytest.raises(ValueError, match="incomplete.npz stores no distance tensor"):
             NoisePredictor.load(path)
 
+    def test_load_rejects_distance_tensor_of_another_tile_grid(self, predictor, tmp_path):
+        # Same bump count, one tile row short: only the recorded
+        # ``distance_shape`` can tell the archive was doctored.
+        path = tmp_path / "doctored.npz"
+        predictor.save(path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["__extra__distance"] = arrays["__extra__distance"][:, :-1, :]
+        np.savez(path, **arrays)
+        bumps, rows, cols = predictor.distance.shape
+        with pytest.raises(ValueError) as error:
+            NoisePredictor.load(path)
+        message = str(error.value)
+        assert f"({bumps}, {rows - 1}, {cols})" in message
+        assert f"({bumps}, {rows}, {cols})" in message
+
     def test_load_rejects_checkpoint_without_metadata(self, predictor, tmp_path):
         from repro.nn import save_checkpoint
 

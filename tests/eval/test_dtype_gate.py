@@ -9,6 +9,8 @@ preserve-on-refresh behaviour, and the report artefact's serving-dtype stamp
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.eval import BaselineStore, CrossDesignEvaluator, budget
@@ -61,9 +63,12 @@ def test_report_stamps_serving_dtype(tmp_path):
     path = tmp_path / "report.json"
     report.save(path)
     assert CrossDesignReport.load(path).serving_dtype == "float32"
-    # Reports written before the stamp existed default to float64.
-    loaded = CrossDesignReport(config_hash="abc")
-    assert loaded.serving_dtype == "float64"
+    # A report without the stamp is refused.
+    payload = json.loads(path.read_text())
+    del payload["serving_dtype"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="has no 'serving_dtype' entry"):
+        CrossDesignReport.load(path)
 
 
 def test_mixed_precision_resume_rejected(tmp_path, tiny_eval_config):

@@ -61,7 +61,7 @@ class TestReportLabelSolver:
         report.save(path)
         assert CrossDesignReport.load(path).label_solver == "rom"
 
-    def test_pre_seam_artefacts_default_to_full(self, tmp_path):
+    def test_report_without_label_solver_is_refused(self, tmp_path):
         import json
 
         report = CrossDesignReport(config_hash="abc")
@@ -70,7 +70,8 @@ class TestReportLabelSolver:
         payload = json.loads(path.read_text())
         del payload["label_solver"]
         path.write_text(json.dumps(payload))
-        assert CrossDesignReport.load(path).label_solver == "full"
+        with pytest.raises(ValueError, match="has no 'label_solver' entry"):
+            CrossDesignReport.load(path)
 
     def test_evaluator_rejects_solver_mismatch(self, tmp_path):
         config = two_design_config(solver_mode="rom")

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.features.spatial import (
-    average_current_map,
     load_current_maps,
-    node_noise_to_tile_map,
     tile_incidence_matrix,
-    tile_load_count_map,
-    tile_nominal_current_map,
 )
 from repro.sim.waveform import CurrentTrace
 
@@ -44,32 +40,3 @@ class TestLoadCurrentMaps:
         bad = CurrentTrace(np.ones((5, 3)), 1e-11)
         with pytest.raises(ValueError):
             load_current_maps(bad, tiny_design)
-
-    def test_average_map(self, tiny_design, tiny_traces):
-        trace = tiny_traces[0]
-        average = average_current_map(trace, tiny_design)
-        np.testing.assert_allclose(
-            average, load_current_maps(trace, tiny_design).mean(axis=0), rtol=1e-12
-        )
-
-
-class TestNodeNoiseToTileMap:
-    def test_matches_design_tile_shape(self, tiny_design, rng):
-        node_noise = rng.random(tiny_design.mna.num_die_nodes)
-        tile_map = node_noise_to_tile_map(node_noise, tiny_design)
-        assert tile_map.shape == tiny_design.tile_grid.shape
-        assert tile_map.max() == pytest.approx(node_noise.max())
-
-    def test_wrong_length_rejected(self, tiny_design):
-        with pytest.raises(ValueError):
-            node_noise_to_tile_map(np.ones(3), tiny_design)
-
-
-class TestStaticTileMaps:
-    def test_load_count_map_total(self, tiny_design):
-        counts = tile_load_count_map(tiny_design)
-        assert counts.sum() == tiny_design.num_loads
-
-    def test_nominal_current_map_total(self, tiny_design):
-        totals = tile_nominal_current_map(tiny_design)
-        assert totals.sum() == pytest.approx(tiny_design.loads.total_nominal_current)

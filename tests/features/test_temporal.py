@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.features.temporal import compress_current_maps, compress_trace
-from repro.sim.waveform import CurrentTrace
+from repro.features.temporal import compress_current_maps
 
 
 def _random_maps(rng, num_steps=60, shape=(4, 4)):
@@ -85,13 +84,3 @@ class TestCompressCurrentMaps:
         np.testing.assert_allclose(result.compressed_maps, maps[indices])
         expected_keep = max(1, int(round(rate * num_steps)))
         assert result.num_selected == min(expected_keep, num_steps)
-
-
-class TestCompressTrace:
-    def test_trace_subset_consistent(self, rng):
-        currents = rng.random((60, 5))
-        trace = CurrentTrace(currents, 1e-11, name="x")
-        compressed, indices = compress_trace(trace, 0.5)
-        assert compressed.num_steps == 30
-        np.testing.assert_allclose(compressed.currents, currents[indices])
-        assert compressed.name == "x"

@@ -19,6 +19,8 @@ from repro.gateway import (
 )
 from repro.serving import PredictorRegistry
 from repro.sim.waveform import CurrentTrace
+from repro.workloads import overlay, scenario_spec
+from repro.workloads.scenarios import build_scenario_trace
 
 
 def test_screen_matches_direct_prediction(make_gateway, tiny_design, tiny_features, expected_results, assert_noise_close):
@@ -77,6 +79,25 @@ def test_scenario_payloads_are_deterministic(make_gateway, tiny_design, assert_n
     # object or a name, the worker must materialise the same trace.
     assert_noise_close(first, second)
     assert first.noise_map.size and float(first.worst_noise) == float(first.worst_noise)
+
+
+def test_spec_built_suites_screen_like_named_scenarios(
+    make_gateway, tiny_design, tiny_predictor, assert_noise_close
+):
+    scenarios = [
+        "power_virus",
+        scenario_spec("power_virus", base=0.6),
+        overlay("steady_state", "didt_step_train"),
+    ]
+    gateway = make_gateway()
+    results = gateway.screen(
+        [(scenario, tiny_design.name) for scenario in scenarios], num_steps=60
+    )
+    for scenario, result in zip(scenarios, results):
+        trace = build_scenario_trace(scenario, tiny_design, num_steps=60)
+        assert_noise_close(result, tiny_predictor.predict_trace(trace, tiny_design))
+    # The hotter parameter variant screens hotter than the default.
+    assert results[1].worst_noise > results[0].worst_noise
 
 
 def test_async_submit_from_event_loop(make_gateway, tiny_design, tiny_features, expected_results, assert_noise_close):

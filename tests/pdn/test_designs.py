@@ -5,6 +5,7 @@ import pytest
 
 from repro.pdn import (
     DesignSpec,
+    design_from_name,
     make_design,
     reference_design,
     reference_design_names,
@@ -97,3 +98,17 @@ class TestReferenceDesigns:
         d1 = reference_design("D1", scale=0.15, seed=0)
         d4 = reference_design("D4", scale=0.15, seed=0)
         assert d4.num_nodes > d1.num_nodes
+
+
+class TestDefaultDesignFactory:
+    """The gateway's default factory, ``design_from_name``."""
+
+    def test_small_names(self):
+        design = design_from_name("small")
+        assert design.tile_grid.shape == (8, 8)
+        sized = design_from_name("small@6")
+        assert sized.tile_grid.shape == (6, 6)
+
+    def test_reference_names_with_scale(self):
+        design = design_from_name("D1@0.1")
+        assert design.name == "D1"

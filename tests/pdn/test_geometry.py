@@ -10,7 +10,6 @@ from repro.pdn.geometry import (
     TileGrid,
     distance_to_bumps,
     jittered_bump_array,
-    perimeter_bump_array,
     uniform_bump_array,
 )
 
@@ -78,10 +77,6 @@ class TestTileGrid:
         assert centers.shape == (5, 10, 2)
         assert centers[..., 0].max() < 100.0 and centers[..., 1].max() < 50.0
 
-    def test_iter_tiles_covers_all(self):
-        grid = TileGrid(DieArea(10, 10), 2, 3)
-        assert len(list(grid.iter_tiles())) == 6
-
     def test_aggregate_sum_conserves_total(self, rng):
         grid = TileGrid(DieArea(100.0, 100.0), 6, 6)
         x = rng.uniform(0, 100, 200)
@@ -137,21 +132,6 @@ class TestBumpArrays:
     def test_uniform_rejects_bad_margin(self):
         with pytest.raises(ValueError):
             uniform_bump_array(DieArea(10, 10), 2, 2, margin_fraction=0.6)
-
-    def test_perimeter_on_boundary_ring(self):
-        die = DieArea(100.0, 100.0)
-        bumps = perimeter_bump_array(die, 12, inset_fraction=0.1)
-        assert bumps.shape == (12, 2)
-        # All bumps lie on the inset rectangle ring.
-        on_ring = (
-            np.isclose(bumps[:, 0], 10.0) | np.isclose(bumps[:, 0], 90.0)
-            | np.isclose(bumps[:, 1], 10.0) | np.isclose(bumps[:, 1], 90.0)
-        )
-        assert on_ring.all()
-
-    def test_perimeter_needs_four(self):
-        with pytest.raises(ValueError):
-            perimeter_bump_array(DieArea(10, 10), 3)
 
     def test_jittered_reproducible_and_in_bounds(self):
         die = DieArea(100.0, 100.0)

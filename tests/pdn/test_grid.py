@@ -46,11 +46,11 @@ class TestBuildPowerGrid:
         assert simple_grid.num_nodes == 8 * 8 + 4 * 4
 
     def test_bumps_attach_to_top_layer(self, simple_grid):
-        top_nodes = simple_grid.layer_nodes(1)
+        top_nodes = np.nonzero(simple_grid.node_layer == 1)[0]
         assert np.all(np.isin(simple_grid.bump_nodes, top_nodes))
 
     def test_loads_attach_to_bottom_layer(self, simple_grid):
-        bottom_nodes = simple_grid.layer_nodes(0)
+        bottom_nodes = np.nonzero(simple_grid.node_layer == 0)[0]
         assert np.all(np.isin(simple_grid.load_nodes, bottom_nodes))
 
     def test_resistances_positive(self, simple_grid):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pdn.package import PackageModel, default_package_for
+from repro.pdn.package import PackageModel
 
 
 class TestPackageModel:
@@ -29,30 +29,3 @@ class TestPackageModel:
     def test_resonance_decreases_with_decap(self):
         package = PackageModel()
         assert package.resonance_frequency(1e-9) < package.resonance_frequency(1e-10)
-
-    def test_effective_inductance_parallel(self):
-        package = PackageModel(bump_inductance=40e-12)
-        assert package.effective_inductance(4) == pytest.approx(10e-12)
-
-    def test_effective_resistance_parallel(self):
-        package = PackageModel(bump_resistance=40e-3)
-        assert package.effective_resistance(8) == pytest.approx(5e-3)
-
-    def test_effective_values_reject_zero_bumps(self):
-        with pytest.raises(ValueError):
-            PackageModel().effective_inductance(0)
-        with pytest.raises(ValueError):
-            PackageModel().effective_resistance(0)
-
-
-class TestDefaultPackageFor:
-    def test_bulk_scales_with_area(self):
-        small = default_package_for(16, 1e6)
-        large = default_package_for(16, 4e6)
-        assert large.bulk_decap == pytest.approx(4 * small.bulk_decap)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            default_package_for(0, 1e6)
-        with pytest.raises(ValueError):
-            default_package_for(4, -1.0)

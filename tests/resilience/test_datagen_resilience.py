@@ -190,15 +190,14 @@ class TestQuarantine:
             not np.all(np.isfinite(sample.target)) for sample in dataset.samples
         )
 
-    def test_manifest_without_quarantine_key_still_loads(self, tmp_path, make_spec):
-        # Manifests written before the resilience layer lack the key.
+    def test_manifest_without_quarantine_key_is_refused(self, tmp_path, make_spec):
         generate_corpus(make_spec(), tmp_path, num_workers=0)
         manifest_path = tmp_path / MANIFEST_NAME
         payload = json.loads(manifest_path.read_text())
         del payload["quarantined"]
         manifest_path.write_text(json.dumps(payload))
-        manifest = ShardStore(tmp_path).load_manifest()
-        assert manifest.quarantined == []
+        with pytest.raises(ValueError, match="has no 'quarantined' entry"):
+            ShardStore(tmp_path).load_manifest()
 
 
 class TestCorruptionRecovery:

@@ -109,6 +109,15 @@ class TestSweepResilience:
         assert counter_value("faults.quarantined_rows") == 1
         assert counter_value("faults.exhausted") == 1
 
+    def test_manifest_without_quarantine_is_refused(self, monkeypatch, tmp_path):
+        sweep = self._make_sweep(monkeypatch, tmp_path, FlakyRows({}))
+        sweep.run(num_workers=0)
+        payload = json.loads((tmp_path / SWEEP_NAME).read_text())
+        del payload["quarantined"]
+        (tmp_path / SWEEP_NAME).write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="has no 'quarantined' entry"):
+            sweep.load_quarantined()
+
     def test_resumed_sweep_reattempts_quarantined_rows(self, monkeypatch, tmp_path):
         config = small_grid()
         keys = [job.key for job in ScenarioSweep(config, tmp_path).jobs()]
@@ -202,14 +211,14 @@ class TestEvaluatorResilience:
         assert reloaded.quarantined == report.quarantined
         assert reloaded.health()["rows_quarantined"] == 1
 
-    def test_legacy_report_without_quarantine_loads(self, tmp_path):
+    def test_report_without_quarantine_is_refused(self, tmp_path):
         report = CrossDesignReport(config_hash="abc")
         payload = report.to_dict()
         del payload["quarantined"]
         del payload["health"]
         (tmp_path / "report.json").write_text(json.dumps(payload))
-        reloaded = CrossDesignReport.load(tmp_path / "report.json")
-        assert reloaded.quarantined == {}
+        with pytest.raises(ValueError, match="has no 'quarantined' entry"):
+            CrossDesignReport.load(tmp_path / "report.json")
 
     def test_worker_killed_unwinds_the_campaign(self, tmp_path):
         def killed(heldout):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.dynamic_noise import DynamicNoiseAnalysis, worst_case_summary
+from repro.sim.dynamic_noise import DynamicNoiseAnalysis
 from repro.sim.transient import TransientOptions
 from repro.sim.waveform import CurrentTrace
 
@@ -23,7 +23,7 @@ class TestDynamicNoiseAnalysis:
     def test_worst_noise_equals_tile_maximum(self, analysis_and_result):
         _, result = analysis_and_result
         assert result.worst_noise == pytest.approx(result.node_noise.max())
-        assert result.max_tile_noise == pytest.approx(result.worst_noise, rel=1e-9)
+        assert result.tile_noise.max() == pytest.approx(result.worst_noise, rel=1e-9)
 
     def test_hotspot_map_consistent_with_threshold(self, tiny_design, analysis_and_result):
         _, result = analysis_and_result
@@ -57,22 +57,6 @@ class TestDynamicNoiseAnalysis:
     def test_rejects_bad_dt(self, tiny_design):
         with pytest.raises(ValueError):
             DynamicNoiseAnalysis(tiny_design, dt=-1e-12)
-
-
-class TestWorstCaseSummary:
-    def test_summary_fields(self, tiny_design, tiny_traces):
-        analysis = DynamicNoiseAnalysis(tiny_design, tiny_traces[0].dt)
-        results = analysis.run_many(tiny_traces[:4])
-        summary = worst_case_summary(results)
-        assert summary["num_vectors"] == 4
-        assert summary["mean_worst_noise_mV"] > 0
-        assert summary["max_worst_noise_mV"] >= summary["mean_worst_noise_mV"]
-        assert 0.0 <= summary["hotspot_ratio"] <= 1.0
-        assert summary["total_runtime_s"] >= summary["mean_runtime_s"]
-
-    def test_empty_results_rejected(self):
-        with pytest.raises(ValueError):
-            worst_case_summary([])
 
 
 class TestRunManyBatched:

@@ -46,7 +46,6 @@ class TestRunStaticAnalysis:
     def test_returns_tile_map(self, tiny_design):
         result = run_static_analysis(tiny_design)
         assert result.tile_map.shape == tiny_design.tile_grid.shape
-        assert result.worst_case >= result.mean_droop
         assert result.worst_case > 0
 
     def test_tile_map_maxima_consistent_with_nodes(self, tiny_design):

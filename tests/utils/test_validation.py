@@ -5,12 +5,9 @@ import pytest
 
 from repro.utils.validation import (
     check_finite,
-    check_in_range,
     check_non_negative,
     check_positive,
     check_probability,
-    check_same_length,
-    check_shape,
 )
 
 
@@ -53,47 +50,6 @@ class TestCheckProbability:
     def test_rejects_outside(self, value):
         with pytest.raises(ValueError):
             check_probability(value, "p")
-
-
-class TestCheckInRange:
-    def test_inclusive_bounds(self):
-        assert check_in_range(1.0, 1.0, 2.0) == 1.0
-
-    def test_exclusive_bounds_reject_edge(self):
-        with pytest.raises(ValueError):
-            check_in_range(1.0, 1.0, 2.0, inclusive=False)
-
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError):
-            check_in_range(3.0, 0.0, 2.0)
-
-
-class TestCheckShape:
-    def test_exact_shape(self):
-        check_shape(np.zeros((2, 3)), (2, 3))
-
-    def test_wildcard(self):
-        check_shape(np.zeros((5, 3)), (None, 3))
-
-    def test_wrong_ndim(self):
-        with pytest.raises(ValueError):
-            check_shape(np.zeros((2,)), (2, 3))
-
-    def test_wrong_size(self):
-        with pytest.raises(ValueError):
-            check_shape(np.zeros((2, 4)), (2, 3), name="arr")
-
-
-class TestCheckSameLength:
-    def test_matching(self):
-        assert check_same_length({"a": [1, 2], "b": (3, 4)}) == 2
-
-    def test_mismatch(self):
-        with pytest.raises(ValueError):
-            check_same_length({"a": [1], "b": [1, 2]})
-
-    def test_empty(self):
-        assert check_same_length({}) == 0
 
 
 class TestCheckNonNegative:
