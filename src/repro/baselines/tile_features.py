@@ -18,7 +18,6 @@ regression (:class:`TileRidgeBaseline`, a sanity floor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

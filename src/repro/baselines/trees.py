@@ -12,7 +12,7 @@ feature-engineering ablation benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -25,8 +25,8 @@ from repro.features.extraction import (
     VectorFeatures,
     extract_vector_features,
 )
-from repro.nn import kernels, load_checkpoint, load_extras, no_grad, save_checkpoint
-from repro.nn.serialization import read_archive
+from repro.nn import kernels, no_grad, save_checkpoint
+from repro.nn.serialization import read_checkpoint
 from repro.pdn.designs import Design
 from repro.sim.waveform import CurrentTrace
 from repro.utils import check_non_negative, check_positive, require_key
@@ -328,21 +328,19 @@ class NoisePredictor:
         """Restore a predictor saved with :meth:`save`.
 
         Checkpoints are self-contained: weights, metadata and the distance
-        tensor live in the one archive.  ``dtype`` overrides the serving
-        precision; otherwise the checkpoint's recorded ``serving_dtype`` is
-        used.  Raises ``ValueError`` when a metadata key is missing or the
+        tensor live in the one archive, which is opened and read once.
+        ``dtype`` overrides the serving precision; otherwise the
+        checkpoint's recorded ``serving_dtype`` is used.  Raises ``ValueError`` when a metadata key is missing or the
         stored distance tensor's shape differs from the recorded
         ``distance_shape``.
         """
         path = Path(path)
-        with read_archive(path) as data:
-            if "__metadata_json__" not in data.files:
-                raise ValueError(f"checkpoint {path} is missing predictor metadata")
-            metadata = json.loads(str(data["__metadata_json__"]))
+        state, metadata, extras = read_checkpoint(path)
+        if metadata is None:
+            raise ValueError(f"checkpoint {path} is missing predictor metadata")
         config = ModelConfig(**metadata["model_config"])
         model = WorstCaseNoiseNet(num_bumps=int(metadata["num_bumps"]), config=config)
-        load_checkpoint(model, path)
-        extras = load_extras(path)
+        model.load_state_dict(state)
         if "distance" not in extras:
             raise ValueError(f"checkpoint {path} stores no distance tensor")
         source = f"checkpoint {path}"

@@ -13,7 +13,6 @@ reports, over all tiles of all test vectors:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 

@@ -16,7 +16,7 @@ used by ablations and baselines that skip the learned fusion subnet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np

@@ -37,11 +37,13 @@ queue-depth, batch-size and per-shard depth gauges, and
 from __future__ import annotations
 
 import asyncio
+import itertools
 import queue
 import threading
 import time
 from concurrent.futures import Future, wait as futures_wait
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -192,7 +194,10 @@ class ScreeningGateway:
         self._lock = threading.Lock()
         self._closed = False
         self._outstanding = 0
-        self._inflight: list[GatewayRequest] = []
+        #: Admitted, unanswered requests in admission order, keyed by an
+        #: admission number; each answer pops its own entry.
+        self._inflight: dict[int, GatewayRequest] = {}
+        self._admissions = itertools.count()
         self._latency_ewma: Optional[float] = None
         self._shards: dict[int, _Shard] = {}
         for shard_id in range(self.num_shards):
@@ -242,8 +247,14 @@ class ScreeningGateway:
                 self._obs.rejected.inc()
                 raise GatewayOverloaded(self._retry_after_locked())
             self._outstanding += 1
-            self._inflight.append(request)
-        request.future.add_done_callback(lambda _: self._request_done(request))
+            key = next(self._admissions)
+            self._inflight[key] = request
+        # The callback must not reference the request: a resolved future
+        # keeps its callbacks, and request -> future -> callback -> request
+        # would be a cycle that only the cyclic GC could free.
+        request.future.add_done_callback(
+            partial(self._request_done, key, request.submitted_at)
+        )
         shard = self._shards[self._ring.assign(request.design_name)]
         shard.inbox.put(request)
         self._obs.shard_depth[shard.shard_id].set(shard.inbox.qsize())
@@ -389,7 +400,7 @@ class ScreeningGateway:
             if self._closed:
                 return
             self._closed = True
-            pending = [request for request in self._inflight if not request.done]
+            pending = [request for request in self._inflight.values() if not request.done]
         if drain:
             futures_wait([request.future for request in pending], timeout=timeout)
         else:
@@ -527,19 +538,22 @@ class ScreeningGateway:
         per_request = self._latency_ewma if self._latency_ewma else 0.05
         return max(0.01, self._outstanding * per_request / self.num_shards)
 
-    def _request_done(self, request: GatewayRequest) -> None:
+    def _request_done(self, key: int, submitted_at: float, future: Future) -> None:
         """Done-callback bookkeeping: latency, queue depth, latency EWMA.
 
         The one place a request's latency is observed, whichever path
         (forward pass, cache hit, coalesced twin, failure) answered it; the
         queue-depth gauge samples the backlog each answer leaves behind.
+        It also pops the request's admission entry, so the gateway keeps
+        nothing of an answered request.
         """
-        elapsed = time.perf_counter() - request.submitted_at
-        cancelled = request.future.cancelled()
-        failed = not cancelled and request.future.exception() is not None
+        elapsed = time.perf_counter() - submitted_at
+        cancelled = future.cancelled()
+        failed = not cancelled and future.exception() is not None
         if not cancelled:
             (self._obs.latency_failed if failed else self._obs.latency_ok).observe(elapsed)
         with self._lock:
+            del self._inflight[key]
             self._outstanding -= 1
             self._obs.queue_depth.set(self._outstanding)
             alpha = 0.2
@@ -548,7 +562,3 @@ class ScreeningGateway:
                     self._latency_ewma = elapsed
                 else:
                     self._latency_ewma += alpha * (elapsed - self._latency_ewma)
-            # Compact the admission-order list lazily from the front; done
-            # requests in the middle are skipped by the close() drain.
-            while self._inflight and self._inflight[0].done:
-                self._inflight.pop(0)

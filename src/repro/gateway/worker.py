@@ -153,6 +153,9 @@ class ShardWorker(threading.Thread):
                 if isinstance(control, GatewayRequest):
                     batch, control = self._fill_batch(control)
                     self._process_batch(batch)
+                    # Drop the answered batch now, not when the next request
+                    # arrives: an idle shard holds none of its payloads.
+                    del batch
                     self._in_hand = []
                 if control is STOP:
                     return

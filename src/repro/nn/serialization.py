@@ -50,7 +50,8 @@ def save_checkpoint(
     """Save a module's parameters (plus optional metadata/extras) to ``path``.
 
     ``extras`` maps names to arrays stored alongside the parameters in the
-    same archive; read them back with :func:`load_extras`.
+    same archive; read them back with :func:`load_extras` (or everything at
+    once with :func:`read_checkpoint`).
 
     Parameters are always stored as float64 master weights regardless of the
     module's serving dtype — upcasting float32 values is lossless, so a
@@ -68,6 +69,27 @@ def save_checkpoint(
     np.savez_compressed(path, **payload)
 
 
+def read_checkpoint(
+    path: Union[str, Path],
+) -> tuple[dict[str, np.ndarray], Optional[dict], dict[str, np.ndarray]]:
+    """Read a checkpoint's parameters, metadata and extras in one archive pass.
+
+    Returns ``(state, metadata, extras)``: the parameter arrays keyed by
+    qualified name, the metadata dictionary (``None`` when none was stored)
+    and the extra arrays keyed by the names given to :func:`save_checkpoint`.
+    """
+    state, extras, metadata = {}, {}, None
+    with read_archive(path) as data:
+        for key in data.files:
+            if key == _METADATA_KEY:
+                metadata = json.loads(str(data[key]))
+            elif key.startswith(_EXTRA_PREFIX):
+                extras[key[len(_EXTRA_PREFIX):]] = np.asarray(data[key])
+            elif not key.startswith(_RESERVED_PREFIX):
+                state[key] = data[key]
+    return state, metadata, extras
+
+
 def load_checkpoint(
     module: Module,
     path: Union[str, Path],
@@ -77,22 +99,11 @@ def load_checkpoint(
     Returns the metadata dictionary when one was stored, else ``None``.
     Reserved (``__``-prefixed) entries such as extras are ignored here.
     """
-    with read_archive(path) as data:
-        state = {
-            key: data[key] for key in data.files if not key.startswith(_RESERVED_PREFIX)
-        }
-        metadata = None
-        if _METADATA_KEY in data.files:
-            metadata = json.loads(str(data[_METADATA_KEY]))
+    state, metadata, _ = read_checkpoint(path)
     module.load_state_dict(state)
     return metadata
 
 
 def load_extras(path: Union[str, Path]) -> dict[str, np.ndarray]:
     """Read the extra arrays stored in a checkpoint (empty dict if none)."""
-    with read_archive(path) as data:
-        return {
-            key[len(_EXTRA_PREFIX):]: np.asarray(data[key])
-            for key in data.files
-            if key.startswith(_EXTRA_PREFIX)
-        }
+    return read_checkpoint(path)[2]

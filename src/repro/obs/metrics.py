@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from threading import Lock
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 __all__ = [
     "Counter",

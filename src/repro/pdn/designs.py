@@ -17,7 +17,6 @@ just ``scale=1.0``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 

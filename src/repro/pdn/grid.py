@@ -18,7 +18,7 @@ exploited by power-grid solvers [5-9].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -17,8 +17,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.utils import check_finite
-
 
 class LinearSolver:
     """``A x = b`` for one fixed sparse SPD matrix: factor once, solve many.
@@ -36,6 +34,12 @@ class LinearSolver:
     differently than the single-RHS one) and is *deterministic* for a given
     block, which is what the dataset factory's reproducibility contract
     builds on (see ``docs/data-pipeline.md``).
+
+    Right-hand sides are not checked for NaN/Inf here: every one is built
+    from inputs validated where they enter the system (a
+    :class:`~repro.sim.waveform.CurrentTrace` refuses non-finite currents,
+    :meth:`~repro.sim.static_ir.StaticIRAnalysis.solve` non-finite loads),
+    so a per-stamp scan would only repeat those checks.
     """
 
     def __init__(self, matrix: sp.spmatrix):
@@ -62,9 +66,7 @@ class LinearSolver:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` for one right-hand side of shape ``(n,)``."""
-        rhs = np.asarray(rhs, dtype=float)
-        check_finite(rhs, "rhs")
-        return self._lu.solve(rhs)
+        return self._lu.solve(np.asarray(rhs, dtype=float))
 
     def solve_many(self, rhs_matrix: np.ndarray) -> np.ndarray:
         """Solve a whole RHS block in a single factorised call.
@@ -90,7 +92,6 @@ class LinearSolver:
             )
         if rhs_matrix.shape[1] == 0:
             return rhs_matrix.copy()
-        check_finite(rhs_matrix, "rhs_matrix")
         return self._lu.solve(rhs_matrix)
 
 

@@ -10,8 +10,6 @@ per-node maximum, which is all worst-case noise validation needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from repro.utils import check_finite, check_positive
@@ -73,15 +71,6 @@ class CurrentTrace:
         stamps to keep.
         """
         return np.sum(self.currents, axis=1)
-
-    def subset(self, step_indices: np.ndarray) -> "CurrentTrace":
-        """Return a new trace containing only the selected time stamps."""
-        step_indices = np.asarray(step_indices, dtype=int)
-        if step_indices.size == 0:
-            raise ValueError("cannot build an empty trace subset")
-        if np.any(step_indices < 0) or np.any(step_indices >= self.num_steps):
-            raise ValueError("step indices out of range")
-        return CurrentTrace(self.currents[step_indices], self.dt, name=self.name)
 
     def scaled(self, factor: float) -> "CurrentTrace":
         """Return a copy with every current multiplied by ``factor``."""

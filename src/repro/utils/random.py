@@ -10,7 +10,7 @@ fully reproducible results.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

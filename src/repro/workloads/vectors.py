@@ -20,8 +20,7 @@ vectors, mirroring the paper's "small set of randomly produced test vectors".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

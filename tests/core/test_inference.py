@@ -142,6 +142,21 @@ class TestNoisePredictor:
         assert f"({bumps}, {rows - 1}, {cols})" in message
         assert f"({bumps}, {rows}, {cols})" in message
 
+    def test_load_opens_the_archive_once(self, predictor, tmp_path, monkeypatch):
+        path = tmp_path / "predictor.npz"
+        predictor.save(path)
+        opened = []
+        real_load = np.load
+
+        def counting_load(*args, **kwargs):
+            opened.append(args[0])
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting_load)
+        restored = NoisePredictor.load(path)
+        assert opened == [path]
+        np.testing.assert_array_equal(restored.distance, predictor.distance)
+
     def test_load_rejects_checkpoint_without_metadata(self, predictor, tmp_path):
         from repro.nn import save_checkpoint
 

@@ -8,7 +8,10 @@ before the test acts — no ``max_wait`` timing windows anywhere.
 from __future__ import annotations
 
 import asyncio
+import gc
 import sys
+import time
+import weakref
 
 import pytest
 
@@ -277,3 +280,60 @@ def test_context_manager_closes(gateway_root, tiny_design, tiny_features):
         future = gateway.submit_async(tiny_features[0], tiny_design.name)
     assert future.result(timeout=0) is not None
     assert gateway.health()["accepting"] is False
+
+
+def _distinct_traces(base, count):
+    """``count`` traces with distinct content (no cache hit, no coalescing)."""
+    return [
+        CurrentTrace(base.currents * (1.0 + 0.01 * i), base.dt, name=f"v{i}")
+        for i in range(count)
+    ]
+
+
+def _survivors_after_screening(gateway, design, traces, timeout=2.0):
+    """Screen ``traces``, drop every reference, count the traces still alive.
+
+    Runs with the cyclic GC disabled, so only refcounting can free what the
+    gateway held; polls because the worker drops its batch just after the
+    last answer.  The caller's list is emptied in place.
+    """
+    refs = [weakref.ref(trace) for trace in traces]
+    gc.disable()
+    try:
+        futures = [gateway.submit_async(trace, design) for trace in traces]
+        traces.clear()
+        assert None not in [future.result(timeout=10) for future in futures]
+        del futures
+        deadline = time.monotonic() + timeout
+        while any(ref() is not None for ref in refs) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return sum(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_answered_requests_are_freed_by_refcount(make_gateway, tiny_design, tiny_traces):
+    """No reference cycle keeps an answered request (and its trace) alive."""
+    gateway = make_gateway(num_shards=1)
+    traces = _distinct_traces(tiny_traces[0], 40)
+    assert _survivors_after_screening(gateway, tiny_design.name, traces) == 0
+
+
+def test_blocked_head_request_does_not_pin_answered_ones(
+    make_gateway, make_gated_predictor, second_design_name, tiny_design,
+    tiny_predictor, tiny_traces,
+):
+    """Requests answered behind an unanswered one are freed at once."""
+    gateway = make_gateway(num_shards=2)
+    gated = make_gated_predictor(tiny_predictor)
+    gateway.swap_checkpoint(tiny_design.name, gated, persist=False).result(timeout=5)
+    blocked = gateway.submit_async(tiny_traces[0], tiny_design.name)
+    assert gated.started.wait(5)
+    try:
+        # The other shard answers these while the head request stays blocked.
+        traces = _distinct_traces(tiny_traces[1], 40)
+        assert _survivors_after_screening(gateway, second_design_name, traces) == 0
+        assert not blocked.done()
+    finally:
+        gated.release.set()
+    assert blocked.result(timeout=10) is not None

@@ -60,18 +60,6 @@ class TestLinearSolver:
         np.testing.assert_allclose(solutions[:, 0], reference, rtol=1e-10)
         np.testing.assert_allclose(solutions[:, 1], 2 * reference, rtol=1e-10)
 
-    @PROPERTY_SETTINGS
-    @given(
-        matrix=grids,
-        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
-        where=st.integers(0, 2**16),
-    )
-    def test_rejects_non_finite_rhs(self, matrix, bad, where):
-        rhs = np.ones(matrix.shape[0])
-        rhs[where % rhs.size] = bad
-        with pytest.raises(ValueError):
-            LinearSolver(matrix).solve(rhs)
-
     def test_rejects_non_square(self):
         for shape in [(2, 3), (5, 4), (1, 2)]:
             with pytest.raises(ValueError):
@@ -128,13 +116,6 @@ class TestBlockSolve:
         solver = LinearSolver(spd_system[0])
         with pytest.raises(ValueError):
             solver.solve_many(np.ones((solver.size + 1, 2)))
-
-    def test_rejects_nan_block(self, spd_system):
-        solver = LinearSolver(spd_system[0])
-        block = np.ones((solver.size, 2))
-        block[3, 1] = np.nan
-        with pytest.raises(ValueError):
-            solver.solve_many(block)
 
 
 class TestMakeSolver:

@@ -163,7 +163,7 @@ class TestRunMany:
     def test_mixed_lengths_grouped(self, tiny_design, tiny_traces):
         dt = tiny_traces[0].dt
         engine = TransientEngine(tiny_design.mna, dt)
-        short = tiny_traces[0].subset(np.arange(30))
+        short = CurrentTrace(tiny_traces[0].currents[:30], dt)
         mixed = [tiny_traces[1], short, tiny_traces[2]]
         results = engine.run_many(mixed)
         assert [r.num_steps for r in results] == [t.num_steps for t in mixed]

@@ -21,19 +21,6 @@ class TestCurrentTrace:
         trace = CurrentTrace(currents, 1e-12)
         np.testing.assert_allclose(trace.total_current(), currents.sum(axis=1))
 
-    def test_subset(self):
-        trace = CurrentTrace(np.arange(20, dtype=float).reshape(10, 2), 1e-12)
-        subset = trace.subset(np.array([0, 5, 9]))
-        assert subset.num_steps == 3
-        np.testing.assert_allclose(subset.currents[1], trace.currents[5])
-
-    def test_subset_rejects_out_of_range(self):
-        trace = CurrentTrace(np.ones((5, 2)), 1e-12)
-        with pytest.raises(ValueError):
-            trace.subset(np.array([7]))
-        with pytest.raises(ValueError):
-            trace.subset(np.array([], dtype=int))
-
     def test_scaled(self):
         trace = CurrentTrace(np.ones((5, 2)), 1e-12)
         assert trace.scaled(2.0).currents.max() == pytest.approx(2.0)
@@ -46,6 +33,21 @@ class TestCurrentTrace:
         currents = np.ones((5, 2))
         currents[0, 0] = np.nan
         with pytest.raises(ValueError):
+            CurrentTrace(currents, 1e-12)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        steps=st.integers(1, 12),
+        loads=st.integers(1, 6),
+        where=st.integers(0, 2**16),
+    )
+    def test_rejects_non_finite_currents(self, bad, steps, loads, where):
+        # The linear solver does not scan right-hand sides; trace currents
+        # are checked here, where they enter.
+        currents = np.ones((steps, loads))
+        currents.flat[where % currents.size] = bad
+        with pytest.raises(ValueError, match="currents"):
             CurrentTrace(currents, 1e-12)
 
     def test_rejects_wrong_ndim(self):
