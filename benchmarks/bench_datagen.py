@@ -29,9 +29,11 @@ It asserts the factory guarantees:
    documents and CI re-checks on every push via ``--smoke``.
 
 Full-order vs ROM rows append to the repo-root ``BENCH_datagen.json``
-trajectory (every other bench persists one).  Runs under pytest
-(``python -m pytest benchmarks/bench_datagen.py``) or as a script wrapping
-a telemetry run::
+trajectory (every other bench persists one), together with
+``shard_peak_mb``: the ``tracemalloc`` peak, above live memory, of labelling
+one shard (transient solve, tile reduction and features) with each engine.
+Runs under pytest (``python -m pytest benchmarks/bench_datagen.py``) or as
+a script wrapping a telemetry run::
 
     python benchmarks/bench_datagen.py --smoke
     python scripts/obs_report.py benchmarks/results/datagen_obs
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -62,7 +65,7 @@ from repro.pdn import reference_design
 from repro.pdn.designs import design_from_name
 from repro.sim.dynamic_noise import DynamicNoiseAnalysis
 from repro.sim.rom import ROMOptions
-from repro.sim.transient import TransientEngine, TransientOptions
+from repro.sim.transient import TransientOptions
 from repro.workloads import generate_test_vectors
 from repro.workloads.dataset import build_dataset
 from repro.workloads.vectors import TestVectorGenerator, VectorConfig
@@ -89,6 +92,8 @@ ROM_SEED = 7
 #: the full-order block solver (26% over the speedup gate).
 ROM_OPTIONS = ROMOptions(rank=192)
 MIN_ROM_SPEEDUP = 5.0
+#: Vectors in the shard whose labelling peak is recorded.
+SHARD_VECTORS = 16
 
 
 def _sequential_baseline() -> dict:
@@ -224,12 +229,13 @@ def run_rom_benchmark(rounds: int = ROUNDS):
         design, ROM_VECTORS, VectorConfig(num_steps=ROM_STEPS, dt=ROM_DT), seed=ROM_SEED
     )
 
-    full_engine = TransientEngine(design.mna, ROM_DT, TransientOptions())
+    full_analysis = DynamicNoiseAnalysis(design, ROM_DT, TransientOptions())
     build_started = time.perf_counter()
-    rom_engine = TransientEngine(
-        design.mna, ROM_DT, TransientOptions(solver_mode="rom", rom=ROM_OPTIONS)
+    rom_analysis = DynamicNoiseAnalysis(
+        design, ROM_DT, TransientOptions(solver_mode="rom", rom=ROM_OPTIONS)
     )
     build_seconds = time.perf_counter() - build_started
+    full_engine, rom_engine = full_analysis.engine, rom_analysis.engine
 
     full_seconds, full_results = best_of(rounds, lambda: full_engine.run_many(traces))
     rom_seconds, rom_results = best_of(rounds, lambda: rom_engine.run_many(traces))
@@ -286,7 +292,30 @@ def run_rom_benchmark(rounds: int = ROUNDS):
         "validated": stats.validated,
         "fallbacks": stats.fallbacks,
     }
+    shard = traces[:SHARD_VECTORS]
+    entry["shard_peak_mb"] = {
+        "vectors": len(shard),
+        "full": _shard_peak_mb(design, shard, full_analysis),
+        "rom": _shard_peak_mb(design, shard, rom_analysis),
+    }
     return records, entry
+
+
+def _shard_peak_mb(design, shard, analysis) -> float:
+    """The tracemalloc peak of labelling one shard, in MB.
+
+    Counted above what was live when the shard began, so it is the shard's
+    own working set: the solver block, the tile reduction and the features,
+    as the dataset factory runs them (one lockstep block per shard).
+    """
+    tracemalloc.start()
+    try:
+        live, _ = tracemalloc.get_traced_memory()
+        build_dataset(design, shard, analysis=analysis, sim_batch_size=len(shard))
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
 
 
 def finish_rom(records, entry) -> None:

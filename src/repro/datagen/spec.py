@@ -222,8 +222,10 @@ class CorpusSpec:
         One :class:`CorpusDesignSpec` per design (unique labels).
     sim_batch_size:
         Vectors per lockstep transient block
-        (:meth:`~repro.sim.dynamic_noise.DynamicNoiseAnalysis.run_many`);
-        bounds the solver working set.  Every corpus is labelled by the one
+        (:meth:`~repro.sim.dynamic_noise.DynamicNoiseAnalysis.run_many`).
+        A block holds one copy of its vectors' currents
+        (``sim_batch_size x num_steps x num_loads`` floats) plus
+        ``O(num_nodes x sim_batch_size)`` solver state.  Every corpus is labelled by the one
         symmetric SuperLU factorisation
         (:class:`~repro.sim.linear.LinearSolver`) and by backward Euler
         started from the DC operating point; the manifest records them as

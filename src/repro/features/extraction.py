@@ -270,12 +270,14 @@ def extract_vector_features_batch(
 ) -> list[VectorFeatures]:
     """Extract features for a batch of vectors sharing one design.
 
-    The spatial tiling of the whole batch is a single sparse product (the
-    per-trace rows are independent, so each vector's maps are bit-identical
-    to :func:`extract_vector_features`); the temporal compression then runs
-    per vector, since Algorithm 1 ranks each vector's own time stamps.
-    This is the feature path of the dataset factory
-    (:mod:`repro.datagen`).
+    Every trace is validated before any work starts; each is then tiled on
+    its own (:func:`~repro.features.spatial.load_current_maps`, so its maps
+    are bit-identical to :func:`extract_vector_features`) and temporally
+    compressed, since Algorithm 1 ranks each vector's own time stamps.
+    Tiling trace by trace keeps the working set to one trace's currents
+    and maps on top of the returned features — no stacked copy of the
+    batch's currents is ever made.  This is the feature path of the dataset
+    factory (:mod:`repro.datagen`).
 
     Parameters
     ----------
@@ -291,28 +293,13 @@ def extract_vector_features_batch(
     One :class:`VectorFeatures` per trace, in input order.
     """
     traces = list(traces)
-    if not traces:
-        return []
     for trace in traces:
         if trace.num_loads != design.num_loads:
             raise ValueError(
                 f"trace has {trace.num_loads} loads but design {design.name!r} "
                 f"has {design.num_loads}"
             )
-    from repro.features.spatial import load_tile_incidence
-
-    tile_grid = design.tile_grid
-    incidence = load_tile_incidence(design)
-    stacked = np.concatenate([trace.currents for trace in traces], axis=0)
-    tiled = np.asarray(stacked @ incidence)
-    features = []
-    offset = 0
-    for trace in traces:
-        maps = tiled[offset:offset + trace.num_steps].reshape(
-            trace.num_steps, tile_grid.m, tile_grid.n
-        )
-        offset += trace.num_steps
-        features.append(
-            _features_from_maps(maps, trace.name, compression_rate, rate_step)
-        )
-    return features
+    return [
+        extract_vector_features(trace, design, compression_rate, rate_step)
+        for trace in traces
+    ]

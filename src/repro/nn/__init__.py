@@ -39,7 +39,7 @@ from repro.nn.modules import (
 )
 from repro.nn.losses import l1_loss
 from repro.nn.optim import Adam
-from repro.nn.serialization import load_checkpoint, load_extras, save_checkpoint
+from repro.nn.serialization import read_checkpoint, save_checkpoint
 from repro.nn import init
 
 __all__ = [
@@ -64,8 +64,7 @@ __all__ = [
     "Sequential",
     "l1_loss",
     "Adam",
-    "load_checkpoint",
-    "load_extras",
+    "read_checkpoint",
     "save_checkpoint",
     "init",
 ]

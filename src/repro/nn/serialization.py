@@ -50,8 +50,9 @@ def save_checkpoint(
     """Save a module's parameters (plus optional metadata/extras) to ``path``.
 
     ``extras`` maps names to arrays stored alongside the parameters in the
-    same archive; read them back with :func:`load_extras` (or everything at
-    once with :func:`read_checkpoint`).
+    same archive.  :func:`read_checkpoint` reads the parameters, metadata
+    and extras back in one pass; load the parameters into a module with
+    :meth:`~repro.nn.modules.Module.load_state_dict`.
 
     Parameters are always stored as float64 master weights regardless of the
     module's serving dtype — upcasting float32 values is lossless, so a
@@ -88,22 +89,3 @@ def read_checkpoint(
             elif not key.startswith(_RESERVED_PREFIX):
                 state[key] = data[key]
     return state, metadata, extras
-
-
-def load_checkpoint(
-    module: Module,
-    path: Union[str, Path],
-) -> Optional[dict]:
-    """Load parameters saved by :func:`save_checkpoint` into ``module``.
-
-    Returns the metadata dictionary when one was stored, else ``None``.
-    Reserved (``__``-prefixed) entries such as extras are ignored here.
-    """
-    state, metadata, _ = read_checkpoint(path)
-    module.load_state_dict(state)
-    return metadata
-
-
-def load_extras(path: Union[str, Path]) -> dict[str, np.ndarray]:
-    """Read the extra arrays stored in a checkpoint (empty dict if none)."""
-    return read_checkpoint(path)[2]

@@ -155,8 +155,9 @@ class DynamicNoiseAnalysis:
         traces:
             Test vectors to analyse (any mix of lengths; same dt).
         batch_size:
-            Maximum vectors per lockstep block (bounds memory); ``None``
-            integrates each equal-length group in one block.
+            Maximum vectors per lockstep block (see
+            :meth:`TransientEngine.run_many` for what a block holds);
+            ``None`` integrates each equal-length group in one block.
 
         Returns
         -------

@@ -173,10 +173,10 @@ class ROMRunStats:
     max_rel_error: float = 0.0
 
 
-def _normalise_columns(block: np.ndarray) -> np.ndarray:
-    """Scale columns to unit norm (zero columns are left untouched)."""
+def _normalise_columns(block: np.ndarray) -> None:
+    """Scale columns to unit norm in place (zero columns are left untouched)."""
     norms = np.linalg.norm(block, axis=0, keepdims=True)
-    return block / np.where(norms > 0.0, norms, 1.0)
+    block /= np.where(norms > 0.0, norms, 1.0)
 
 
 def _gram_truncate(block: np.ndarray, rank: int) -> np.ndarray:
@@ -186,14 +186,15 @@ def _gram_truncate(block: np.ndarray, rank: int) -> np.ndarray:
     ``O(N·W²)`` GEMM plus an ``O(W³)`` symmetric eigendecomposition, which is
     far cheaper than ``O(N·W²)``-with-large-constants LAPACK ``gesdd`` for
     the tall stacks the Krylov recurrence produces.  Columns are normalised
-    first so the eigenvalue spectrum reflects directions, not scales;
-    eigenvalues below ``_DROP_TOLERANCE`` times the largest are dropped as
-    linearly dependent.  Deterministic (no randomised sketch).
+    first — in place, so ``block`` is overwritten — so the eigenvalue
+    spectrum reflects directions, not scales; eigenvalues below
+    ``_DROP_TOLERANCE`` times the largest are dropped as linearly dependent.
+    Deterministic (no randomised sketch).
     """
     if block.shape[1] == 0:
         return block
-    normalised = _normalise_columns(block)
-    gram = normalised.T @ normalised
+    _normalise_columns(block)
+    gram = block.T @ block
     eigenvalues, eigenvectors = scipy.linalg.eigh(gram, check_finite=False)
     # eigh returns ascending order; walk from the top.
     top = eigenvalues[-1]
@@ -201,7 +202,7 @@ def _gram_truncate(block: np.ndarray, rank: int) -> np.ndarray:
         return block[:, :0]
     keep = min(rank, int((eigenvalues > top * _DROP_TOLERANCE).sum()))
     sel = slice(len(eigenvalues) - keep, len(eigenvalues))
-    mixed = normalised @ (eigenvectors[:, sel] / np.sqrt(eigenvalues[sel]))
+    mixed = block @ (eigenvectors[:, sel] / np.sqrt(eigenvalues[sel]))
     # The Gram route loses a few digits of orthonormality; one thin QR
     # restores it to working precision for the reduced Cholesky.
     polished, _ = scipy.linalg.qr(mixed, mode="economic", check_finite=False)
@@ -296,15 +297,32 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         ):
             cap_column = full.cap_companion[:, np.newaxis]
             moment = full.solver.solve_many(ports)
-            levels = [_normalise_columns(moment)]
-            for _ in range(options.order - 1):
-                if moment.shape[1] > rank:
-                    moment = _gram_truncate(moment, rank)
-                if moment.shape[1] == 0:
-                    break  # subspace exhausted (tiny designs)
-                moment = full.solver.solve_many(cap_column * moment)
-                levels.append(_normalise_columns(moment))
-            basis = _gram_truncate(np.concatenate(levels, axis=1), rank)
+            del ports
+            # One preallocated moment stack: each level is written into its
+            # own slice and normalised there, and the final truncation
+            # normalises the stack in place.  Level widths after the first are at most
+            # ``min(width, rank)``; rank-deficient truncations leave the
+            # tail unused.  Column-major, like the solver's output: every
+            # used prefix is contiguous, and the column norms and the Gram
+            # product, whose summation order follows the layout, round
+            # exactly as they do on the solved levels themselves.
+            width = moment.shape[1]
+            stack = np.empty(
+                (mna.num_nodes, width + (options.order - 1) * min(width, rank)), order="F"
+            )
+            used = 0
+            for level in range(options.order):
+                if level:
+                    if moment.shape[1] > rank:
+                        moment = _gram_truncate(moment, rank)
+                    if moment.shape[1] == 0:
+                        break  # subspace exhausted (tiny designs)
+                    moment = full.solver.solve_many(cap_column * moment)
+                level_columns = stack[:, used:used + moment.shape[1]]
+                level_columns[...] = moment
+                _normalise_columns(level_columns)
+                used += moment.shape[1]
+            basis = _gram_truncate(stack[:, :used], rank)
 
             reduced = basis.T @ (full.system_matrix @ basis)
             reduced = 0.5 * (reduced + reduced.T)
@@ -376,14 +394,18 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         num_steps = traces[0].num_steps
         basis = self._basis
         rank = basis.shape[1]
-        currents = np.stack([trace.currents for trace in traces])  # (V, T, L)
-        droop, inductor_current = full._dc_state(currents[:, 0, :])
+        # The block's one copy of its currents, written straight into the
+        # C-ordered (L, T, V) drive operand so the reshape below is a view.
+        currents = np.empty((mna.num_loads, num_steps, num_traces))
+        for column, trace in enumerate(traces):
+            currents[:, :, column] = trace.currents.T
+        droop, inductor_current = full._dc_state(currents[:, 0, :].T)
 
         # Pre-applied load drive of every stamp: one GEMM for the whole block.
-        flat = np.ascontiguousarray(currents.transpose(2, 1, 0)).reshape(
-            mna.num_loads, num_steps * num_traces
-        )
+        flat = currents.reshape(mna.num_loads, num_steps * num_traces)
         drive = (self._load_gain @ flat).reshape(rank, num_steps, num_traces)
+        # Free the currents before the reconstruction chunks are allocated.
+        del currents, flat
 
         state = basis.T @ droop  # reduced coordinates z with x ~= V z
         step_matrix = self._step_matrix

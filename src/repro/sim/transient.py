@@ -253,8 +253,10 @@ class FullOrderStrategy(TransientSolverStrategy):
         num_nodes = mna.num_nodes
         num_traces = len(traces)
         num_steps = traces[0].num_steps
-        currents = np.stack([trace.currents for trace in traces])  # (V, T, L)
-        droop, inductor_current = self._dc_state(currents[:, 0, :])
+        # The block's one copy of its currents, stacked straight into the
+        # (T, L, V) layout that makes the per-step slice contiguous.
+        step_currents = np.stack([trace.currents for trace in traces], axis=2)
+        droop, inductor_current = self._dc_state(step_currents[0].T)
 
         max_droop = droop.copy()
         if num_nodes:
@@ -283,8 +285,6 @@ class FullOrderStrategy(TransientSolverStrategy):
         unique_loads = np.unique(load_nodes).size == load_nodes.size
         unique_inductors = np.unique(ind_a).size == ind_a.size
         any_internal_ind = bool(np.any(~ind_to_ref))
-        # (T, L, V) layout makes the per-step slice contiguous.
-        step_currents = np.ascontiguousarray(currents.transpose(1, 2, 0))
         rhs = np.empty((num_nodes, num_traces))
 
         for step in range(1, num_steps):
@@ -452,9 +452,11 @@ class TransientEngine:
             design's load count.  Lengths may differ (equal lengths batch
             best).
         batch_size:
-            Maximum number of traces integrated per lockstep block — bounds
-            the ``(N, batch_size)`` working set.  ``None`` integrates each
-            equal-length group as one block.
+            Maximum number of traces integrated per lockstep block.  A block
+            holds one copy of its traces' currents (``batch_size x T x L``
+            floats) plus ``(N, batch_size)`` state arrays; a ROM block frees
+            its currents before its reconstruction chunks.  ``None``
+            integrates each equal-length group as one block.
 
         Returns
         -------
@@ -550,7 +552,8 @@ class TransientEngine:
             rom.options.tolerance,
             len(traces),
         )
-        remaining = [i for i in range(len(traces)) if i not in set(indices)]
+        validated = set(indices)
+        remaining = [i for i in range(len(traces)) if i not in validated]
         recomputed = self._run_groups([traces[i] for i in remaining], batch_size, self._full)
         for index, full_result in zip(indices, reference):
             results[index] = full_result

@@ -12,8 +12,7 @@ from repro.nn import (
     ReLU,
     Sequential,
     Tensor,
-    load_checkpoint,
-    load_extras,
+    read_checkpoint,
     save_checkpoint,
 )
 
@@ -28,7 +27,8 @@ class TestCheckpointRoundtrip:
         path = tmp_path / "model.npz"
         save_checkpoint(model, path)
         clone = Sequential(Conv2d(1, 2, seed=5), ReLU(), Conv2d(2, 1, seed=6))
-        load_checkpoint(clone, path)
+        state, _, _ = read_checkpoint(path)
+        clone.load_state_dict(state)
         x = Tensor(rng.random((1, 1, 5, 5)))
         np.testing.assert_allclose(model(x).data, clone(x).data)
 
@@ -36,20 +36,21 @@ class TestCheckpointRoundtrip:
         path = tmp_path / "model.npz"
         metadata = {"normalizer": {"scale": 2.0}, "note": "hello"}
         save_checkpoint(model, path, metadata=metadata)
-        loaded = load_checkpoint(model, path)
+        _, loaded, _ = read_checkpoint(path)
         assert loaded == metadata
 
     def test_no_metadata_returns_none(self, model, tmp_path):
         path = tmp_path / "model.npz"
         save_checkpoint(model, path)
-        assert load_checkpoint(model, path) is None
+        assert read_checkpoint(path)[1] is None
 
     def test_incompatible_model_rejected(self, model, tmp_path):
         path = tmp_path / "model.npz"
         save_checkpoint(model, path)
         other = Sequential(Conv2d(1, 3, seed=0))
+        state, _, _ = read_checkpoint(path)
         with pytest.raises(ValueError):
-            load_checkpoint(other, path)
+            other.load_state_dict(state)
 
 
 class TestCheckpointExtras:
@@ -57,25 +58,28 @@ class TestCheckpointExtras:
         path = tmp_path / "model.npz"
         distance = rng.random((3, 4, 4))
         save_checkpoint(model, path, extras={"distance": distance})
-        extras = load_extras(path)
+        _, _, extras = read_checkpoint(path)
         assert set(extras) == {"distance"}
         np.testing.assert_array_equal(extras["distance"], distance)
 
-    def test_extras_ignored_by_load_checkpoint(self, model, tmp_path, rng):
+    def test_extras_kept_out_of_state(self, model, tmp_path, rng):
         path = tmp_path / "model.npz"
         save_checkpoint(
             model, path, metadata={"k": 1}, extras={"aux": rng.random(5)}
         )
-        clone = Sequential(Conv2d(1, 2, seed=5), ReLU(), Conv2d(2, 1, seed=6))
-        metadata = load_checkpoint(clone, path)
+        state, metadata, extras = read_checkpoint(path)
+        assert set(state) == set(model.state_dict())
         assert metadata == {"k": 1}
+        assert set(extras) == {"aux"}
+        clone = Sequential(Conv2d(1, 2, seed=5), ReLU(), Conv2d(2, 1, seed=6))
+        clone.load_state_dict(state)
         x = Tensor(rng.random((1, 1, 5, 5)))
         np.testing.assert_allclose(model(x).data, clone(x).data)
 
     def test_no_extras_returns_empty(self, model, tmp_path):
         path = tmp_path / "model.npz"
         save_checkpoint(model, path)
-        assert load_extras(path) == {}
+        assert read_checkpoint(path)[2] == {}
 
 
 class _Cycle:
@@ -103,8 +107,10 @@ class TestConcurrentReads:
             try:
                 for _ in range(150):
                     _Cycle()
-                    assert load_checkpoint(model, path) == {"k": 1}
-                    assert set(load_extras(path)) == {"aux"}
+                    state, metadata, extras = read_checkpoint(path)
+                    model.load_state_dict(state)
+                    assert metadata == {"k": 1}
+                    assert set(extras) == {"aux"}
             except BaseException as error:  # noqa: BLE001 - surfaced below
                 errors.append(error)
 
