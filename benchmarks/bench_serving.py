@@ -323,7 +323,7 @@ def test_dtype_throughput_report(benchmark):
                     currents, predictor._normalized_distance, reduced_distance=reduced
                 ).data
 
-            forward()  # warm the workspace pool at this (shape, dtype)
+            forward()  # warm BLAS and the allocator at this (shape, dtype)
             elapsed, noise_maps = best_of(DTYPE_ROUNDS, forward)
         assert noise_maps.dtype == np.dtype(dtype)
         seconds[dtype] = elapsed

@@ -2,8 +2,9 @@
 
 Sec. 3.4.4 training is the stage the paper's Table 2 runtime comparison
 amortises over.  The engine normalises partitions once into stacked tensors,
-builds one autograd graph per minibatch (a depth-first backward walk, pooled
-im2col workspaces) and takes a fused flat-buffer Adam step.  This benchmark
+builds one autograd graph per minibatch (a depth-first backward walk whose
+convolution buffers are freed as it consumes them) and takes a fused
+flat-buffer Adam step.  This benchmark
 times a full training run at the quick-preset and paper-style minibatch sizes
 (best of ``ROUNDS``) on 8 x 8 tiles, and the seconds per optimizer step on
 D1@0.5 (25 x 25 tiles, 8 vectors x ~60 stamps a minibatch — the row whose

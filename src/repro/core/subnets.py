@@ -34,7 +34,6 @@ from repro.nn.conv import (
     transposed_gradients,
     write_phases,
 )
-from repro.nn.kernels import release_workspace
 from repro.nn.tensor import Context, Function, grad_enabled
 from repro.utils.random import ensure_rng
 
@@ -187,9 +186,8 @@ class CurrentFusionNet(Module):
     The layers run as one :class:`FusionFunction`: one loop over blocks of
     :meth:`block_size` stamps whose activations carry their padding halo,
     and a hand-written adjoint that walks each block's layers in reverse.
-    A recording forward keeps each block's halo workspaces for the adjoint
-    instead of handing them back to the pool; the maps are the same to the
-    bit with or without ``no_grad``.
+    A recording forward keeps each block's halo buffers for the adjoint;
+    the maps are the same to the bit with or without ``no_grad``.
     """
 
     def __init__(self, hidden_channels: int = 8, kernel_size: int = 3, seed: int = 0):
@@ -251,17 +249,15 @@ class FusionFunction(Function):
         """Run the blocks; every activation carries its halo.
 
         A producer writes bias and ReLU straight into the interior of the
-        next layer's pooled pre-padded workspace and only the ring is filled
-        — edge copies ahead of a convolution, zeros ahead of the
-        deconvolution, whose bias and ReLU go onto its own phase array
-        before the phases land in place.  Under ``no_grad`` each workspace
-        goes back to the pool once consumed, so the next block takes the
-        same cache-warm buffers; a recording forward keeps them for backward.
+        next layer's pre-padded buffer and only the ring is filled — edge
+        copies ahead of a convolution, zeros ahead of the deconvolution,
+        whose bias and ReLU go onto its own phase array before the phases
+        land in place.  Under ``no_grad`` a block's buffers are freed when
+        the next block replaces them; a recording forward keeps them for
+        backward.
         """
         down, refine, up, head = layers
         down_w, down_b, refine_w, refine_b, up_w, up_b, head_w, head_b = parameters
-        keep = grad_enabled()
-        done = (lambda buffer: None) if keep else release_workspace
         total, _, height, width = maps.shape
         output = np.empty(
             (total, head.out_channels, height, width), dtype=np.result_type(maps, *parameters)
@@ -273,15 +269,12 @@ class FusionFunction(Function):
             padded = pad_workspace(maps[stamps], (down.padding,) * 4, down.padding_mode)
             hidden = conv2d_padded(padded, down_w, down.stride)
             downsampled = _relu_into_halo(hidden, down_b, halo, refine.padding_mode)
-            done(padded)
             hidden = conv2d_padded(downsampled, refine_w, refine.stride)
-            done(downsampled)
             offsets, taps, pads, _ = subpixel_plan(
                 hidden.shape, up.kernel_size, up.stride, up.padding, (height, width)
             )
             refined = _relu_into_halo(hidden, refine_b, pads, "zeros")
             phases = subpixel_phases(refined, up_w, taps)  # (n, s, s, C, P, Q)
-            done(refined)
             phases += up_b.reshape(1, 1, 1, -1, 1, 1)
             np.maximum(phases, 0, out=phases)
             upsampled, interior = halo_workspace(
@@ -290,9 +283,8 @@ class FusionFunction(Function):
             write_phases(phases, offsets, interior)
             fill_halo(upsampled, halo, head.padding_mode)
             block = conv2d_padded(upsampled, head_w, head.stride, out=output[stamps])
-            done(upsampled)
             block += head_b.reshape(1, -1, 1, 1)
-            if keep:
+            if grad_enabled():
                 blocks.append((stamps, padded, downsampled, refined, upsampled))
         ctx.save(*blocks)
         ctx.attrs.update(layers=layers, parameters=parameters, pads=pads, maps=maps)
@@ -300,8 +292,8 @@ class FusionFunction(Function):
 
     @staticmethod
     def backward(ctx: Context, grad: np.ndarray):
-        """Walk each block's layers in reverse; each workspace is released once consumed."""
-        blocks = saved_once(ctx, "fusion subnet")
+        """Walk each block's layers in reverse, dropping its buffers once consumed."""
+        blocks = list(saved_once(ctx, "fusion subnet"))
         down, refine, up, head = ctx.attrs["layers"]
         pads, maps, parameters = ctx.attrs["pads"], ctx.attrs["maps"], ctx.attrs["parameters"]
         down_w, _, refine_w, _, up_w, _, head_w, _ = parameters
@@ -310,7 +302,8 @@ class FusionFunction(Function):
         needs_input = ctx.needs_input_grad[0]
         grad_maps = np.empty_like(maps) if needs_input else None
         totals = [np.zeros_like(parameter) for parameter in parameters]
-        for stamps, padded, downsampled, refined, upsampled in reversed(blocks):
+        while blocks:
+            stamps, padded, downsampled, refined, upsampled = blocks.pop()
             grad_head = grad[stamps]
             head_dw, grad_up = conv2d_gradients(
                 grad_head, upsampled, head_w, head.stride, head.padding, head.padding_mode
@@ -327,7 +320,6 @@ class FusionFunction(Function):
             down_dw, grad_input = conv2d_gradients(
                 grad_down, padded, down_w, down.stride, down.padding, down.padding_mode, needs_input
             )
-            release_workspace(padded)
             if needs_input:
                 grad_maps[stamps] = grad_input
             for total, part in zip(totals[::2], (down_dw, refine_dw, up_dw, head_dw)):
@@ -339,22 +331,21 @@ class FusionFunction(Function):
 
 
 def _interior(buffer: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
-    """The interior view of a pre-padded NCHW workspace."""
+    """The interior view of a pre-padded NCHW buffer."""
     top, bottom, left, right = pads
     return buffer[:, :, top : buffer.shape[2] - bottom, left : buffer.shape[3] - right]
 
 
 def _relu_adjoint(grad: np.ndarray, activation: np.ndarray, pads) -> np.ndarray:
-    """Mask ``grad`` in place by a saved post-ReLU interior, then release its workspace."""
+    """Mask ``grad`` in place by a saved post-ReLU interior."""
     grad *= _interior(activation, pads) > 0
-    release_workspace(activation)
     return grad
 
 
 def _relu_into_halo(
     raw: np.ndarray, bias: np.ndarray, pads: tuple[int, int, int, int], mode: str
 ) -> np.ndarray:
-    """``relu(raw + bias)`` written into a pooled pre-padded workspace, ring filled."""
+    """``relu(raw + bias)`` written into a pre-padded buffer, ring filled."""
     buffer, interior = halo_workspace(raw.shape, pads, raw.dtype)
     np.add(raw, bias.reshape(1, -1, 1, 1), out=interior)
     np.maximum(interior, 0, out=interior)

@@ -3,19 +3,18 @@
 PyTorch (the paper's framework) is unavailable offline, so this subpackage
 provides exactly the pieces this repository's models run: an autograd
 tensor whose backward pass walks the graph depth-first, Conv2d /
-ConvTranspose2d with replication or zero padding and pooled im2col
-workspaces, Linear, ReLU, the paper's L1 loss, a fused Adam optimiser and
-checkpointing.  Every operator's gradient is validated against numerical
-differentiation in the test suite.
+ConvTranspose2d with replication or zero padding, Linear, ReLU, the
+paper's L1 loss, a fused Adam optimiser and checkpointing.  Every
+operator's gradient is validated against numerical differentiation in the
+test suite.
 (Minibatch shuffling lives in the training engine itself —
 :mod:`repro.core.training` — which batches whole minibatches through one
 autograd graph per step.)
 
-All dense kernels (matmul / im2col / col2im, the workspace pool and the dtype
-policy) dispatch through :mod:`repro.nn.kernels`: float64 is the
-bit-exact reference and training precision, float32 the opt-in inference
-fast path, and accelerated backends can be registered behind the same entry
-points.
+All dense kernels (matmul / im2col / col2im and the dtype policy) dispatch
+through :mod:`repro.nn.kernels`: float64 is the bit-exact reference and
+training precision, float32 the opt-in inference fast path, and
+accelerated backends can be registered behind the same entry points.
 """
 
 from repro.nn import kernels

@@ -28,9 +28,9 @@ padded input for the weight gradient and fold the input gradient with
 tables and the measured effect.
 
 Padding is a halo: :func:`pad_input` writes the input by slices into the
-interior of a pooled pre-padded workspace and :func:`fill_halo` fills only
-the ring.  A producer (see ``CurrentFusionNet``) can write its output
-straight into such an interior and skip the copy.
+interior of a pre-padded buffer and :func:`fill_halo` fills only the ring.
+A producer (see ``CurrentFusionNet``) can write its output straight into
+such an interior and skip the copy.
 
 Array layout is NCHW throughout.
 """
@@ -42,18 +42,11 @@ from typing import Optional
 import numpy as np
 
 from repro.nn import kernels
-from repro.nn.kernels import release_workspace, take_workspace
+from repro.nn.kernels import take_workspace
 from repro.nn.tensor import Context, Function, Tensor, grad_enabled
 
 #: Padding modes supported by :class:`Conv2dFunction`.
 PADDING_MODES = ("zeros", "replicate")
-
-# The im2col workspace pool lives in :mod:`repro.nn.kernels` (keyed by
-# (shape, dtype), recency-ordered eviction).  Ownership is exclusive between
-# take and release, so a buffer saved for a backward pass can never be
-# overwritten by a concurrent forward; a graph can consequently only be
-# backpropagated once through a convolution (the standard contract — the
-# workspace is recycled during backward).
 
 
 def fill_halo(buffer: np.ndarray, pads: tuple[int, int, int, int], mode: str) -> None:
@@ -85,10 +78,9 @@ def fill_halo(buffer: np.ndarray, pads: tuple[int, int, int, int], mode: str) ->
 def halo_workspace(
     shape: tuple[int, int, int, int], pads: tuple[int, int, int, int], dtype
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A pooled pre-padded buffer for ``shape`` maps and a view of its interior.
+    """A pre-padded buffer for ``shape`` maps and a view of its interior.
 
-    The caller writes the interior, fills the ring with :func:`fill_halo`
-    and releases the buffer with :func:`release_workspace` when done.
+    The caller writes the interior and fills the ring with :func:`fill_halo`.
     """
     top, bottom, left, right = pads
     batch, channels, height, width = shape
@@ -99,7 +91,7 @@ def halo_workspace(
 
 
 def pad_workspace(x: np.ndarray, pads: tuple[int, int, int, int], mode: str) -> np.ndarray:
-    """``x`` written by slices into a pooled pre-padded buffer, ring filled."""
+    """``x`` written by slices into a pre-padded buffer, ring filled."""
     buffer, interior = halo_workspace(x.shape, pads, x.dtype)
     interior[...] = x
     fill_halo(buffer, pads, mode)
@@ -109,9 +101,9 @@ def pad_workspace(x: np.ndarray, pads: tuple[int, int, int, int], mode: str) -> 
 def pad_input(x: np.ndarray, padding: int, mode: str) -> np.ndarray:
     """Pad the two spatial axes of an NCHW array.
 
-    With ``padding > 0`` the result is a pooled workspace (``x`` written into
-    its interior, the ring filled by :func:`fill_halo`) that the caller may
-    hand back with :func:`release_workspace`; ``padding == 0`` returns ``x``.
+    With ``padding > 0`` the result is a fresh buffer (``x`` written into
+    its interior, the ring filled by :func:`fill_halo`); ``padding == 0``
+    returns ``x``.
     """
     if padding == 0:
         return x
@@ -158,7 +150,7 @@ def conv_transpose_output_size(size: int, kernel: int, stride: int, padding: int
 
 
 def _unfold(x_padded: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """:func:`kernels.im2col` into a pooled workspace (release it when done)."""
+    """:func:`kernels.im2col` into a fresh buffer."""
     batch, channels, height, width = x_padded.shape
     out_h = (height - kernel) // stride + 1
     out_w = (width - kernel) // stride + 1
@@ -228,13 +220,12 @@ def conv2d_padded(
     if stride == 1 and out_channels < in_channels:
         return _conv_fold_first(x_padded, weight, out)
     batch, _, height, width = x_padded.shape
-    columns = _unfold(x_padded, kernel, stride)
     # matmul broadcasts (O, F) @ (N, F, P) -> (N, O, P) straight into
     # batched GEMM; unlike einsum there is no per-call path search, which
     # matters when serving many small maps.
-    output = kernels.matmul(weight.reshape(out_channels, -1), columns)
-    release_workspace(columns)
-    output = output.reshape(
+    output = kernels.matmul(
+        weight.reshape(out_channels, -1), _unfold(x_padded, kernel, stride)
+    ).reshape(
         batch, out_channels, (height - kernel) // stride + 1, (width - kernel) // stride + 1
     )
     if out is None:
@@ -257,10 +248,7 @@ def _mirrored_gradients(
     """
     out_channels, in_channels, kernel, _ = weight.shape
     batch = grad.shape[0]
-    grad_full = pad_input(grad, kernel - 1, "zeros")
-    columns = _unfold(grad_full, kernel, 1)  # (N, O*k*k, Hp*Wp)
-    if kernel > 1:
-        release_workspace(grad_full)
+    columns = _unfold(pad_input(grad, kernel - 1, "zeros"), kernel, 1)  # (N, O*k*k, Hp*Wp)
     # (N, O*k*k, P) x (N, P, C) batched GEMM summed over the batch, then the
     # taps flipped back into the (O, C, k, k) layout.
     flipped = kernels.matmul(
@@ -272,24 +260,22 @@ def _mirrored_gradients(
     grad_padded = None
     if needs_input:
         grad_padded = kernels.matmul(_flipped_taps(weight).T, columns).reshape(x_padded.shape)
-    release_workspace(columns)
     return grad_weight, grad_padded
 
 
 def saved_once(ctx: Context, name: str) -> tuple:
     """``ctx.saved`` for the one backward pass a node allows; a second one raises.
 
-    The saved buffers are pooled workspaces that the first backward pass
-    hands back, so a second pass through the same ``name`` would read
-    recycled memory.
+    The node lets go of its saved buffers, so the first backward pass frees
+    each one as soon as it is consumed.
     """
-    if ctx.attrs.get("workspace_recycled"):
+    if ctx.attrs.get("workspace_freed"):
         raise RuntimeError(
             f"cannot backpropagate through the same {name} twice: "
-            "its workspaces were recycled by the first backward pass"
+            "its saved workspaces were freed by the first backward pass"
         )
     saved, ctx.saved = ctx.saved, ()
-    ctx.attrs["workspace_recycled"] = True
+    ctx.attrs["workspace_freed"] = True
     return saved
 
 
@@ -307,20 +293,20 @@ def conv2d_gradients(
     if stride == 1 and out_channels <= in_channels:
         grad_weight, grad_padded = _mirrored_gradients(grad, x_padded, weight, needs_input)
     else:
-        columns = _unfold(x_padded, kernel, stride)
         grad_flat = grad.reshape(grad.shape[0], out_channels, -1)  # (N, O, OH*OW)
         # (N, O, P) x (N, P, F) batched GEMM summed over the batch — same
         # contraction as einsum("nop,nfp->of") without the per-call path search.
-        grad_weight = kernels.matmul(grad_flat, columns.swapaxes(1, 2)).sum(axis=0)
+        grad_weight = kernels.matmul(
+            grad_flat, _unfold(x_padded, kernel, stride).swapaxes(1, 2)
+        ).sum(axis=0)
         grad_weight = grad_weight.reshape(weight.shape)
-        release_workspace(columns)
         grad_padded = None
         if needs_input:
             # Plain matmul (no out=) — numpy's out= variant takes a slower
-            # buffered path; the transient result is parked in the pool instead.
+            # buffered path.
             grad_columns = kernels.matmul(weight.reshape(out_channels, -1).T, grad_flat)
             grad_padded = kernels.col2im(grad_columns, x_padded.shape, kernel, stride)
-            release_workspace(grad_columns)
+            del grad_columns  # freed before the unpad copy
     if grad_padded is None:
         return grad_weight, None
     return grad_weight, unpad_gradient(grad_padded, padding, padding_mode)
@@ -329,10 +315,9 @@ def conv2d_gradients(
 class Conv2dFunction(Function):
     """2-D convolution (NCHW) with stride, padding and padding-mode support.
 
-    A recording forward keeps only the padded input (a pooled workspace the
-    layer owns until its backward pass); :func:`conv2d_gradients` derives
-    both gradients from it, never from the ``k*k`` times larger unfolded
-    columns.
+    A recording forward keeps only the padded input, which its backward pass
+    frees; :func:`conv2d_gradients` derives both gradients from it, never
+    from the ``k*k`` times larger unfolded columns.
     """
 
     @staticmethod
@@ -355,8 +340,6 @@ class Conv2dFunction(Function):
             output += bias.reshape(1, -1, 1, 1)
         if grad_enabled():
             ctx.save(x_padded, weight)
-        elif padding:
-            release_workspace(x_padded)
         ctx.attrs.update(
             stride=stride, padding=padding, padding_mode=padding_mode, has_bias=bias is not None
         )
@@ -372,8 +355,6 @@ class Conv2dFunction(Function):
         grad_weight, grad_x = conv2d_gradients(
             grad, x_padded, weight, stride, padding, padding_mode, ctx.needs_input_grad[0]
         )
-        if padding:
-            release_workspace(x_padded)
         grad_bias = grad.sum(axis=(0, 2, 3)) if ctx.attrs["has_bias"] else None
         return grad_x, grad_weight, grad_bias
 
@@ -465,9 +446,7 @@ def subpixel_phases(x_padded: np.ndarray, weight: np.ndarray, taps: np.ndarray) 
     """
     stride, window = taps.shape
     batch, _, height, width = x_padded.shape
-    columns = _unfold(x_padded, window, 1)
-    phases = kernels.matmul(_subpixel_weights(weight, taps), columns)
-    release_workspace(columns)
+    phases = kernels.matmul(_subpixel_weights(weight, taps), _unfold(x_padded, window, 1))
     return phases.reshape(
         batch, stride, stride, weight.shape[1], height - window + 1, width - window + 1
     )
@@ -500,11 +479,8 @@ def transposed_gradients(
     # to the natural size, so the unfold sees every input pixel.
     extra_h = conv_transpose_output_size(in_h, kernel, stride, padding) - grad.shape[2]
     extra_w = conv_transpose_output_size(in_w, kernel, stride, padding) - grad.shape[3]
-    grad_padded = pad_workspace(
-        grad, (padding, padding + extra_h, padding, padding + extra_w), "zeros"
-    )
-    grad_columns = _unfold(grad_padded, kernel, stride)  # (N, O*k*k, H*W)
-    release_workspace(grad_padded)
+    pads = (padding, padding + extra_h, padding, padding + extra_w)
+    grad_columns = _unfold(pad_workspace(grad, pads, "zeros"), kernel, stride)  # (N, O*k*k, H*W)
     grad_x = None
     if needs_input:
         # Batched GEMM replacements for einsum("if,nfp->nip") — no per-call
@@ -512,7 +488,6 @@ def transposed_gradients(
         grad_x = kernels.matmul(weight.reshape(in_channels, -1), grad_columns).reshape(x.shape)
     x_flat = x.reshape(batch, in_channels, in_h * in_w)
     grad_weight = kernels.matmul(x_flat, grad_columns.swapaxes(1, 2)).sum(axis=0)
-    release_workspace(grad_columns)
     return grad_x, grad_weight.reshape(weight.shape)
 
 
@@ -546,9 +521,7 @@ class ConvTranspose2dFunction(Function):
         offsets, taps, pads, (out_h, out_w) = subpixel_plan(
             x.shape, kernel, stride, padding, output_size
         )
-        x_padded = pad_workspace(x, pads, "zeros")
-        phase_maps = subpixel_phases(x_padded, weight, taps)
-        release_workspace(x_padded)
+        phase_maps = subpixel_phases(pad_workspace(x, pads, "zeros"), weight, taps)
         output = np.empty((batch, out_channels, out_h, out_w), dtype=phase_maps.dtype)
         write_phases(phase_maps, offsets, output)
         if bias is not None:

@@ -1,16 +1,13 @@
 """Kernel dispatch: the single owner of matmul/im2col/col2im entry points.
 
 Every dense kernel the network executes — the batched GEMM behind a
-convolution, the im2col unfold, the col2im fold, the workspace pool feeding
-them — routes through this module, so precision policy and backend
-selection live in exactly one place:
+convolution, the im2col unfold and the col2im fold — routes through this
+module, so precision policy and backend selection live in exactly one place:
 
 * **Dtype policy.**  Kernels run in ``float64`` (the bit-exact reference,
   the only dtype the training path accepts) or ``float32`` (the serving
   fast path, roughly half the memory traffic and twice the GEMM
-  throughput).  :data:`SUPPORTED_DTYPES` is the closed set; the workspace
-  pool is keyed by ``(shape, dtype)`` so a float32 serving thread recycles
-  buffers exactly like the float64 training loop does.
+  throughput).  :data:`SUPPORTED_DTYPES` is the closed set.
 * **Backend registry.**  The pure-numpy :class:`NumpyBackend` is the
   reference implementation; an accelerated backend (a compiled extension,
   a GPU bridge) plugs in behind the same three entry points via
@@ -26,7 +23,6 @@ the active backend at call time.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Optional, Union
 
 import numpy as np
@@ -37,7 +33,6 @@ __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "canonical_dtype",
-    "clear_workspace_pool",
     "col2im",
     "dtype_name",
     "get_backend",
@@ -46,7 +41,6 @@ __all__ = [
     "kernel_threads",
     "matmul",
     "register_backend",
-    "release_workspace",
     "set_backend",
     "take_workspace",
     "workspace_pool_stats",
@@ -101,8 +95,7 @@ def _im2col_numpy(
         Square kernel size and stride.
     out:
         Optional preallocated C-contiguous destination of shape
-        ``(N, C * kernel * kernel, OH * OW)`` (e.g. a pooled workspace);
-        allocated when omitted.
+        ``(N, C * kernel * kernel, OH * OW)``; allocated when omitted.
 
     Returns
     -------
@@ -115,7 +108,7 @@ def _im2col_numpy(
     windows = windows[:, :, ::stride, ::stride, :, :]  # (N, C, OH, OW, k, k)
     if out is None:
         out = np.empty((batch, channels * kernel * kernel, out_h * out_w), dtype=x_padded.dtype)
-    # Write the transposed windows straight into the (pooled) destination —
+    # Write the transposed windows straight into the destination —
     # one fused copy instead of reshape-copy + ascontiguousarray.
     np.copyto(
         out.reshape(batch, channels, kernel, kernel, out_h, out_w),
@@ -293,103 +286,19 @@ def col2im(
 
 
 # ---------------------------------------------------------------------- #
-# workspace pool
+# buffers
 # ---------------------------------------------------------------------- #
 #
-# The unfolded-columns buffer is by far the largest allocation of a
-# convolution, and a training step re-creates one per layer per step with
-# identical shapes.  Instead of paying the allocator (and page faults) every
-# step, released buffers are parked in a per-thread pool keyed by
-# (shape, dtype) and handed back out to the next forward pass that needs the
-# same buffer.  Ownership is exclusive between take and release, so a buffer
-# saved for a backward pass can never be overwritten by a concurrent forward.
-#
-# The pool dict is ordered by *recency* — taking or releasing a key moves it
-# to the back — so when the byte cap forces eviction, the coldest shapes go
-# first and a service whose request shapes drift keeps pooling its current
-# hot set.
-
-_WORKSPACES = threading.local()
-
-#: Buffers parked per (shape, dtype) key; more than this and extras go to GC.
-_MAX_POOLED_PER_KEY = 4
-
-#: Total bytes parked per thread.  A long-lived serving thread sees many
-#: distinct (batch, layer, design, dtype) keys over its lifetime; without a
-#: global cap each would park up to ``_MAX_POOLED_PER_KEY`` buffers forever.
-_MAX_POOLED_BYTES = 64 * 2**20
-
-
-def _pool() -> "OrderedDict[tuple, list[np.ndarray]]":
-    pool = getattr(_WORKSPACES, "pool", None)
-    if pool is None:
-        pool = _WORKSPACES.pool = OrderedDict()
-        _WORKSPACES.pooled_bytes = 0
-    return pool
+# Every kernel buffer is a plain numpy allocation, freed when its last
+# reference goes.  The two names below remain because perfbench's traced
+# runs wrap ``repro.nn.conv.take_workspace`` and read the pool statistics.
 
 
 def take_workspace(shape: tuple[int, ...], dtype: DtypeLike = np.float64) -> np.ndarray:
-    """Pop a pooled buffer of ``(shape, dtype)``, or allocate a fresh one.
-
-    Always returns a usable buffer: unsupported dtypes simply never hit the
-    pool (allocate-only), so callers need no dtype gate of their own.
-    """
-    dtype = np.dtype(dtype)
-    key = (tuple(shape), dtype)
-    pool = _pool()
-    stack = pool.get(key)
-    if stack:
-        buffer = stack.pop()
-        if not stack:
-            del pool[key]
-        else:
-            pool.move_to_end(key)  # reuse refreshes the key's recency
-        _WORKSPACES.pooled_bytes -= buffer.nbytes
-        return buffer
+    """``np.empty(shape, dtype)``: an uninitialised convolution buffer."""
     return np.empty(shape, dtype=dtype)
 
 
-def release_workspace(array: np.ndarray) -> None:
-    """Park a buffer for reuse by a later :func:`take_workspace`.
-
-    Only C-contiguous buffers of a :data:`SUPPORTED_DTYPES` member are
-    pooled; anything else is left to the garbage collector.
-    """
-    if array.dtype not in SUPPORTED_DTYPES or not array.flags.c_contiguous:
-        return
-    pool = _pool()
-    if array.nbytes > _MAX_POOLED_BYTES:
-        return
-    # Evict least-recently-*used* keys until the new buffer fits (the dict is
-    # kept in recency order by take/release), so the hottest shapes survive
-    # request-shape drift.
-    while _WORKSPACES.pooled_bytes + array.nbytes > _MAX_POOLED_BYTES and pool:
-        coldest_key = next(iter(pool))
-        stack = pool[coldest_key]
-        if stack:
-            _WORKSPACES.pooled_bytes -= stack.pop().nbytes
-        if not stack:
-            del pool[coldest_key]
-    key = (array.shape, array.dtype)
-    stack = pool.setdefault(key, [])
-    pool.move_to_end(key)  # releasing refreshes the key's recency too
-    if len(stack) < _MAX_POOLED_PER_KEY:
-        stack.append(array)
-        _WORKSPACES.pooled_bytes += array.nbytes
-
-
 def workspace_pool_stats() -> dict:
-    """Pooled bytes and per-key buffer counts of the calling thread's pool."""
-    pool = _pool()
-    return {
-        "pooled_bytes": int(getattr(_WORKSPACES, "pooled_bytes", 0)),
-        "keys": {
-            (shape, dtype.name): len(stack) for (shape, dtype), stack in pool.items()
-        },
-    }
-
-
-def clear_workspace_pool() -> None:
-    """Drop every pooled buffer of the calling thread (tests, memory pressure)."""
-    _pool().clear()
-    _WORKSPACES.pooled_bytes = 0
+    """Always empty: no buffer outlives its last reference."""
+    return {"pooled_bytes": 0, "keys": {}}

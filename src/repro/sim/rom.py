@@ -67,6 +67,10 @@ _AUTO_RANK_CAP = 256
 #: Floor of the automatic rank choice.
 _AUTO_RANK_FLOOR = 64
 
+#: Columns :func:`_normalise_columns` squares at once, so the temporary
+#: ``np.linalg.norm`` takes is a sliver of the moment stack, not a copy.
+_NORM_CHUNK_COLUMNS = 32
+
 #: Target byte size of one reconstruction chunk (bounds the dense ``(N, c, V)``
 #: working set of the chunked level-3 BLAS reconstruction).
 _CHUNK_TARGET_BYTES = 1 << 25
@@ -174,9 +178,15 @@ class ROMRunStats:
 
 
 def _normalise_columns(block: np.ndarray) -> None:
-    """Scale columns to unit norm in place (zero columns are left untouched)."""
-    norms = np.linalg.norm(block, axis=0, keepdims=True)
-    block /= np.where(norms > 0.0, norms, 1.0)
+    """Scale columns to unit norm in place (zero columns are left untouched).
+
+    Each chunk of columns goes through ``np.linalg.norm`` on its own; a
+    column's norm sums exactly as it would in the whole block.
+    """
+    for start in range(0, block.shape[1], _NORM_CHUNK_COLUMNS):
+        chunk = block[:, start : start + _NORM_CHUNK_COLUMNS]
+        norms = np.linalg.norm(chunk, axis=0, keepdims=True)
+        chunk /= np.where(norms > 0.0, norms, 1.0)
 
 
 def _gram_truncate(block: np.ndarray, rank: int) -> np.ndarray:
@@ -194,8 +204,11 @@ def _gram_truncate(block: np.ndarray, rank: int) -> np.ndarray:
     if block.shape[1] == 0:
         return block
     _normalise_columns(block)
+    # The Gram matrix is symmetric: its Fortran-contiguous transpose lets
+    # LAPACK overwrite it in place instead of copying it.
     gram = block.T @ block
-    eigenvalues, eigenvectors = scipy.linalg.eigh(gram, check_finite=False)
+    eigenvalues, eigenvectors = scipy.linalg.eigh(gram.T, overwrite_a=True, check_finite=False)
+    del gram
     # eigh returns ascending order; walk from the top.
     top = eigenvalues[-1]
     if top <= 0.0:
@@ -217,10 +230,13 @@ def _excitation_block(full: "FullOrderStrategy") -> np.ndarray:
     the rank truncation (not a lossy sketch) then decides what to keep.
     """
     mna = full.mna
-    columns = [mna.load_incidence().toarray()]
+    # Column-major, as the incidences' own dense form: each incidence is
+    # written straight into its contiguous slice.
+    ports = np.zeros((mna.num_nodes, mna.num_loads + mna.num_inductors), order="F")
+    mna.load_incidence().toarray(out=ports[:, : mna.num_loads])
     if mna.num_inductors:
-        columns.append(mna.inductor_incidence().toarray())
-    return np.concatenate(columns, axis=1)
+        mna.inductor_incidence().toarray(out=ports[:, mna.num_loads :])
+    return ports
 
 
 def _auto_rank(num_ports: int, num_nodes: int) -> int:

@@ -5,7 +5,7 @@ subexpressions, leaves feeding several ops, diamond joins through ``cat``,
 ``broadcast_to`` and ``__getitem__`` — and checks every leaf gradient
 against central differences.  The remaining cases pin graphs whose pieces
 are built at different times, the ``needs_input_grad`` shortcut and the
-convolution workspace recycling.
+one backward pass a convolution's saved buffers allow.
 """
 
 import numpy as np

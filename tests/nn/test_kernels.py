@@ -1,9 +1,8 @@
 """Tests for the kernel-dispatch layer (``repro.nn.kernels``).
 
 Covers the two things the module owns — dtype policy and the backend
-registry — plus the workspace pool's (shape, dtype) keying,
-recency-ordered eviction and buffer ownership (a padded input saved for
-backward is never handed to a later forward), and two end-to-end guarantees: the default
+registry — plus buffer ownership (a padded input saved for backward is
+never handed to a later forward), and two end-to-end guarantees: the default
 float64 path matches the pre-refactor implementation to rtol/atol 1e-12
 (golden arrays captured before the dispatch layer existed; the convolution
 kernels have since changed summation order), and float32 inference matches
@@ -104,105 +103,16 @@ def test_kernels_run_on_the_callers_thread():
 
 
 # ---------------------------------------------------------------------- #
-# workspace pool
+# buffer ownership
 # ---------------------------------------------------------------------- #
 
 
-@pytest.fixture()
-def fresh_pool():
-    kernels.clear_workspace_pool()
-    yield
-    kernels.clear_workspace_pool()
-
-
-def test_pool_keyed_by_shape_and_dtype(fresh_pool):
-    f64 = kernels.take_workspace((4, 5), np.float64)
-    f32 = kernels.take_workspace((4, 5), np.float32)
-    assert f64.dtype == np.float64 and f32.dtype == np.float32
-    kernels.release_workspace(f64)
-    kernels.release_workspace(f32)
-    # Same shape, different dtype: each take gets its own buffer back.
-    assert kernels.take_workspace((4, 5), np.float32) is f32
-    assert kernels.take_workspace((4, 5), np.float64) is f64
-
-
-def test_pool_unsupported_buffers_not_pooled(fresh_pool):
-    ints = np.empty((3, 3), dtype=np.int64)
-    kernels.release_workspace(ints)
-    strided = np.empty((6, 6))[::2, ::2]
-    kernels.release_workspace(strided)
-    assert kernels.workspace_pool_stats()["pooled_bytes"] == 0
-
-
-def test_pool_caps_buffers_per_key(fresh_pool):
-    buffers = [kernels.take_workspace((8,)) for _ in range(6)]
-    for buffer in buffers:
-        kernels.release_workspace(buffer)
-    stats = kernels.workspace_pool_stats()
-    assert stats["keys"][((8,), "float64")] == kernels._MAX_POOLED_PER_KEY
-
-
-def test_pool_eviction_is_recency_ordered(fresh_pool, monkeypatch):
-    # Cap the pool at ~3 small buffers so eviction is easy to trigger.
-    buffer_bytes = np.empty((16,), dtype=np.float64).nbytes
-    monkeypatch.setattr(kernels, "_MAX_POOLED_BYTES", 3 * buffer_bytes)
-
-    hot = kernels.take_workspace((16,))
-    cold_a = kernels.take_workspace((17,))
-    cold_b = kernels.take_workspace((18,))
-    for buffer in (cold_a, cold_b, hot):
-        kernels.release_workspace(buffer)
-
-    # Touch the hot key (take + release refresh its recency)...
-    assert kernels.take_workspace((16,)) is hot
-    kernels.release_workspace(hot)
-    # ...then release new shapes until something must be evicted.
-    kernels.release_workspace(np.empty((19,)))
-    stats = kernels.workspace_pool_stats()
-    # The least-recently-used keys (cold_a, then cold_b) were evicted first;
-    # the hot key survived the drift.  Pre-fix behaviour evicted by insertion
-    # order, which would have dropped the hot key instead.
-    assert ((16,), "float64") in stats["keys"]
-    assert ((17,), "float64") not in stats["keys"]
-
-
-def test_pool_take_refreshes_recency_with_multiple_buffers(fresh_pool, monkeypatch):
-    buffer_bytes = np.empty((16,), dtype=np.float64).nbytes
-    monkeypatch.setattr(kernels, "_MAX_POOLED_BYTES", 4 * buffer_bytes)
-
-    hot_a = kernels.take_workspace((16,))
-    hot_b = kernels.take_workspace((16,))
-    cold = kernels.take_workspace((17,))
-    kernels.release_workspace(hot_a)
-    kernels.release_workspace(hot_b)
-    kernels.release_workspace(cold)
-    # Taking one of the hot key's buffers (leaving one pooled) must move the
-    # key to the back of the eviction order even though the key stays present.
-    taken = kernels.take_workspace((16,))
-    kernels.release_workspace(np.empty((18,)))
-    kernels.release_workspace(np.empty((19,)))
-    stats = kernels.workspace_pool_stats()
-    assert ((16,), "float64") in stats["keys"]
-    assert ((17,), "float64") not in stats["keys"]
-    kernels.release_workspace(taken)
-
-
-def test_pool_oversized_buffer_bypasses_pool(fresh_pool, monkeypatch):
-    monkeypatch.setattr(kernels, "_MAX_POOLED_BYTES", 64)
-    small = kernels.take_workspace((4,))
-    kernels.release_workspace(small)
-    before = kernels.workspace_pool_stats()
-    kernels.release_workspace(np.empty((1024,)))
-    # The oversized buffer was dropped without disturbing pooled entries.
-    assert kernels.workspace_pool_stats() == before
-
-
 def _mirrored_conv(x, weight):
-    # Stride 1 with C_out <= C_in: the layer keeps its pooled padded input.
+    # Stride 1 with C_out <= C_in: the layer keeps its padded input.
     return conv2d(x, weight, stride=1, padding=1, padding_mode="replicate")
 
 
-def test_saved_padded_input_survives_later_forwards(fresh_pool):
+def test_saved_padded_input_survives_later_forwards():
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
     weight = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
@@ -210,7 +120,6 @@ def test_saved_padded_input_survives_later_forwards(fresh_pool):
     reference_x = Tensor(x.data.copy(), requires_grad=True)
     reference_w = Tensor(weight.data.copy(), requires_grad=True)
     _mirrored_conv(reference_x, reference_w).backward(grad)
-    kernels.clear_workspace_pool()
 
     y = _mirrored_conv(x, weight)
     saved = y._ctx.saved[0]
@@ -227,19 +136,6 @@ def test_saved_padded_input_survives_later_forwards(fresh_pool):
     y.backward(grad)
     np.testing.assert_array_equal(x.grad, reference_x.grad)
     np.testing.assert_array_equal(weight.grad, reference_w.grad)
-    # The backward hands the padded input back to the pool.
-    assert ((2, 3, 7, 7), "float64") in kernels.workspace_pool_stats()["keys"]
-
-
-def test_unpadded_input_is_never_pooled(fresh_pool):
-    # padding=0 keeps the caller's own array as the "padded" input; it must
-    # not be released into the pool, where a later take would overwrite it.
-    x = Tensor(np.random.default_rng(1).standard_normal((1, 2, 4, 4)), requires_grad=True)
-    weight = Tensor(np.ones((1, 2, 3, 3)), requires_grad=True)
-    conv2d(x, weight, stride=1, padding=0).mean().backward()
-    with no_grad():
-        conv2d(x, weight, stride=1, padding=0)
-    assert ((1, 2, 4, 4), "float64") not in kernels.workspace_pool_stats()["keys"]
 
 
 # ---------------------------------------------------------------------- #
