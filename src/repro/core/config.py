@@ -68,6 +68,7 @@ class TrainingConfig:
         check_positive(self.learning_rate, "learning_rate")
         check_positive(self.epochs, "epochs")
         check_positive(self.batch_size, "batch_size")
+        check_positive(self.log_every, "log_every")
         if self.early_stopping_patience is not None:
             check_positive(self.early_stopping_patience, "early_stopping_patience")
         if self.early_stopping_min_delta < 0:

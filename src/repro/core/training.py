@@ -41,11 +41,6 @@ from repro.core.model import WorstCaseNoiseNet
 from repro.features.extraction import FeatureNormalizer, fit_normalizer
 from repro.nn import Adam, l1_loss, no_grad
 from repro.pdn.designs import Design
-from repro.resilience.checkpoint import (
-    CheckpointPolicy,
-    TrainingGuard,
-    divergence_detail,
-)
 from repro.utils import get_logger
 from repro.utils.random import ensure_rng
 from repro.workloads.dataset import DatasetSplit, NoiseDataset, expansion_split
@@ -257,13 +252,6 @@ class NoiseModelTrainer:
         when omitted.
     model_config / training_config:
         Hyper-parameters.
-    checkpointing:
-        Optional :class:`~repro.resilience.checkpoint.CheckpointPolicy`
-        enabling preemption-safe training: periodic atomic checkpoints
-        (model + optimiser + RNG + history), bit-identical resume from the
-        latest one, and divergence rollback.  Deliberately *not* a
-        ``TrainingConfig`` field — it changes how a run survives, never
-        what it computes, so config hashes stay stable.
     """
 
     def __init__(
@@ -273,7 +261,6 @@ class NoiseModelTrainer:
         split: Optional[DatasetSplit] = None,
         model_config: ModelConfig = ModelConfig(),
         training_config: TrainingConfig = TrainingConfig(),
-        checkpointing: Optional[CheckpointPolicy] = None,
     ):
         if len(dataset) < 3:
             raise ValueError("training requires at least 3 samples")
@@ -281,7 +268,6 @@ class NoiseModelTrainer:
         self.design = design
         self.model_config = model_config
         self.training_config = training_config
-        self.checkpointing = checkpointing
         self.split = split if split is not None else expansion_split(
             dataset, seed=training_config.seed
         )
@@ -388,22 +374,14 @@ class NoiseModelTrainer:
         num_train = sum(len(targets) for (_, targets), _, _ in pool.values())
         if num_train == 0:
             raise ValueError("the training partition is empty")
-        has_validation = any(len(split.validation) for split in self.splits.values())
 
         history = TrainingHistory()
         best_state = self.model.state_dict()
         epochs_without_improvement = 0
-        guard = None
-        epoch = 0
-        if self.checkpointing is not None:
-            guard = TrainingGuard(self.checkpointing, self.model, optimizer, rng)
-            epoch, best_state, epochs_without_improvement = guard.restore(
-                history, best_state, epochs_without_improvement
-            )
 
         metrics = obs.metrics()
         started = time.perf_counter()
-        while epoch < config.epochs:
+        for epoch in range(config.epochs):
             schedule = _epoch_schedule(pool, config, rng)
             epoch_loss = 0.0
             epoch_started = time.perf_counter()
@@ -420,76 +398,30 @@ class NoiseModelTrainer:
             )
 
             validation_loss = self._evaluate_batched(pool)
-            if guard is not None:
-                detail = divergence_detail(epoch_loss, validation_loss, has_validation)
-                if detail is not None:
-                    epoch, best_state, epochs_without_improvement = (
-                        guard.handle_divergence(epoch, detail, history)
-                    )
-                    continue
-            stop, best_state, epochs_without_improvement = note_epoch(
-                self.model,
-                config,
-                history,
-                epoch,
-                epoch_loss,
-                validation_loss,
-                best_state,
-                epochs_without_improvement,
-            )
-            if guard is not None:
-                guard.after_epoch(
-                    epoch, history, best_state, epochs_without_improvement
+            history.train_loss.append(epoch_loss)
+            history.validation_loss.append(validation_loss)
+            # Early stopping monitors the validation loss; the training loss
+            # stands in when that is not finite (no validation partition).
+            monitored = validation_loss if np.isfinite(validation_loss) else epoch_loss
+            if monitored < history.best_validation_loss - config.early_stopping_min_delta:
+                history.best_validation_loss = monitored
+                history.best_epoch = epoch
+                best_state = self.model.state_dict()
+                epochs_without_improvement = 0
+            else:
+                epochs_without_improvement += 1
+            if epoch % config.log_every == 0:
+                _LOG.info(
+                    "epoch %d: train %.5f, val %.5f", epoch, epoch_loss, validation_loss
                 )
-            if stop:
+            if (
+                config.early_stopping_patience is not None
+                and epochs_without_improvement >= config.early_stopping_patience
+            ):
+                _LOG.info("early stopping at epoch %d", epoch)
                 break
-            epoch += 1
 
         self.model.load_state_dict(best_state)
         history.wall_clock_seconds = time.perf_counter() - started
         return history
 
-
-def note_epoch(
-    model: WorstCaseNoiseNet,
-    config: TrainingConfig,
-    history: TrainingHistory,
-    epoch: int,
-    epoch_loss: float,
-    validation_loss: float,
-    best_state: dict,
-    epochs_without_improvement: int,
-) -> tuple[bool, dict, int]:
-    """One epoch of loss-curve recording and early-stopping bookkeeping.
-
-    Appends the losses to ``history``, bookmarks the best validation epoch
-    (snapshotting ``model.state_dict()``), and applies the patience rule.
-
-    Returns
-    -------
-    ``(stop, best_state, epochs_without_improvement)`` — ``stop`` is ``True``
-    when the patience budget is exhausted.
-    """
-    history.train_loss.append(epoch_loss)
-    history.validation_loss.append(validation_loss)
-
-    monitored = validation_loss if np.isfinite(validation_loss) else epoch_loss
-    if monitored < history.best_validation_loss - config.early_stopping_min_delta:
-        history.best_validation_loss = monitored
-        history.best_epoch = epoch
-        best_state = model.state_dict()
-        epochs_without_improvement = 0
-    else:
-        epochs_without_improvement += 1
-
-    if epoch % config.log_every == 0:
-        _LOG.info(
-            "epoch %d: train %.5f, val %.5f", epoch, epoch_loss, validation_loss
-        )
-    stop = (
-        config.early_stopping_patience is not None
-        and epochs_without_improvement >= config.early_stopping_patience
-    )
-    if stop:
-        _LOG.info("early stopping at epoch %d", epoch)
-    return stop, best_state, epochs_without_improvement

@@ -100,7 +100,6 @@ class MultiDesignTrainer(NoiseModelTrainer):
                 )
         self.model_config = model_config
         self.training_config = training_config
-        self.checkpointing = None  # pooled runs take no checkpoint policy
         if splits is None:
             splits = {
                 label: expansion_split(

@@ -14,16 +14,11 @@ through these hooks *deterministically*: no sleeps, no racing signal
 handlers — a fault fires at an exact call ordinal of an exact seam, so a
 kill-and-resume cycle is as reproducible as the pipeline it interrupts.
 
-Two ways to inject:
-
-* **Process-global install** — pipeline call sites read the injector via
-  :func:`active`; tests swap it with :func:`install` or the
-  :func:`injected` context manager.  Pooled runs take a picklable *factory*
-  (``faults_factory=``) whose product :func:`repro.resilience.fan_out`
-  installs in each worker.
-* **Explicit argument** — the gateway keeps taking its injector as a
-  constructor argument (``ScreeningGateway(..., faults=...)``); the hooks
-  are the same class either way.
+Every seam, the gateway's worker threads included, reads the one
+process-global injector via :func:`active`; tests swap it with
+:func:`install` or the :func:`injected` context manager.  Pooled runs take
+a picklable *factory* (``faults_factory=``) whose product
+:func:`repro.resilience.fan_out` installs in each worker process.
 
 See ``docs/resilience.md`` for the full failure model.
 """

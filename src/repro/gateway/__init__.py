@@ -15,11 +15,12 @@ production scale:
   quiesce one shard between batches, and a graceful drain that resolves
   every accepted future;
 * :class:`~repro.gateway.server.GatewayServer` — a stdlib asyncio TCP
-  front-end speaking newline-delimited JSON;
-* :class:`~repro.faults.FaultInjector` — the deterministic
-  fault-injection seam the concurrency test suite (``tests/gateway/``)
-  scripts worker kills, duplicated/delayed deliveries, and checkpoint-load
-  failures through.
+  front-end speaking newline-delimited JSON.
+
+The shard workers call the process-global :mod:`repro.faults` injector at
+dequeue, batch, checkpoint load and swap; the concurrency test suite
+(``tests/gateway/``) scripts worker kills, duplicated/delayed deliveries,
+and checkpoint-load failures through it.
 
 See ``docs/serving.md`` for the architecture and semantics,
 ``scripts/run_gateway.py`` for the CLI entry point, and
@@ -27,7 +28,6 @@ See ``docs/serving.md`` for the architecture and semantics,
 one-request-at-a-time client of a one-shard gateway.
 """
 
-from repro.faults import NULL_FAULTS, FaultInjector, WorkerKilled
 from repro.gateway.gateway import ScreeningGateway
 from repro.gateway.messages import (
     GatewayClosed,
@@ -48,9 +48,6 @@ __all__ = [
     "ShardWorker",
     "GatewayRequest",
     "SwapCommand",
-    "FaultInjector",
-    "NULL_FAULTS",
-    "WorkerKilled",
     "GatewayError",
     "GatewayOverloaded",
     "GatewayClosed",

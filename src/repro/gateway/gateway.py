@@ -49,7 +49,6 @@ from typing import Optional, Sequence, Union
 
 from repro import obs
 from repro.core.inference import NoisePredictor, PredictionResult
-from repro.faults import NULL_FAULTS, FaultInjector
 from repro.gateway.messages import (
     STOP,
     GatewayClosed,
@@ -136,8 +135,6 @@ class ScreeningGateway:
         Rebuilds :class:`Design` objects from names for scenario payloads
         and raw traces submitted by name (defaults to
         :func:`repro.pdn.designs.design_from_name`).
-    faults:
-        Fault-injection seam (tests only; defaults to inert hooks).
     metrics:
         Metrics registry to publish into; defaults to the process-global
         :func:`repro.obs.metrics` registry (a no-op registry when
@@ -163,7 +160,6 @@ class ScreeningGateway:
         registry_capacity: int = 4,
         cache_size: int = 1024,
         design_factory: DesignFactory = design_from_name,
-        faults: Optional[FaultInjector] = None,
         metrics: Optional[MetricsRegistry] = None,
         max_retries: int = 2,
         backoff_base: float = 0.05,
@@ -184,7 +180,6 @@ class ScreeningGateway:
         self.backoff_cap = float(backoff_cap)
         self.metrics = metrics if metrics is not None else obs.metrics()
         self._obs = _GatewayInstruments(self.metrics, self.num_shards)
-        self._faults = faults if faults is not None else NULL_FAULTS
         self._design_factory = design_factory
         self._ring = ConsistentHashRing(range(self.num_shards))
         #: Result cache shared by every shard (workers hold
@@ -464,7 +459,6 @@ class ScreeningGateway:
             design_factory=self._design_factory,
             max_batch=self.max_batch,
             max_wait=self.max_wait,
-            faults=self._faults,
             instruments=self._obs,
             on_crash=self._on_worker_crash,
             on_healthy=self._on_worker_healthy,

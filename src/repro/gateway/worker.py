@@ -45,9 +45,9 @@ from typing import Callable
 
 import numpy as np
 
+from repro import faults
 from repro.core.inference import PredictionResult
 from repro.features.extraction import VectorFeatures, extract_vector_features
-from repro.faults import FaultInjector
 from repro.gateway.messages import STOP, GatewayRequest, SwapCommand
 from repro.pdn.designs import Design, DesignFactory
 from repro.serving.cache import LRUCache, result_cache_key
@@ -90,8 +90,6 @@ class ShardWorker(threading.Thread):
     max_batch / max_wait:
         Micro-batching bounds: at most ``max_batch`` requests per batch,
         waiting at most ``max_wait`` seconds after the first for it to fill.
-    faults:
-        Fault-injection seam; hooks run at dequeue, batch, load and swap.
     instruments:
         The gateway's shared metric handles (``_GatewayInstruments``).
     on_crash / on_healthy:
@@ -112,7 +110,6 @@ class ShardWorker(threading.Thread):
         design_factory: DesignFactory,
         max_batch: int,
         max_wait: float,
-        faults: FaultInjector,
         instruments,
         on_crash: CrashCallback,
         on_healthy: HealthyCallback,
@@ -131,7 +128,6 @@ class ShardWorker(threading.Thread):
         self.max_wait = float(max_wait)
         self._design_factory = design_factory
         self._designs: dict[str, Design] = {}
-        self._faults = faults
         self._obs = instruments
         self._on_crash = on_crash
         self._on_healthy = on_healthy
@@ -196,7 +192,7 @@ class ShardWorker(threading.Thread):
             # In hand before the dequeue seam runs (it may crash the worker);
             # then replaced by the deliveries the seam hands back.
             batch.append(item)
-            batch[-1:] = self._faults.on_dequeue(self.shard_id, item)
+            batch[-1:] = faults.active().on_dequeue(self.shard_id, item)
             if len(batch) >= self.max_batch:
                 return batch, None
             timeout = deadline - time.perf_counter()
@@ -212,7 +208,7 @@ class ShardWorker(threading.Thread):
         live = [request for request in batch if not request.done]
         if not live:
             return
-        self._faults.before_batch(self.shard_id, live)
+        faults.active().before_batch(self.shard_id, live)
         groups: dict[str, list[GatewayRequest]] = {}
         for request in live:
             groups.setdefault(request.design_name, []).append(request)
@@ -228,7 +224,7 @@ class ShardWorker(threading.Thread):
         payload that cannot be materialised fails only its own feature row.
         """
         try:
-            self._faults.on_checkpoint_load(self.shard_id, design_name)
+            faults.active().on_checkpoint_load(self.shard_id, design_name)
             predictor = self.registry.get(design_name)
         except Exception as error:  # noqa: BLE001 - forwarded to callers
             self._fail(design_name, requests, error)
@@ -345,7 +341,7 @@ class ShardWorker(threading.Thread):
     def _apply_swap(self, command: SwapCommand) -> None:
         """Apply a hot checkpoint swap at this quiesce point."""
         try:
-            self._faults.before_swap(self.shard_id, command.design_name)
+            faults.active().before_swap(self.shard_id, command.design_name)
             if command.predictor is not None:
                 self.registry.register(
                     command.design_name, command.predictor, persist=command.persist

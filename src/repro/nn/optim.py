@@ -106,45 +106,3 @@ class Adam:
         update = self.learning_rate * corrected_first / (np.sqrt(corrected_second) + self.epsilon)
         for parameter, piece in zip(self.parameters, self._slices):
             parameter.data = parameter.data - update[piece].reshape(parameter.data.shape)
-
-    # -- checkpointing ---------------------------------------------------- #
-
-    def state_dict(self) -> dict:
-        """Copy of the optimiser state: the Adam moments and the step count.
-
-        The layout is what training checkpoints persist; restoring it with
-        :meth:`load_state_dict` into a freshly-built optimiser over the same
-        parameter list makes the next :meth:`step` bit-identical to one of
-        an uninterrupted run.
-        """
-        return {
-            "kind": "adam",
-            "step_count": self._step_count,
-            "first_moment": self._first_moment.copy(),
-            "second_moment": self._second_moment.copy(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`.
-
-        Raises
-        ------
-        ValueError
-            When the state belongs to a different optimiser kind or a
-            different parameter layout (flat-buffer size mismatch).
-        """
-        if state.get("kind") != "adam":
-            raise ValueError(f"optimizer state is for {state.get('kind')!r}, not 'adam'")
-        self._step_count = int(state["step_count"])
-        self._first_moment[:] = self._check_flat("first_moment", state["first_moment"])
-        self._second_moment[:] = self._check_flat("second_moment", state["second_moment"])
-
-    def _check_flat(self, name: str, value: np.ndarray) -> np.ndarray:
-        """Validate one flat state buffer against this optimiser's layout."""
-        flat = np.asarray(value, dtype=np.float64).reshape(-1)
-        if flat.size != self._num_scalars:
-            raise ValueError(
-                f"optimizer state buffer {name!r} has {flat.size} scalars, "
-                f"parameters need {self._num_scalars}"
-            )
-        return flat

@@ -2,8 +2,7 @@
 
 Every way the offline pipeline gives up is a distinct exception type
 carrying the evidence an operator (or a test) needs: which shard is
-corrupt and what the hashes were, which shards exhausted their retries,
-at which epoch training diverged.  Raw numpy/zipfile/OS errors never
+corrupt and what the hashes were, which shards exhausted their retries.  Raw numpy/zipfile/OS errors never
 escape the resilience layer — they are wrapped into these types at the
 boundary where the failed artefact is known.
 """
@@ -17,8 +16,6 @@ __all__ = [
     "ResilienceError",
     "CorruptShardError",
     "ShardFailedError",
-    "DivergenceError",
-    "CheckpointError",
 ]
 
 
@@ -87,24 +84,3 @@ class ShardFailedError(ResilienceError):
         super().__init__(
             f"{len(self.failures)} shard(s) failed after exhausting retries: {names}"
         )
-
-
-class DivergenceError(ResilienceError):
-    """Training diverged (non-finite loss) beyond the rollback budget.
-
-    Attributes
-    ----------
-    epoch:
-        The epoch at which the divergence was detected.
-    detail:
-        What was non-finite (train loss, validation loss).
-    """
-
-    def __init__(self, epoch: int, detail: str):
-        self.epoch = epoch
-        self.detail = detail
-        super().__init__(f"training diverged at epoch {epoch}: {detail}")
-
-
-class CheckpointError(ResilienceError):
-    """A training checkpoint could not be saved or restored."""

@@ -33,14 +33,20 @@ def git_revision(repo_root: Union[str, Path, None] = None) -> str:
 
     Returns
     -------
-    The full commit hash, or ``"unknown"`` when git (or the checkout) is
-    unavailable — artefact generation never fails for provenance reasons.
+    The full commit hash, suffixed ``-dirty`` when tracked files differ from
+    it (untracked files do not count), or ``"unknown"`` when git (or the
+    checkout) is unavailable — artefact generation never fails for
+    provenance reasons.
     """
     if repo_root is None:
         repo_root = Path(__file__).resolve().parent
     try:
         completed = subprocess.run(
-            ["git", "-C", str(repo_root), "rev-parse", "HEAD"],
+            # ``--exclude='*'`` ignores tags, so the stamp is always the hash.
+            [
+                "git", "-C", str(repo_root), "describe", "--always", "--dirty",
+                "--abbrev=40", "--exclude=*",
+            ],
             capture_output=True,
             text=True,
             timeout=10.0,

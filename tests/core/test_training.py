@@ -5,9 +5,11 @@ import weakref
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core.config import ModelConfig, TrainingConfig
 from repro.core.model import WorstCaseNoiseNet
 from repro.core.training import NoiseModelTrainer
+from repro.faults import FaultInjector
 from repro.nn.tensor import grad_enabled
 
 
@@ -104,6 +106,28 @@ class TestNoiseModelTrainer:
         )
         result = trainer.train()
         assert result.normalizer.distance_scale > 0
+
+    def test_divergence_still_finishes(self, tiny_dataset, tiny_design):
+        # A numeric blow-up mid-run: the NaN losses are recorded and the run
+        # finishes without raising.
+        class PoisonWeightsAtEpochOne(FaultInjector):
+            def on_train_step(self, epoch, step, model):
+                if (epoch, step) == (1, 0):
+                    parameter = next(iter(model.parameters()))
+                    parameter.data = np.full_like(parameter.data, np.nan)
+
+        trainer = NoiseModelTrainer(
+            tiny_dataset,
+            design=tiny_design,
+            model_config=ModelConfig(distance_kernels=3, fusion_kernels=3, prediction_kernels=3),
+            training_config=TrainingConfig(
+                epochs=3, batch_size=4, early_stopping_patience=None, seed=5
+            ),
+        )
+        with faults.injected(PoisonWeightsAtEpochOne()):
+            result = trainer.train()
+        assert result.history.num_epochs == 3
+        assert any(not np.isfinite(loss) for loss in result.history.train_loss)
 
 
 def test_each_step_graph_is_freed_before_the_next_forward(

@@ -60,8 +60,12 @@ class TestGitRevision:
     def test_returns_string(self):
         revision = git_revision()
         assert isinstance(revision, str) and revision
-        # Either a hex commit hash or the documented fallback.
-        assert revision == "unknown" or len(revision) == 40
+        # A hex commit hash, "-dirty" when tracked files changed, or the
+        # documented fallback.
+        commit = revision.removesuffix("-dirty")
+        assert revision == "unknown" or (
+            len(commit) == 40 and all(c in "0123456789abcdef" for c in commit)
+        )
 
     def test_unknown_outside_repo(self, tmp_path):
         assert git_revision(tmp_path) == "unknown"

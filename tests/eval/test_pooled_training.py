@@ -20,9 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core.config import ModelConfig, TrainingConfig
 from repro.core.training import NoiseModelTrainer
 from repro.eval import MultiDesignTrainer
+from repro.faults import ScriptedFaults
 from repro.pdn import small_test_design
 from repro.workloads import build_dataset, expansion_split, generate_test_vectors
 from repro.workloads.vectors import VectorConfig
@@ -137,7 +139,20 @@ class TestPoolOfOne:
             np.testing.assert_array_equal(value, single_state[name])
 
 
+def test_pooled_trainer_calls_the_step_seam(tiny_dataset):
+    scripted = ScriptedFaults()
+    trainer = MultiDesignTrainer(
+        {"a": tiny_dataset, "b": tiny_dataset},
+        model_config=MODEL_CONFIG,
+        training_config=TrainingConfig(epochs=1, batch_size=4),
+    )
+    with faults.injected(scripted):
+        trainer.train()
+    assert scripted.calls.get("training.step", 0) > 0
+
+
 if __name__ == "__main__":
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     np.savez(GOLDEN_PATH, **golden_arrays(train_golden_pool(golden_pool())))
     print(f"wrote {GOLDEN_PATH}")
+

@@ -8,11 +8,21 @@ double-answered, restarts back off, drain resolves every future.**
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+
 import numpy as np
 import pytest
 
-from repro.faults import ScriptedFaults
-from repro.gateway import FaultInjector, WorkerCrashed, WorkerKilled
+from repro import faults
+from repro.faults import FaultInjector, ScriptedFaults, WorkerKilled
+from repro.gateway import WorkerCrashed
+
+
+@pytest.fixture()
+def inject():
+    """Installer of the process-global injector; restores the previous one on teardown."""
+    with ExitStack() as stack:
+        yield lambda injector: stack.enter_context(faults.injected(injector))
 
 
 class KillOnce(FaultInjector):
@@ -96,10 +106,10 @@ class KillDuringSwap(FaultInjector):
 
 
 def test_worker_killed_mid_batch_loses_nothing(
-    make_gateway, wait_for, tiny_design, tiny_features, expected_results, assert_noise_close
+    make_gateway, inject, wait_for, tiny_design, tiny_features, expected_results, assert_noise_close
 ):
-    faults = KillOnce()
-    gateway = make_gateway(faults=faults)
+    injector = inject(KillOnce())
+    gateway = make_gateway()
     futures = [
         gateway.submit_async(features, tiny_design.name)
         for features in tiny_features[:6]
@@ -113,34 +123,37 @@ def test_worker_killed_mid_batch_loses_nothing(
     assert metrics.counter("gateway.retries").value >= 1
     # Exactly-once: nothing was double-answered anywhere in the recovery.
     assert metrics.counter("gateway.duplicates_dropped").value == 0
-    for request in faults.seen.values():
+    for request in injector.seen.values():
         assert request.answers == 1
     assert gateway.backoff_history(shard) == [pytest.approx(0.01)]
     wait_for(lambda: gateway.health()["shards"][shard]["state"] == "healthy")
 
 
 def test_crash_mid_fill_requeues_the_requests_already_pulled(
-    make_gateway, tiny_design, tiny_features, expected_results, assert_noise_close
+    make_gateway, inject, tiny_design, tiny_features, expected_results, assert_noise_close
 ):
     # The second dequeue of the first fill kills the worker: the request the
     # fill already holds and the one it was admitting are both in hand, and
     # both must reach the supervisor instead of dying with the thread.
-    faults = ScriptedFaults().fail_at("gateway.dequeue", 1, WorkerKilled("killed mid-fill"))
-    gateway = make_gateway(num_shards=1, faults=faults, max_wait=0.2)
+    injector = inject(
+        ScriptedFaults().fail_at("gateway.dequeue", 1, WorkerKilled("killed mid-fill"))
+    )
+    gateway = make_gateway(num_shards=1, max_wait=0.2)
     futures = [
         gateway.submit_async(features, tiny_design.name) for features in tiny_features[:3]
     ]
     for future, expected in zip(futures, expected_results):
         assert_noise_close(future.result(timeout=5), expected)
-    assert faults.fired == [("gateway.dequeue", 1)]
+    assert injector.fired == [("gateway.dequeue", 1)]
     assert gateway.metrics.counter("gateway.restarts").value == 1
     assert gateway.metrics.counter("gateway.retries").value == 2
 
 
 def test_persistent_crashes_exhaust_retries_with_backoff(
-    make_gateway, wait_for, tiny_design, tiny_features
+    make_gateway, inject, wait_for, tiny_design, tiny_features
 ):
-    gateway = make_gateway(faults=AlwaysKill(), max_retries=1)
+    inject(AlwaysKill())
+    gateway = make_gateway(max_retries=1)
     future = gateway.submit_async(tiny_features[0], tiny_design.name)
     with pytest.raises(WorkerCrashed) as crashed:
         future.result(timeout=15)
@@ -155,35 +168,36 @@ def test_persistent_crashes_exhaust_retries_with_backoff(
 
 
 def test_duplicated_delivery_answers_exactly_once(
-    make_gateway, tiny_design, tiny_features, expected_results, assert_noise_close
+    make_gateway, inject, tiny_design, tiny_features, expected_results, assert_noise_close
 ):
-    faults = DuplicateOnce()
-    gateway = make_gateway(faults=faults)
+    injector = inject(DuplicateOnce())
+    gateway = make_gateway()
     result = gateway.submit_async(tiny_features[0], tiny_design.name).result(timeout=10)
     assert_noise_close(result, expected_results[0])
-    assert faults.request.answers == 1
+    assert injector.request.answers == 1
     assert gateway.metrics.counter("gateway.duplicates_dropped").value == 1
 
 
 def test_delayed_delivery_is_late_not_lost(
-    make_gateway, wait_for, tiny_design, tiny_features, expected_results, assert_noise_close
+    make_gateway, inject, wait_for, tiny_design, tiny_features, expected_results, assert_noise_close
 ):
-    faults = DelayOnce()
-    gateway = make_gateway(faults=faults)
+    injector = inject(DelayOnce())
+    gateway = make_gateway()
     future = gateway.submit_async(tiny_features[0], tiny_design.name)
-    wait_for(lambda: faults.stashed is not None)
+    wait_for(lambda: injector.stashed is not None)
     assert not future.done()
     # Re-inject the delayed delivery the way a retrying transport would.
-    gateway._shards[gateway.shard_for(tiny_design.name)].inbox.put(faults.stashed)
+    gateway._shards[gateway.shard_for(tiny_design.name)].inbox.put(injector.stashed)
     assert_noise_close(future.result(timeout=10), expected_results[0])
-    assert faults.stashed.answers == 1
+    assert injector.stashed.answers == 1
 
 
 def test_checkpoint_load_failure_fails_group_not_worker(
-    make_gateway, tiny_design, tiny_features, expected_results, assert_noise_close
+    make_gateway, inject, tiny_design, tiny_features, expected_results, assert_noise_close
 ):
     error = RuntimeError("checkpoint corrupt")
-    gateway = make_gateway(faults=FailLoadOnce(error))
+    inject(FailLoadOnce(error))
+    gateway = make_gateway()
     with pytest.raises(RuntimeError, match="checkpoint corrupt"):
         gateway.submit_async(tiny_features[0], tiny_design.name).result(timeout=10)
     # The worker survived: no restart, and the next request is served.
@@ -227,9 +241,10 @@ def test_swap_during_in_flight_batch_quiesces_between_batches(
 
 
 def test_failed_swap_rejects_future_and_spares_worker(
-    make_gateway, tiny_design, alt_predictor, tiny_features, expected_results, assert_noise_close
+    make_gateway, inject, tiny_design, alt_predictor, tiny_features, expected_results, assert_noise_close
 ):
-    gateway = make_gateway(faults=FailSwap())
+    inject(FailSwap())
+    gateway = make_gateway()
     swap_done = gateway.swap_checkpoint(tiny_design.name, alt_predictor, persist=False)
     with pytest.raises(RuntimeError, match="swap rejected"):
         swap_done.result(timeout=10)
@@ -241,9 +256,10 @@ def test_failed_swap_rejects_future_and_spares_worker(
 
 
 def test_kill_during_swap_crashes_worker_but_resolves_swap_future(
-    make_gateway, wait_for, tiny_design, alt_predictor, tiny_features, expected_results, assert_noise_close
+    make_gateway, inject, wait_for, tiny_design, alt_predictor, tiny_features, expected_results, assert_noise_close
 ):
-    gateway = make_gateway(faults=KillDuringSwap())
+    inject(KillDuringSwap())
+    gateway = make_gateway()
     swap_done = gateway.swap_checkpoint(tiny_design.name, alt_predictor, persist=False)
     with pytest.raises(WorkerKilled):
         swap_done.result(timeout=10)
@@ -254,9 +270,10 @@ def test_kill_during_swap_crashes_worker_but_resolves_swap_future(
 
 
 def test_drain_resolves_every_future_even_under_crashes(
-    make_gateway, tiny_design, tiny_features, expected_results, assert_noise_close
+    make_gateway, inject, tiny_design, tiny_features, expected_results, assert_noise_close
 ):
-    gateway = make_gateway(faults=KillOnce())
+    inject(KillOnce())
+    gateway = make_gateway()
     futures = [
         gateway.submit_async(features, tiny_design.name)
         for features in tiny_features

@@ -13,7 +13,6 @@ import queue
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import NULL_FAULTS
 from repro.gateway import GatewayRequest, ShardWorker, SwapCommand
 
 
@@ -28,7 +27,6 @@ def _worker(inbox: "queue.Queue", max_batch: int) -> ShardWorker:
         design_factory=None,
         max_batch=max_batch,
         max_wait=0.0,
-        faults=NULL_FAULTS,
         instruments=None,
         on_crash=None,
         on_healthy=None,
