@@ -31,7 +31,8 @@ It asserts the factory guarantees:
 Full-order vs ROM rows append to the repo-root ``BENCH_datagen.json``
 trajectory (every other bench persists one), together with
 ``shard_peak_mb``: the ``tracemalloc`` peak, above live memory, of labelling
-one shard (transient solve, tile reduction and features) with each engine.
+one shard (transient solve, tile reduction and features) with each engine,
+and ``rom_build_peak_mb``: the same peak of one ROM basis build.
 Runs under pytest (``python -m pytest benchmarks/bench_datagen.py``) or as
 a script wrapping a telemetry run::
 
@@ -64,7 +65,7 @@ from repro.io import ExperimentRecord
 from repro.pdn import reference_design
 from repro.pdn.designs import design_from_name
 from repro.sim.dynamic_noise import DynamicNoiseAnalysis
-from repro.sim.rom import ROMOptions
+from repro.sim.rom import ReducedOrderStrategy, ROMOptions
 from repro.sim.transient import TransientOptions
 from repro.workloads import generate_test_vectors
 from repro.workloads.dataset import build_dataset
@@ -293,25 +294,33 @@ def run_rom_benchmark(rounds: int = ROUNDS):
         "fallbacks": stats.fallbacks,
     }
     shard = traces[:SHARD_VECTORS]
+
+    def label_shard(analysis):
+        # One lockstep block per shard, as the dataset factory runs it.
+        return lambda: build_dataset(design, shard, analysis=analysis, sim_batch_size=len(shard))
+
     entry["shard_peak_mb"] = {
         "vectors": len(shard),
-        "full": _shard_peak_mb(design, shard, full_analysis),
-        "rom": _shard_peak_mb(design, shard, rom_analysis),
+        "full": _peak_mb(label_shard(full_analysis)),
+        "rom": _peak_mb(label_shard(rom_analysis)),
     }
+    entry["rom_build_peak_mb"] = _peak_mb(
+        lambda: ReducedOrderStrategy.build(full_engine.strategy, ROM_OPTIONS)
+    )
     return records, entry
 
 
-def _shard_peak_mb(design, shard, analysis) -> float:
-    """The tracemalloc peak of labelling one shard, in MB.
+def _peak_mb(run) -> float:
+    """The tracemalloc peak of ``run()``, in MB.
 
-    Counted above what was live when the shard began, so it is the shard's
-    own working set: the solver block, the tile reduction and the features,
-    as the dataset factory runs them (one lockstep block per shard).
+    Counted above what was live when it began, so it is the call's own
+    working set: for a shard, the solver block, the tile reduction and the
+    features; for a ROM build, the Krylov moment stack and its truncation.
     """
     tracemalloc.start()
     try:
         live, _ = tracemalloc.get_traced_memory()
-        build_dataset(design, shard, analysis=analysis, sim_batch_size=len(shard))
+        run()
         peak = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()

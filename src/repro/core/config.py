@@ -102,8 +102,10 @@ class PipelineConfig:
         Vectors per lockstep block of the ground-truth simulations
         (``None`` means 1).  Larger blocks are several times faster, with
         noise maps that agree with blocks of one to solver rounding.  A
-        sample's simulator time is its share of its block; at 1 it is that
-        vector's own measurement.
+        block holds ``O(num_nodes x sim_batch_size)`` solver state plus a
+        bounded chunk, never a copy of all its vectors' currents (see
+        :meth:`~repro.sim.transient.TransientEngine.run_many`).  A sample's simulator time is its share of its block; at 1 it
+        is that vector's own measurement.
     """
 
     num_vectors: int = 60

@@ -223,9 +223,12 @@ class CorpusSpec:
     sim_batch_size:
         Vectors per lockstep transient block
         (:meth:`~repro.sim.dynamic_noise.DynamicNoiseAnalysis.run_many`).
-        A block holds one copy of its vectors' currents
-        (``sim_batch_size x num_steps x num_loads`` floats) plus
-        ``O(num_nodes x sim_batch_size)`` solver state.  Every corpus is labelled by the one
+        A block holds ``O(num_nodes x sim_batch_size)`` solver state plus
+        a bounded chunk, never a copy of all its vectors' currents: 32
+        stamps of them full-order, or the reduced drive and one
+        reconstruction chunk through the ROM (see
+        :meth:`~repro.sim.transient.TransientEngine.run_many`).  Every
+        corpus is labelled by the one
         symmetric SuperLU factorisation
         (:class:`~repro.sim.linear.LinearSolver`) and by backward Euler
         started from the DC operating point; the manifest records them as

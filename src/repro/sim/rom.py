@@ -41,10 +41,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from repro import obs
 from repro.sim.transient import TransientResult, TransientSolverStrategy
@@ -67,13 +68,14 @@ _AUTO_RANK_CAP = 256
 #: Floor of the automatic rank choice.
 _AUTO_RANK_FLOOR = 64
 
-#: Columns :func:`_normalise_columns` squares at once, so the temporary
-#: ``np.linalg.norm`` takes is a sliver of the moment stack, not a copy.
-_NORM_CHUNK_COLUMNS = 32
+#: Columns the basis build solves or normalises at once, so a Krylov level's
+#: right-hand sides and the temporary ``np.linalg.norm`` takes are slivers
+#: of the moment stack, not copies of a level.
+_CHUNK_COLUMNS = 32
 
 #: Target byte size of one reconstruction chunk (bounds the dense ``(N, c, V)``
 #: working set of the chunked level-3 BLAS reconstruction).
-_CHUNK_TARGET_BYTES = 1 << 25
+_CHUNK_TARGET_BYTES = 1 << 23
 
 #: Allowed values of :attr:`ROMOptions.reconstruct_dtype`.
 RECONSTRUCT_DTYPES = ("float32", "float64")
@@ -183,60 +185,114 @@ def _normalise_columns(block: np.ndarray) -> None:
     Each chunk of columns goes through ``np.linalg.norm`` on its own; a
     column's norm sums exactly as it would in the whole block.
     """
-    for start in range(0, block.shape[1], _NORM_CHUNK_COLUMNS):
-        chunk = block[:, start : start + _NORM_CHUNK_COLUMNS]
+    for start in range(0, block.shape[1], _CHUNK_COLUMNS):
+        chunk = block[:, start : start + _CHUNK_COLUMNS]
         norms = np.linalg.norm(chunk, axis=0, keepdims=True)
         chunk /= np.where(norms > 0.0, norms, 1.0)
 
 
-def _gram_truncate(block: np.ndarray, rank: int) -> np.ndarray:
-    """Dominant ``rank``-dimensional orthonormal subspace of ``block``.
+def _dominant_mix(block: np.ndarray, rank: int) -> np.ndarray:
+    """Spanning columns of the dominant ``rank``-dimensional subspace of ``block``.
 
-    Works on the (small) Gram matrix ``K^T K`` instead of a tall SVD — an
-    ``O(N·W²)`` GEMM plus an ``O(W³)`` symmetric eigendecomposition, which is
-    far cheaper than ``O(N·W²)``-with-large-constants LAPACK ``gesdd`` for
-    the tall stacks the Krylov recurrence produces.  Columns are normalised
-    first — in place, so ``block`` is overwritten — so the eigenvalue
-    spectrum reflects directions, not scales; eigenvalues below
-    ``_DROP_TOLERANCE`` times the largest are dropped as linearly dependent.
-    Deterministic (no randomised sketch).
+    ``block``'s columns must already be unit-norm (or zero), so the spectrum
+    reflects directions, not scales; ``block`` is not modified.  Works on the
+    (small) Gram matrix ``K^T K`` instead of a tall SVD — an ``O(N·W²)`` GEMM
+    plus a symmetric eigendecomposition of only its top ``rank`` eigenpairs.
+    Eigenvalues below ``_DROP_TOLERANCE`` times the largest are dropped as
+    linearly dependent, so the result has ``min(rank, #kept)`` columns.  The
+    columns are orthonormal up to the few digits the Gram route loses;
+    :func:`_orthonormalise` restores the rest.  Deterministic (no randomised
+    sketch).
     """
-    if block.shape[1] == 0:
-        return block
-    _normalise_columns(block)
+    width = block.shape[1]
+    if width == 0:
+        return block[:, :0].copy()
     # The Gram matrix is symmetric: its Fortran-contiguous transpose lets
     # LAPACK overwrite it in place instead of copying it.
     gram = block.T @ block
-    eigenvalues, eigenvectors = scipy.linalg.eigh(gram.T, overwrite_a=True, check_finite=False)
+    eigenvalues, eigenvectors = scipy.linalg.eigh(
+        gram.T,
+        overwrite_a=True,
+        check_finite=False,
+        subset_by_index=(max(0, width - rank), width - 1),
+    )
     del gram
     # eigh returns ascending order; walk from the top.
     top = eigenvalues[-1]
     if top <= 0.0:
-        return block[:, :0]
-    keep = min(rank, int((eigenvalues > top * _DROP_TOLERANCE).sum()))
+        return block[:, :0].copy()
+    keep = int((eigenvalues > top * _DROP_TOLERANCE).sum())
     sel = slice(len(eigenvalues) - keep, len(eigenvalues))
-    mixed = block @ (eigenvectors[:, sel] / np.sqrt(eigenvalues[sel]))
-    # The Gram route loses a few digits of orthonormality; one thin QR
-    # restores it to working precision for the reduced Cholesky.
+    return block @ (eigenvectors[:, sel] / np.sqrt(eigenvalues[sel]))
+
+
+def _orthonormalise(mixed: np.ndarray) -> np.ndarray:
+    """One thin QR: orthonormal to working precision for the reduced Cholesky.
+
+    Called on a temporary, the call holds ``mixed``'s only reference, so it
+    is freed before the row-major copy of the polished columns is made.
+    """
     polished, _ = scipy.linalg.qr(mixed, mode="economic", check_finite=False)
+    del mixed
     return np.ascontiguousarray(polished)
 
 
-def _excitation_block(full: "FullOrderStrategy") -> np.ndarray:
-    """The complete excitation-port block ``X = [B | E]``.
+def _excitation_ports(full: "FullOrderStrategy") -> sp.csc_matrix:
+    """The complete excitation-port block ``X = [B | E]``, sparse.
 
     Every load incidence column and every package-inductor port, so the
     level-0 moments span the response of *each* excitation individually;
     the rank truncation (not a lossy sketch) then decides what to keep.
+    The build densifies it a chunk of columns at a time.
     """
     mna = full.mna
-    # Column-major, as the incidences' own dense form: each incidence is
-    # written straight into its contiguous slice.
-    ports = np.zeros((mna.num_nodes, mna.num_loads + mna.num_inductors), order="F")
-    mna.load_incidence().toarray(out=ports[:, : mna.num_loads])
-    if mna.num_inductors:
-        mna.inductor_incidence().toarray(out=ports[:, mna.num_loads :])
-    return ports
+    return sp.hstack([mna.load_incidence(), mna.inductor_incidence()], format="csc")
+
+
+def _solve_level(
+    full: "FullOrderStrategy", rhs_columns: Callable[[slice], np.ndarray], out: np.ndarray
+) -> None:
+    """Solve one Krylov level into ``out``, ``_CHUNK_COLUMNS`` at a time, and normalise it.
+
+    ``rhs_columns(chunk)`` returns the dense right-hand sides of the columns
+    ``chunk`` selects; each chunk's solution is written straight into its
+    slice of ``out``.
+    """
+    for start in range(0, out.shape[1], _CHUNK_COLUMNS):
+        chunk = slice(start, min(start + _CHUNK_COLUMNS, out.shape[1]))
+        out[:, chunk] = full.solver.solve_many(rhs_columns(chunk))
+    _normalise_columns(out)
+
+
+def _moment_stack(
+    full: "FullOrderStrategy", ports: sp.csc_matrix, rank: int, order: int
+) -> np.ndarray:
+    """The normalised Krylov levels side by side, ``(N, used)`` column-major.
+
+    One preallocated stack: each level is solved a chunk of columns at a
+    time straight into its own slice and normalised there.  Level widths
+    after the first are at most ``min(width, rank)``; a level wider than
+    ``rank`` is truncated before it is propagated, and rank-deficient
+    truncations leave the tail unused.  The solve is linear, so propagating
+    from the *normalised* previous level scales the next level's columns
+    only.  The returned view is the stack's only reference.
+    """
+    cap_column = full.cap_companion[:, np.newaxis]
+    width = ports.shape[1]
+    stack = np.empty((ports.shape[0], width + (order - 1) * min(width, rank)), order="F")
+    level = stack[:, :width]
+    _solve_level(full, lambda chunk: ports[:, chunk].toarray(), level)
+    used = width
+    for _ in range(1, order):
+        source = level
+        if source.shape[1] > rank:
+            source = _orthonormalise(_dominant_mix(source, rank))
+        if source.shape[1] == 0:
+            break  # subspace exhausted (tiny designs)
+        level = stack[:, used:used + source.shape[1]]
+        _solve_level(full, lambda chunk: cap_column * source[:, chunk], level)
+        used += level.shape[1]
+    return stack[:, :used]
 
 
 def _auto_rank(num_ports: int, num_nodes: int) -> int:
@@ -279,12 +335,7 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         self._ind_gain = inductor_gain
         #: ``E_r = (E^T V)^T`` — un-applied, for branch voltages ``E^T V z``.
         self._ind_proj = inductor_projection
-        self._reconstruct_dtype = np.dtype(options.reconstruct_dtype)
-        self._basis_recon = (
-            basis
-            if self._reconstruct_dtype == basis.dtype
-            else basis.astype(self._reconstruct_dtype)
-        )
+        self._basis_recon = basis.astype(options.reconstruct_dtype, copy=False)
         #: Cumulative gate statistics, updated by the engine's gate.
         self.stats = ROMRunStats()
 
@@ -305,40 +356,17 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         options = options or ROMOptions()
         mna = full.mna
         build_started = time.perf_counter()
-        ports = _excitation_block(full)
+        ports = _excitation_ports(full)
         rank = options.rank or _auto_rank(ports.shape[1], mna.num_nodes)
         rank = min(rank, mna.num_nodes)
         with obs.get_tracer().span(
             "sim.rom.build", nodes=mna.num_nodes, order=options.order, rank=rank
         ):
-            cap_column = full.cap_companion[:, np.newaxis]
-            moment = full.solver.solve_many(ports)
-            del ports
-            # One preallocated moment stack: each level is written into its
-            # own slice and normalised there, and the final truncation
-            # normalises the stack in place.  Level widths after the first are at most
-            # ``min(width, rank)``; rank-deficient truncations leave the
-            # tail unused.  Column-major, like the solver's output: every
-            # used prefix is contiguous, and the column norms and the Gram
-            # product, whose summation order follows the layout, round
-            # exactly as they do on the solved levels themselves.
-            width = moment.shape[1]
-            stack = np.empty(
-                (mna.num_nodes, width + (options.order - 1) * min(width, rank)), order="F"
+            # Nested calls hand each temporary on: the stack dies before the
+            # polish QR allocates its copies.
+            basis = _orthonormalise(
+                _dominant_mix(_moment_stack(full, ports, rank, options.order), rank)
             )
-            used = 0
-            for level in range(options.order):
-                if level:
-                    if moment.shape[1] > rank:
-                        moment = _gram_truncate(moment, rank)
-                    if moment.shape[1] == 0:
-                        break  # subspace exhausted (tiny designs)
-                    moment = full.solver.solve_many(cap_column * moment)
-                level_columns = stack[:, used:used + moment.shape[1]]
-                level_columns[...] = moment
-                _normalise_columns(level_columns)
-                used += moment.shape[1]
-            basis = _gram_truncate(stack[:, :used], rank)
 
             reduced = basis.T @ (full.system_matrix @ basis)
             reduced = 0.5 * (reduced + reduced.T)
@@ -393,13 +421,14 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         """Lockstep reduced-order integration of equal-length traces.
 
         Mirrors the full-order companion iteration exactly, restricted to the
-        basis: the load drive of *all* stamps is pre-applied in one GEMM, the
-        reduced state advances through a single ``r × r`` GEMM per stamp
-        (``F = S_r⁻¹ D_r`` was pre-applied at build time), inductor branch
-        currents stay exact, and node droops are reconstructed chunk-wise
-        (one level-3 BLAS product per chunk, in
+        basis, one chunk of stamps at a time: the chunk's load drive is
+        pre-applied with one GEMM per trace, the reduced state advances
+        through a single ``r × r`` GEMM per stamp (``F = S_r⁻¹ D_r`` was
+        pre-applied at build time), inductor branch currents stay exact, and
+        the chunk's node droops are reconstructed with one level-3 BLAS
+        product (at most ``_CHUNK_TARGET_BYTES``, in
         :attr:`ROMOptions.reconstruct_dtype`) to accumulate the per-node
-        maxima.
+        maxima.  The block holds one chunk, never a copy of its currents.
         """
         solve_started = time.perf_counter()
         full = self._full
@@ -410,19 +439,9 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         num_steps = traces[0].num_steps
         basis = self._basis
         rank = basis.shape[1]
-        # The block's one copy of its currents, written straight into the
-        # C-ordered (L, T, V) drive operand so the reshape below is a view.
-        currents = np.empty((mna.num_loads, num_steps, num_traces))
-        for column, trace in enumerate(traces):
-            currents[:, :, column] = trace.currents.T
-        droop, inductor_current = full._dc_state(currents[:, 0, :].T)
-
-        # Pre-applied load drive of every stamp: one GEMM for the whole block.
-        flat = currents.reshape(mna.num_loads, num_steps * num_traces)
-        drive = (self._load_gain @ flat).reshape(rank, num_steps, num_traces)
-        # Free the currents before the reconstruction chunks are allocated.
-        del currents, flat
-
+        droop, inductor_current = full._dc_state(
+            np.stack([trace.currents[0] for trace in traces])
+        )
         state = basis.T @ droop  # reduced coordinates z with x ~= V z
         step_matrix = self._step_matrix
         ind_gain = self._ind_gain
@@ -441,23 +460,29 @@ class ReducedOrderStrategy(TransientSolverStrategy):
             stored = np.empty((num_steps, num_nodes, num_traces))
             stored[0] = droop
 
-        rdtype = self._reconstruct_dtype
         basis_r = self._basis_recon
-        itemsize = rdtype.itemsize
-        chunk_steps = max(
-            1, int(_CHUNK_TARGET_BYTES // max(1, itemsize * num_nodes * num_traces))
+        chunk_steps = min(
+            max(1, _CHUNK_TARGET_BYTES // max(1, basis_r.itemsize * num_nodes * num_traces)),
+            max(1, num_steps - 1),
         )
-        pending: list[np.ndarray] = []
-        pending_start = 1
+        # One chunk of stamps at a time: its pre-applied load drive, and its
+        # reduced states, cast to the reconstruction dtype as they are written.
+        drive = np.empty((rank, chunk_steps, num_traces))
+        states = np.empty((rank, chunk_steps, num_traces), basis_r.dtype)
+        for start in range(1, num_steps, chunk_steps):
+            count = min(chunk_steps, num_steps - start)
+            for column, trace in enumerate(traces):
+                drive[:, :count, column] = self._load_gain @ trace.currents[start:start + count].T
+            for offset in range(count):
+                # z' = F z + S_r⁻¹(B u_t - E h_t); ``applied`` carries F z.
+                state = applied + drive[:, offset, :]
+                if has_inductors:
+                    state -= ind_gain @ inductor_current
+                    inductor_current = inductor_current + ind_companion * (ind_proj.T @ state)
+                applied = step_matrix @ state
+                states[:, offset] = state
 
-        def flush() -> None:
-            """Reconstruct the pending chunk and fold it into the maxima."""
-            nonlocal pending, pending_start
-            if not pending:
-                return
-            count = len(pending)
-            stacked = np.stack(pending, axis=1).astype(rdtype, copy=False)  # (r, c, V)
-            frames = (basis_r @ stacked.reshape(rank, count * num_traces)).reshape(
+            frames = (basis_r @ states[:, :count].reshape(rank, count * num_traces)).reshape(
                 num_nodes, count, num_traces
             )
             np.maximum(max_droop, frames.max(axis=1), out=max_droop)
@@ -467,23 +492,10 @@ class ReducedOrderStrategy(TransientSolverStrategy):
                 chunk_arg = step_worst.argmax(axis=0)
                 improved = chunk_max > worst_droop
                 worst_droop[improved] = chunk_max[improved]
-                worst_time_index[improved] = pending_start + chunk_arg[improved]
+                worst_time_index[improved] = start + chunk_arg[improved]
             if stored is not None:
-                stored[pending_start:pending_start + count] = frames.transpose(1, 0, 2)
-            pending_start += count
-            pending = []
-
-        for step in range(1, num_steps):
-            # z' = F z + S_r⁻¹(B u_t - E h_t); ``applied`` carries F z.
-            state = applied + drive[:, step, :]
-            if has_inductors:
-                state -= ind_gain @ inductor_current
-                inductor_current = inductor_current + ind_companion * (ind_proj.T @ state)
-            applied = step_matrix @ state
-            pending.append(state)
-            if len(pending) >= chunk_steps:
-                flush()
-        flush()
+                stored[start:start + count] = frames.transpose(1, 0, 2)
+            del frames  # before the next chunk's frames are allocated
 
         final_droop = basis @ state  # (N, V)
         obs.metrics().histogram("sim.rom.solve_seconds").observe(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,6 +45,10 @@ _LOG = get_logger("sim.transient")
 
 #: Supported solver strategies (see ``docs/solvers.md``).
 SOLVER_MODES = ("full", "rom")
+
+#: Stamps of a block's currents :func:`_stamp_currents` stacks at a time, so
+#: a full-order block holds one short chunk of its currents, not all of them.
+_STAMP_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,22 @@ class TransientSolverStrategy(abc.ABC):
     @abc.abstractmethod
     def run_block(self, traces: list[CurrentTrace]) -> list[TransientResult]:
         """Integrate equal-length traces in lockstep (one column each)."""
+
+
+def _stamp_currents(traces: list[CurrentTrace]) -> Iterator[np.ndarray]:
+    """Each stamp's ``(L, V)`` currents of equal-length traces, in order.
+
+    One ``(_STAMP_CHUNK, L, V)`` buffer is refilled chunk by chunk, so a
+    yielded stamp is a contiguous view that stays valid until the next one
+    is requested.
+    """
+    num_steps = traces[0].num_steps
+    chunk = np.empty((min(_STAMP_CHUNK, num_steps), traces[0].num_loads, len(traces)))
+    for start in range(0, num_steps, len(chunk)):
+        count = min(len(chunk), num_steps - start)
+        for column, trace in enumerate(traces):
+            chunk[:count, :, column] = trace.currents[start:start + count]
+        yield from chunk[:count]
 
 
 class FullOrderStrategy(TransientSolverStrategy):
@@ -253,10 +273,8 @@ class FullOrderStrategy(TransientSolverStrategy):
         num_nodes = mna.num_nodes
         num_traces = len(traces)
         num_steps = traces[0].num_steps
-        # The block's one copy of its currents, stacked straight into the
-        # (T, L, V) layout that makes the per-step slice contiguous.
-        step_currents = np.stack([trace.currents for trace in traces], axis=2)
-        droop, inductor_current = self._dc_state(step_currents[0].T)
+        stamps = _stamp_currents(traces)
+        droop, inductor_current = self._dc_state(next(stamps).T)
 
         max_droop = droop.copy()
         if num_nodes:
@@ -287,12 +305,12 @@ class FullOrderStrategy(TransientSolverStrategy):
         any_internal_ind = bool(np.any(~ind_to_ref))
         rhs = np.empty((num_nodes, num_traces))
 
-        for step in range(1, num_steps):
+        for step, currents in enumerate(stamps, start=1):
             rhs.fill(0.0)
             if unique_loads:
-                rhs[load_nodes] = step_currents[step]
+                rhs[load_nodes] = currents
             else:
-                np.add.at(rhs, load_nodes, step_currents[step])
+                np.add.at(rhs, load_nodes, currents)
             rhs += cap_companion * droop
             if mna.num_inductors:
                 if unique_inductors:
@@ -452,11 +470,13 @@ class TransientEngine:
             design's load count.  Lengths may differ (equal lengths batch
             best).
         batch_size:
-            Maximum number of traces integrated per lockstep block.  A block
-            holds one copy of its traces' currents (``batch_size x T x L``
-            floats) plus ``(N, batch_size)`` state arrays; a ROM block frees
-            its currents before its reconstruction chunks.  ``None``
-            integrates each equal-length group as one block.
+            Maximum number of traces integrated per lockstep block.  A
+            full-order block holds ``(N, batch_size)`` state arrays plus one
+            chunk of 32 stamps of its traces' currents (``32 x L x
+            batch_size`` floats), never all of them; a ROM block holds one
+            chunk of stamps (their reduced drive and states, and their node
+            droops reconstructed in at most 8 MiB).  ``None`` integrates
+            each equal-length group as one block.
 
         Returns
         -------

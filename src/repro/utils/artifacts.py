@@ -13,6 +13,7 @@ for the layers that import it from here, and keeps :func:`git_revision`.
 
 from __future__ import annotations
 
+import functools
 import subprocess
 from pathlib import Path
 from typing import Union
@@ -25,6 +26,11 @@ __all__ = ["atomic_write_text", "git_revision"]
 def git_revision(repo_root: Union[str, Path, None] = None) -> str:
     """Best-effort git revision of the generating code.
 
+    Resolved once per process and repository root: every later artefact
+    reuses the first answer instead of starting another ``git`` child
+    (tests that fake ``git`` clear the cache with
+    ``_resolve_revision.cache_clear()``).
+
     Parameters
     ----------
     repo_root:
@@ -33,18 +39,24 @@ def git_revision(repo_root: Union[str, Path, None] = None) -> str:
 
     Returns
     -------
-    The full commit hash, suffixed ``-dirty`` when tracked files differ from
-    it (untracked files do not count), or ``"unknown"`` when git (or the
-    checkout) is unavailable — artefact generation never fails for
-    provenance reasons.
+    The full commit hash, suffixed ``-dirty`` when tracked files differed
+    from it at the first call (untracked files do not count), or
+    ``"unknown"`` when git (or the checkout) is unavailable — artefact
+    generation never fails for provenance reasons.
     """
     if repo_root is None:
         repo_root = Path(__file__).resolve().parent
+    return _resolve_revision(str(Path(repo_root).resolve()))
+
+
+@functools.lru_cache(maxsize=None)
+def _resolve_revision(repo_root: str) -> str:
+    """:func:`git_revision` of one resolved root, asking ``git`` once."""
     try:
         completed = subprocess.run(
             # ``--exclude='*'`` ignores tags, so the stamp is always the hash.
             [
-                "git", "-C", str(repo_root), "describe", "--always", "--dirty",
+                "git", "-C", repo_root, "describe", "--always", "--dirty",
                 "--abbrev=40", "--exclude=*",
             ],
             capture_output=True,

@@ -13,7 +13,9 @@ from repro.datagen.shards import (
     git_revision,
     load_design_dataset,
 )
+from repro.datagen.engine import generate_corpus
 from repro.datagen.spec import CorpusDesignSpec, CorpusSpec
+from repro.utils import artifacts
 
 
 @pytest.fixture()
@@ -69,6 +71,23 @@ class TestGitRevision:
 
     def test_unknown_outside_repo(self, tmp_path):
         assert git_revision(tmp_path) == "unknown"
+
+    def test_two_corpora_start_one_git_child(self, tmp_path, monkeypatch, spec):
+        calls = []
+        real_run = artifacts.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args[0])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(artifacts.subprocess, "run", counting_run)
+        artifacts._resolve_revision.cache_clear()
+        try:
+            for name in ("first", "second"):
+                generate_corpus(spec, tmp_path / name, num_workers=0)
+        finally:
+            artifacts._resolve_revision.cache_clear()
+        assert [command[0] for command in calls] == ["git"]
 
 
 class TestShardStore:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.sim.rom import ReducedOrderStrategy, ROMOptions, ROMRunStats, _gram_truncate
+import scipy.linalg
+
+from repro.sim.rom import _CHUNK_COLUMNS, ReducedOrderStrategy, ROMOptions, ROMRunStats
 from repro.sim.transient import (
     FullOrderStrategy,
     TransientEngine,
@@ -215,28 +217,90 @@ def _normalised(block):
     return block / np.where(norms > 0.0, norms, 1.0)
 
 
+def _ports(mna):
+    return np.concatenate(
+        [mna.load_incidence().toarray(), mna.inductor_incidence().toarray()], axis=1
+    )
+
+
+def _top_subspace(block, rank, subset):
+    """Orthonormal dominant subspace of unit-norm columns via the Gram matrix.
+
+    ``subset`` asks LAPACK for the top ``rank`` eigenpairs only; otherwise
+    every eigenpair is computed and the top ones are selected afterwards.
+    """
+    gram = block.T @ block
+    width = gram.shape[0]
+    if subset:
+        values, vectors = scipy.linalg.eigh(
+            gram.T, subset_by_index=(max(0, width - rank), width - 1)
+        )
+    else:
+        values, vectors = scipy.linalg.eigh(gram.T)
+    keep = min(rank, int((values > values[-1] * 1e-13).sum()))
+    values, vectors = values[len(values) - keep:], vectors[:, len(values) - keep:]
+    polished, _ = scipy.linalg.qr(block @ (vectors / np.sqrt(values)), mode="economic")
+    return np.ascontiguousarray(polished)
+
+
+def chunked_basis(full, rank, order):
+    """The recursion the build runs: each level solved ``_CHUNK_COLUMNS`` at a time
+    from the previous *normalised* level, stacked column-major, truncated once."""
+    cap = full.cap_companion[:, np.newaxis]
+
+    def solve(rhs):
+        return np.concatenate(
+            [
+                full.solver.solve_many(rhs[:, start:start + _CHUNK_COLUMNS])
+                for start in range(0, rhs.shape[1], _CHUNK_COLUMNS)
+            ],
+            axis=1,
+        )
+
+    level = _normalised(solve(_ports(full.mna)))
+    levels = [level]
+    for _ in range(order - 1):
+        if level.shape[1] > rank:
+            level = _top_subspace(level, rank, subset=True)
+        level = _normalised(solve(cap * level))
+        levels.append(level)
+    return _top_subspace(np.asfortranarray(np.concatenate(levels, axis=1)), rank, subset=True)
+
+
+def wide_basis(full, rank, order):
+    """The earlier recursion: each level one wide solve from the previous
+    *unnormalised* level, every truncation a full eigendecomposition."""
+    cap = full.cap_companion[:, np.newaxis]
+    moment = full.solver.solve_many(_ports(full.mna))
+    levels = [_normalised(moment)]
+    for _ in range(order - 1):
+        if moment.shape[1] > rank:
+            moment = _top_subspace(_normalised(moment), rank, subset=False)
+        moment = full.solver.solve_many(cap * moment)
+        levels.append(_normalised(moment))
+    return _top_subspace(np.concatenate(levels, axis=1), rank, subset=False)
+
+
 class TestBasisConstruction:
+    # Rank 16 truncates every level; rank 64 exceeds the port count and
+    # truncates none.
     @pytest.mark.parametrize("rank", [16, 64])
     def test_moment_stack_matches_concatenated_levels(self, tiny_design, rank):
-        # Reference: every Krylov level normalised on its own, concatenated,
-        # then truncated.  Column norms and the Gram product sum in an order
-        # that follows memory layout, so a moment stack laid out unlike the
-        # solved levels would move basis bits.  Rank 16 truncates every
-        # level; rank 64 exceeds the port count and truncates none.
+        # Column norms and the Gram product sum in an order that follows
+        # memory layout, so a moment stack laid out unlike the concatenated
+        # levels, or levels solved in other chunks, would move basis bits.
         full = FullOrderStrategy(tiny_design.mna, 1e-11, TransientOptions())
         options = ROMOptions(rank=rank)
-        mna = tiny_design.mna
-        ports = np.concatenate(
-            [mna.load_incidence().toarray(), mna.inductor_incidence().toarray()], axis=1
-        )
-        moment = full.solver.solve_many(ports)
-        levels = [_normalised(moment)]
-        for _ in range(options.order - 1):
-            if moment.shape[1] > rank:
-                moment = _gram_truncate(moment.copy(order="K"), rank)
-            moment = full.solver.solve_many(full.cap_companion[:, np.newaxis] * moment)
-            levels.append(_normalised(moment))
-        reference = _gram_truncate(np.concatenate(levels, axis=1), rank)
-
+        reference = chunked_basis(full, rank, options.order)
         rom = ReducedOrderStrategy.build(full, options)
         np.testing.assert_array_equal(rom._basis, reference)
+
+    @pytest.mark.parametrize("rank", [16, 64])
+    def test_basis_spans_the_wide_solve_subspace(self, tiny_design, rank):
+        full = FullOrderStrategy(tiny_design.mna, 1e-11, TransientOptions())
+        options = ROMOptions(rank=rank)
+        old = wide_basis(full, rank, options.order)
+        new = ReducedOrderStrategy.build(full, options)._basis
+        assert new.shape == old.shape
+        residual = old - new @ (new.T @ old)
+        assert float(np.max(np.abs(residual))) <= 1e-12
