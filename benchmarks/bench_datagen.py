@@ -66,7 +66,7 @@ from repro.pdn import reference_design
 from repro.pdn.designs import design_from_name
 from repro.sim.dynamic_noise import DynamicNoiseAnalysis
 from repro.sim.rom import ReducedOrderStrategy, ROMOptions
-from repro.sim.transient import TransientOptions
+from repro.sim.transient import DROOP_FLOOR, TransientOptions
 from repro.workloads import generate_test_vectors
 from repro.workloads.dataset import build_dataset
 from repro.workloads.vectors import TestVectorGenerator, VectorConfig
@@ -109,7 +109,6 @@ def _sequential_baseline() -> dict:
             design,
             traces,
             compression_rate=design_spec.compression_rate,
-            rate_step=design_spec.rate_step,
             analysis=analysis,
         )
     return datasets
@@ -246,7 +245,7 @@ def run_rom_benchmark(rounds: int = ROUNDS):
     # worst_droop error the ROM labels carry into a training corpus.
     max_rel = max(
         abs(rom.worst_droop - full.worst_droop)
-        / max(abs(full.worst_droop), ROM_OPTIONS.droop_floor)
+        / max(abs(full.worst_droop), DROOP_FLOOR)
         for rom, full in zip(rom_results, full_results)
     )
     stats = rom_engine.rom_stats

@@ -38,7 +38,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np
 
 from repro import faults
-from repro.datagen import CorpusDesignSpec, CorpusSpec, GenerationPolicy, generate_corpus
+from repro.datagen import CorpusDesignSpec, CorpusSpec, generate_corpus
 from repro.resilience import RetryPolicy
 
 #: Seams a drill can die at, in the order the engine reaches them.
@@ -144,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         drill_spec(args.solver_mode),
         args.workdir,
         num_workers=args.num_workers,
-        policy=GenerationPolicy(retry=RetryPolicy(max_attempts=3, backoff_s=0.0)),
+        retry=RetryPolicy(max_attempts=3, backoff_s=0.0),
     )
     print(
         "chaos drill complete: "

@@ -90,7 +90,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    config = budget(args.budget)
+    full_order = budget(args.budget)
+    config = full_order
     if args.solver_mode != "full":
         config = replace(config, solver_mode=args.solver_mode)
     # A non-default serving dtype or label solver gets its own workdir:
@@ -154,8 +155,11 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"WARNING: {message}")
         return 0
+    # Baselines are measured against full-order labels; a run labelled by
+    # another solver is judged against the same bands, so it is compared
+    # under the hash of its full-order campaign.
     drift = store.compare(
-        config.name, metrics, config.config_hash(), dtype=args.serving_dtype
+        config.name, metrics, full_order.config_hash(), dtype=args.serving_dtype
     )
     print(drift.summary())
     return 0 if drift.passed else 1

@@ -53,28 +53,22 @@ class TrainingConfig:
     fixed, not settable.  With the scaled-down datasets used in this
     reproduction a slightly larger default learning rate converges in far
     fewer epochs while remaining faithful to the optimiser/loss choice.
+    Every epoch shuffles the training rows; early stopping needs a drop of
+    :data:`repro.core.training.EARLY_STOPPING_MIN_DELTA` to count one.
     """
 
     learning_rate: float = 1e-3
     epochs: int = 60
     batch_size: int = 4
-    shuffle: bool = True
     seed: int = 0
     early_stopping_patience: Optional[int] = 15
-    early_stopping_min_delta: float = 1e-5
-    log_every: int = 10
 
     def __post_init__(self) -> None:
         check_positive(self.learning_rate, "learning_rate")
         check_positive(self.epochs, "epochs")
         check_positive(self.batch_size, "batch_size")
-        check_positive(self.log_every, "log_every")
         if self.early_stopping_patience is not None:
             check_positive(self.early_stopping_patience, "early_stopping_patience")
-        if self.early_stopping_min_delta < 0:
-            raise ValueError(
-                f"early_stopping_min_delta must be >= 0, got {self.early_stopping_min_delta}"
-            )
 
 
 @dataclass(frozen=True)
@@ -89,9 +83,8 @@ class PipelineConfig:
     num_steps / dt:
         Test-vector length and time step.
     compression_rate:
-        Algorithm-1 retention rate applied to the current features.
-    rate_step:
-        Algorithm-1 sweep step.
+        Algorithm-1 retention rate applied to the current features (the
+        sweep step is :data:`repro.features.temporal.RATE_STEP`).
     train_fraction / validation_ratio:
         Training-set expansion share and validation:test split of the rest.
     model / training:
@@ -112,7 +105,6 @@ class PipelineConfig:
     num_steps: int = 300
     dt: float = 1e-11
     compression_rate: float = 0.3
-    rate_step: float = 0.05
     train_fraction: float = 0.6
     validation_ratio: float = 0.3
     model: ModelConfig = field(default_factory=ModelConfig)

@@ -25,12 +25,17 @@ from repro.features.extraction import (
     VectorFeatures,
     extract_vector_features,
 )
+from repro.features.temporal import RATE_STEP
 from repro.nn import kernels, no_grad, save_checkpoint
 from repro.nn.serialization import read_checkpoint
 from repro.pdn.designs import Design
 from repro.sim.waveform import CurrentTrace
-from repro.utils import check_non_negative, check_positive, require_key
+from repro.utils import FixedKeys, check_non_negative, check_positive, require_key
 from repro.workloads.dataset import NoiseDataset
+
+#: Checkpoint metadata keys with one fixed value (written so that a
+#: checkpoint records the Algorithm-1 sweep step its features used).
+_FIXED_METADATA = FixedKeys(rate_step=RATE_STEP)
 
 
 @dataclass
@@ -67,8 +72,8 @@ class NoisePredictor:
         The feature normaliser fitted during training.
     distance:
         The design's distance tensor ``(B, m, n)`` in um.
-    compression_rate / rate_step:
-        Algorithm-1 parameters applied to incoming traces.
+    compression_rate:
+        Algorithm-1 retention rate applied to incoming traces.
     dtype:
         Serving precision (a :mod:`repro.nn.kernels` dtype).  ``"float64"``
         (default) is the bit-exact reference; ``"float32"`` casts the model
@@ -83,7 +88,6 @@ class NoisePredictor:
         normalizer: FeatureNormalizer,
         distance: np.ndarray,
         compression_rate: Optional[float] = 0.3,
-        rate_step: float = 0.05,
         dtype: Union[str, np.dtype] = "float64",
     ):
         self.dtype = kernels.canonical_dtype(dtype)
@@ -97,7 +101,6 @@ class NoisePredictor:
                 f"distance tensor has {self.distance.shape[0]} bumps, model expects {model.num_bumps}"
             )
         self.compression_rate = compression_rate
-        self.rate_step = rate_step
         self._normalized_distance = np.asarray(
             normalizer.normalize_distance(self.distance), dtype=self.dtype
         )
@@ -139,7 +142,6 @@ class NoisePredictor:
             self.normalizer.distance_scale,
             self.normalizer.noise_scale,
             self.compression_rate,
-            self.rate_step,
             self.serving_dtype,
         )
         return (arrays, settings)
@@ -172,7 +174,7 @@ class NoisePredictor:
                 digest.update(name.encode())
                 digest.update(np.ascontiguousarray(value).tobytes())
             digest.update(json.dumps(self.normalizer.to_dict(), sort_keys=True).encode())
-            digest.update(repr((self.compression_rate, self.rate_step)).encode())
+            digest.update(repr(self.compression_rate).encode())
             digest.update(self.serving_dtype.encode())
             digest.update(np.ascontiguousarray(self.distance).tobytes())
             self._fingerprint = (token, digest.hexdigest())
@@ -195,10 +197,7 @@ class NoisePredictor:
         """Predict from a raw test vector (tiling + compression + CNN)."""
         started = time.perf_counter()
         features = extract_vector_features(
-            trace,
-            design,
-            compression_rate=self.compression_rate,
-            rate_step=self.rate_step,
+            trace, design, compression_rate=self.compression_rate
         )
         result = self.predict_features(features)
         return PredictionResult(
@@ -303,7 +302,6 @@ class NoisePredictor:
         metadata = {
             "normalizer": self.normalizer.to_dict(),
             "compression_rate": self.compression_rate,
-            "rate_step": self.rate_step,
             "serving_dtype": self.serving_dtype,
             "num_bumps": self.model.num_bumps,
             "model_config": {
@@ -317,6 +315,7 @@ class NoisePredictor:
             },
             "distance_shape": list(self.distance.shape),
         }
+        _FIXED_METADATA.write(metadata)
         save_checkpoint(
             self.model, Path(path), metadata=metadata, extras={"distance": self.distance}
         )
@@ -330,8 +329,10 @@ class NoisePredictor:
         Checkpoints are self-contained: weights, metadata and the distance
         tensor live in the one archive, which is opened and read once.
         ``dtype`` overrides the serving precision; otherwise the
-        checkpoint's recorded ``serving_dtype`` is used.  Raises ``ValueError`` when a metadata key is missing or the
-        stored distance tensor's shape differs from the recorded
+        checkpoint's recorded ``serving_dtype`` is used.  Raises
+        ``ValueError`` when a metadata key is missing, when the metadata
+        records an Algorithm-1 sweep step other than the fixed one, or when
+        the stored distance tensor's shape differs from the recorded
         ``distance_shape``.
         """
         path = Path(path)
@@ -344,6 +345,7 @@ class NoisePredictor:
         if "distance" not in extras:
             raise ValueError(f"checkpoint {path} stores no distance tensor")
         source = f"checkpoint {path}"
+        _FIXED_METADATA.pop(metadata, source)
         recorded_shape = tuple(require_key(metadata, "distance_shape", source))
         if extras["distance"].shape != recorded_shape:
             raise ValueError(
@@ -356,6 +358,5 @@ class NoisePredictor:
             normalizer=FeatureNormalizer.from_dict(metadata["normalizer"]),
             distance=extras["distance"],
             compression_rate=metadata["compression_rate"],
-            rate_step=metadata["rate_step"],
             dtype=dtype if dtype is not None else serving_dtype,
         )

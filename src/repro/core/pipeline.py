@@ -171,7 +171,6 @@ class WorstCaseNoiseFramework:
             self.design,
             traces,
             compression_rate=self.config.compression_rate,
-            rate_step=self.config.rate_step,
             transient_options=self.transient_options,
             analysis=analysis,
             sim_batch_size=self.config.sim_batch_size,
@@ -223,7 +222,6 @@ class WorstCaseNoiseFramework:
             seed=config.seed,
             shard_size=shard_size,
             compression_rate=config.compression_rate,
-            rate_step=config.rate_step,
         )
 
     def corpus_spec(
@@ -292,7 +290,6 @@ class WorstCaseNoiseFramework:
             normalizer=training.normalizer,
             distance=dataset.distance,
             compression_rate=self.config.compression_rate,
-            rate_step=self.config.rate_step,
         )
         # Time each vector through the full forward (predict_features
         # reduces the distance map inside every call), exactly as the paper
@@ -335,7 +332,6 @@ class WorstCaseNoiseFramework:
             normalizer=training.normalizer,
             distance=dataset.distance,
             compression_rate=self.config.compression_rate,
-            rate_step=self.config.rate_step,
         )
         result = FrameworkResult(
             design_name=self.design.name,

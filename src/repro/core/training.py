@@ -49,6 +49,13 @@ __all__ = ["TrainingHistory", "TrainingResult", "NoiseModelTrainer", "fit_pooled
 
 _LOG = get_logger("core.training")
 
+#: Smallest drop of the monitored loss that early stopping counts as an
+#: improvement.
+EARLY_STOPPING_MIN_DELTA = 1e-5
+
+#: Epochs between two progress log lines.
+_LOG_EVERY = 10
+
 #: A normalised partition's current maps: one dense ``(N, T, m, n)`` stack
 #: when every sample retains the same number of stamps, else one ``(T_i, m,
 #: n)`` array per sample (ragged Algorithm-1 compression).
@@ -127,11 +134,10 @@ def _epoch_schedule(pool: _Pool, config: TrainingConfig, rng) -> list[tuple[str,
     schedule: list[tuple[str, np.ndarray]] = []
     for label, ((_, targets), _, _) in pool.items():
         order = np.arange(len(targets))
-        if config.shuffle:
-            rng.shuffle(order)
+        rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
             schedule.append((label, order[start:start + config.batch_size]))
-    if config.shuffle and len(pool) > 1:
+    if len(pool) > 1:
         rng.shuffle(schedule)
     return schedule
 
@@ -403,14 +409,14 @@ class NoiseModelTrainer:
             # Early stopping monitors the validation loss; the training loss
             # stands in when that is not finite (no validation partition).
             monitored = validation_loss if np.isfinite(validation_loss) else epoch_loss
-            if monitored < history.best_validation_loss - config.early_stopping_min_delta:
+            if monitored < history.best_validation_loss - EARLY_STOPPING_MIN_DELTA:
                 history.best_validation_loss = monitored
                 history.best_epoch = epoch
                 best_state = self.model.state_dict()
                 epochs_without_improvement = 0
             else:
                 epochs_without_improvement += 1
-            if epoch % config.log_every == 0:
+            if epoch % _LOG_EVERY == 0:
                 _LOG.info(
                     "epoch %d: train %.5f, val %.5f", epoch, epoch_loss, validation_loss
                 )

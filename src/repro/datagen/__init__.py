@@ -27,7 +27,6 @@ contract, and ``benchmarks/bench_datagen.py`` for measured speedups.
 
 from repro.datagen.engine import (
     DesignFactory,
-    GenerationPolicy,
     GenerationReport,
     generate_corpus,
     shard_vectors,
@@ -48,7 +47,6 @@ __all__ = [
     "CorpusSpec",
     "paper_corpus_spec",
     "DesignFactory",
-    "GenerationPolicy",
     "GenerationReport",
     "generate_corpus",
     "shard_vectors",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -53,31 +53,6 @@ _LOG = get_logger("datagen.engine")
 
 
 @dataclass(frozen=True)
-class GenerationPolicy:
-    """Failure-handling knobs of one :func:`generate_corpus` run.
-
-    Attributes
-    ----------
-    retry:
-        Per-shard retry budget, spent in waves by
-        :func:`repro.resilience.retry_in_waves`.
-    quarantine:
-        Scan each shard's freshly simulated dataset for non-finite labels or
-        current maps; poisoned vectors are dropped from the shard and
-        recorded in the manifest's ``quarantined`` list instead of crashing
-        the run.
-    verify_resume:
-        On resume, recompute the content hash of every shard the manifest
-        says is complete; corrupt or unreadable shards are regenerated
-        instead of trusted.
-    """
-
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    quarantine: bool = True
-    verify_resume: bool = True
-
-
-@dataclass(frozen=True)
 class _ShardTask:
     """One shard's worth of generation work (picklable, self-contained)."""
 
@@ -86,7 +61,6 @@ class _ShardTask:
     index: int
     design_spec: CorpusDesignSpec
     sim_batch_size: int
-    quarantine: bool = True
     solver_mode: str = "full"
     rom: Optional[ROMOptions] = None
 
@@ -276,7 +250,6 @@ def _generate_shard(task: _ShardTask) -> dict:
                     design,
                     traces,
                     compression_rate=spec.compression_rate,
-                    rate_step=spec.rate_step,
                     analysis=analysis,
                     sim_batch_size=task.sim_batch_size,
                 )
@@ -331,8 +304,6 @@ def _quarantine_poisoned(task: _ShardTask, dataset):
     corpus or crashing the run.  Scanning is deterministic, so a clean run
     and a killed-and-resumed run quarantine the exact same vectors.
     """
-    if not task.quarantine:
-        return dataset, []
     poisoned = poisoned_sample_indices(dataset)
     if not poisoned:
         return dataset, []
@@ -387,16 +358,19 @@ def generate_corpus(
     design_factory: DesignFactory = design_from_name,
     resume: bool = True,
     max_shards: Optional[int] = None,
-    policy: GenerationPolicy = GenerationPolicy(),
+    retry: RetryPolicy = RetryPolicy(),
     faults_factory: Optional[FaultsFactory] = None,
 ) -> GenerationReport:
     """Generate (or finish) a training corpus on disk.
 
     The call is idempotent and resumable: shards whose manifest records are
-    complete (and whose files verify, see ``policy.verify_resume``) are
+    complete and whose files still match their recorded content hash are
     skipped, everything else is (re)generated, and the manifest is re-saved
     after every finished shard — killing the run at any point loses at most
-    the shards in flight.
+    the shards in flight.  Each freshly simulated shard is scanned for
+    non-finite labels or current maps; poisoned vectors are dropped from the
+    shard and recorded in the manifest's ``quarantined`` list instead of
+    crashing the run.
 
     Parameters
     ----------
@@ -418,8 +392,9 @@ def generate_corpus(
     max_shards:
         Stop after generating this many shards (testing/ops knob — it is
         how the resume tests simulate an interrupted run).
-    policy:
-        Failure handling (see :class:`GenerationPolicy`).
+    retry:
+        Per-shard retry budget, spent in waves by
+        :func:`repro.resilience.retry_in_waves`.
     faults_factory:
         Picklable fault-injector factory for :func:`repro.resilience.fan_out`
         (a testing knob; production runs leave it ``None``).
@@ -434,7 +409,7 @@ def generate_corpus(
     ValueError
         When resuming a root whose manifest hash does not match ``spec``.
     repro.resilience.ShardFailedError
-        When shards exhaust ``policy.retry``, once every other shard is
+        When shards exhaust ``retry``, once every other shard is
         recorded (``error.report`` carries this run's :class:`GenerationReport`).
     """
     root = Path(root)
@@ -466,9 +441,7 @@ def generate_corpus(
                 and manifest.is_complete(design.label, index)
                 and store.has_shard(design.label, index)
             ):
-                if policy.verify_resume and not _shard_verifies(
-                    store, manifest, design.label, index
-                ):
+                if not _shard_verifies(store, manifest, design.label, index):
                     report.shards_regenerated += 1
                 else:
                     report.shards_skipped += 1
@@ -480,7 +453,6 @@ def generate_corpus(
                     index=index,
                     design_spec=design,
                     sim_batch_size=spec.sim_batch_size,
-                    quarantine=policy.quarantine,
                     solver_mode=spec.solver_mode,
                     rom=spec.rom,
                 )
@@ -528,7 +500,7 @@ def generate_corpus(
                 # is meant to finish.
                 before_inline=store.clear_stale_claims,
             ),
-            policy.retry,
+            retry,
             on_success=on_success,
             on_exhausted=on_exhausted,
         )

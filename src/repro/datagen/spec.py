@@ -24,9 +24,10 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
+from repro.features.temporal import RATE_STEP
 from repro.sim.rom import ROMOptions
 from repro.sim.transient import SOLVER_MODES, TransientOptions
-from repro.utils import check_positive
+from repro.utils import FixedKeys, check_positive
 from repro.workloads.scenarios import validate_scenario
 from repro.workloads.specs import ScenarioSpec
 from repro.workloads.vectors import VectorConfig
@@ -35,11 +36,15 @@ from repro.workloads.vectors import VectorConfig
 # factorisation, and backward Euler started from the DC operating point.  The
 # pairs stay in the hashed payload so pre-existing corpora keep their config
 # hashes; any other value names a corpus another engine labelled.
-_FIXED_KEYS = {
-    "solver_method": "cholesky",
-    "integration_method": "backward_euler",
-    "initial_state": "dc",
-}
+_FIXED_KEYS = FixedKeys(
+    solver_method="cholesky",
+    integration_method="backward_euler",
+    initial_state="dc",
+)
+
+# Every design slice records the one Algorithm-1 sweep step its features
+# used, for the same reason.
+_FIXED_DESIGN_KEYS = FixedKeys(rate_step=RATE_STEP)
 
 
 @dataclass(frozen=True)
@@ -71,9 +76,10 @@ class CorpusDesignSpec:
         ``docs/data-pipeline.md``).
     shard_size:
         Vectors per on-disk shard (the unit of parallelism and resume).
-    compression_rate / rate_step:
-        Algorithm-1 temporal-compression parameters applied to the features
-        (``None`` disables compression).
+    compression_rate:
+        Algorithm-1 retention rate applied to the features (``None``
+        disables compression).  The payload also records the fixed sweep
+        step, :data:`repro.features.temporal.RATE_STEP`.
     scenario_mix:
         Scenario specs (family names or
         :class:`~repro.workloads.specs.ScenarioSpec` objects) blended into
@@ -96,7 +102,6 @@ class CorpusDesignSpec:
     seed: int = 0
     shard_size: int = 20
     compression_rate: Optional[float] = 0.3
-    rate_step: float = 0.05
     scenario_mix: tuple = ()
     scenario_fraction: float = 0.5
 
@@ -114,7 +119,6 @@ class CorpusDesignSpec:
             raise ValueError(
                 f"compression_rate must be in (0, 1] or None, got {self.compression_rate}"
             )
-        check_positive(self.rate_step, "rate_step")
         object.__setattr__(
             self,
             "scenario_mix",
@@ -200,12 +204,14 @@ class CorpusDesignSpec:
         else:
             del payload["scenario_mix"]
             del payload["scenario_fraction"]
-        return payload
+        return _FIXED_DESIGN_KEYS.write(payload)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CorpusDesignSpec":
-        """Rebuild a design spec from :meth:`to_dict` output."""
-        payload = dict(payload)
+        """Rebuild a design spec from :meth:`to_dict` output (one sweep step only)."""
+        payload = _FIXED_DESIGN_KEYS.pop(
+            dict(payload), f"corpus design {payload.get('label')!r}"
+        )
         payload["scenario_mix"] = tuple(
             ScenarioSpec.from_dict(entry) for entry in payload.get("scenario_mix", ())
         )
@@ -304,14 +310,12 @@ class CorpusSpec:
         pre-existing full-order corpora keep their config hashes (and stay
         resumable) across the solver seam's introduction; ROM-mode specs
         record the complete :class:`~repro.sim.rom.ROMOptions` block.
-        The payload always carries ``"solver_method": "cholesky"``,
-        ``"integration_method": "backward_euler"`` and
-        ``"initial_state": "dc"``: the keys predate the single solver and
-        the single integrator, and every existing manifest hashes them.
+        The payload always carries the fixed ``solver_method``,
+        ``integration_method`` and ``initial_state`` pairs.
         """
         payload = asdict(self)
         payload["designs"] = [design.to_dict() for design in self.designs]
-        payload.update(_FIXED_KEYS)
+        _FIXED_KEYS.write(payload)
         if self.solver_mode == "full":
             del payload["solver_mode"]
             del payload["rom"]
@@ -323,16 +327,10 @@ class CorpusSpec:
     def from_dict(cls, payload: dict) -> "CorpusSpec":
         """Rebuild a spec from :meth:`to_dict` output.
 
-        Raises ``ValueError`` when the payload names a ``solver_method``,
-        ``integration_method`` or ``initial_state`` other than the fixed
-        value :meth:`to_dict` writes: such a corpus was labelled by another
-        factorisation or integrator and must not be resumed as this one.
+        Raises ``ValueError`` when a fixed pair records another value: such
+        a corpus was labelled by another engine and must not be resumed.
         """
-        payload = dict(payload)
-        for key, fixed in _FIXED_KEYS.items():
-            value = payload.pop(key, fixed)
-            if value != fixed:
-                raise ValueError(f"{key} must be {fixed!r} (the only one), got {value!r}")
+        payload = _FIXED_KEYS.pop(dict(payload), "corpus spec")
         payload["designs"] = tuple(
             CorpusDesignSpec.from_dict(entry) for entry in payload["designs"]
         )

@@ -24,18 +24,28 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.core.config import ModelConfig, TrainingConfig
+from repro.core.training import EARLY_STOPPING_MIN_DELTA
 from repro.datagen.spec import CorpusDesignSpec, CorpusSpec
+from repro.features.temporal import RATE_STEP
 from repro.sim.rom import ROMOptions
 from repro.sim.transient import SOLVER_MODES
-from repro.utils import check_positive, check_probability
+from repro.utils import FixedKeys, check_positive, check_probability
 from repro.workloads.scenarios import validate_scenario
 from repro.workloads.specs import ScenarioSpec
 
 #: Training settings that are no longer fields of :class:`TrainingConfig` —
-#: the per-sample engine flag, the loss and the weight decay each have one
+#: the per-sample engine flag, the loss, the weight decay, the epoch
+#: shuffle, the early-stopping threshold and the log cadence each have one
 #: value.  They stay in the serialised payload at that value so config hashes
 #: (and the baselines pinned against them) are unchanged.
-_FIXED_TRAINING_FIELDS = {"sequential": False, "loss": "l1", "weight_decay": 0.0}
+_FIXED_TRAINING_FIELDS = FixedKeys(
+    sequential=False, loss="l1", weight_decay=0.0, shuffle=True,
+    early_stopping_min_delta=EARLY_STOPPING_MIN_DELTA, log_every=10,
+)
+
+#: The campaign payload records the Algorithm-1 sweep step, for the same
+#: reason.
+_FIXED_FIELDS = FixedKeys(rate_step=RATE_STEP)
 
 
 @dataclass(frozen=True)
@@ -58,8 +68,8 @@ class EvalConfig:
         Per-design corpus size: test-vector count, trace length, time step.
     shard_size:
         Vectors per corpus shard (the datagen resume/parallelism unit).
-    compression_rate / rate_step:
-        Algorithm-1 temporal-compression parameters of the features.
+    compression_rate:
+        Algorithm-1 retention rate of the features.
     sim_batch_size:
         Lockstep block size of the ground-truth transient solver.
     seed:
@@ -101,7 +111,6 @@ class EvalConfig:
     dt: float = 1e-11
     shard_size: int = 4
     compression_rate: Optional[float] = 0.3
-    rate_step: float = 0.05
     sim_batch_size: int = 16
     seed: int = 0
     train_fraction: float = 0.7
@@ -195,7 +204,6 @@ class EvalConfig:
                     seed=self.seed,
                     shard_size=self.shard_size,
                     compression_rate=self.compression_rate,
-                    rate_step=self.rate_step,
                 )
                 for label, reference in self.designs
             ),
@@ -222,13 +230,18 @@ class EvalConfig:
             del payload["rom"]
         else:
             payload["rom"] = self.rom.to_dict()
-        payload["training"].update(_FIXED_TRAINING_FIELDS)
-        return payload
+        _FIXED_TRAINING_FIELDS.write(payload["training"])
+        return _FIXED_FIELDS.write(payload)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EvalConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        payload = dict(payload)
+        """Rebuild a config from :meth:`to_dict` output.
+
+        Raises ``ValueError`` when the payload records another value for a
+        fixed setting: the sweep step or a retired training field.
+        """
+        source = f"evaluation config {payload.get('name')!r}"
+        payload = _FIXED_FIELDS.pop(dict(payload), source)
         payload["designs"] = tuple(
             (str(label), str(reference)) for label, reference in payload["designs"]
         )
@@ -239,13 +252,9 @@ class EvalConfig:
         for key in ("heldout", "scenario_steps", "scenario_seeds"):
             payload[key] = tuple(payload[key])
         payload["model"] = ModelConfig(**payload["model"])
-        training = dict(payload["training"])
-        for key, fixed in _FIXED_TRAINING_FIELDS.items():
-            value = training.pop(key, fixed)
-            if value != fixed:
-                raise ValueError(
-                    f"training.{key} is fixed at {fixed!r} in this version, got {value!r}"
-                )
+        training = _FIXED_TRAINING_FIELDS.pop(
+            dict(payload["training"]), f"{source} training"
+        )
         payload["training"] = TrainingConfig(**training)
         if "rom" in payload and payload["rom"] is not None:
             payload["rom"] = ROMOptions.from_dict(payload["rom"])

@@ -383,7 +383,6 @@ class CrossDesignEvaluator:
             normalizer=trained.normalizer,
             distance=heldout_dataset.distance,
             compression_rate=config.compression_rate,
-            rate_step=config.rate_step,
             dtype=self.serving_dtype,
         )
         self.registry.register(heldout, predictor)

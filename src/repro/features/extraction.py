@@ -227,7 +227,6 @@ def extract_vector_features(
     trace: CurrentTrace,
     design: Design,
     compression_rate: Optional[float] = 0.3,
-    rate_step: float = 0.05,
 ) -> VectorFeatures:
     """Spatially tile and temporally compress one test vector.
 
@@ -240,23 +239,20 @@ def extract_vector_features(
     compression_rate:
         Algorithm-1 retention rate; ``None`` (or ``1.0``) disables temporal
         compression.
-    rate_step:
-        Algorithm-1 sweep step.
     """
     maps = load_current_maps(trace, design)
-    return _features_from_maps(maps, trace.name, compression_rate, rate_step)
+    return _features_from_maps(maps, trace.name, compression_rate)
 
 
 def _features_from_maps(
     maps: np.ndarray,
     name: str,
     compression_rate: Optional[float],
-    rate_step: float,
 ) -> VectorFeatures:
     """Apply Algorithm-1 compression to pre-tiled maps of one vector."""
     if compression_rate is None or compression_rate >= 1.0:
         return VectorFeatures(current_maps=maps, compression=None, name=name)
-    result = compress_current_maps(maps, compression_rate, rate_step)
+    result = compress_current_maps(maps, compression_rate)
     return VectorFeatures(
         current_maps=result.compressed_maps, compression=result, name=name
     )
@@ -266,7 +262,6 @@ def extract_vector_features_batch(
     traces: Sequence[CurrentTrace],
     design: Design,
     compression_rate: Optional[float] = 0.3,
-    rate_step: float = 0.05,
 ) -> list[VectorFeatures]:
     """Extract features for a batch of vectors sharing one design.
 
@@ -285,8 +280,8 @@ def extract_vector_features_batch(
         Test vectors, all exciting ``design`` (lengths may differ).
     design:
         The shared design.
-    compression_rate / rate_step:
-        Algorithm-1 parameters, as in :func:`extract_vector_features`.
+    compression_rate:
+        Algorithm-1 retention rate, as in :func:`extract_vector_features`.
 
     Returns
     -------
@@ -300,6 +295,6 @@ def extract_vector_features_batch(
                 f"has {design.num_loads}"
             )
     return [
-        extract_vector_features(trace, design, compression_rate, rate_step)
+        extract_vector_features(trace, design, compression_rate)
         for trace in traces
     ]

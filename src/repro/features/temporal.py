@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils import check_positive
+
+#: Sweep step ``delta_r`` of the lower-tail share in Algorithm 1.
+RATE_STEP = 0.05
 
 
 @dataclass
@@ -68,7 +70,6 @@ def _mu_plus_3sigma(values: np.ndarray) -> float:
 def compress_current_maps(
     current_maps: np.ndarray,
     compression_rate: float,
-    rate_step: float = 0.05,
 ) -> TemporalCompressionResult:
     """Apply Algorithm 1 to a sequence of current tile maps.
 
@@ -78,16 +79,14 @@ def compress_current_maps(
         Array of shape ``(N, m, n)`` — one load-current tile map per stamp.
     compression_rate:
         Fraction ``r`` of time stamps to retain, in ``(0, 1]``.  ``1.0``
-        short-circuits to "keep everything".
-    rate_step:
-        Sweep step ``delta_r`` for the lower-tail share.
+        short-circuits to "keep everything".  The lower-tail share is swept
+        in steps of :data:`RATE_STEP`.
     """
     current_maps = np.asarray(current_maps, dtype=float)
     if current_maps.ndim != 3:
         raise ValueError(f"current_maps must have shape (N, m, n), got {current_maps.shape}")
     if not 0.0 < compression_rate <= 1.0:
         raise ValueError(f"compression_rate must be in (0, 1], got {compression_rate}")
-    check_positive(rate_step, "rate_step")
 
     num_steps = current_maps.shape[0]
     total_current = current_maps.reshape(num_steps, -1).sum(axis=1)
@@ -123,7 +122,7 @@ def compress_current_maps(
             if distance < best_distance:
                 best_distance = distance
                 best_lower_count = lower_count
-        lower_rate += rate_step
+        lower_rate += RATE_STEP
 
     upper_count = keep - best_lower_count
     if upper_count > 0:

@@ -67,6 +67,13 @@ from repro.utils import check_positive, get_logger
 
 _LOG = get_logger("gateway")
 
+#: LRU capacity (predictors) of each shard's registry partition.
+REGISTRY_CAPACITY = 4
+
+#: Capacity (entries) of the gateway's LRU result cache.
+CACHE_SIZE = 1024
+
+
 class _GatewayInstruments:
     """Pre-resolved metric handles shared by the gateway and its workers."""
 
@@ -127,10 +134,6 @@ class ScreeningGateway:
         request for the batch to fill.  Keep ``max_wait`` at a couple of
         milliseconds: enough to fuse concurrent submissions, invisible next
         to a forward pass.
-    registry_capacity:
-        LRU capacity of each shard's registry partition.
-    cache_size:
-        Capacity (entries) of the gateway's LRU result cache, :attr:`cache`.
     design_factory:
         Rebuilds :class:`Design` objects from names for scenario payloads
         and raw traces submitted by name (defaults to
@@ -157,8 +160,6 @@ class ScreeningGateway:
         queue_limit: int = 256,
         max_batch: int = 16,
         max_wait: float = 2e-3,
-        registry_capacity: int = 4,
-        cache_size: int = 1024,
         design_factory: DesignFactory = design_from_name,
         metrics: Optional[MetricsRegistry] = None,
         max_retries: int = 2,
@@ -184,7 +185,7 @@ class ScreeningGateway:
         self._ring = ConsistentHashRing(range(self.num_shards))
         #: Result cache shared by every shard (workers hold
         #: ``_cache_lock`` around each use).
-        self.cache: LRUCache[PredictionResult] = LRUCache(cache_size)
+        self.cache: LRUCache[PredictionResult] = LRUCache(CACHE_SIZE)
         self._cache_lock = threading.Lock()
         self._lock = threading.Lock()
         self._closed = False
@@ -198,7 +199,7 @@ class ScreeningGateway:
         for shard_id in range(self.num_shards):
             shard = _Shard(shard_id=shard_id)
             shard.registry = PredictorRegistry(
-                self.registry_root, capacity=registry_capacity
+                self.registry_root, capacity=REGISTRY_CAPACITY
             )
             self._shards[shard_id] = shard
         self._events: "queue.Queue" = queue.Queue()

@@ -321,7 +321,6 @@ class ShardWorker(threading.Thread):
             trace,
             self._design(request),
             compression_rate=predictor.compression_rate,
-            rate_step=predictor.rate_step,
         )
 
     def _design(self, request: GatewayRequest) -> Design:

@@ -40,7 +40,7 @@ See ``docs/solvers.md`` for the full contract.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -48,9 +48,9 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from repro import obs
-from repro.sim.transient import TransientResult, TransientSolverStrategy
+from repro.sim.transient import DROOP_FLOOR, TransientResult, TransientSolverStrategy
 from repro.sim.waveform import CurrentTrace, VoltageWaveform
-from repro.utils import get_logger
+from repro.utils import FixedKeys, get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.transient import FullOrderStrategy
@@ -80,6 +80,10 @@ _CHUNK_TARGET_BYTES = 1 << 23
 #: Allowed values of :attr:`ROMOptions.reconstruct_dtype`.
 RECONSTRUCT_DTYPES = ("float32", "float64")
 
+# Every serialised option block records the floor at its one value, so
+# corpus and campaign hashes made when it was an option stay unchanged.
+_FIXED_KEYS = FixedKeys(droop_floor=DROOP_FLOOR)
+
 
 @dataclass(frozen=True)
 class ROMOptions:
@@ -101,10 +105,9 @@ class ROMOptions:
     validate_vectors:
         How many traces of each :meth:`~repro.sim.transient.TransientEngine.
         run_many` call are validated against the full-order solver
-        (``0`` disables the gate — labels are then *unvalidated*).
-    droop_floor:
-        Absolute floor (V) for the gate's relative-error denominator, so
-        near-zero reference droops cannot inflate the error.
+        (``0`` disables the gate — labels are then *unvalidated*).  The
+        gate's relative error divides by at least
+        :data:`~repro.sim.transient.DROOP_FLOOR`.
     reconstruct_dtype:
         Dtype of the chunked droop reconstruction (``"float32"`` halves the
         dominant GEMM cost at ~1e-7 relative error — far below any usable
@@ -116,7 +119,6 @@ class ROMOptions:
     rank: int = 0
     tolerance: float = 0.08
     validate_vectors: int = 2
-    droop_floor: float = 1e-9
     reconstruct_dtype: str = "float32"
 
     def __post_init__(self) -> None:
@@ -128,8 +130,6 @@ class ROMOptions:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         if self.validate_vectors < 0:
             raise ValueError(f"validate_vectors must be >= 0, got {self.validate_vectors}")
-        if self.droop_floor <= 0:
-            raise ValueError(f"droop_floor must be > 0, got {self.droop_floor}")
         if self.reconstruct_dtype not in RECONSTRUCT_DTYPES:
             raise ValueError(
                 f"reconstruct_dtype must be one of {RECONSTRUCT_DTYPES}, "
@@ -138,19 +138,12 @@ class ROMOptions:
 
     def to_dict(self) -> dict:
         """JSON-serialisable representation (folded into corpus hashes)."""
-        return {
-            "order": self.order,
-            "rank": self.rank,
-            "tolerance": self.tolerance,
-            "validate_vectors": self.validate_vectors,
-            "droop_floor": self.droop_floor,
-            "reconstruct_dtype": self.reconstruct_dtype,
-        }
+        return _FIXED_KEYS.write(asdict(self))
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ROMOptions":
-        """Rebuild options from :meth:`to_dict` output."""
-        return cls(**payload)
+        """Rebuild options from :meth:`to_dict` output (one droop floor only)."""
+        return cls(**_FIXED_KEYS.pop(dict(payload), "ROM options"))
 
 
 @dataclass

@@ -46,6 +46,10 @@ _LOG = get_logger("sim.transient")
 #: Supported solver strategies (see ``docs/solvers.md``).
 SOLVER_MODES = ("full", "rom")
 
+#: Absolute floor (V) for the ROM gate's relative-error denominator, so
+#: near-zero reference droops cannot inflate the error.
+DROOP_FLOOR = 1e-9
+
 #: Stamps of a block's currents :func:`_stamp_currents` stacks at a time, so
 #: a full-order block holds one short chunk of its currents, not all of them.
 _STAMP_CHUNK = 32
@@ -544,7 +548,7 @@ class TransientEngine:
         reference = self._run_groups([traces[i] for i in indices], batch_size, self._full)
         error = 0.0
         for index, full_result in zip(indices, reference):
-            denominator = max(abs(full_result.worst_droop), rom.options.droop_floor)
+            denominator = max(abs(full_result.worst_droop), DROOP_FLOOR)
             error = max(
                 error, abs(results[index].worst_droop - full_result.worst_droop) / denominator
             )

@@ -3,6 +3,7 @@
 from repro.utils.artifacts import atomic_write_text, git_revision
 from repro.utils.random import RandomState, ensure_rng
 from repro.utils.validation import (
+    FixedKeys,
     check_finite,
     check_non_negative,
     check_positive,
@@ -16,6 +17,7 @@ __all__ = [
     "git_revision",
     "RandomState",
     "ensure_rng",
+    "FixedKeys",
     "check_finite",
     "check_non_negative",
     "check_positive",

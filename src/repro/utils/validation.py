@@ -46,3 +46,33 @@ def require_key(payload: Mapping, key: str, source) -> Any:
     if key not in payload:
         raise ValueError(f"{source} has no {key!r} entry")
     return payload[key]
+
+
+class FixedKeys:
+    """Keys a serialised payload records with one fixed value each.
+
+    Settings that became constants keep their pairs in the payloads that
+    recorded them (manifests, baselines, checkpoints), so hashes stay put.
+    """
+
+    def __init__(self, **pairs: Any):
+        self.pairs = pairs
+
+    def write(self, payload: dict) -> dict:
+        """Add every fixed pair to ``payload`` (in place) and return it."""
+        payload.update(self.pairs)
+        return payload
+
+    def pop(self, payload: dict, source) -> dict:
+        """Remove the fixed keys from ``payload`` (in place) and return it.
+
+        A missing key reads as its fixed value; any other value raises a
+        ``ValueError`` naming the key and ``source``.
+        """
+        for key, fixed in self.pairs.items():
+            value = payload.pop(key, fixed)
+            if value != fixed:
+                raise ValueError(
+                    f"{source} records {key}={value!r}, but {key} is fixed at {fixed!r}"
+                )
+        return payload

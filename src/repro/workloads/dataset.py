@@ -205,7 +205,6 @@ def build_dataset(
     design: Design,
     traces: Sequence[CurrentTrace],
     compression_rate: Optional[float] = 0.3,
-    rate_step: float = 0.05,
     transient_options: TransientOptions = TransientOptions(),
     analysis: Optional[DynamicNoiseAnalysis] = None,
     sim_batch_size: Optional[int] = None,
@@ -221,8 +220,6 @@ def build_dataset(
     compression_rate:
         Algorithm-1 retention rate applied to the *features* (the simulation
         always uses the full trace, exactly as the paper's flow does).
-    rate_step:
-        Algorithm-1 sweep step.
     transient_options:
         Options of the ground-truth transient engine.
     analysis:
@@ -261,7 +258,7 @@ def build_dataset(
     )
     results = analysis.run_many(traces, batch_size=sim_batch_size or 1)
     features_list = extract_vector_features_batch(
-        traces, design, compression_rate=compression_rate, rate_step=rate_step
+        traces, design, compression_rate=compression_rate
     )
     for index, (trace, result, features) in enumerate(zip(traces, results, features_list)):
         dataset.samples.append(

@@ -130,10 +130,6 @@ class GatedPredictor:
     def compression_rate(self):
         return self.delegate.compression_rate
 
-    @property
-    def rate_step(self):
-        return self.delegate.rate_step
-
     def predict_batch(self, features, max_batch=64):
         self.calls += 1
         self.started.set()
@@ -172,10 +168,6 @@ class FlakyPredictor:
     @property
     def compression_rate(self):
         return self.delegate.compression_rate
-
-    @property
-    def rate_step(self):
-        return self.delegate.rate_step
 
     def predict_batch(self, features, max_batch=64):
         self.calls += 1

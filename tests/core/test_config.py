@@ -38,9 +38,7 @@ class TestTrainingConfig:
             {"learning_rate": 0.0},
             {"epochs": 0},
             {"batch_size": 0},
-            {"early_stopping_min_delta": -1.0},
             {"early_stopping_patience": 0},
-            {"log_every": 0},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -118,7 +118,7 @@ class TestNoisePredictor:
         metadata = {
             "normalizer": predictor.normalizer.to_dict(),
             "compression_rate": predictor.compression_rate,
-            "rate_step": predictor.rate_step,
+            "rate_step": 0.05,
             "num_bumps": predictor.model.num_bumps,
             "model_config": asdict(predictor.model.config),
         }

@@ -154,7 +154,6 @@ class TestGenerateCorpus:
         baseline = build_dataset(
             design, traces,
             compression_rate=design_spec.compression_rate,
-            rate_step=design_spec.rate_step,
         )
         for ours, theirs in zip(factory.samples, baseline.samples):
             assert ours.name == theirs.name

@@ -73,7 +73,7 @@ class TestEvalConfig:
         assert payload["training"]["loss"] == "l1"
         assert payload["training"]["weight_decay"] == 0.0
         payload["training"][key] = value
-        with pytest.raises(ValueError, match=f"training.{key} is fixed"):
+        with pytest.raises(ValueError, match=f"training records {key}="):
             EvalConfig.from_dict(payload)
 
     def test_scenario_specs_round_trip_through_dict(self):
@@ -130,6 +130,24 @@ class TestBudgets:
 
         path = Path(__file__).resolve().parents[2] / "eval" / "baselines" / "smoke.json"
         assert budget("smoke").config_hash() == json.loads(path.read_text())["config_hash"]
+
+    def test_config_hashes_are_pinned(self):
+        # Every report, sweep manifest, baseline and corpus manifest of these
+        # campaigns records one of these hashes; the settings that became
+        # constants stay in the hashed payloads so that none of them moves.
+        pinned = {
+            "tiny": "33215e167375e360135ad97edc52584d25e4a1af9c7be9de92403076e32d8557",
+            "smoke": "becc8b6bfd26d62968d07f681f33212142d0a9f5c67ca8f09c16fd4d8eb91697",
+            "paper": "1e0e95c906ba64efc9706124819d466c76a0a7302ca451fcf16a823b4822ac71",
+        }
+        assert {name: budget(name).config_hash() for name in pinned} == pinned
+        rom = dataclasses.replace(budget("smoke"), solver_mode="rom")
+        assert rom.config_hash() == (
+            "399d16f00904752a067695325f6b0229eab4956ed341cfd2ab3508aaca196030"
+        )
+        assert rom.corpus_spec().config_hash() == (
+            "c2e10b0e2ec881f26ce384d6a9d466821d575170fd450321054504b095f70872"
+        )
 
     def test_budgets_are_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -37,7 +37,6 @@ TRAINING_CONFIG = TrainingConfig(
     batch_size=3,
     learning_rate=2e-3,
     early_stopping_patience=None,
-    shuffle=True,
     seed=0,
 )
 

@@ -1,10 +1,11 @@
 """End-to-end tests of the ``scripts/run_eval.py`` CLI (tiny budget).
 
 Drives the real entry point in a subprocess — the exact invocation CI uses,
-just at the ``tiny`` budget — and asserts the three behaviours the tier-2
+just at the ``tiny`` budget — and asserts the four behaviours the tier-2
 gate depends on: a missing baseline is an error under ``--check``,
-``--update-baseline`` pins the current numbers, and a perturbed baseline
-fails the build with a drift diagnosis.
+``--update-baseline`` pins the current numbers, a ROM-labelled run is
+compared against the full-order bands, and a perturbed baseline fails the
+build with a drift diagnosis.
 """
 
 import json
@@ -64,7 +65,18 @@ class TestRunEvalCli:
         assert gated.returncode == 0, gated.stdout + gated.stderr
         assert "within tolerance" in gated.stdout
 
-        # 5. Degrade the stored baseline (keeping its integrity hash valid):
+        # 5. A ROM-labelled campaign is judged against the same full-order
+        #    bands: the compare reaches them instead of refusing the hash.
+        rom = run_cli(
+            "--workdir", str(workdir.parent / "workdir-rom"),
+            "--baselines", str(baselines),
+            "--solver-mode", "rom",
+            "--check",
+        )
+        assert "different campaign configuration" not in rom.stdout + rom.stderr
+        assert "baseline 'tiny':" in rom.stdout, rom.stdout + rom.stderr
+
+        # 6. Degrade the stored baseline (keeping its integrity hash valid):
         #    the gate must fail and name the drifted metric.
         payload = json.loads(baseline_path.read_text())
         label = next(iter(payload["metrics"]))

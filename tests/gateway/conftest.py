@@ -26,7 +26,6 @@ def tiny_features(tiny_traces, tiny_design, tiny_predictor):
         tiny_traces,
         tiny_design,
         compression_rate=tiny_predictor.compression_rate,
-        rate_step=tiny_predictor.rate_step,
     )
 
 

@@ -6,27 +6,19 @@ the real-SIGKILL pool scenario lives in ``tests/datagen/test_determinism.py``
 and the cross-process chaos drill in ``test_chaos_e2e.py``.
 """
 
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from repro import faults
-from repro.datagen import (
-    GenerationPolicy,
-    generate_corpus,
-    load_corpus,
-    load_design_dataset,
-)
+from repro.datagen import generate_corpus, load_corpus, load_design_dataset
 from repro.datagen.shards import MANIFEST_NAME, ShardStore
 from repro.faults import ScriptedFaults
 from repro.resilience import CorruptShardError, RetryPolicy, ShardFailedError
 
 #: Retry without wall-clock waits, for scripted-fault scenarios.
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_s=0.0)
-
-FAST_POLICY = GenerationPolicy(retry=FAST_RETRY)
 
 
 def manifest_records(report):
@@ -67,7 +59,7 @@ class TestShardRetry:
         )
         with faults.injected(scripted):
             faulty = generate_corpus(
-                make_spec(), tmp_path / "faulty", num_workers=0, policy=FAST_POLICY
+                make_spec(), tmp_path / "faulty", num_workers=0, retry=FAST_RETRY
             )
         assert faulty.complete
         assert scripted.fired == [("datagen.shard", 0)]
@@ -92,7 +84,7 @@ class TestShardRetry:
         with faults.injected(scripted):
             with pytest.raises(ShardFailedError) as excinfo:
                 generate_corpus(
-                    make_spec(), tmp_path, num_workers=0, policy=FAST_POLICY
+                    make_spec(), tmp_path, num_workers=0, retry=FAST_RETRY
                 )
         error = excinfo.value
         assert [(f["label"], f["index"]) for f in error.failures] == [("small", 0)]
@@ -115,7 +107,7 @@ class TestShardRetry:
         with faults.injected(scripted):
             with pytest.raises(ShardFailedError):
                 generate_corpus(
-                    make_spec(), tmp_path / "faulty", num_workers=0, policy=FAST_POLICY
+                    make_spec(), tmp_path / "faulty", num_workers=0, retry=FAST_RETRY
                 )
         resumed = generate_corpus(make_spec(), tmp_path / "faulty", num_workers=0)
         assert resumed.complete
@@ -128,7 +120,7 @@ class TestShardRetry:
         )
         with faults.injected(scripted):
             report = generate_corpus(
-                make_spec(), tmp_path, num_workers=0, policy=FAST_POLICY
+                make_spec(), tmp_path, num_workers=0, retry=FAST_RETRY
             )
         assert report.complete
         assert scripted.fired == [("sim.solve", 0)]
@@ -175,20 +167,6 @@ class TestQuarantine:
         store = ShardStore(tmp_path)
         reloaded = store.load_manifest()
         assert reloaded.quarantined == report.manifest.quarantined
-
-    def test_quarantine_can_be_disabled_by_policy(self, tmp_path, make_spec):
-        policy = dataclasses.replace(FAST_POLICY, quarantine=False)
-        with faults.injected(PoisonFaults({("small", 0): [1]})):
-            report = generate_corpus(
-                make_spec(), tmp_path, num_workers=0, policy=policy
-            )
-        assert report.vectors_quarantined == 0
-        assert report.manifest.quarantined == []
-        # The poison stays in the shard — exactly what the policy asked for.
-        dataset = load_design_dataset(tmp_path, "small")
-        assert any(
-            not np.all(np.isfinite(sample.target)) for sample in dataset.samples
-        )
 
     def test_manifest_without_quarantine_key_is_refused(self, tmp_path, make_spec):
         generate_corpus(make_spec(), tmp_path, num_workers=0)
@@ -237,17 +215,6 @@ class TestCorruptionRecovery:
         resumed = generate_corpus(make_spec(), tmp_path, num_workers=0)
         assert resumed.complete
         assert resumed.shards_regenerated == 1
-
-    def test_verification_can_be_disabled_by_policy(self, tmp_path, make_spec):
-        generate_corpus(make_spec(), tmp_path, num_workers=0)
-        shard_path = ShardStore(tmp_path).shard_path("small", 0)
-        corrupted = b"trusted blindly"
-        shard_path.write_bytes(corrupted)
-        policy = dataclasses.replace(FAST_POLICY, verify_resume=False)
-        resumed = generate_corpus(make_spec(), tmp_path, num_workers=0, policy=policy)
-        assert resumed.shards_regenerated == 0
-        assert resumed.shards_skipped == 2
-        assert shard_path.read_bytes() == corrupted
 
 
 class TestCorruptShardError:

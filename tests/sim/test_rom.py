@@ -44,7 +44,6 @@ class TestROMOptions:
             ("rank", -1),
             ("tolerance", 0.0),
             ("validate_vectors", -1),
-            ("droop_floor", 0.0),
             ("reconstruct_dtype", "float16"),
         ],
     )

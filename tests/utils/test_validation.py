@@ -1,8 +1,14 @@
 """Tests for repro.utils.validation."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.core.inference import NoisePredictor
+from repro.datagen import CorpusDesignSpec
+from repro.eval import EvalConfig, budget
+from repro.sim.rom import ROMOptions
 from repro.utils.validation import (
     check_finite,
     check_non_negative,
@@ -62,3 +68,46 @@ class TestCheckNonNegative:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="threshold"):
             check_non_negative(-0.1, name="threshold")
+
+
+def _load_corpus_design(tmp_path, request):
+    payload = CorpusDesignSpec(label="small", design="small@8").to_dict()
+    CorpusDesignSpec.from_dict({**payload, "rate_step": 0.1})
+
+
+def _load_eval_config(tmp_path, request):
+    payload = budget("tiny").to_dict()
+    payload["training"]["shuffle"] = False
+    EvalConfig.from_dict(payload)
+
+
+def _load_rom_options(tmp_path, request):
+    ROMOptions.from_dict({**ROMOptions().to_dict(), "droop_floor": 0.0})
+
+
+def _load_checkpoint(tmp_path, request):
+    path = tmp_path / "predictor.npz"
+    request.getfixturevalue("tiny_predictor").save(path)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    metadata = json.loads(str(arrays["__metadata_json__"]))
+    arrays["__metadata_json__"] = np.array(json.dumps({**metadata, "rate_step": 0.1}))
+    np.savez(path, **arrays)
+    NoisePredictor.load(path)
+
+
+class TestFixedKeys:
+    @pytest.mark.parametrize(
+        "load, source, key",
+        [
+            (_load_corpus_design, "corpus design 'small'", "rate_step"),
+            (_load_eval_config, "evaluation config 'tiny' training", "shuffle"),
+            (_load_rom_options, "ROM options", "droop_floor"),
+            (_load_checkpoint, "predictor.npz", "rate_step"),
+        ],
+        ids=["corpus-design", "eval-training", "rom-options", "checkpoint"],
+    )
+    def test_another_recorded_value_is_refused(self, load, source, key, tmp_path, request):
+        with pytest.raises(ValueError, match=f"records {key}=") as error:
+            load(tmp_path, request)
+        assert source in str(error.value)
