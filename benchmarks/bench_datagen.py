@@ -32,7 +32,10 @@ Full-order vs ROM rows append to the repo-root ``BENCH_datagen.json``
 trajectory (every other bench persists one), together with
 ``shard_peak_mb``: the ``tracemalloc`` peak, above live memory, of labelling
 one shard (transient solve, tile reduction and features) with each engine,
-and ``rom_build_peak_mb``: the same peak of one ROM basis build.
+``rom_build_peak_mb``: the same peak of one ROM basis build, and
+``full_us_per_stamp_per_vector``: the absolute cost of one full-order
+lockstep block at widths 1, 16 and 48, in microseconds per stamp per
+vector.
 Runs under pytest (``python -m pytest benchmarks/bench_datagen.py``) or as
 a script wrapping a telemetry run::
 
@@ -93,6 +96,9 @@ ROM_SEED = 7
 #: the full-order block solver (26% over the speedup gate).
 ROM_OPTIONS = ROMOptions(rank=192)
 MIN_ROM_SPEEDUP = 5.0
+#: Full-order block widths timed on their own: one vector (per-vector
+#: solves), a shard, and a 48-vector block.
+FULL_BLOCK_WIDTHS = (1, 16, 48)
 #: Vectors in the shard whose labelling peak is recorded.
 SHARD_VECTORS = 16
 
@@ -306,6 +312,12 @@ def run_rom_benchmark(rounds: int = ROUNDS):
     entry["rom_build_peak_mb"] = _peak_mb(
         lambda: ReducedOrderStrategy.build(full_engine.strategy, ROM_OPTIONS)
     )
+    entry["full_us_per_stamp_per_vector"] = {
+        str(width): best_of(rounds, lambda: full_engine.strategy.run_block(traces[:width]))[0]
+        / (ROM_STEPS * width)
+        * 1e6
+        for width in FULL_BLOCK_WIDTHS
+    }
     return records, entry
 
 

@@ -339,12 +339,13 @@ class NoisePredictor:
         state, metadata, extras = read_checkpoint(path)
         if metadata is None:
             raise ValueError(f"checkpoint {path} is missing predictor metadata")
-        config = ModelConfig(**metadata["model_config"])
-        model = WorstCaseNoiseNet(num_bumps=int(metadata["num_bumps"]), config=config)
+        source = f"checkpoint {path}"
+        config = ModelConfig(**require_key(metadata, "model_config", source))
+        num_bumps = int(require_key(metadata, "num_bumps", source))
+        model = WorstCaseNoiseNet(num_bumps=num_bumps, config=config)
         model.load_state_dict(state)
         if "distance" not in extras:
             raise ValueError(f"checkpoint {path} stores no distance tensor")
-        source = f"checkpoint {path}"
         _FIXED_METADATA.pop(metadata, source)
         recorded_shape = tuple(require_key(metadata, "distance_shape", source))
         if extras["distance"].shape != recorded_shape:
@@ -355,8 +356,8 @@ class NoisePredictor:
         serving_dtype = require_key(metadata, "serving_dtype", source)
         return cls(
             model=model,
-            normalizer=FeatureNormalizer.from_dict(metadata["normalizer"]),
+            normalizer=FeatureNormalizer.from_dict(require_key(metadata, "normalizer", source)),
             distance=extras["distance"],
-            compression_rate=metadata["compression_rate"],
+            compression_rate=require_key(metadata, "compression_rate", source),
             dtype=dtype if dtype is not None else serving_dtype,
         )

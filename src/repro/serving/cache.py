@@ -33,19 +33,20 @@ def trace_content_hash(payload: ScreeningPayload) -> str:
 
     Hashes the raw sample values and the quantities that change the model
     input (``dt`` for traces, the stamp count for features) — *not* the name,
-    so renamed copies of the same vector still hit the cache.
+    so renamed copies of the same vector still hit the cache.  The samples
+    are hashed through a buffer view, not a byte copy.
     """
     digest = hashlib.sha256()
     if isinstance(payload, CurrentTrace):
         digest.update(b"trace")
         digest.update(repr(payload.currents.shape).encode())
-        digest.update(np.ascontiguousarray(payload.currents).tobytes())
+        digest.update(memoryview(np.ascontiguousarray(payload.currents)))
         digest.update(repr(float(payload.dt)).encode())
     elif isinstance(payload, VectorFeatures):
         maps = np.asarray(payload.current_maps)
         digest.update(b"features")
         digest.update(repr(maps.shape).encode())
-        digest.update(np.ascontiguousarray(maps).tobytes())
+        digest.update(memoryview(np.ascontiguousarray(maps)))
     else:
         raise TypeError(
             f"expected CurrentTrace or VectorFeatures, got {type(payload).__name__}"

@@ -73,7 +73,7 @@ _AUTO_RANK_FLOOR = 64
 #: of the moment stack, not copies of a level.
 _CHUNK_COLUMNS = 32
 
-#: Target byte size of one reconstruction chunk (bounds the dense ``(N, c, V)``
+#: Target byte size of one reconstruction chunk (bounds the dense ``(c, V, N)``
 #: working set of the chunked level-3 BLAS reconstruction).
 _CHUNK_TARGET_BYTES = 1 << 23
 
@@ -274,7 +274,7 @@ def _moment_stack(
     width = ports.shape[1]
     stack = np.empty((ports.shape[0], width + (order - 1) * min(width, rank)), order="F")
     level = stack[:, :width]
-    _solve_level(full, lambda chunk: ports[:, chunk].toarray(), level)
+    _solve_level(full, lambda chunk: ports[:, chunk].toarray(order="F"), level)
     used = width
     for _ in range(1, order):
         source = level
@@ -328,7 +328,9 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         self._ind_gain = inductor_gain
         #: ``E_r = (E^T V)^T`` — un-applied, for branch voltages ``E^T V z``.
         self._ind_proj = inductor_projection
-        self._basis_recon = basis.astype(options.reconstruct_dtype, copy=False)
+        #: ``V^T`` in the reconstruction dtype: chunks reconstruct as
+        #: ``states^T @ V^T``, node-contiguous ``(c, V, N)`` frames.
+        self._basis_recon_t = basis.T.astype(options.reconstruct_dtype, copy=False)
         #: Cumulative gate statistics, updated by the engine's gate.
         self.stats = ROMRunStats()
 
@@ -419,9 +421,11 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         through a single ``r × r`` GEMM per stamp (``F = S_r⁻¹ D_r`` was
         pre-applied at build time), inductor branch currents stay exact, and
         the chunk's node droops are reconstructed with one level-3 BLAS
-        product (at most ``_CHUNK_TARGET_BYTES``, in
-        :attr:`ROMOptions.reconstruct_dtype`) to accumulate the per-node
-        maxima.  The block holds one chunk, never a copy of its currents.
+        product ``states^T @ V^T`` (at most ``_CHUNK_TARGET_BYTES``, in
+        :attr:`ROMOptions.reconstruct_dtype`) into ``(c, V, N)`` frames, so
+        the per-node maxima and each stamp's worst droop both reduce over
+        contiguous memory.  The block holds one chunk, never a copy of its
+        currents.
         """
         solve_started = time.perf_counter()
         full = self._full
@@ -444,8 +448,9 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         applied = step_matrix @ state  # F z, carried across steps
 
         # The DC droop is known exactly — seed the maxima with it rather than
-        # with its in-subspace projection.
-        max_droop = droop.copy()
+        # with its in-subspace projection.  Maxima are kept ``(V, N)``, the
+        # layout of one reconstructed stamp.
+        max_droop = droop.T.copy()
         worst_droop = droop.max(axis=0) if num_nodes else np.zeros(num_traces)
         worst_time_index = np.zeros(num_traces, dtype=int)
         stored: Optional[np.ndarray] = None
@@ -453,15 +458,15 @@ class ReducedOrderStrategy(TransientSolverStrategy):
             stored = np.empty((num_steps, num_nodes, num_traces))
             stored[0] = droop
 
-        basis_r = self._basis_recon
+        basis_t = self._basis_recon_t
         chunk_steps = min(
-            max(1, _CHUNK_TARGET_BYTES // max(1, basis_r.itemsize * num_nodes * num_traces)),
+            max(1, _CHUNK_TARGET_BYTES // max(1, basis_t.itemsize * num_nodes * num_traces)),
             max(1, num_steps - 1),
         )
         # One chunk of stamps at a time: its pre-applied load drive, and its
         # reduced states, cast to the reconstruction dtype as they are written.
         drive = np.empty((rank, chunk_steps, num_traces))
-        states = np.empty((rank, chunk_steps, num_traces), basis_r.dtype)
+        states = np.empty((chunk_steps, num_traces, rank), basis_t.dtype)
         for start in range(1, num_steps, chunk_steps):
             count = min(chunk_steps, num_steps - start)
             for column, trace in enumerate(traces):
@@ -473,21 +478,21 @@ class ReducedOrderStrategy(TransientSolverStrategy):
                     state -= ind_gain @ inductor_current
                     inductor_current = inductor_current + ind_companion * (ind_proj.T @ state)
                 applied = step_matrix @ state
-                states[:, offset] = state
+                states[offset] = state.T
 
-            frames = (basis_r @ states[:, :count].reshape(rank, count * num_traces)).reshape(
-                num_nodes, count, num_traces
+            frames = (states[:count].reshape(count * num_traces, rank) @ basis_t).reshape(
+                count, num_traces, num_nodes
             )
-            np.maximum(max_droop, frames.max(axis=1), out=max_droop)
+            np.maximum(max_droop, frames.max(axis=0), out=max_droop)
             if num_nodes:
-                step_worst = frames.max(axis=0)  # (c, V)
+                step_worst = frames.max(axis=2)  # (c, V)
                 chunk_max = step_worst.max(axis=0)
                 chunk_arg = step_worst.argmax(axis=0)
                 improved = chunk_max > worst_droop
                 worst_droop[improved] = chunk_max[improved]
                 worst_time_index[improved] = start + chunk_arg[improved]
             if stored is not None:
-                stored[start:start + count] = frames.transpose(1, 0, 2)
+                stored[start:start + count] = frames.transpose(0, 2, 1)
             del frames  # before the next chunk's frames are allocated
 
         final_droop = basis @ state  # (N, V)
@@ -501,7 +506,7 @@ class ReducedOrderStrategy(TransientSolverStrategy):
                 waveform = VoltageWaveform(stored[:, :, column].copy(), full._dt)
             results.append(
                 TransientResult(
-                    max_droop_per_node=np.asarray(max_droop[:, column], dtype=float).copy(),
+                    max_droop_per_node=max_droop[column].copy(),
                     final_droop=final_droop[:, column].copy(),
                     worst_droop=float(worst_droop[column]),
                     worst_time_index=int(worst_time_index[column]),

@@ -187,10 +187,7 @@ class FullOrderStrategy(TransientSolverStrategy):
         self._options = options
 
         self._cap_companion = mna.cap_diag / dt
-        if mna.num_inductors:
-            self._ind_companion = dt / mna.ind_value
-        else:
-            self._ind_companion = np.empty(0)
+        self._ind_companion = dt / mna.ind_value
 
         system = mna.conductance_with_inductor_branches(self._ind_companion)
         system = system + sp.diags(self._cap_companion, format="csc")
@@ -205,6 +202,16 @@ class FullOrderStrategy(TransientSolverStrategy):
 
         # Static solver for DC initial conditions (built lazily).
         self._static_solver: Optional[LinearSolver] = None
+
+        # The load scatter: the load incidence restricted to the nodes that
+        # carry loads.  A CSR row sums its columns in index order, so loads
+        # sharing a node pre-sum exactly as ``np.add.at`` accumulates them.
+        loads = mna.load_incidence().tocsr()
+        self._load_nodes = np.flatnonzero(np.diff(loads.indptr))
+        self._load_map = loads[self._load_nodes]
+        # Inductor branches are few: plain index arithmetic, in branch order.
+        self._ind_internal = np.flatnonzero(mna.ind_b != REFERENCE_NODE)
+        self._ind_b_internal = mna.ind_b[self._ind_internal]
 
     @property
     def mna(self) -> MNASystem:
@@ -236,6 +243,16 @@ class FullOrderStrategy(TransientSolverStrategy):
         """Per-branch inductor companion conductance ``dt / L``."""
         return self._ind_companion
 
+    def scatter_loads(self, rhs: np.ndarray, currents: np.ndarray) -> None:
+        """Add one stamp's ``(L, V)`` load currents into ``rhs`` ``(N, V)`` in place.
+
+        Loads sharing a node are pre-summed by one sparse product, then
+        added to the rows they touch: on a zero ``rhs`` the result equals
+        :meth:`~repro.pdn.stamps.MNASystem.load_vector_block` of
+        ``currents.T`` bit for bit.
+        """
+        rhs[self._load_nodes] += self._load_map @ currents
+
     def _static(self) -> LinearSolver:
         """The lazily built static (DC) solver of the initial state."""
         if self._static_solver is None:
@@ -255,21 +272,24 @@ class FullOrderStrategy(TransientSolverStrategy):
         ``(droop, branch_current)`` with one column per trace: shapes
         ``(N, V)`` and ``(num_inductors, V)``.
         """
-        num_traces = load_currents.shape[0]
         droop = self._static().solve_many(self._mna.load_vector_block(load_currents))
-        if self._mna.num_inductors:
-            to_ref = (self._mna.ind_b == REFERENCE_NODE)[:, np.newaxis]
-            v_a = droop[self._mna.ind_a]
-            v_b = np.where(to_ref, 0.0, droop[np.maximum(self._mna.ind_b, 0)])
-            branch_current = (v_a - v_b) / INDUCTOR_SHORT_RESISTANCE
-        else:
-            branch_current = np.empty((0, num_traces))
-        return droop, branch_current
+        return droop, self._branch_voltages(droop) / INDUCTOR_SHORT_RESISTANCE
+
+    def _branch_voltages(self, droop: np.ndarray) -> np.ndarray:
+        """Inductor branch voltages ``E^T x`` of ``(N, V)`` droops, ``(B, V)``."""
+        voltages = droop[self._mna.ind_a]
+        voltages[self._ind_internal] -= droop[self._ind_b_internal]
+        return voltages
 
     def run_block(self, traces: list[CurrentTrace]) -> list[TransientResult]:
         """Lockstep integration of equal-length traces (one column each).
 
         The only full-order integrator: a single trace is a block of one.
+        State, right-hand side and maxima are Fortran-ordered ``(N, V)``
+        arrays — the layout SuperLU reads and returns — and each stamp's
+        right-hand side ``C/dt x + B u - E i_L`` is written in place: the
+        capacitor term, then the pre-summed loads, then the inductor
+        currents.
         """
         solve_started = time.perf_counter()
         mna = self._mna
@@ -280,12 +300,12 @@ class FullOrderStrategy(TransientSolverStrategy):
         stamps = _stamp_currents(traces)
         droop, inductor_current = self._dc_state(next(stamps).T)
 
-        max_droop = droop.copy()
+        max_droop = droop.copy(order="F")
+        # Each stamp's worst droop per trace; the block's worst, and the
+        # first stamp that reached it, are read off once at the end.
+        stamp_worst = np.zeros((num_steps, num_traces))
         if num_nodes:
-            worst_droop = droop.max(axis=0)
-        else:
-            worst_droop = np.zeros(num_traces)
-        worst_time_index = np.zeros(num_traces, dtype=int)
+            droop.max(axis=0, out=stamp_worst[0])
         stored: Optional[np.ndarray] = None
         if options.store_waveform:
             stored = np.empty((num_steps, num_nodes, num_traces))
@@ -294,54 +314,24 @@ class FullOrderStrategy(TransientSolverStrategy):
         cap_companion = self._cap_companion[:, np.newaxis]
         ind_companion = self._ind_companion[:, np.newaxis]
         ind_a = mna.ind_a
-        ind_b = mna.ind_b
-        ind_to_ref = ind_b == REFERENCE_NODE
-        ind_b_safe = np.where(ind_to_ref, 0, ind_b)
-        ind_to_ref_col = ind_to_ref[:, np.newaxis]
-
-        # Scatter fast paths: when indices are unique (the common case —
-        # loads rarely share a node, package inductors never do), plain
-        # fancy-indexed assignment replaces the much slower ``np.ufunc.at``
-        # with bit-identical results.
-        load_nodes = mna.load_nodes
-        unique_loads = np.unique(load_nodes).size == load_nodes.size
-        unique_inductors = np.unique(ind_a).size == ind_a.size
-        any_internal_ind = bool(np.any(~ind_to_ref))
-        rhs = np.empty((num_nodes, num_traces))
+        ind_internal, ind_b_internal = self._ind_internal, self._ind_b_internal
+        rhs = np.empty((num_nodes, num_traces), order="F")
 
         for step, currents in enumerate(stamps, start=1):
-            rhs.fill(0.0)
-            if unique_loads:
-                rhs[load_nodes] = currents
-            else:
-                np.add.at(rhs, load_nodes, currents)
-            rhs += cap_companion * droop
-            if mna.num_inductors:
-                if unique_inductors:
-                    rhs[ind_a] -= inductor_current
-                else:
-                    np.subtract.at(rhs, ind_a, inductor_current)
-                if any_internal_ind:
-                    np.add.at(rhs, ind_b_safe[~ind_to_ref], inductor_current[~ind_to_ref])
-
-            new_droop = self._solver.solve_many(rhs)
-
-            if mna.num_inductors:
-                v_ab_new = new_droop[ind_a] - np.where(
-                    ind_to_ref_col, 0.0, new_droop[ind_b_safe]
-                )
-                inductor_current = inductor_current + ind_companion * v_ab_new
-
-            droop = new_droop
+            np.multiply(cap_companion, droop, out=rhs)
+            self.scatter_loads(rhs, currents)
+            np.subtract.at(rhs, ind_a, inductor_current)
+            np.add.at(rhs, ind_b_internal, inductor_current[ind_internal])
+            droop = self._solver.solve_many(rhs)
+            inductor_current = inductor_current + ind_companion * self._branch_voltages(droop)
             np.maximum(max_droop, droop, out=max_droop)
             if num_nodes:
-                step_worst = droop.max(axis=0)
-                improved = step_worst > worst_droop
-                worst_droop[improved] = step_worst[improved]
-                worst_time_index[improved] = step
+                droop.max(axis=0, out=stamp_worst[step])
             if stored is not None:
                 stored[step] = droop
 
+        worst_time_index = stamp_worst.argmax(axis=0)
+        worst_droop = stamp_worst.max(axis=0)
         obs.metrics().histogram("sim.solve_seconds").observe(
             time.perf_counter() - solve_started
         )

@@ -142,6 +142,23 @@ class TestNoisePredictor:
         assert f"({bumps}, {rows - 1}, {cols})" in message
         assert f"({bumps}, {rows}, {cols})" in message
 
+    @pytest.mark.parametrize(
+        "key", ["model_config", "num_bumps", "normalizer", "compression_rate"]
+    )
+    def test_load_names_a_missing_metadata_key(self, predictor, tmp_path, key):
+        import json
+
+        path = tmp_path / "predictor.npz"
+        predictor.save(path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        metadata = json.loads(str(arrays["__metadata_json__"]))
+        del metadata[key]
+        arrays["__metadata_json__"] = np.array(json.dumps(metadata))
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"predictor.npz has no '{key}' entry"):
+            NoisePredictor.load(path)
+
     def test_load_opens_the_archive_once(self, predictor, tmp_path, monkeypatch):
         path = tmp_path / "predictor.npz"
         predictor.save(path)

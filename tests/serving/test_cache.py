@@ -68,6 +68,20 @@ class TestContentHash:
         renamed = VectorFeatures(current_maps=features.current_maps.copy(), name="y")
         assert trace_content_hash(features) == trace_content_hash(renamed)
 
+    def test_known_digests(self):
+        # Pinned: a change to what the key hashes (or how) shows here.
+        trace = CurrentTrace(np.arange(12.0).reshape(4, 3), 1e-11)
+        assert trace_content_hash(trace) == (
+            "4f5a8fbccef37d87953e04525ff73ad0838db32d590741017da0e98e0403c897"
+        )
+        features = VectorFeatures(current_maps=np.arange(32.0).reshape(2, 4, 4), name="x")
+        assert trace_content_hash(features) == (
+            "c240eeab7c39b5e2ad93bf101a17998da74457641ef80659c80e71b34b13306d"
+        )
+        # A Fortran-ordered copy of the same samples hashes the same.
+        transposed = CurrentTrace(np.asfortranarray(trace.currents), 1e-11)
+        assert trace_content_hash(transposed) == trace_content_hash(trace)
+
     def test_unsupported_payload_rejected(self):
         with pytest.raises(TypeError):
             trace_content_hash(np.zeros((3, 3)))
