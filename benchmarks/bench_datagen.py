@@ -35,7 +35,10 @@ one shard (transient solve, tile reduction and features) with each engine,
 ``rom_build_peak_mb``: the same peak of one ROM basis build, and
 ``full_us_per_stamp_per_vector``: the absolute cost of one full-order
 lockstep block at widths 1, 16 and 48, in microseconds per stamp per
-vector.
+vector.  Each row also records the BLAS thread variables it ran under and
+``os.cpu_count()``: as a script the benchmark pins BLAS to one thread
+before numpy loads, and CI sets the same variables for the pytest run, so
+the timings compare with perfbench's single-thread figures.
 Runs under pytest (``python -m pytest benchmarks/bench_datagen.py``) or as
 a script wrapping a telemetry run::
 
@@ -45,10 +48,20 @@ a script wrapping a telemetry run::
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 import tracemalloc
 from pathlib import Path
+
+#: BLAS thread-count variables, pinned to one thread in script mode.
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+if __name__ == "__main__":
+    # Before numpy loads BLAS: pytest imports numpy before this file, so
+    # that mode relies on the caller's environment instead.
+    for _name in BLAS_THREAD_ENV:
+        os.environ.setdefault(_name, "1")
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -297,6 +310,8 @@ def run_rom_benchmark(rounds: int = ROUNDS):
         "tolerance": ROM_OPTIONS.tolerance,
         "validated": stats.validated,
         "fallbacks": stats.fallbacks,
+        "blas_threads": {name: os.environ.get(name, "") for name in BLAS_THREAD_ENV},
+        "cpu_count": os.cpu_count(),
     }
     shard = traces[:SHARD_VECTORS]
 

@@ -13,7 +13,7 @@ designs, interleaved requests, pre-extracted features) through:
   that submits everything before collecting (informational row: a single
   pipelined worker is the throughput ceiling on a single-core host).
 * ``gateway_2_shards`` — a two-shard :class:`ScreeningGateway` where
-  consistent hashing gives each design its own supervised worker and warm
+  hash sharding gives each design its own supervised worker and warm
   registry partition.
 
 Every pass starts from an empty result cache, so each row measures model
@@ -50,7 +50,7 @@ from repro.features.extraction import (
     distance_feature,
     extract_vector_features,
 )
-from repro.gateway import ConsistentHashRing, ScreeningGateway
+from repro.gateway import ScreeningGateway
 from repro.io import ExperimentRecord, latency_throughput_columns
 from repro.obs import MetricsRegistry
 from repro.pdn import small_test_design
@@ -85,14 +85,16 @@ def _make_predictor(design, seed: int) -> NoisePredictor:
 
 
 def build_setup(registry_root: Path, vectors_per_design: int):
-    """Two designs on different ring shards, predictors, and the mixed load."""
+    """Two designs on different gateway shards, predictors, and the mixed load."""
     design_a = small_test_design(tile_rows=8, tile_cols=8, num_loads=48, seed=0)
-    ring = ConsistentHashRing(range(NUM_SHARDS))
-    sibling_name = next(
-        f"{design_a.name}-{suffix}"
-        for suffix in "bcdefgh"
-        if ring.assign(f"{design_a.name}-{suffix}") != ring.assign(design_a.name)
-    )
+    with ScreeningGateway(
+        registry_root, num_shards=NUM_SHARDS, metrics=MetricsRegistry()
+    ) as probe:
+        sibling_name = next(
+            f"{design_a.name}-{suffix}"
+            for suffix in "bcdefgh"
+            if probe.shard_for(f"{design_a.name}-{suffix}") != probe.shard_for(design_a.name)
+        )
     design_b = make_design(replace(design_a.spec, name=sibling_name), seed=0)
 
     registry = PredictorRegistry(registry_root, capacity=4)

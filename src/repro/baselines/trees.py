@@ -205,8 +205,3 @@ class GradientBoostedTrees:
         for tree in self._trees:
             prediction = prediction + self.learning_rate * tree.predict(features)
         return prediction
-
-    @property
-    def num_fitted_trees(self) -> int:
-        """Number of boosting rounds performed."""
-        return len(self._trees)

@@ -228,16 +228,3 @@ class WorstCaseNoiseNet(Module):
         prediction = self.prediction_subnet(features)  # (1, 1, m, n)
         height, width = prediction.shape[2], prediction.shape[3]
         return prediction.reshape(height, width)
-
-    # ------------------------------------------------------------------ #
-    # convenience
-    # ------------------------------------------------------------------ #
-
-    def architecture_summary(self) -> dict:
-        """Parameter counts per subnet (useful for logging and tests)."""
-        return {
-            "distance_subnet": self.distance_subnet.num_parameters(),
-            "fusion_subnet": self.fusion_subnet.num_parameters(),
-            "prediction_subnet": self.prediction_subnet.num_parameters(),
-            "total": self.num_parameters(),
-        }

@@ -170,11 +170,7 @@ def _worker_analysis(task: _ShardTask, design: Design) -> DynamicNoiseAnalysis:
     )
     analysis = _WORKER_ANALYSES.get(key)
     if analysis is None:
-        options = TransientOptions(
-            store_waveform=False,
-            solver_mode=task.solver_mode,
-            rom=task.rom,
-        )
+        options = TransientOptions(solver_mode=task.solver_mode, rom=task.rom)
         analysis = DynamicNoiseAnalysis(design, task.design_spec.dt, options)
         _WORKER_ANALYSES[key] = analysis
     return analysis

@@ -359,8 +359,7 @@ class ShardStore:
         """Atomically write one shard and return its content hash.
 
         The dataset is stored as an uncompressed ``.npz``
-        (:meth:`~repro.workloads.dataset.NoiseDataset.save` with
-        ``compress=False``) through
+        (:meth:`~repro.workloads.dataset.NoiseDataset.save`) through
         :func:`~repro.io.atomic.atomic_replace` (fsync + rename), so readers
         can never observe a torn shard.  The
         :meth:`~repro.faults.FaultInjector.during_shard_write` seam fires
@@ -373,7 +372,7 @@ class ShardStore:
         """
         path = self.shard_path(label, index)
         with atomic_replace(path, suffix=".npz") as temporary:
-            dataset.save(temporary, compress=False)
+            dataset.save(temporary)
             faults.active().during_shard_write(label, index, temporary)
         return dataset_content_hash(dataset)
 

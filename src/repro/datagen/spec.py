@@ -183,14 +183,6 @@ class CorpusDesignSpec:
             for slot in range(count)
         }
 
-    def vector_scenario(self, index: int) -> Optional[ScenarioSpec]:
-        """The scenario spec of one global vector index (``None`` = random)."""
-        if not 0 <= index < self.num_vectors:
-            raise ValueError(
-                f"vector index {index} out of range for {self.num_vectors} vectors"
-            )
-        return self.scenario_assignment().get(index)
-
     def to_dict(self) -> dict:
         """JSON-serialisable representation.
 
@@ -280,11 +272,7 @@ class CorpusSpec:
 
     def transient_options(self) -> TransientOptions:
         """The transient-engine options every ground-truth run uses."""
-        return TransientOptions(
-            store_waveform=False,
-            solver_mode=self.solver_mode,
-            rom=self.rom,
-        )
+        return TransientOptions(solver_mode=self.solver_mode, rom=self.rom)
 
     def design(self, label: str) -> CorpusDesignSpec:
         """Look up one design slice by its label."""

@@ -38,7 +38,6 @@ from repro.resilience.fanout import fan_out
 from repro.resilience.retry import RetryPolicy, retry_in_waves
 from repro.serving.registry import PredictorRegistry
 from repro.sim.dynamic_noise import DynamicNoiseAnalysis
-from repro.sim.transient import TransientOptions
 from repro import faults, obs
 from repro.utils import get_logger, require_key
 from repro.workloads.scenarios import build_scenario_trace
@@ -121,8 +120,7 @@ def _worker_analysis(label: str) -> DynamicNoiseAnalysis:
     """Build (or fetch) the cached ground-truth analysis for one design."""
     analysis = _WORKER_ANALYSES.get(label)
     if analysis is None:
-        options = TransientOptions(store_waveform=False)
-        analysis = DynamicNoiseAnalysis(_worker_design(label), _WORKER_DT, options)
+        analysis = DynamicNoiseAnalysis(_worker_design(label), _WORKER_DT)
         _WORKER_ANALYSES[label] = analysis
     return analysis
 

@@ -7,13 +7,13 @@ supervised service for model-based worst-case noise sign-off at
 production scale:
 
 * :class:`~repro.gateway.gateway.ScreeningGateway` — bounded admission that
-  refuses overload with a retry-after estimate, consistent-hash sharded
-  workers (one warm :class:`~repro.serving.registry.PredictorRegistry`
-  partition each), a shared content-hash result cache looked up in each
-  shard's batch loop, in-batch coalescing of identical vectors,
-  supervisor-driven crash restarts with backoff, hot checkpoint swaps that
-  quiesce one shard between batches, and a graceful drain that resolves
-  every accepted future;
+  refuses overload with a retry-after estimate, hash-sharded workers (one
+  warm :class:`~repro.serving.registry.PredictorRegistry` partition each),
+  a shared content-hash result cache looked up in each shard's batch loop,
+  in-batch coalescing of identical vectors, supervisor-driven crash
+  restarts with backoff, hot checkpoint swaps that quiesce one shard
+  between batches, and a graceful drain that resolves every accepted
+  future;
 * :class:`~repro.gateway.server.GatewayServer` — a stdlib asyncio TCP
   front-end speaking newline-delimited JSON.
 
@@ -37,14 +37,12 @@ from repro.gateway.messages import (
     SwapCommand,
     WorkerCrashed,
 )
-from repro.gateway.ring import ConsistentHashRing
 from repro.gateway.server import GatewayServer
 from repro.gateway.worker import ShardWorker
 
 __all__ = [
     "ScreeningGateway",
     "GatewayServer",
-    "ConsistentHashRing",
     "ShardWorker",
     "GatewayRequest",
     "SwapCommand",

@@ -8,13 +8,13 @@ as a long-lived service under sustained mixed-design traffic:
 * **Admission control** — a bounded queue that rejects excess submissions
   with :class:`~repro.gateway.messages.GatewayOverloaded` (carrying an
   honest ``retry_after_s`` estimate).
-* **Sharded workers** — a consistent-hash ring maps each design to one of
-  ``num_shards`` worker threads, each owning a private
+* **Sharded workers** — a fixed hash of the design name maps each design
+  to one of ``num_shards`` worker threads, each owning a private
   :class:`~repro.serving.registry.PredictorRegistry` partition whose LRU
   stays warm because no other shard ever touches its designs.
 * **Supervision** — a supervisor thread restarts crashed workers with
   exponential backoff, requeues the crash's unanswered in-hand requests
-  (bounded by ``max_retries``), and reports per-shard health states.
+  (bounded by :data:`MAX_RETRIES`), and reports per-shard health states.
 * **Result cache** — one LRU of predictions keyed by vector content and
   the serving predictor's fingerprint, shared by every shard and surviving
   worker restarts; the shard's batch loop looks it up (see
@@ -37,6 +37,7 @@ queue-depth, batch-size and per-shard depth gauges, and
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import itertools
 import queue
 import threading
@@ -57,7 +58,6 @@ from repro.gateway.messages import (
     SwapCommand,
     WorkerCrashed,
 )
-from repro.gateway.ring import ConsistentHashRing
 from repro.gateway.worker import DesignFactory, ShardWorker
 from repro.obs.metrics import MetricsRegistry
 from repro.pdn.designs import Design, design_from_name
@@ -72,6 +72,27 @@ REGISTRY_CAPACITY = 4
 
 #: Capacity (entries) of the gateway's LRU result cache.
 CACHE_SIZE = 1024
+
+#: Times a request stranded by worker crashes is requeued before it fails
+#: with :class:`WorkerCrashed`.
+MAX_RETRIES = 2
+
+#: Supervisor restart backoff: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(crashes-1))``
+#: seconds, reset after the shard's next successful batch.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+
+
+def _shard_of(design_name: str, num_shards: int) -> int:
+    """The shard serving a design: SHA-256 of its name, modulo the shard count.
+
+    The first 8 bytes of the digest, read big-endian, so the mapping is the
+    same in every process and Python run (no ``PYTHONHASHSEED``).  The
+    shard set is fixed for a gateway's lifetime — registries live in
+    memory, so a resize is a restart — and nothing needs to survive one.
+    """
+    digest = hashlib.sha256(design_name.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % num_shards
 
 
 class _GatewayInstruments:
@@ -121,10 +142,11 @@ class ScreeningGateway:
     ----------
     registry_root:
         Directory of per-design predictor checkpoints shared by every shard
-        (each shard only ever loads the designs the ring assigns to it).
+        (each shard only ever loads the designs :meth:`shard_for` assigns
+        to it).
     num_shards:
-        Worker count.  Each worker serves one consistent-hash partition of
-        the design space with its own registry LRU.
+        Worker count.  Each worker serves one hash partition of the design
+        space with its own registry LRU.
     queue_limit:
         Maximum admitted-but-unanswered requests across the gateway; beyond
         it new requests are refused with :class:`GatewayOverloaded`.
@@ -145,12 +167,6 @@ class ScreeningGateway:
         :class:`~repro.obs.metrics.MetricsRegistry` to collect counts and
         latency histograms regardless of the global toggle, as the
         evaluation protocol does.
-    max_retries:
-        How many times a request stranded by worker crashes is requeued
-        before failing with :class:`WorkerCrashed`.
-    backoff_base / backoff_cap:
-        Supervisor restart backoff: ``min(cap, base * 2**(crashes-1))``
-        seconds, reset after the shard's next successful batch.
     """
 
     def __init__(
@@ -162,27 +178,19 @@ class ScreeningGateway:
         max_wait: float = 2e-3,
         design_factory: DesignFactory = design_from_name,
         metrics: Optional[MetricsRegistry] = None,
-        max_retries: int = 2,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
     ):
         check_positive(num_shards, "num_shards")
         check_positive(queue_limit, "queue_limit")
         check_positive(max_batch, "max_batch")
         check_positive(max_wait, "max_wait", strict=False)
-        check_positive(backoff_base, "backoff_base", strict=False)
         self.registry_root = Path(registry_root)
         self.num_shards = int(num_shards)
         self.queue_limit = int(queue_limit)
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait)
-        self.max_retries = int(max_retries)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
         self.metrics = metrics if metrics is not None else obs.metrics()
         self._obs = _GatewayInstruments(self.metrics, self.num_shards)
         self._design_factory = design_factory
-        self._ring = ConsistentHashRing(range(self.num_shards))
         #: Result cache shared by every shard (workers hold
         #: ``_cache_lock`` around each use).
         self.cache: LRUCache[PredictionResult] = LRUCache(CACHE_SIZE)
@@ -251,7 +259,7 @@ class ScreeningGateway:
         request.future.add_done_callback(
             partial(self._request_done, key, request.submitted_at)
         )
-        shard = self._shards[self._ring.assign(request.design_name)]
+        shard = self._shards[self.shard_for(request.design_name)]
         shard.inbox.put(request)
         self._obs.shard_depth[shard.shard_id].set(shard.inbox.qsize())
         return request.future
@@ -306,7 +314,7 @@ class ScreeningGateway:
             if self._closed:
                 raise GatewayClosed("gateway is closed")
         command = SwapCommand(design_name=design_name, predictor=predictor, persist=persist)
-        shard = self._shards[self._ring.assign(design_name)]
+        shard = self._shards[self.shard_for(design_name)]
         shard.inbox.put(command)
         return command.done
 
@@ -326,8 +334,8 @@ class ScreeningGateway:
     # ------------------------------------------------------------------ #
 
     def shard_for(self, design_name: str) -> int:
-        """The shard id the ring assigns to a design (stable across runs)."""
-        return self._ring.assign(design_name)
+        """The shard id serving a design (stable across runs)."""
+        return _shard_of(design_name, self.num_shards)
 
     def health(self) -> dict:
         """Structured health snapshot of the gateway and every shard.
@@ -497,7 +505,7 @@ class ScreeningGateway:
             self._obs.restarts.inc()
             for request in survivors:
                 request.attempts += 1
-                if request.attempts > self.max_retries:
+                if request.attempts > MAX_RETRIES:
                     crashed = WorkerCrashed(
                         f"shard {shard_id} crashed {request.attempts} times "
                         f"while holding this request"
@@ -508,7 +516,7 @@ class ScreeningGateway:
                 else:
                     self._obs.retries.inc()
                     shard.inbox.put(request)
-            delay = min(self.backoff_cap, self.backoff_base * (2 ** (crashes - 1)))
+            delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (crashes - 1)))
             with self._lock:
                 shard.backoff_history.append(delay)
             _LOG.warning(

@@ -7,7 +7,7 @@ cache already holds, and run one fused ``predict_batch`` per design group
 through the shard's :class:`~repro.serving.registry.PredictorRegistry`.
 Swap commands and the stop sentinel end a fill; the worker applies them
 between batches, which is the hot swap's quiesce point.  Because the
-consistent-hash ring routes a design to exactly one shard, the registry
+gateway routes a design to exactly one shard, the registry
 partition behind this worker only ever sees its own designs and keeps their
 checkpoints warm.
 
@@ -74,7 +74,7 @@ class ShardWorker(threading.Thread):
     Parameters
     ----------
     shard_id:
-        Ring node this worker serves.
+        Index of the shard this worker serves.
     inbox:
         The shard's FIFO queue of :class:`GatewayRequest`/:class:`SwapCommand`
         messages.  Owned by the gateway — it survives worker crashes, so

@@ -16,19 +16,12 @@ See ``docs/serving.md`` for how the pieces fit together and
 ``benchmarks/bench_serving.py`` for measured throughput.
 """
 
-from repro.serving.cache import (
-    CacheStats,
-    LRUCache,
-    result_cache_key,
-    trace_content_hash,
-)
-from repro.serving.registry import PredictorRegistry, RegistryStats
+from repro.serving.cache import LRUCache, result_cache_key, trace_content_hash
+from repro.serving.registry import PredictorRegistry
 
 __all__ = [
-    "CacheStats",
     "LRUCache",
     "result_cache_key",
     "trace_content_hash",
     "PredictorRegistry",
-    "RegistryStats",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Generic, Hashable, Optional, TypeVar, Union
 
 import numpy as np
@@ -65,33 +64,17 @@ def result_cache_key(payload: ScreeningPayload, predictor: NoisePredictor) -> st
     return f"{predictor.fingerprint}:{trace_content_hash(payload)}"
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss counters of an :class:`LRUCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def requests(self) -> int:
-        """Total lookups."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        return self.hits / self.requests if self.requests else 0.0
-
-
 class LRUCache(Generic[ValueT]):
-    """A small least-recently-used mapping with hit/miss accounting."""
+    """A small least-recently-used mapping.
+
+    It keeps no counts of its own: the gateway's ``gateway.cache_hits``
+    counter records the hits that matter.
+    """
 
     def __init__(self, capacity: int = 1024):
         check_positive(capacity, "capacity")
         self.capacity = int(capacity)
         self._entries: "OrderedDict[Hashable, ValueT]" = OrderedDict()
-        self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -104,10 +87,8 @@ class LRUCache(Generic[ValueT]):
         try:
             value = self._entries[key]
         except KeyError:
-            self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
-        self.stats.hits += 1
         return value
 
     def put(self, key: Hashable, value: ValueT) -> None:
@@ -117,8 +98,7 @@ class LRUCache(Generic[ValueT]):
         self._entries[key] = value
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.stats.evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
+        """Drop every entry."""
         self._entries.clear()

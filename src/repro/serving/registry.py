@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -25,15 +24,6 @@ from repro.nn import kernels
 from repro.utils import check_positive, get_logger
 
 _LOG = get_logger("serving.registry")
-
-
-@dataclass
-class RegistryStats:
-    """Counters describing registry activity."""
-
-    hits: int = 0
-    loads: int = 0
-    evictions: int = 0
 
 
 class PredictorRegistry:
@@ -63,7 +53,6 @@ class PredictorRegistry:
         self.dtype = kernels.dtype_name(dtype) if dtype is not None else None
         self._loaded: "OrderedDict[str, NoisePredictor]" = OrderedDict()
         self._lock = threading.RLock()
-        self.stats = RegistryStats()
 
     # ------------------------------------------------------------------ #
     # locations
@@ -125,7 +114,6 @@ class PredictorRegistry:
             resident = self._loaded.get(design_name)
             if resident is not None:
                 self._loaded.move_to_end(design_name)
-                self.stats.hits += 1
                 return resident
         path = self.checkpoint_path(design_name)
         if not path.exists():
@@ -141,10 +129,8 @@ class PredictorRegistry:
         with self._lock:
             resident = self._loaded.get(design_name)
             if resident is not None:
-                self.stats.hits += 1
                 return resident
             self._loaded[design_name] = predictor
-            self.stats.loads += 1
             self._evict_over_capacity()
         _LOG.info("loaded predictor for %s from %s", design_name, path.name)
         return predictor
@@ -154,21 +140,18 @@ class PredictorRegistry:
         with self._lock:
             if design_name in self._loaded:
                 del self._loaded[design_name]
-                self.stats.evictions += 1
                 return True
             return False
 
     def clear(self) -> None:
         """Drop every resident predictor."""
         with self._lock:
-            self.stats.evictions += len(self._loaded)
             self._loaded.clear()
 
     def _evict_over_capacity(self) -> None:
         # Caller holds self._lock.
         while len(self._loaded) > self.capacity:
             evicted, _ = self._loaded.popitem(last=False)
-            self.stats.evictions += 1
             if not self.checkpoint_path(evicted).exists():
                 # Registered with persist=False and never saved: eviction
                 # destroys the only copy, so later get() calls will fail.

@@ -25,7 +25,7 @@ from repro.sim.transient import (
 )
 from repro.sim.rom import ReducedOrderStrategy, ROMOptions, ROMRunStats
 from repro.sim.dynamic_noise import DynamicNoiseAnalysis, DynamicNoiseResult
-from repro.sim.waveform import CurrentTrace, VoltageWaveform, per_tile_maximum
+from repro.sim.waveform import CurrentTrace, per_tile_maximum
 
 __all__ = [
     "LinearSolver",
@@ -45,6 +45,5 @@ __all__ = [
     "DynamicNoiseAnalysis",
     "DynamicNoiseResult",
     "CurrentTrace",
-    "VoltageWaveform",
     "per_tile_maximum",
 ]

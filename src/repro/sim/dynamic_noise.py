@@ -55,11 +55,6 @@ class DynamicNoiseResult:
     runtime_seconds: float
 
     @property
-    def hotspot_ratio(self) -> float:
-        """Fraction of tiles flagged as hotspots."""
-        return float(np.mean(self.hotspot_map))
-
-    @property
     def mean_tile_noise(self) -> float:
         """Mean worst-case noise across tiles (V)."""
         return float(np.mean(self.tile_noise))

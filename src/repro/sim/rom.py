@@ -49,7 +49,7 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.sim.transient import DROOP_FLOOR, TransientResult, TransientSolverStrategy
-from repro.sim.waveform import CurrentTrace, VoltageWaveform
+from repro.sim.waveform import CurrentTrace
 from repro.utils import FixedKeys, get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -430,7 +430,6 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         solve_started = time.perf_counter()
         full = self._full
         mna = full.mna
-        options = full.options
         num_nodes = mna.num_nodes
         num_traces = len(traces)
         num_steps = traces[0].num_steps
@@ -453,10 +452,6 @@ class ReducedOrderStrategy(TransientSolverStrategy):
         max_droop = droop.T.copy()
         worst_droop = droop.max(axis=0) if num_nodes else np.zeros(num_traces)
         worst_time_index = np.zeros(num_traces, dtype=int)
-        stored: Optional[np.ndarray] = None
-        if options.store_waveform:
-            stored = np.empty((num_steps, num_nodes, num_traces))
-            stored[0] = droop
 
         basis_t = self._basis_recon_t
         chunk_steps = min(
@@ -491,29 +486,21 @@ class ReducedOrderStrategy(TransientSolverStrategy):
                 improved = chunk_max > worst_droop
                 worst_droop[improved] = chunk_max[improved]
                 worst_time_index[improved] = start + chunk_arg[improved]
-            if stored is not None:
-                stored[start:start + count] = frames.transpose(0, 2, 1)
             del frames  # before the next chunk's frames are allocated
 
         final_droop = basis @ state  # (N, V)
         obs.metrics().histogram("sim.rom.solve_seconds").observe(
             time.perf_counter() - solve_started
         )
-        results = []
-        for column in range(num_traces):
-            waveform = None
-            if stored is not None:
-                waveform = VoltageWaveform(stored[:, :, column].copy(), full._dt)
-            results.append(
-                TransientResult(
-                    max_droop_per_node=max_droop[column].copy(),
-                    final_droop=final_droop[:, column].copy(),
-                    worst_droop=float(worst_droop[column]),
-                    worst_time_index=int(worst_time_index[column]),
-                    num_steps=num_steps,
-                    dt=full._dt,
-                    waveform=waveform,
-                    solver=self.name,
-                )
+        return [
+            TransientResult(
+                max_droop_per_node=max_droop[column].copy(),
+                final_droop=final_droop[:, column].copy(),
+                worst_droop=float(worst_droop[column]),
+                worst_time_index=int(worst_time_index[column]),
+                num_steps=num_steps,
+                dt=full._dt,
+                solver=self.name,
             )
-        return results
+            for column in range(num_traces)
+        ]

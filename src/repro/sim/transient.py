@@ -35,7 +35,7 @@ import scipy.sparse as sp
 from repro import obs
 from repro.pdn.stamps import INDUCTOR_SHORT_RESISTANCE, REFERENCE_NODE, MNASystem
 from repro.sim.linear import LinearSolver, make_solver
-from repro.sim.waveform import CurrentTrace, VoltageWaveform
+from repro.sim.waveform import CurrentTrace
 from repro.utils import check_positive, get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -61,9 +61,6 @@ class TransientOptions:
 
     Attributes
     ----------
-    store_waveform:
-        Keep the full ``(T, N)`` droop waveform.  Worst-case noise analysis
-        only needs the running maximum, so this defaults to off.
     solver_mode:
         ``"full"`` integrates the full-order companion system
         (:class:`FullOrderStrategy`, the default); ``"rom"`` integrates the
@@ -76,7 +73,6 @@ class TransientOptions:
         defaults.
     """
 
-    store_waveform: bool = False
     solver_mode: str = "full"
     rom: Optional["ROMOptions"] = None
 
@@ -100,6 +96,9 @@ class TransientOptions:
 class TransientResult:
     """Outcome of one transient run.
 
+    Worst-case noise needs only running maxima, so no run keeps the
+    ``(T, N)`` droop waveform.
+
     Attributes
     ----------
     max_droop_per_node:
@@ -112,8 +111,6 @@ class TransientResult:
         Time-stamp index at which ``worst_droop`` occurred.
     num_steps / dt:
         Trace length and step used.
-    waveform:
-        Full waveform, only when ``store_waveform`` was requested.
     solver:
         Name of the strategy that produced this result (``"full"`` or
         ``"rom"``) — in gated ROM runs the validation sample comes back
@@ -130,7 +127,6 @@ class TransientResult:
     worst_time_index: int
     num_steps: int
     dt: float
-    waveform: Optional[VoltageWaveform] = None
     solver: str = "full"
     runtime_seconds: float = 0.0
 
@@ -181,10 +177,9 @@ class FullOrderStrategy(TransientSolverStrategy):
 
     name = "full"
 
-    def __init__(self, mna: MNASystem, dt: float, options: TransientOptions):
+    def __init__(self, mna: MNASystem, dt: float):
         self._mna = mna
         self._dt = dt
-        self._options = options
 
         self._cap_companion = mna.cap_diag / dt
         self._ind_companion = dt / mna.ind_value
@@ -217,11 +212,6 @@ class FullOrderStrategy(TransientSolverStrategy):
     def mna(self) -> MNASystem:
         """The MNA system being integrated."""
         return self._mna
-
-    @property
-    def options(self) -> TransientOptions:
-        """The option set the strategy was built with."""
-        return self._options
 
     @property
     def solver(self) -> LinearSolver:
@@ -293,7 +283,6 @@ class FullOrderStrategy(TransientSolverStrategy):
         """
         solve_started = time.perf_counter()
         mna = self._mna
-        options = self._options
         num_nodes = mna.num_nodes
         num_traces = len(traces)
         num_steps = traces[0].num_steps
@@ -306,10 +295,6 @@ class FullOrderStrategy(TransientSolverStrategy):
         stamp_worst = np.zeros((num_steps, num_traces))
         if num_nodes:
             droop.max(axis=0, out=stamp_worst[0])
-        stored: Optional[np.ndarray] = None
-        if options.store_waveform:
-            stored = np.empty((num_steps, num_nodes, num_traces))
-            stored[0] = droop
 
         cap_companion = self._cap_companion[:, np.newaxis]
         ind_companion = self._ind_companion[:, np.newaxis]
@@ -327,32 +312,24 @@ class FullOrderStrategy(TransientSolverStrategy):
             np.maximum(max_droop, droop, out=max_droop)
             if num_nodes:
                 droop.max(axis=0, out=stamp_worst[step])
-            if stored is not None:
-                stored[step] = droop
 
         worst_time_index = stamp_worst.argmax(axis=0)
         worst_droop = stamp_worst.max(axis=0)
         obs.metrics().histogram("sim.solve_seconds").observe(
             time.perf_counter() - solve_started
         )
-        results = []
-        for column in range(num_traces):
-            waveform = None
-            if stored is not None:
-                waveform = VoltageWaveform(stored[:, :, column].copy(), self._dt)
-            results.append(
-                TransientResult(
-                    max_droop_per_node=max_droop[:, column].copy(),
-                    final_droop=droop[:, column].copy(),
-                    worst_droop=float(worst_droop[column]),
-                    worst_time_index=int(worst_time_index[column]),
-                    num_steps=num_steps,
-                    dt=self._dt,
-                    waveform=waveform,
-                    solver=self.name,
-                )
+        return [
+            TransientResult(
+                max_droop_per_node=max_droop[:, column].copy(),
+                final_droop=droop[:, column].copy(),
+                worst_droop=float(worst_droop[column]),
+                worst_time_index=int(worst_time_index[column]),
+                num_steps=num_steps,
+                dt=self._dt,
+                solver=self.name,
             )
-        return results
+            for column in range(num_traces)
+        ]
 
 
 class TransientEngine:
@@ -379,7 +356,7 @@ class TransientEngine:
         check_positive(dt, "dt")
         self._mna = mna
         self._dt = dt
-        self._full = FullOrderStrategy(mna, dt, options)
+        self._full = FullOrderStrategy(mna, dt)
         self._rom: Optional["ReducedOrderStrategy"] = None
         if options.solver_mode == "rom":
             from repro.sim.rom import ReducedOrderStrategy

@@ -2,9 +2,9 @@
 
 A *test vector* in the paper is a transient trace of switching currents: for
 every load and every time stamp, the current drawn from the grid.  The
-simulator consumes a :class:`CurrentTrace`; its output is either a full
-:class:`VoltageWaveform` (per-node droop over time) or just the running
-per-node maximum, which is all worst-case noise validation needs.
+simulator consumes a :class:`CurrentTrace` and keeps only the running
+per-node maximum of the droop, which is all worst-case noise validation
+needs.
 """
 
 from __future__ import annotations
@@ -76,43 +76,6 @@ class CurrentTrace:
         """Return a copy with every current multiplied by ``factor``."""
         check_positive(factor, "factor")
         return CurrentTrace(self.currents * factor, self.dt, name=self.name)
-
-
-@dataclass
-class VoltageWaveform:
-    """Per-node droop waveform produced by the transient engine.
-
-    Attributes
-    ----------
-    droops:
-        Array of shape ``(T, N)`` with the voltage droop (V) of every node at
-        every stamp.  Positive values mean the local supply is below nominal.
-    dt:
-        Time-step in seconds.
-    """
-
-    droops: np.ndarray
-    dt: float
-
-    def __post_init__(self) -> None:
-        self.droops = np.asarray(self.droops, dtype=float)
-        if self.droops.ndim != 2:
-            raise ValueError(f"droops must be 2-D (T, N), got shape {self.droops.shape}")
-        check_positive(self.dt, "dt")
-
-    @property
-    def num_steps(self) -> int:
-        """Number of time stamps."""
-        return int(self.droops.shape[0])
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes."""
-        return int(self.droops.shape[1])
-
-    def worst_case(self) -> float:
-        """Single worst droop over all nodes and stamps (Eq. 1)."""
-        return float(np.max(self.droops))
 
 
 def per_tile_maximum(values: np.ndarray, tile_index: np.ndarray, num_tiles: int) -> np.ndarray:

@@ -12,7 +12,7 @@ must agree between the two generators:
   activity bounds.  A circuit cannot draw negative current, and it cannot
   switch harder than its design maximum no matter how many events or
   scenario overlays stack up, so *every* activity profile is clamped to
-  ``[0, max_activity]`` before it becomes currents.
+  ``[0, DEFAULT_MAX_ACTIVITY]`` before it becomes currents.
 * :func:`resonance_steps` — the half die-package resonance period expressed
   in time stamps, the width at which bursts couple most strongly into the
   resonance.  Previously duplicated between the scenario builders and
@@ -28,8 +28,8 @@ import numpy as np
 from repro.pdn.designs import Design
 from repro.utils import check_positive
 
-#: Default upper clamp on cluster activity (fraction of nominal current).
-#: Shared by :class:`~repro.workloads.vectors.VectorConfig` and the scenario
+#: Upper clamp on cluster activity (fraction of nominal current).  Shared by
+#: :class:`~repro.workloads.vectors.TestVectorGenerator` and the scenario
 #: builders so random vectors and scenarios obey the same physical bound.
 DEFAULT_MAX_ACTIVITY = 2.0
 
@@ -57,22 +57,19 @@ def num_activity_profiles(design: Design) -> int:
     return design.loads.num_clusters + 1
 
 
-def clamp_activity(activity: np.ndarray, max_activity: float = DEFAULT_MAX_ACTIVITY) -> np.ndarray:
-    """Clamp an activity profile to the physical range ``[0, max_activity]``.
+def clamp_activity(activity: np.ndarray) -> np.ndarray:
+    """Clamp an activity profile to ``[0, DEFAULT_MAX_ACTIVITY]``.
 
     Parameters
     ----------
     activity:
         Activity values (any shape), as fractions of nominal current.
-    max_activity:
-        The design maximum; defaults to :data:`DEFAULT_MAX_ACTIVITY`.
 
     Returns
     -------
     A new clipped array.
     """
-    check_positive(max_activity, "max_activity")
-    return np.clip(activity, 0.0, max_activity)
+    return np.clip(activity, 0.0, DEFAULT_MAX_ACTIVITY)
 
 
 def cluster_activity_to_currents(design: Design, activity: np.ndarray) -> np.ndarray:

@@ -132,18 +132,17 @@ class NoiseDataset:
     # persistence
     # ------------------------------------------------------------------ #
 
-    def save(self, path: Union[str, Path], compress: bool = True) -> None:
-        """Save the dataset to a ``.npz`` archive.
+    def save(self, path: Union[str, Path]) -> None:
+        """Save the dataset to an uncompressed ``.npz`` archive.
+
+        Shards are written and re-read on the dataset factory's hot path,
+        and the maps compress poorly enough that a zlib pass would cost more
+        than the bytes it saves.
 
         Parameters
         ----------
         path:
             Destination file (conventionally ``*.npz``).
-        compress:
-            Use ``np.savez_compressed`` (default).  The dataset factory's
-            shard writer passes ``False``: shards are written and re-read on
-            the hot path, and the maps compress poorly enough that the zlib
-            pass costs more than the bytes it saves.
         """
         current_maps = [sample.features.current_maps for sample in self.samples]
         lengths = np.array([maps.shape[0] for maps in current_maps], dtype=int)
@@ -165,10 +164,7 @@ class NoiseDataset:
             "runtimes": np.array([sample.sim_runtime for sample in self.samples]),
             "names": np.array([sample.name for sample in self.samples]),
         }
-        if compress:
-            np.savez_compressed(path, **payload)
-        else:
-            np.savez(path, **payload)
+        np.savez(path, **payload)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "NoiseDataset":

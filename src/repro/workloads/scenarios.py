@@ -55,7 +55,6 @@ from repro.sim.waveform import CurrentTrace
 from repro.utils import check_positive
 from repro.utils.random import RandomState, ensure_rng, spawn_rngs
 from repro.workloads.activity import (
-    DEFAULT_MAX_ACTIVITY,
     clamp_activity,
     cluster_activity_to_currents,
     num_activity_profiles,
@@ -478,13 +477,12 @@ def build_scenario_trace(
     num_steps: int = 400,
     dt: float = 1e-11,
     seed: RandomState = 0,
-    max_activity: float = DEFAULT_MAX_ACTIVITY,
     name: Optional[str] = None,
 ) -> CurrentTrace:
     """Build a scenario spec into a :class:`~repro.sim.waveform.CurrentTrace`.
 
-    The activity is clamped to ``[0, max_activity]`` before it becomes
-    currents — scenarios obey the same physical activity contract as random
+    The activity is clamped to ``[0, DEFAULT_MAX_ACTIVITY]`` before it
+    becomes currents — scenarios obey the same physical activity contract as random
     vectors (see :mod:`repro.workloads.activity`), no matter how many
     overlays stack up.
 
@@ -500,8 +498,6 @@ def build_scenario_trace(
     seed:
         Seed for the scenario's (small) random choices, e.g. which cluster
         sprints.
-    max_activity:
-        Upper activity clamp (fraction of nominal current).
     name:
         Trace name; defaults to ``"<design>-<scenario label>"``.
     """
@@ -511,7 +507,5 @@ def build_scenario_trace(
     check_positive(dt, "dt")
     rng = ensure_rng(seed)
     activity = build_scenario_activity(spec, design, num_steps, dt, rng)
-    currents = cluster_activity_to_currents(
-        design, clamp_activity(activity, max_activity)
-    )
+    currents = cluster_activity_to_currents(design, clamp_activity(activity))
     return CurrentTrace(currents, dt, name=name or f"{design.name}-{spec.label}")

@@ -249,8 +249,8 @@ def overlay(*scenarios: ScenarioLike) -> ScenarioSpec:
     """Compose scenarios by summing their activities (events stack).
 
     The overlaid activity is the element-wise sum of the children's
-    activities; the shared ``[0, max_activity]`` clamp still applies when
-    the composed spec is built into a trace.
+    activities; the shared ``[0, DEFAULT_MAX_ACTIVITY]`` clamp still applies
+    when the composed spec is built into a trace.
     """
     return ScenarioSpec(
         family="overlay", children=tuple(normalize_scenario(s) for s in scenarios)

@@ -26,17 +26,43 @@ import numpy as np
 
 from repro.pdn.designs import Design
 from repro.sim.waveform import CurrentTrace
-from repro.utils import check_positive, check_probability
+from repro.utils import check_positive
 from repro.utils.random import RandomState, ensure_rng, spawn_rngs
-from repro.workloads.activity import DEFAULT_MAX_ACTIVITY, clamp_activity, resonance_steps
+from repro.workloads.activity import clamp_activity, resonance_steps
 
 #: Event kinds the generator can compose into an activity profile.
 EVENT_KINDS = ("burst", "step", "ramp", "clock_gate")
+
+#: Range of the per-cluster baseline activity (fraction of nominal current).
+BASELINE_RANGE = (0.05, 0.25)
+
+#: Range of the per-event peak activity.
+PEAK_RANGE = (0.6, 1.6)
+
+#: Inclusive range of the number of activity events per cluster.
+EVENTS_PER_CLUSTER = (1, 4)
+
+#: Probability that a burst event is tuned to the die-package resonance
+#: period (these are the vectors that produce the deepest droops).
+RESONANCE_PROBABILITY = 0.5
+
+#: Relative per-load, per-stamp jitter applied on top of the cluster
+#: activity (models instance-level toggling randomness).
+TOGGLE_JITTER = 0.35
+
+#: Probability that a cluster stays idle (baseline only) for the whole
+#: vector, which keeps the dataset from saturating every tile every time.
+IDLE_PROBABILITY = 0.15
 
 
 @dataclass(frozen=True)
 class VectorConfig:
     """Parameters of the random test-vector generator.
+
+    The activity shape is fixed by the module constants above; cluster
+    activity is clamped to
+    :data:`~repro.workloads.activity.DEFAULT_MAX_ACTIVITY`, the bound the
+    scenario builders share.
 
     Attributes
     ----------
@@ -46,58 +72,15 @@ class VectorConfig:
         Time step in seconds (the paper uses 1 ps; the default here is 10 ps
         to keep the scaled designs' traces short while still resolving the
         die-package resonance of the synthetic designs).
-    baseline_range:
-        Range of the per-cluster baseline activity (fraction of nominal
-        current).
-    peak_range:
-        Range of the per-event peak activity.
-    events_per_cluster:
-        Inclusive range of the number of activity events per cluster.
-    resonance_probability:
-        Probability that a burst event is tuned to the die-package resonance
-        period (these are the vectors that produce the deepest droops).
-    max_activity:
-        Upper clamp on the cluster activity (a circuit cannot switch harder
-        than its design maximum, no matter how many events overlap).  The
-        default is the shared activity contract's
-        :data:`~repro.workloads.activity.DEFAULT_MAX_ACTIVITY`, which the
-        scenario builders clamp to as well.
-    toggle_jitter:
-        Relative per-load, per-stamp jitter applied on top of the cluster
-        activity (models instance-level toggling randomness).
-    idle_probability:
-        Probability that a cluster stays idle (baseline only) for the whole
-        vector — keeps the dataset from saturating every tile every time.
     """
 
     num_steps: int = 400
     dt: float = 1e-11
-    baseline_range: tuple[float, float] = (0.05, 0.25)
-    peak_range: tuple[float, float] = (0.6, 1.6)
-    events_per_cluster: tuple[int, int] = (1, 4)
-    max_activity: float = DEFAULT_MAX_ACTIVITY
-    resonance_probability: float = 0.5
-    toggle_jitter: float = 0.35
-    idle_probability: float = 0.15
 
     def __post_init__(self) -> None:
         if self.num_steps < 2:
             raise ValueError(f"num_steps must be >= 2, got {self.num_steps}")
         check_positive(self.dt, "dt")
-        check_probability(self.resonance_probability, "resonance_probability")
-        check_probability(self.idle_probability, "idle_probability")
-        if self.baseline_range[0] < 0 or self.baseline_range[1] < self.baseline_range[0]:
-            raise ValueError(f"invalid baseline_range {self.baseline_range}")
-        if self.peak_range[1] < self.peak_range[0] or self.peak_range[0] <= 0:
-            raise ValueError(f"invalid peak_range {self.peak_range}")
-        if self.events_per_cluster[0] < 0 or self.events_per_cluster[1] < self.events_per_cluster[0]:
-            raise ValueError(f"invalid events_per_cluster {self.events_per_cluster}")
-        if self.toggle_jitter < 0:
-            raise ValueError(f"toggle_jitter must be >= 0, got {self.toggle_jitter}")
-        if self.max_activity <= self.baseline_range[1]:
-            raise ValueError(
-                f"max_activity ({self.max_activity}) must exceed the baseline range"
-            )
 
 
 class TestVectorGenerator:
@@ -154,11 +137,8 @@ class TestVectorGenerator:
         activity = profiles[profile_row, :].T  # (T, L)
 
         # Per-load toggling jitter.
-        if config.toggle_jitter > 0:
-            jitter = rng.uniform(
-                1.0 - config.toggle_jitter, 1.0 + config.toggle_jitter, size=activity.shape
-            )
-            activity = activity * jitter
+        jitter = rng.uniform(1.0 - TOGGLE_JITTER, 1.0 + TOGGLE_JITTER, size=activity.shape)
+        activity = activity * jitter
 
         currents = activity * design.loads.nominal_currents[np.newaxis, :]
         currents = np.clip(currents, 0.0, None)
@@ -179,19 +159,18 @@ class TestVectorGenerator:
 
     def _cluster_profile(self, rng: np.random.Generator, time_index: np.ndarray) -> np.ndarray:
         """Activity profile (fraction of nominal current) for one cluster."""
-        config = self._config
         num_steps = time_index.shape[0]
-        baseline = rng.uniform(*config.baseline_range)
+        baseline = rng.uniform(*BASELINE_RANGE)
         profile = np.full(num_steps, baseline)
-        if rng.random() < config.idle_probability:
+        if rng.random() < IDLE_PROBABILITY:
             return profile
 
-        num_events = int(rng.integers(config.events_per_cluster[0], config.events_per_cluster[1] + 1))
+        num_events = int(rng.integers(EVENTS_PER_CLUSTER[0], EVENTS_PER_CLUSTER[1] + 1))
         for _ in range(num_events):
             kind = EVENT_KINDS[int(rng.integers(0, len(EVENT_KINDS)))]
-            peak = rng.uniform(*config.peak_range)
+            peak = rng.uniform(*PEAK_RANGE)
             profile += self._event(rng, time_index, kind, peak)
-        return clamp_activity(profile, config.max_activity)
+        return clamp_activity(profile)
 
     def _event(
         self,
@@ -204,7 +183,7 @@ class TestVectorGenerator:
         num_steps = time_index.shape[0]
         center = rng.uniform(0.1, 0.9) * num_steps
         if kind == "burst":
-            if rng.random() < self._config.resonance_probability:
+            if rng.random() < RESONANCE_PROBABILITY:
                 width = self._resonance_steps
             else:
                 width = rng.uniform(0.02, 0.15) * num_steps

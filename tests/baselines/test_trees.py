@@ -76,10 +76,6 @@ class TestGradientBoostedTrees:
         error = np.mean(np.abs(model.predict(features) - targets))
         assert error < 0.1
 
-    def test_num_fitted_trees(self, rng):
-        model = GradientBoostedTrees(num_trees=7).fit(rng.random((50, 2)), rng.random(50))
-        assert model.num_fitted_trees == 7
-
     def test_predict_before_fit_rejected(self):
         with pytest.raises(RuntimeError):
             GradientBoostedTrees().predict(np.ones((2, 2)))

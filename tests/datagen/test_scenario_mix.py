@@ -56,12 +56,12 @@ class TestScenarioAssignment:
     def test_empty_mix_assigns_nothing(self):
         spec = CorpusDesignSpec(label="x", design="small@6", num_vectors=8)
         assert spec.scenario_assignment() == {}
-        assert spec.vector_scenario(3) is None
+        assert spec.scenario_assignment().get(3) is None
 
     def test_vector_scenario_bounds_checked(self):
         spec = mix_spec().designs[0]
-        with pytest.raises(ValueError):
-            spec.vector_scenario(spec.num_vectors)
+        assert set(spec.scenario_assignment()) <= set(range(spec.num_vectors))
+        assert spec.scenario_assignment().get(spec.num_vectors) is None
 
     def test_fraction_validated_with_mix_and_normalized_without(self):
         # Without a mix the fraction is meaningless: it is pinned back to

@@ -216,7 +216,7 @@ class TestLoaders:
         store = ShardStore(tmp_path)
         shard = store.read_shard("small", 0)
         shard.samples[0].target[:] += 1.0
-        shard.save(store.shard_path("small", 0), compress=False)
+        shard.save(store.shard_path("small", 0))
         assert isinstance(load_design_dataset(tmp_path, "small"), object)  # lenient load
         with pytest.raises(ValueError):
             load_design_dataset(tmp_path, "small", verify=True)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.features.extraction import extract_vector_features_batch
-from repro.gateway import ConsistentHashRing, ScreeningGateway
+import repro.gateway.gateway as gateway_module
+from repro.gateway import ScreeningGateway
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import PredictorRegistry
 
@@ -47,34 +48,39 @@ def gateway_root(tmp_path, tiny_design, tiny_predictor):
 def second_design_name(tiny_design, gateway_root, tiny_predictor):
     """A second registered design name that hashes to the *other* shard.
 
-    The ring is deterministic, so we can search candidate names offline for
-    one that a two-shard ring assigns differently from ``tiny_design`` —
-    giving the sharding tests a guaranteed cross-shard pair.
+    Shard routing is a fixed hash of the name, so we can search candidate
+    names for one that a two-shard gateway assigns differently from
+    ``tiny_design`` — giving the sharding tests a guaranteed cross-shard
+    pair.
     """
-    ring = ConsistentHashRing(range(2))
-    home = ring.assign(tiny_design.name)
-    for suffix in "bcdefgh":
-        candidate = f"{tiny_design.name}-{suffix}"
-        if ring.assign(candidate) != home:
+    with ScreeningGateway(gateway_root, num_shards=2, metrics=MetricsRegistry()) as probe:
+        home = probe.shard_for(tiny_design.name)
+        landed = {
+            candidate: probe.shard_for(candidate)
+            for candidate in (f"{tiny_design.name}-{suffix}" for suffix in "bcdefgh")
+        }
+    for candidate, shard in landed.items():
+        if shard != home:
             PredictorRegistry(gateway_root).register(candidate, tiny_predictor)
             return candidate
     raise AssertionError("no candidate name landed on the other shard")
 
 
 @pytest.fixture()
-def make_gateway(gateway_root, tiny_design):
+def make_gateway(gateway_root, tiny_design, monkeypatch):
     """Factory for test gateways; closes every gateway it made on teardown.
 
     Defaults tuned for the suite: two shards, a private metrics registry,
-    millisecond restart backoff, and a design factory that resolves any
+    millisecond restart backoff (the gateway's backoff constants are
+    patched for the test), and a design factory that resolves any
     registered name to the tiny design (all test designs share its grid).
     """
+    monkeypatch.setattr(gateway_module, "BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(gateway_module, "BACKOFF_CAP", 0.08)
     created: list[ScreeningGateway] = []
 
     def make(**kwargs) -> ScreeningGateway:
         kwargs.setdefault("num_shards", 2)
-        kwargs.setdefault("backoff_base", 0.01)
-        kwargs.setdefault("backoff_cap", 0.08)
         kwargs.setdefault("metrics", MetricsRegistry())
         kwargs.setdefault("design_factory", lambda name: tiny_design)
         gateway = ScreeningGateway(gateway_root, **kwargs)

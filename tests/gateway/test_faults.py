@@ -13,6 +13,7 @@ from contextlib import ExitStack
 import numpy as np
 import pytest
 
+import repro.gateway.gateway as gateway_module
 from repro import faults
 from repro.faults import FaultInjector, ScriptedFaults, WorkerKilled
 from repro.gateway import WorkerCrashed
@@ -150,10 +151,11 @@ def test_crash_mid_fill_requeues_the_requests_already_pulled(
 
 
 def test_persistent_crashes_exhaust_retries_with_backoff(
-    make_gateway, inject, wait_for, tiny_design, tiny_features
+    make_gateway, inject, wait_for, tiny_design, tiny_features, monkeypatch
 ):
     inject(AlwaysKill())
-    gateway = make_gateway(max_retries=1)
+    monkeypatch.setattr(gateway_module, "MAX_RETRIES", 1)
+    gateway = make_gateway()
     future = gateway.submit_async(tiny_features[0], tiny_design.name)
     with pytest.raises(WorkerCrashed) as crashed:
         future.result(timeout=15)

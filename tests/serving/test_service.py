@@ -13,6 +13,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.gateway.gateway as gateway_module
 from repro.features.extraction import VectorFeatures, extract_vector_features
 from repro.gateway import GatewayClosed, ScreeningGateway
 from repro.obs.metrics import MetricsRegistry
@@ -267,13 +268,14 @@ class TestCloseSemantics:
 
     def test_worker_death_requeues_batch_and_serves_queue(
         self, registry, serving_predictor, make_gated_predictor, make_flaky_predictor,
-        tiny_design, tiny_traces
+        tiny_design, tiny_traces, monkeypatch
     ):
         class WorkerDeath(BaseException):
             """Non-Exception error: kills the worker thread outright."""
 
         lethal = make_gated_predictor(make_flaky_predictor(serving_predictor, [WorkerDeath()]))
-        with one_shard(registry, max_batch=1, max_wait=1e-3, backoff_base=0.01) as svc:
+        monkeypatch.setattr(gateway_module, "BACKOFF_BASE", 0.01)
+        with one_shard(registry, max_batch=1, max_wait=1e-3) as svc:
             serve(svc, tiny_design, lethal)
             doomed = svc.submit_async(tiny_traces[0], tiny_design)
             assert lethal.started.wait(5)

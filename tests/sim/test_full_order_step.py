@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.pdn import design_from_name
 from repro.pdn.stamps import INDUCTOR_SHORT_RESISTANCE, REFERENCE_NODE, MNASystem
-from repro.sim.transient import FullOrderStrategy, TransientOptions
+from repro.sim.transient import FullOrderStrategy
 from repro.sim.waveform import CurrentTrace
 
 SEED_DESIGNS = ("small@8", "D1@0.5", "D1@0.2", "D2@0.2", "D3@0.2", "D4@0.2")
@@ -28,7 +28,7 @@ SEED_DESIGNS = ("small@8", "D1@0.5", "D1@0.2", "D2@0.2", "D3@0.2", "D4@0.2")
 
 @lru_cache(maxsize=None)
 def _strategy(name: str) -> FullOrderStrategy:
-    return FullOrderStrategy(design_from_name(name).mna, 1e-11, TransientOptions())
+    return FullOrderStrategy(design_from_name(name).mna, 1e-11)
 
 
 class TestLoadScatter:
@@ -131,7 +131,7 @@ class TestInternalInductor:
             CurrentTrace(rng.uniform(0.0, 2.0, size=(60, len(LOAD_NODES))), DT)
             for _ in range(width)
         ]
-        strategy = FullOrderStrategy(_system(), DT, TransientOptions())
+        strategy = FullOrderStrategy(_system(), DT)
         for trace, result in zip(traces, strategy.run_block(traces)):
             reference = _dense_backward_euler(trace.currents)
             for field in ("max_droop_per_node", "final_droop", "worst_droop"):

@@ -44,33 +44,27 @@ class TestTransientEngine:
 
     def test_step_overshoots_dc_level(self, tiny_design):
         dt = 1e-11
-        engine = TransientEngine(tiny_design.mna, dt, TransientOptions(store_waveform=True))
+        engine = TransientEngine(tiny_design.mna, dt)
         result = engine.run(_step_trace(tiny_design, 300, dt, step_at=30))
         static = StaticIRAnalysis(tiny_design.mna).solve(tiny_design.loads.nominal_currents)
         # Dynamic first droop exceeds the static level (package resonance).
         assert result.worst_droop > 1.2 * static.max()
 
-    def test_waveform_stored_when_requested(self, tiny_design):
-        dt = 1e-11
-        engine = TransientEngine(tiny_design.mna, dt, TransientOptions(store_waveform=True))
-        result = engine.run(_constant_trace(tiny_design, 0.5, 20, dt))
-        assert result.waveform is not None
-        assert result.waveform.num_steps == 20
-        assert result.waveform.num_nodes == tiny_design.mna.num_nodes
-
-    def test_waveform_omitted_by_default(self, tiny_design):
+    def test_max_droop_is_the_max_of_prefix_final_droops(self, tiny_design):
+        # A prefix of a trace ends on the droop the full run passes through
+        # at that stamp, so the per-node maximum, the worst droop and its
+        # stamp are the maxima over every prefix's final droop.
         dt = 1e-11
         engine = TransientEngine(tiny_design.mna, dt)
-        result = engine.run(_constant_trace(tiny_design, 0.5, 10, dt))
-        assert result.waveform is None
-
-    def test_max_droop_matches_stored_waveform(self, tiny_design):
-        dt = 1e-11
-        engine = TransientEngine(tiny_design.mna, dt, TransientOptions(store_waveform=True))
-        result = engine.run(_step_trace(tiny_design, 120, dt, step_at=20))
-        np.testing.assert_allclose(
-            result.max_droop_per_node, result.waveform.droops.max(axis=0), rtol=1e-12
+        trace = _step_trace(tiny_design, 60, dt, step_at=20)
+        result = engine.run(trace)
+        prefixes = engine.run_many(
+            [CurrentTrace(trace.currents[:length], dt) for length in range(1, 61)], batch_size=1
         )
+        finals = np.stack([prefix.final_droop for prefix in prefixes])
+        np.testing.assert_allclose(result.max_droop_per_node, finals.max(axis=0), rtol=1e-12)
+        assert result.worst_droop == pytest.approx(finals.max(), rel=1e-12)
+        assert result.worst_time_index == int(finals.max(axis=1).argmax())
 
     def test_backward_euler_converges_with_dt(self, tiny_design):
         # Halving dt should change the worst droop only moderately (first-order
@@ -97,9 +91,12 @@ class TestTransientEngine:
 
     def test_trace_whose_first_stamp_draws_no_current_starts_at_rest(self, tiny_design):
         dt = 1e-11
-        engine = TransientEngine(tiny_design.mna, dt, TransientOptions(store_waveform=True))
-        result = engine.run(_step_trace(tiny_design, 30, dt, step_at=10))
-        np.testing.assert_allclose(result.waveform.droops[0], 0.0, atol=1e-15)
+        engine = TransientEngine(tiny_design.mna, dt)
+        trace = _step_trace(tiny_design, 30, dt, step_at=10)
+        # Cut before the step: the run only ever sees its quiet first stamps.
+        result = engine.run(CurrentTrace(trace.currents[:10], dt))
+        np.testing.assert_allclose(result.final_droop, 0.0, atol=1e-15)
+        np.testing.assert_allclose(result.max_droop_per_node, 0.0, atol=1e-15)
 
     def test_worst_time_index_in_range(self, tiny_design):
         dt = 1e-11
@@ -113,16 +110,8 @@ class TestTransientEngine:
 class TestRunMany:
     """Lockstep block integration (the dataset factory's hot path)."""
 
-    @pytest.mark.parametrize(
-        "options",
-        [
-            TransientOptions(),
-            TransientOptions(store_waveform=True),
-        ],
-        ids=["backward_euler", "waveform"],
-    )
-    def test_matches_per_trace_run(self, tiny_design, tiny_traces, options):
-        engine = TransientEngine(tiny_design.mna, tiny_traces[0].dt, options)
+    def test_matches_per_trace_run(self, tiny_design, tiny_traces):
+        engine = TransientEngine(tiny_design.mna, tiny_traces[0].dt)
         traces = tiny_traces[:5]
         batched = engine.run_many(traces)
         for trace, block in zip(traces, batched):
@@ -136,11 +125,6 @@ class TestRunMany:
             )
             assert block.worst_droop == pytest.approx(single.worst_droop, rel=1e-12)
             assert block.num_steps == single.num_steps
-            if options.store_waveform:
-                np.testing.assert_allclose(
-                    block.waveform.droops, single.waveform.droops,
-                    rtol=1e-12, atol=1e-16,
-                )
 
     def test_deterministic_for_fixed_batch(self, tiny_design, tiny_traces):
         engine = TransientEngine(tiny_design.mna, tiny_traces[0].dt)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.waveform import CurrentTrace, VoltageWaveform, per_tile_maximum
+from repro.sim.waveform import CurrentTrace, per_tile_maximum
 
 
 class TestCurrentTrace:
@@ -53,17 +53,6 @@ class TestCurrentTrace:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError):
             CurrentTrace(np.ones(5), 1e-12)
-
-
-class TestVoltageWaveform:
-    def test_worst_case_reductions(self):
-        droops = np.array([[0.1, 0.2], [0.3, 0.1]])
-        waveform = VoltageWaveform(droops, 1e-12)
-        assert waveform.worst_case() == pytest.approx(0.3)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            VoltageWaveform(np.ones(5), 1e-12)
 
 
 class TestPerTileMaximum:

@@ -21,7 +21,7 @@ from repro.pdn import small_test_design
 from repro.sim import rom as rom_module
 from repro.sim import transient
 from repro.sim.rom import ReducedOrderStrategy, ROMOptions
-from repro.sim.transient import FullOrderStrategy, TransientOptions
+from repro.sim.transient import FullOrderStrategy
 from repro.sim.waveform import CurrentTrace
 from repro.workloads import generate_test_vectors
 from repro.workloads.vectors import VectorConfig
@@ -61,7 +61,7 @@ def block(load_heavy_design):
 
 @pytest.fixture(scope="module")
 def full_strategy(load_heavy_design, block):
-    strategy = FullOrderStrategy(load_heavy_design.mna, DT, TransientOptions())
+    strategy = FullOrderStrategy(load_heavy_design.mna, DT)
     strategy.run_block(block[:1])  # builds the lazy DC solver outside the measurement
     return strategy
 
@@ -138,7 +138,7 @@ def test_rom_build_holds_one_moment_stack():
     # Many nodes, few ports: the moment stack dwarfs the Gram eigenproblem.
     design = small_test_design(tile_rows=24, tile_cols=24, num_loads=60, seed=0)
     mna = design.mna
-    full = FullOrderStrategy(mna, DT, TransientOptions())
+    full = FullOrderStrategy(mna, DT)
     options = ROMOptions(rank=16)
     ReducedOrderStrategy.build(full, options)  # warm-up: LAPACK/BLAS first-call state
     peak, rom = traced_peak(lambda: ReducedOrderStrategy.build(full, options))

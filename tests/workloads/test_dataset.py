@@ -1,5 +1,7 @@
 """Tests for repro.workloads.dataset."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -172,7 +174,9 @@ class TestMergeDatasets:
 class TestUncompressedSave:
     def test_roundtrip(self, tiny_dataset, tmp_path):
         path = tmp_path / "plain.npz"
-        tiny_dataset.save(path, compress=False)
+        tiny_dataset.save(path)
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
         loaded = NoiseDataset.load(path)
         assert len(loaded) == len(tiny_dataset)
         np.testing.assert_array_equal(

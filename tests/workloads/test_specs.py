@@ -252,17 +252,15 @@ class TestActivityContract:
         assert np.isclose(trace.currents.max(), ceiling.max())
 
     def test_custom_max_activity(self, tiny_design):
-        trace = build_scenario_trace(
-            "power_virus", tiny_design, num_steps=40, max_activity=1.0
-        )
-        ceiling = 1.0 * tiny_design.loads.nominal_currents
-        assert np.all(trace.currents <= ceiling[np.newaxis, :] + 1e-12)
+        # DEFAULT_MAX_ACTIVITY is the one bound: no builder takes another.
+        with pytest.raises(TypeError):
+            build_scenario_trace("power_virus", tiny_design, num_steps=40, max_activity=1.0)
 
     def test_clamp_activity_bounds(self):
-        clamped = clamp_activity(np.array([-1.0, 0.5, 5.0]), 2.0)
-        np.testing.assert_allclose(clamped, [0.0, 0.5, 2.0])
-        with pytest.raises(ValueError):
-            clamp_activity(np.zeros(3), max_activity=0.0)
+        clamped = clamp_activity(np.array([-1.0, 0.5, 5.0]))
+        np.testing.assert_allclose(clamped, [0.0, 0.5, DEFAULT_MAX_ACTIVITY])
+        with pytest.raises(TypeError):
+            clamp_activity(np.zeros(3), max_activity=1.0)
 
     def test_resonance_steps_matches_generator(self, tiny_design):
         from repro.workloads import TestVectorGenerator, VectorConfig

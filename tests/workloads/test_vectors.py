@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.workloads.vectors import TestVectorGenerator, VectorConfig, generate_test_vectors
+from repro.workloads.activity import DEFAULT_MAX_ACTIVITY
+from repro.workloads.vectors import (
+    TOGGLE_JITTER,
+    TestVectorGenerator,
+    VectorConfig,
+    generate_test_vectors,
+)
 
 
 class TestVectorConfig:
@@ -16,6 +22,8 @@ class TestVectorConfig:
         [
             {"num_steps": 1},
             {"dt": 0.0},
+            # The activity shape is module constants, not fields: any value
+            # for them is refused.
             {"baseline_range": (0.5, 0.1)},
             {"peak_range": (0.0, 1.0)},
             {"events_per_cluster": (3, 1)},
@@ -26,7 +34,8 @@ class TestVectorConfig:
         ],
     )
     def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        error = ValueError if set(kwargs) <= {"num_steps", "dt"} else TypeError
+        with pytest.raises(error):
             VectorConfig(**kwargs)
 
 
@@ -40,11 +49,10 @@ class TestTestVectorGenerator:
         assert trace.dt == config.dt
 
     def test_currents_nonnegative_and_bounded(self, tiny_design):
-        config = VectorConfig(num_steps=100, max_activity=2.0, toggle_jitter=0.3)
-        generator = TestVectorGenerator(tiny_design, config)
+        generator = TestVectorGenerator(tiny_design, VectorConfig(num_steps=100))
         trace = generator.generate(seed=1)
         assert trace.currents.min() >= 0.0
-        upper = (1 + config.toggle_jitter) * config.max_activity
+        upper = (1 + TOGGLE_JITTER) * DEFAULT_MAX_ACTIVITY
         per_load_ratio = trace.currents / tiny_design.loads.nominal_currents[np.newaxis, :]
         assert per_load_ratio.max() <= upper + 1e-9
 
@@ -114,8 +122,7 @@ class TestTestVectorGenerator:
     def test_loads_in_same_cluster_correlate(self, tiny_design):
         # Cluster-level activity should make same-cluster loads more
         # correlated than loads from different clusters, on average.
-        config = VectorConfig(num_steps=200, toggle_jitter=0.1, idle_probability=0.0)
-        generator = TestVectorGenerator(tiny_design, config)
+        generator = TestVectorGenerator(tiny_design, VectorConfig(num_steps=200))
         trace = generator.generate(seed=3)
         cluster_ids = tiny_design.loads.cluster_id
         cluster_members = np.nonzero(cluster_ids == 0)[0]
